@@ -1,12 +1,12 @@
 //! `psmbench` — the psmgen performance harness.
 //!
 //! Runs the fixed scenario suite from [`psm_bench::scenarios`] (assertion
-//! mining, PSM generation, merging, HMM build + forward simulation, the
-//! compiled flat-table forward pass against the interpreted walker on
-//! all four paper benches, the full [`psmgen::flow::PsmFlow`]
-//! train/estimate path at several worker counts, and the `psmd` daemon
-//! end to end: eight concurrent loopback clients at the same worker
-//! counts on both engines, a one-shot JSON-vs-binary wire format
+//! mining, PSM generation, merging, HMM build + reference forward
+//! simulation, the compiled flat-table forward pass against the
+//! reference walker on all four paper benches, the full
+//! [`psmgen::flow::PsmFlow`] train/estimate path at several worker
+//! counts, and the `psmd` daemon end to end: eight concurrent loopback
+//! clients at the same worker counts, a one-shot JSON-vs-binary wire format
 //! comparison, and chunked streaming sessions with per-chunk
 //! latency percentiles), prints a human-readable table, and writes a
 //! schema-versioned `BENCH_psmgen.json` with per-scenario ns/op,
@@ -349,7 +349,6 @@ fn main() -> ExitCode {
         }
         for t in &cfg.threads {
             println!("serve_estimate_t{t}");
-            println!("serve_estimate_compiled_t{t}");
         }
         println!("serve_oneshot_json");
         println!("serve_oneshot_bin");

@@ -12,9 +12,10 @@
 //!
 //! The compiled form is behaviour-preserving to the bit: every estimate,
 //! wrong-state-prediction count and unknown-instant count equals the
-//! interpreted `HmmSimulator`/`ForwardPass` result exactly, one-shot and
-//! under any chunking of the same trace (the workspace's `tests/compile.rs`
-//! asserts this on all four paper benchmarks). See `DESIGN.md` § *Compiled
+//! reference `HmmSimulator::run` result exactly, one-shot and under any
+//! chunking of the same trace (the workspace's `tests/compile.rs` asserts
+//! this on all four paper benchmarks). It is the only estimation runtime
+//! of the flow and of `psmd`; `HmmSimulator` remains as the test oracle. See `DESIGN.md` § *Compiled
 //! serving runtime* for the table layout and the bit-identity argument.
 //!
 //! # Examples

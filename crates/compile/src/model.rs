@@ -61,7 +61,7 @@ impl Error for CompileError {}
 /// ids — no boxed state objects, no hash lookups, no per-instant allocation.
 /// The numeric tables hold exactly the same `f64` values the interpreter
 /// reads (no reassociation, no renormalisation), which is why the compiled
-/// forward pass is bit-identical to `psm_hmm::ForwardPass`.
+/// forward pass is bit-identical to `psm_hmm::HmmSimulator`.
 ///
 /// Construction: [`CompiledModel::compile`] (no observation dictionary, for
 /// callers that already hold `PropositionId`s) or
@@ -70,7 +70,7 @@ impl Error for CompileError {}
 /// classified without the training-side hash map).
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
-    // ---- HMM tables (verbatim ForwardCache layout) ----
+    // ---- HMM tables (transposed, values copied verbatim) ----
     /// Number of states.
     pub(crate) m: usize,
     /// Number of emission symbols.
@@ -199,8 +199,8 @@ impl CompiledModel {
         }
         let k = hmm.num_symbols();
 
-        // HMM tables — the exact loops of Hmm::forward_cache, so the flat
-        // layout holds bit-for-bit the interpreter's values.
+        // HMM tables, transposed so the forward inner product walks one
+        // contiguous column; the values are the interpreter's, bit for bit.
         let a = hmm.a();
         let b = hmm.b();
         let mut at = vec![0.0f64; m * m];

@@ -1,5 +1,5 @@
 //! The compiled forward pass: the assertion-driven walker of
-//! `psm_hmm::ForwardPass` executed over the flat tables of a
+//! `psm_hmm::HmmSimulator::run` executed over the flat tables of a
 //! [`CompiledModel`], with every per-instant allocation hoisted into a
 //! reusable [`CompiledForwardState`].
 
@@ -18,14 +18,14 @@ struct CompiledAlt {
     next_consumed: bool,
 }
 
-/// Resumable state of a compiled estimation run — the compiled twin of
-/// `psm_hmm::ForwardState`.
+/// Resumable state of a compiled estimation run: the filtered belief,
+/// the chain cursor, the holder state and the wrong/unknown counters.
 ///
 /// All buffers (belief, filter scratch, the two alternative sets) are
 /// allocated once by [`CompiledModel::begin`] with capacity for the widest
 /// state, so [`CompiledModel::resume`] performs **zero allocations** per
 /// chunk regardless of chunk size (the caller-owned output trace is the
-/// only growing buffer, exactly as in the interpreted pass).
+/// only growing buffer).
 #[derive(Debug, Clone)]
 pub struct CompiledForwardState {
     pub(crate) belief: Vec<f64>,
@@ -89,9 +89,10 @@ impl CompiledModel {
     }
 
     /// Feeds one chunk of observations through `state`, appending one power
-    /// estimate per instant to `estimate` — bit-identical to
-    /// `psm_hmm::ForwardPass::resume` on the model this was compiled from,
-    /// for any chunking of the same trace.
+    /// estimate per instant to `estimate`. Splitting a trace into chunks
+    /// and resuming each through the same state is bit-identical to one
+    /// `psm_hmm::HmmSimulator::run` over the whole trace on the model this
+    /// was compiled from.
     ///
     /// # Panics
     ///
@@ -117,7 +118,7 @@ impl CompiledModel {
                 }
                 Some(o) => {
                     let sym = o.index();
-                    // Belief update: the exact filter_step_cached loops,
+                    // Belief update: the exact filter_step_scratch loops,
                     // with the emission fallback copied (not reallocated)
                     // when the transition-constrained update collapses.
                     if sym < self.k {
@@ -192,7 +193,7 @@ impl CompiledModel {
         }
     }
 
-    /// The exact arithmetic of `Hmm::filter_step_cached` (same i-order inner
+    /// The exact arithmetic of `Hmm::filter_step_scratch` (same i-order inner
     /// product, same sum, same division), minus the error paths the walker
     /// already rules out. Updates `belief` in place when the likelihood is
     /// positive; returns the pre-normalisation likelihood.
@@ -218,7 +219,7 @@ impl CompiledModel {
 
     /// Advances the live alternatives of `state.cur_state` on observation
     /// `o`, writing survivors into `state.next_alts`. Mirrors
-    /// `ForwardPass::advance` including its tie resolution: staying beats
+    /// the reference walker's `advance` including its tie resolution: staying beats
     /// exiting unless the belief strictly prefers the exit target.
     fn advance_step(&self, state: &mut CompiledForwardState, o: u32) -> StepOutcome {
         state.next_alts.clear();
@@ -291,7 +292,7 @@ impl CompiledModel {
 
     /// The belief-preferred exit of `from` through a transition guarded by
     /// `o`. Transition order matches the source declaration order, and ties
-    /// break on strict `>`, exactly as `ForwardPass::best_exit`.
+    /// break on strict `>`, exactly as the reference walker's `best_exit`.
     fn best_exit_state(&self, from: u32, o: u32, belief: &[f64]) -> Option<u32> {
         let mut best: Option<(f64, u32)> = None;
         let lo = self.trans_off[from as usize] as usize;
@@ -313,7 +314,7 @@ impl CompiledModel {
     }
 
     /// The best state accepting `o` as an entry, ranked by belief with
-    /// strict-`>` ties — the compiled `ForwardPass::resync`. Scans the
+    /// strict-`>` ties — the compiled `resync` of the reference walker. Scans the
     /// per-symbol entry dictionary, whose slots are state-ascending like the
     /// interpreter's full state scan (duplicate slots of one state carry an
     /// equal score and thus never change the winner).

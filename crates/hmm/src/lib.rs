@@ -26,6 +26,11 @@
 //! alone; if even that fails the behaviour is unknown and the simulator
 //! holds the last valid state until a known behaviour reappears.
 //!
+//! [`HmmSimulator`] is the reference semantics of that walk, written for
+//! legibility rather than speed. The flow and the `psmd` daemon estimate
+//! through the table-driven `psm-compile` runtime, which the workspace's
+//! `tests/compile.rs` pins bit for bit against this simulator.
+//!
 //! # Examples
 //!
 //! ```
@@ -59,8 +64,8 @@ mod model;
 mod simulate;
 
 pub use build::build_hmm;
-pub use model::{ForwardCache, Hmm};
-pub use simulate::{ForwardPass, ForwardState, HmmOutcome, HmmSimulator};
+pub use model::Hmm;
+pub use simulate::{HmmOutcome, HmmSimulator};
 
 use std::error::Error;
 use std::fmt;

@@ -205,110 +205,6 @@ impl Hmm {
         Ok(likelihood)
     }
 
-    /// Precomputes the cache-friendly forward-pass layout of this model:
-    /// A transposed into one flat column-major block and B transposed per
-    /// symbol, so [`Hmm::filter_step_cached`] reads both contiguously.
-    ///
-    /// The cache holds exactly the same `f64` values as the matrices —
-    /// no reassociation, no log transform — so a cached filter step is
-    /// bit-for-bit identical to [`Hmm::filter_step_scratch`] (the
-    /// equivalence suite asserts this). Build it once per simulation and
-    /// reuse it across steps; it is invalidated by nothing (an [`Hmm`] is
-    /// immutable after construction).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use psm_hmm::Hmm;
-    ///
-    /// let hmm = Hmm::new(
-    ///     vec![vec![0.7, 0.3], vec![0.4, 0.6]],
-    ///     vec![vec![0.9, 0.1], vec![0.2, 0.8]],
-    ///     vec![0.5, 0.5],
-    /// )?;
-    /// let cache = hmm.forward_cache();
-    ///
-    /// // The cached step reproduces the reference step bit-for-bit.
-    /// let mut reference = hmm.initial_belief(0).expect("symbol in range");
-    /// let mut cached = reference.clone();
-    /// let mut scratch = vec![0.0; hmm.num_states()];
-    /// let l1 = hmm.filter_step_scratch(&mut reference, 1, &mut scratch)?;
-    /// let l2 = hmm.filter_step_cached(&cache, &mut cached, 1, &mut scratch)?;
-    /// assert_eq!(l1.to_bits(), l2.to_bits());
-    /// assert_eq!(reference[0].to_bits(), cached[0].to_bits());
-    /// # Ok::<(), psm_hmm::HmmError>(())
-    /// ```
-    pub fn forward_cache(&self) -> ForwardCache {
-        let m = self.num_states();
-        let k = self.num_symbols();
-        let mut at = vec![0.0f64; m * m];
-        for (i, row) in self.a.iter().enumerate() {
-            for (j, &aij) in row.iter().enumerate() {
-                at[j * m + i] = aij;
-            }
-        }
-        let mut bt = vec![0.0f64; k * m];
-        for (j, row) in self.b.iter().enumerate() {
-            for (s, &bjs) in row.iter().enumerate() {
-                bt[s * m + j] = bjs;
-            }
-        }
-        ForwardCache { at, bt, m, k }
-    }
-
-    /// One forward-filtering step through a [`ForwardCache`] — the hot
-    /// loop of [`crate::HmmSimulator`]. Semantically identical to
-    /// [`Hmm::filter_step_scratch`] (same summation order over the same
-    /// values, hence bitwise-equal results), but the inner product walks
-    /// one contiguous cache column instead of striding across `m` row
-    /// vectors.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Hmm::filter_step_scratch`], plus a dimension
-    /// error when `cache` was built from a different-shaped model.
-    pub fn filter_step_cached(
-        &self,
-        cache: &ForwardCache,
-        belief: &mut [f64],
-        symbol: usize,
-        scratch: &mut [f64],
-    ) -> Result<f64, HmmError> {
-        let m = self.num_states();
-        if belief.len() != m || scratch.len() != m {
-            return Err(HmmError::DimensionMismatch("belief length"));
-        }
-        if cache.m != m || cache.k != self.num_symbols() {
-            return Err(HmmError::DimensionMismatch(
-                "forward cache built from a different model",
-            ));
-        }
-        if symbol >= self.num_symbols() {
-            return Err(HmmError::UnknownSymbol {
-                symbol,
-                known: self.num_symbols(),
-            });
-        }
-        let bcol = &cache.bt[symbol * m..(symbol + 1) * m];
-        for (j, nj) in scratch.iter_mut().enumerate() {
-            let col = &cache.at[j * m..(j + 1) * m];
-            let mut acc = 0.0;
-            // Same i-order as filter_step_scratch: the sum reassociates
-            // nothing, keeping the byte-identity contract.
-            for i in 0..m {
-                acc += belief[i] * col[i];
-            }
-            *nj = acc * bcol[j];
-        }
-        let likelihood: f64 = scratch.iter().sum();
-        if likelihood > 0.0 {
-            for (dst, src) in belief.iter_mut().zip(scratch.iter()) {
-                *dst = src / likelihood;
-            }
-        }
-        Ok(likelihood)
-    }
-
     /// Log-likelihood of a full observation sequence under the model.
     ///
     /// # Errors
@@ -629,40 +525,6 @@ impl Hmm {
         }
         let log_like: f64 = scale.iter().map(|s| s.ln()).sum();
         Ok((Hmm::new(new_a, new_b, gamma0)?, log_like))
-    }
-}
-
-/// Precomputed read-only layout for the forward pass, built by
-/// [`Hmm::forward_cache`].
-///
-/// Holds the transition matrix transposed into one flat column-major
-/// block (`at[j*m + i] = a[i][j]`) and the emission matrix transposed per
-/// symbol (`bt[s*m + j] = b[j][s]`). A filter step then reads exactly one
-/// contiguous column per destination state plus one contiguous emission
-/// slice, instead of striding across `m` separately-boxed row vectors.
-/// The values are copied verbatim, so cached and uncached filtering are
-/// bit-for-bit equal.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Column-major transition matrix: `at[j*m + i] = a[i][j]`.
-    at: Vec<f64>,
-    /// Symbol-major emission matrix: `bt[s*m + j] = b[j][s]`.
-    bt: Vec<f64>,
-    /// Number of hidden states the cache was built for.
-    m: usize,
-    /// Number of observation symbols the cache was built for.
-    k: usize,
-}
-
-impl ForwardCache {
-    /// Number of hidden states of the originating model.
-    pub fn num_states(&self) -> usize {
-        self.m
-    }
-
-    /// Number of observation symbols of the originating model.
-    pub fn num_symbols(&self) -> usize {
-        self.k
     }
 }
 

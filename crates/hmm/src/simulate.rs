@@ -7,7 +7,7 @@
 //! alternative chains or transitions match the observation) and when a
 //! wrong prediction forces a revert/resynchronisation.
 
-use crate::model::{ForwardCache, Hmm};
+use crate::model::Hmm;
 use psm_core::{Psm, StateId};
 use psm_mining::{PropositionId, TemporalPattern};
 use psm_trace::PowerTrace;
@@ -65,134 +65,123 @@ struct Cursor {
     alts: Vec<Alt>,
 }
 
-/// Resumable state of an assertion-driven estimation run.
+/// Simulates a (possibly non-deterministic) joined PSM: chain-cursor
+/// walking with HMM-ranked choices.
 ///
-/// Captures everything [`HmmSimulator::run`] keeps between instants — the
-/// filtered belief, the chain cursor, the last valid state and the
-/// wrong/unknown counters — so a long trace can be estimated chunk by
-/// chunk through [`ForwardPass::resume`] with results bit-identical to a
-/// single [`HmmSimulator::run`] over the concatenated observations. The
-/// internal buffers are reused across chunks; feeding a chunk allocates
-/// nothing inside the state itself.
-#[derive(Debug, Clone)]
-pub struct ForwardState {
-    belief: Vec<f64>,
-    scratch: Vec<f64>,
-    cursor: Option<Cursor>,
-    last_state: StateId,
-    wrong: usize,
-    unknown: usize,
-    instants: usize,
-}
-
-impl ForwardState {
-    /// Wrong-state predictions accumulated over every resumed chunk.
-    pub fn wrong_state_predictions(&self) -> usize {
-        self.wrong
-    }
-
-    /// Unknown instants accumulated over every resumed chunk.
-    pub fn unknown_instants(&self) -> usize {
-        self.unknown
-    }
-
-    /// Total instants fed through this state so far.
-    pub fn instants(&self) -> usize {
-        self.instants
-    }
-}
-
-/// A borrowed view over a PSM/HMM pair that drives the assertion-based
-/// walker without owning either — the resumable core behind
+/// Per instant, in order:
+///
+/// 1. the cursor advances deterministically within its chain (an `until`
+///    part repeats on its left proposition, cascades or exits on its right
+///    one);
+/// 2. an exit with several matching transitions/alternative chains is
+///    resolved by the **filtered belief** — the paper's use of the HMM for
+///    non-deterministic choices;
+/// 3. a failing assertion is a **wrong-state prediction**: the simulator
+///    reverts and re-enters the best-ranked state accepting the
+///    observation (zeroing nothing permanently — the belief already
+///    down-weights the wrong path);
+/// 4. if no state accepts the observation the behaviour is **unknown**:
+///    the simulator holds the last valid state until a known behaviour
+///    reappears.
+///
+/// This is the textbook reference semantics of the walker. Estimation in
+/// the flow and in `psmd` runs the table-driven `psm-compile` runtime,
+/// which the workspace's `tests/compile.rs` pins bit for bit against
 /// [`HmmSimulator::run`].
 ///
-/// Where [`HmmSimulator`] owns its HMM (convenient for one-shot runs),
-/// `ForwardPass` borrows `(psm, hmm, cache)` so long-lived owners (for
-/// example a model registry serving streaming sessions) can drive many
-/// concurrent [`ForwardState`]s against one loaded model without cloning
-/// per chunk.
-#[derive(Debug, Clone, Copy)]
-pub struct ForwardPass<'a> {
+/// # Examples
+///
+/// See the [crate-level example](crate).
+#[derive(Debug, Clone)]
+pub struct HmmSimulator<'a> {
     psm: &'a Psm,
-    hmm: &'a Hmm,
-    cache: &'a ForwardCache,
+    hmm: Hmm,
 }
 
-impl<'a> ForwardPass<'a> {
-    /// Borrows a PSM, its HMM and a [`ForwardCache`] built from that HMM
-    /// (see [`Hmm::forward_cache`]).
+impl<'a> HmmSimulator<'a> {
+    /// Pairs a joined PSM with its HMM (usually from
+    /// [`build_hmm`](crate::build_hmm)).
     ///
     /// # Panics
     ///
-    /// Panics when the HMM's state count does not match the PSM's or the
-    /// cache was built for a different state space.
-    pub fn new(psm: &'a Psm, hmm: &'a Hmm, cache: &'a ForwardCache) -> Self {
+    /// Panics when the HMM's state count does not match the PSM's.
+    pub fn new(psm: &'a Psm, hmm: Hmm) -> Self {
         assert_eq!(
             psm.state_count(),
             hmm.num_states(),
             "HMM and PSM must agree on the state space"
         );
-        assert_eq!(
-            cache.num_states(),
-            hmm.num_states(),
-            "forward cache must be built from this HMM"
-        );
-        ForwardPass { psm, hmm, cache }
+        HmmSimulator { psm, hmm }
     }
 
-    /// A fresh [`ForwardState`] positioned before the first instant —
-    /// uniform belief, no cursor, the PSM's initial state as the holder.
+    /// The underlying HMM.
+    pub fn hmm(&self) -> &Hmm {
+        &self.hmm
+    }
+
+    /// Replays an observation stream, producing per-instant power
+    /// estimates.
+    ///
+    /// `observations[t]` is the proposition classified at instant `t`
+    /// (`None` = behaviour unseen in training); `input_hamming[t]` feeds
+    /// regression-calibrated output functions.
     ///
     /// # Panics
     ///
-    /// Panics when the PSM has no states.
-    pub fn begin(&self) -> ForwardState {
-        assert!(self.psm.state_count() > 0, "cannot simulate an empty PSM");
-        let m = self.psm.state_count();
-        ForwardState {
-            belief: vec![1.0 / m as f64; m],
-            scratch: vec![0.0; m],
-            cursor: None,
-            last_state: self
-                .psm
-                .initials()
-                .first()
-                .map(|(s, _)| *s)
-                .unwrap_or(StateId::from_index(0)),
-            wrong: 0,
-            unknown: 0,
-            instants: 0,
-        }
-    }
-
-    /// Feeds one chunk of observations through `state`, appending one
-    /// power estimate per instant to `estimate`.
+    /// Panics if the slices differ in length or the PSM has no states.
     ///
-    /// Splitting a trace into chunks and resuming each through the same
-    /// `ForwardState` produces estimates and counters bit-identical to a
-    /// single call over the concatenated slices: the loop body is the
-    /// one-shot walker's, and all carried state lives in `state`.
+    /// # Examples
     ///
-    /// # Panics
+    /// Estimate a fresh workload against a PSM trained on idle/busy runs:
     ///
-    /// Panics if the slices differ in length.
-    pub fn resume(
-        &self,
-        state: &mut ForwardState,
-        observations: &[Option<PropositionId>],
-        input_hamming: &[u32],
-        estimate: &mut PowerTrace,
-    ) {
+    /// ```
+    /// use psm_core::{generate_psm, join, MergePolicy};
+    /// use psm_hmm::{build_hmm, HmmSimulator};
+    /// use psm_mining::{PropositionId, PropositionTrace};
+    /// use psm_trace::PowerTrace;
+    ///
+    /// let props = [0u32, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1];
+    /// let power: PowerTrace = props.iter().map(|&p| if p == 0 { 3.0 } else { 9.0 }).collect();
+    /// let psm = generate_psm(&PropositionTrace::from_indices(&props), &power, 0)?;
+    /// let joined = join(&[psm], &MergePolicy::default());
+    /// let sim = HmmSimulator::new(&joined, build_hmm(&joined, 2));
+    ///
+    /// // A workload with different run lengths than training.
+    /// let obs: Vec<_> = [0u32, 0, 0, 1, 1, 0, 0, 0]
+    ///     .iter()
+    ///     .map(|&i| Some(PropositionId::from_index(i)))
+    ///     .collect();
+    /// let out = sim.run(&obs, &[0; 8]);
+    /// assert_eq!(out.estimate.len(), obs.len());
+    /// assert!((out.estimate[0] - 3.0).abs() < 0.1, "idle instants near 3 mW");
+    /// assert!((out.estimate[3] - 9.0).abs() < 0.1, "busy instants near 9 mW");
+    /// # Ok::<(), psm_core::CoreError>(())
+    /// ```
+    pub fn run(&self, observations: &[Option<PropositionId>], input_hamming: &[u32]) -> HmmOutcome {
         assert_eq!(
             observations.len(),
             input_hamming.len(),
             "observations and hamming series must align"
         );
+        assert!(self.psm.state_count() > 0, "cannot simulate an empty PSM");
+        let m = self.psm.state_count();
+        let mut belief = vec![1.0 / m as f64; m];
+        let mut scratch = vec![0.0; m];
+        let mut cursor: Option<Cursor> = None;
+        let mut last_state = self
+            .psm
+            .initials()
+            .first()
+            .map(|(s, _)| *s)
+            .unwrap_or(StateId::from_index(0));
+        let mut wrong = 0;
+        let mut unknown = 0;
+        let mut estimate = PowerTrace::with_capacity(observations.len());
         for (t, obs) in observations.iter().enumerate() {
             match obs {
                 None => {
-                    state.unknown += 1;
-                    state.cursor = None;
+                    unknown += 1;
+                    cursor = None;
                 }
                 Some(o) => {
                     // Keep the statistical belief in sync with the
@@ -202,38 +191,30 @@ impl<'a> ForwardPass<'a> {
                     if sym < self.hmm.num_symbols() {
                         let like = self
                             .hmm
-                            .filter_step_cached(
-                                self.cache,
-                                &mut state.belief,
-                                sym,
-                                &mut state.scratch,
-                            )
+                            .filter_step_scratch(&mut belief, sym, &mut scratch)
                             .unwrap_or(0.0);
                         if like <= 0.0 {
                             if let Some(nb) = self.hmm.emission_belief(sym) {
-                                state.belief = nb;
+                                belief = nb;
                             }
                         }
                     }
 
-                    match state.cursor.as_ref() {
-                        Some(cur) => match self.advance(cur, *o, &state.belief) {
+                    match cursor.as_ref() {
+                        Some(cur) => match self.advance(cur, *o, &belief) {
                             Some(next) => {
-                                state.last_state = next.state;
-                                state.cursor = Some(next);
+                                last_state = next.state;
+                                cursor = Some(next);
                             }
                             None => {
                                 // The chosen state's assertion failed.
-                                match self.resync(*o, &state.belief) {
+                                cursor = self.resync(*o, &belief);
+                                match &cursor {
                                     Some(next) => {
-                                        state.wrong += 1;
-                                        state.last_state = next.state;
-                                        state.cursor = Some(next);
+                                        wrong += 1;
+                                        last_state = next.state;
                                     }
-                                    None => {
-                                        state.unknown += 1;
-                                        state.cursor = None;
-                                    }
+                                    None => unknown += 1,
                                 }
                             }
                         },
@@ -241,20 +222,23 @@ impl<'a> ForwardPass<'a> {
                             // (Re-)synchronise on the first acceptable
                             // behaviour; missing targets stay unknown but
                             // are only counted once per instant.
-                            if let Some(next) = self.resync(*o, &state.belief) {
-                                state.last_state = next.state;
-                                state.cursor = Some(next);
-                            } else {
-                                state.unknown += 1;
+                            cursor = self.resync(*o, &belief);
+                            match &cursor {
+                                Some(next) => last_state = next.state,
+                                None => unknown += 1,
                             }
                         }
                     }
                 }
             }
-            let holder = self.psm.state(state.last_state);
+            let holder = self.psm.state(last_state);
             estimate.push(holder.output().evaluate(input_hamming[t] as f64));
         }
-        state.instants += observations.len();
+        HmmOutcome {
+            estimate,
+            wrong_state_predictions: wrong,
+            unknown_instants: unknown,
+        }
     }
 
     /// Enters `state`, activating every alternative chain whose entry
@@ -370,120 +354,6 @@ impl<'a> ForwardPass<'a> {
             }
         }
         best.map(|(_, c)| c)
-    }
-}
-
-/// Simulates a (possibly non-deterministic) joined PSM: chain-cursor
-/// walking with HMM-ranked choices.
-///
-/// Per instant, in order:
-///
-/// 1. the cursor advances deterministically within its chain (an `until`
-///    part repeats on its left proposition, cascades or exits on its right
-///    one);
-/// 2. an exit with several matching transitions/alternative chains is
-///    resolved by the **filtered belief** — the paper's use of the HMM for
-///    non-deterministic choices;
-/// 3. a failing assertion is a **wrong-state prediction**: the simulator
-///    reverts and re-enters the best-ranked state accepting the
-///    observation (zeroing nothing permanently — the belief already
-///    down-weights the wrong path);
-/// 4. if no state accepts the observation the behaviour is **unknown**:
-///    the simulator holds the last valid state until a known behaviour
-///    reappears.
-///
-/// # Examples
-///
-/// See the [crate-level example](crate).
-#[derive(Debug, Clone)]
-pub struct HmmSimulator<'a> {
-    psm: &'a Psm,
-    hmm: Hmm,
-    /// Transposed transition/emission layout for the per-instant filter
-    /// steps of [`HmmSimulator::run`]; built once at construction.
-    cache: ForwardCache,
-}
-
-impl<'a> HmmSimulator<'a> {
-    /// Pairs a joined PSM with its HMM (usually from
-    /// [`build_hmm`](crate::build_hmm)).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the HMM's state count does not match the PSM's.
-    pub fn new(psm: &'a Psm, hmm: Hmm) -> Self {
-        assert_eq!(
-            psm.state_count(),
-            hmm.num_states(),
-            "HMM and PSM must agree on the state space"
-        );
-        let cache = hmm.forward_cache();
-        HmmSimulator { psm, hmm, cache }
-    }
-
-    /// The underlying HMM.
-    pub fn hmm(&self) -> &Hmm {
-        &self.hmm
-    }
-
-    /// A [`ForwardPass`] borrowing this simulator's PSM, HMM and cache —
-    /// the entry point for resumable, chunked estimation.
-    pub fn forward_pass(&self) -> ForwardPass<'_> {
-        ForwardPass {
-            psm: self.psm,
-            hmm: &self.hmm,
-            cache: &self.cache,
-        }
-    }
-
-    /// Replays an observation stream, producing per-instant power
-    /// estimates.
-    ///
-    /// `observations[t]` is the proposition classified at instant `t`
-    /// (`None` = behaviour unseen in training); `input_hamming[t]` feeds
-    /// regression-calibrated output functions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length or the PSM has no states.
-    ///
-    /// # Examples
-    ///
-    /// Estimate a fresh workload against a PSM trained on idle/busy runs:
-    ///
-    /// ```
-    /// use psm_core::{generate_psm, join, MergePolicy};
-    /// use psm_hmm::{build_hmm, HmmSimulator};
-    /// use psm_mining::{PropositionId, PropositionTrace};
-    /// use psm_trace::PowerTrace;
-    ///
-    /// let props = [0u32, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1];
-    /// let power: PowerTrace = props.iter().map(|&p| if p == 0 { 3.0 } else { 9.0 }).collect();
-    /// let psm = generate_psm(&PropositionTrace::from_indices(&props), &power, 0)?;
-    /// let joined = join(&[psm], &MergePolicy::default());
-    /// let sim = HmmSimulator::new(&joined, build_hmm(&joined, 2));
-    ///
-    /// // A workload with different run lengths than training.
-    /// let obs: Vec<_> = [0u32, 0, 0, 1, 1, 0, 0, 0]
-    ///     .iter()
-    ///     .map(|&i| Some(PropositionId::from_index(i)))
-    ///     .collect();
-    /// let out = sim.run(&obs, &[0; 8]);
-    /// assert_eq!(out.estimate.len(), obs.len());
-    /// assert!((out.estimate[0] - 3.0).abs() < 0.1, "idle instants near 3 mW");
-    /// assert!((out.estimate[3] - 9.0).abs() < 0.1, "busy instants near 9 mW");
-    /// # Ok::<(), psm_core::CoreError>(())
-    /// ```
-    pub fn run(&self, observations: &[Option<PropositionId>], input_hamming: &[u32]) -> HmmOutcome {
-        let pass = self.forward_pass();
-        let mut state = pass.begin();
-        let mut estimate = PowerTrace::with_capacity(observations.len());
-        pass.resume(&mut state, observations, input_hamming, &mut estimate);
-        HmmOutcome {
-            estimate,
-            wrong_state_predictions: state.wrong,
-            unknown_instants: state.unknown,
-        }
     }
 
     /// Offline (smoothed) power estimation: the posterior state
@@ -781,50 +651,6 @@ mod tests {
         assert!((out.estimate[5] - 9.0).abs() < 0.2, "{}", out.estimate[5]);
         // …busy after `lk` marker is the 2 mW behaviour.
         assert!((out.estimate[12] - 2.0).abs() < 0.2, "{}", out.estimate[12]);
-    }
-
-    #[test]
-    fn chunked_resume_is_bit_identical_to_one_shot() {
-        let (psm, syms) = looped_model();
-        let hmm = build_hmm(&psm, syms);
-        let sim = HmmSimulator::new(&psm, hmm);
-        let mut o = obs(&[0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0]);
-        o[6] = None; // exercise the unknown path across a chunk boundary
-        let h: Vec<u32> = (0..o.len() as u32).collect();
-        let oneshot = sim.run(&o, &h);
-
-        // Every split point, including degenerate empty chunks.
-        for cut in 0..=o.len() {
-            let pass = sim.forward_pass();
-            let mut state = pass.begin();
-            let mut estimate = PowerTrace::with_capacity(o.len());
-            pass.resume(&mut state, &o[..cut], &h[..cut], &mut estimate);
-            pass.resume(&mut state, &o[cut..], &h[cut..], &mut estimate);
-            let got: Vec<u64> = estimate.iter().map(f64::to_bits).collect();
-            let want: Vec<u64> = oneshot.estimate.iter().map(f64::to_bits).collect();
-            assert_eq!(got, want, "split at {cut} must not change the estimate");
-            assert_eq!(
-                state.wrong_state_predictions(),
-                oneshot.wrong_state_predictions
-            );
-            assert_eq!(state.unknown_instants(), oneshot.unknown_instants);
-            assert_eq!(state.instants(), o.len());
-        }
-    }
-
-    #[test]
-    fn forward_pass_borrows_an_external_cache() {
-        let (psm, syms) = looped_model();
-        let hmm = build_hmm(&psm, syms);
-        let cache = hmm.forward_cache();
-        let pass = ForwardPass::new(&psm, &hmm, &cache);
-        let o = obs(&[0, 0, 1, 1, 0]);
-        let mut state = pass.begin();
-        let mut estimate = PowerTrace::new();
-        pass.resume(&mut state, &o, &[0; 5], &mut estimate);
-        let sim = HmmSimulator::new(&psm, hmm);
-        let oneshot = sim.run(&o, &[0; 5]);
-        assert_eq!(estimate.as_slice(), oneshot.estimate.as_slice());
     }
 
     #[test]

@@ -323,33 +323,6 @@ impl Client {
         })
     }
 
-    /// Estimates `trace` in one shot (`version: None` = latest).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::estimate_binary`].
-    #[deprecated(
-        note = "use `estimate_binary` (or `estimate_json` against v1 daemons); \
-                this shim routes through one `open_stream` session"
-    )]
-    pub fn estimate(
-        &mut self,
-        model: &str,
-        version: Option<u64>,
-        trace: &FunctionalTrace,
-    ) -> Result<EstimateReply, ClientError> {
-        let mut stream = self.open_stream(model, version, trace.signals())?;
-        let chunk = stream.send_chunk(trace)?;
-        let summary = stream.close()?;
-        Ok(EstimateReply {
-            model: summary.model,
-            version: summary.version,
-            estimate: chunk.estimate,
-            wrong_state_predictions: summary.wrong_state_predictions,
-            unknown_instants: summary.unknown_instants,
-        })
-    }
-
     /// Opens a streaming estimation session: the daemon pins the model
     /// and interns `signals` once; chunks are cycles-only afterwards.
     /// The concatenated chunk estimates are bit-identical to a one-shot
@@ -680,36 +653,6 @@ mod tests {
         assert_eq!(report.named_counter("serve.unknown_model"), 2);
         assert_eq!(report.named_counter("serve.reload_failures"), 1);
         assert!(report.named_counter("serve.connections") >= 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn deprecated_one_shot_shim_rides_the_session_api() {
-        let dir = temp_registry("shim");
-        let running = Server::bind(ServerConfig::new(&dir)).unwrap().spawn();
-        let mut client = Client::connect(running.addr()).unwrap();
-        let trace = toy_trace();
-        let local = Registry::open(&dir)
-            .unwrap()
-            .snapshot()
-            .lookup("toy", None)
-            .unwrap();
-        let expected = local.estimate(&trace);
-        #[allow(deprecated)]
-        let reply = client.estimate("toy", None, &trace).unwrap();
-        assert_eq!(reply.estimate.len(), trace.len());
-        let expected_bits: Vec<u64> = expected.estimate.iter().map(f64::to_bits).collect();
-        let got_bits: Vec<u64> = reply.estimate.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got_bits, expected_bits);
-        assert_eq!(
-            reply.wrong_state_predictions,
-            expected.wrong_state_predictions
-        );
-        client.shutdown().unwrap();
-        let report = running.join().unwrap();
-        assert_eq!(report.named_counter("serve.op.stream_open"), 1);
-        assert_eq!(report.named_counter("serve.op.stream_chunk"), 1);
-        assert_eq!(report.named_counter("serve.op.stream_close"), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,19 +1,13 @@
 //! The `psmd` daemon: connection engine, dispatch, stats, graceful drain.
 //!
-//! Two I/O engines share one dispatch path ([`IoMode`]):
-//!
-//! * **Readiness** (the default on Unix) — a single event-loop thread
-//!   drives every connection through `poll(2)`
-//!   ([`poll`](crate::poll)): non-blocking accepts, per-connection read
-//!   buffers parsed at frame granularity
-//!   ([`protocol::parse_frame_bytes`]), and per-connection outboxes
-//!   flushed as sockets become writable. A peer trickling a frame in
-//!   byte-sized writes owns a buffer, not a thread — it cannot stall
-//!   other connections. Worker-pool callbacks append responses to the
-//!   outbox and wake the loop through the wake pipe.
-//! * **Threads** — the classic thread-per-connection fallback (also the
-//!   automatic fallback off Unix): blocking reads with an idle timeout,
-//!   responses written under a per-connection mutex.
+//! A single event-loop thread drives every connection through `poll(2)`
+//! ([`poll`](crate::poll)): non-blocking accepts, per-connection read
+//! buffers parsed at frame granularity ([`protocol::parse_frame_bytes`]),
+//! and per-connection outboxes flushed as sockets become writable. A peer
+//! trickling a frame in byte-sized writes owns a buffer, not a thread — it
+//! cannot stall other connections. Worker-pool callbacks append responses
+//! to the outbox and wake the loop through the wake pipe. The daemon
+//! needs `poll(2)`, so it serves on Unix targets only.
 //!
 //! Estimations go through the [`pool`](crate::pool) (bounded queue,
 //! per-model batching, per-stream session turns); everything else is
@@ -32,7 +26,7 @@ use crate::pool::{
     SubmitOutcome,
 };
 use crate::protocol::{self, Frame, Opcode, Status, MIN_PROTOCOL_VERSION};
-use crate::registry::{Engine, Registry, RegistryError, Snapshot};
+use crate::registry::{Registry, RegistryError, Snapshot};
 use psm_persist::JsonValue;
 use psm_telemetry::{Stage, Telemetry, TelemetryReport};
 use psm_trace::SignalSet;
@@ -47,30 +41,12 @@ use std::time::Duration;
 /// Default listen address of `psmd` (and default target of `psmctl`).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7411";
 
-/// How long a blocking connection reader (threads mode) waits for the
-/// first byte of a frame before re-checking the shutdown flag; also the
-/// readiness loop's poll timeout. Only the first byte is read under the
-/// blocking timeout, so an idle wait can never split a frame.
+/// The event loop's poll timeout: how often an idle loop re-checks the
+/// shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(100);
-
-/// Read timeout for the remainder of a frame once its first byte
-/// arrived (threads mode) — generous, because a large trace payload
-/// crosses the loopback in many segments.
-const FRAME_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long the readiness loop keeps flushing outboxes after drain.
 const FLUSH_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Which connection engine the daemon runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// One event-loop thread, `poll(2)` readiness, non-blocking I/O.
-    /// Falls back to [`IoMode::Threads`] on targets without `poll`.
-    #[default]
-    Readiness,
-    /// One blocking thread per connection.
-    Threads,
-}
 
 /// Daemon configuration: where to listen, what to serve, how to pool.
 #[derive(Debug, Clone)]
@@ -82,10 +58,6 @@ pub struct ServerConfig {
     pub registry_dir: PathBuf,
     /// Worker-pool tuning.
     pub pool: PoolConfig,
-    /// Connection engine (readiness-driven by default).
-    pub io: IoMode,
-    /// Estimation engine (compiled flat tables by default).
-    pub engine: Engine,
 }
 
 impl ServerConfig {
@@ -95,8 +67,6 @@ impl ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             registry_dir: registry_dir.into(),
             pool: PoolConfig::default(),
-            io: IoMode::default(),
-            engine: Engine::default(),
         }
     }
 }
@@ -147,16 +117,14 @@ struct Ctx {
     telemetry: Arc<Telemetry>,
     shutdown: AtomicBool,
     local: SocketAddr,
-    connections: AtomicU64,
 }
 
 impl Ctx {
-    /// Sets the shutdown flag and pokes the I/O engine awake.
+    /// Sets the shutdown flag and pokes the event loop awake.
     fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // A throwaway connection unblocks a blocking accept and makes
-        // the readiness loop's listener fd readable; either engine
-        // re-checks the flag before serving it.
+        // A throwaway connection makes the event loop's listener fd
+        // readable; the loop re-checks the flag before serving it.
         let _ = TcpStream::connect_timeout(&self.local, Duration::from_secs(1));
     }
 }
@@ -187,14 +155,12 @@ impl std::fmt::Debug for ServerHandle {
 pub struct Server {
     listener: TcpListener,
     ctx: Arc<Ctx>,
-    io: IoMode,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("addr", &self.ctx.local)
-            .field("io", &self.io)
             .finish()
     }
 }
@@ -210,7 +176,7 @@ impl Server {
     pub fn bind(cfg: ServerConfig) -> Result<Server, ServeError> {
         let telemetry = Arc::new(Telemetry::new());
         let registry = telemetry.time(Stage::Serve, "registry load", || {
-            Registry::open_with_engine(&cfg.registry_dir, cfg.engine)
+            Registry::open(&cfg.registry_dir)
         })?;
         let listener = TcpListener::bind(cfg.addr.as_str())?;
         let local = listener.local_addr()?;
@@ -223,9 +189,7 @@ impl Server {
                 telemetry,
                 shutdown: AtomicBool::new(false),
                 local,
-                connections: AtomicU64::new(0),
             }),
-            io: cfg.io,
         })
     }
 
@@ -250,30 +214,29 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] only for fatal listener/poll failures; per-
-    /// connection errors are answered on that connection and logged to
-    /// the telemetry counters instead.
+    /// [`ServeError::Io`] for fatal listener/poll failures, including a
+    /// wake pipe that cannot be opened and a target without `poll(2)`;
+    /// per-connection errors are answered on that connection and logged
+    /// to the telemetry counters instead.
     pub fn run(self) -> Result<TelemetryReport, ServeError> {
-        match self.io {
-            IoMode::Readiness => self.run_readiness(),
-            IoMode::Threads => self.run_threads(),
-        }
+        self.event_loop()
     }
 
     #[cfg(not(unix))]
-    fn run_readiness(self) -> Result<TelemetryReport, ServeError> {
-        self.run_threads()
+    fn event_loop(self) -> Result<TelemetryReport, ServeError> {
+        Err(ServeError::Io(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "psmd serves through poll(2), which this target lacks",
+        )))
     }
 
     #[cfg(unix)]
-    fn run_readiness(self) -> Result<TelemetryReport, ServeError> {
+    fn event_loop(self) -> Result<TelemetryReport, ServeError> {
         use crate::poll::{poll_fds, PollFd, WakePipe, POLLHUP, POLLIN, POLLOUT};
         use std::os::unix::io::AsRawFd;
         use std::time::Instant;
 
-        let Ok(wake) = WakePipe::new() else {
-            return self.run_threads();
-        };
+        let wake = WakePipe::new()?;
         self.listener.set_nonblocking(true)?;
         let listener_fd = self.listener.as_raw_fd();
         let waker = wake.waker();
@@ -365,41 +328,6 @@ impl Server {
         Ok(self.ctx.telemetry.report())
     }
 
-    /// The thread-per-connection engine.
-    fn run_threads(self) -> Result<TelemetryReport, ServeError> {
-        let mut conn_threads = Vec::new();
-        for stream in self.listener.incoming() {
-            if self.ctx.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match stream {
-                Ok(stream) => {
-                    let ctx = self.ctx.clone();
-                    let n = ctx.connections.fetch_add(1, Ordering::SeqCst);
-                    let thread = std::thread::Builder::new()
-                        .name(format!("psmd-conn-{n}"))
-                        .spawn(move || handle_connection(stream, &ctx))?;
-                    conn_threads.push(thread);
-                }
-                // Transient accept failures (EMFILE and friends) must not
-                // kill the daemon; re-check the flag and keep accepting.
-                Err(_) => {
-                    if self.ctx.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-        // Drain: every estimate accepted before the flag flipped gets
-        // its response before the pool stops.
-        self.ctx.pool.drain();
-        for thread in conn_threads {
-            let _ = thread.join();
-        }
-        Ok(self.ctx.telemetry.report())
-    }
-
     /// Runs the daemon on a background thread.
     pub fn spawn(self) -> RunningServer {
         let addr = self.ctx.local;
@@ -449,7 +377,7 @@ impl RunningServer {
 }
 
 // ---------------------------------------------------------------------
-// Readiness-mode connection state.
+// Connection state.
 // ---------------------------------------------------------------------
 
 /// Bytes a peer may queue in its outbox before the daemon stops
@@ -480,8 +408,8 @@ impl Outbox {
     }
 }
 
-/// One readiness-mode connection: non-blocking socket, accumulated read
-/// buffer, response outbox, and this connection's open streams.
+/// One connection: non-blocking socket, accumulated read buffer,
+/// response outbox, and this connection's open streams.
 struct Conn {
     stream: TcpStream,
     fd: i32,
@@ -491,7 +419,7 @@ struct Conn {
     /// been queued yet; a closing connection is retired only once this
     /// reaches zero *and* the outbox is flushed, so a peer that sends
     /// requests and immediately `shutdown(SHUT_WR)`s still gets its
-    /// responses (matching threads-mode behaviour).
+    /// responses.
     inflight: Arc<AtomicU64>,
     sink: ResponseSink,
     sessions: HashMap<u32, ConnSession>,
@@ -506,7 +434,6 @@ impl Conn {
     fn accept(stream: TcpStream, ctx: &Arc<Ctx>, waker: Waker) -> Option<Conn> {
         use std::os::unix::io::AsRawFd;
         ctx.telemetry.add_named("serve.connections", 1);
-        ctx.connections.fetch_add(1, Ordering::SeqCst);
         let _ = stream.set_nodelay(true);
         stream.set_nonblocking(true).ok()?;
         let fd = stream.as_raw_fd();
@@ -520,7 +447,7 @@ impl Conn {
             stream,
             fd,
             rbuf: Vec::new(),
-            sink: ResponseSink::Queued {
+            sink: ResponseSink {
                 outbox: outbox.clone(),
                 inflight: inflight.clone(),
                 waker,
@@ -620,35 +547,24 @@ struct ConnSession {
     signals: SignalSet,
 }
 
-/// Where a response goes: written directly under a mutex (threads mode)
-/// or queued on an outbox and signalled to the event loop (readiness).
+/// Where a connection's responses go: queued on its outbox, with the
+/// event loop woken to flush them.
 #[derive(Clone)]
-enum ResponseSink {
-    Direct(Arc<Mutex<TcpStream>>),
-    Queued {
-        outbox: Arc<Mutex<Outbox>>,
-        inflight: Arc<AtomicU64>,
-        waker: Waker,
-    },
+struct ResponseSink {
+    outbox: Arc<Mutex<Outbox>>,
+    inflight: Arc<AtomicU64>,
+    waker: Waker,
 }
 
 impl ResponseSink {
-    /// Registers one pool job against this connection (readiness mode)
-    /// so the event loop will not retire a half-closed peer before the
-    /// job's response lands in the outbox. `None` in threads mode,
-    /// where the blocking writer clone already outlives the read loop.
-    fn job_guard(&self) -> Option<JobGuard> {
-        match self {
-            ResponseSink::Direct(_) => None,
-            ResponseSink::Queued {
-                inflight, waker, ..
-            } => {
-                inflight.fetch_add(1, Ordering::SeqCst);
-                Some(JobGuard {
-                    inflight: inflight.clone(),
-                    waker: *waker,
-                })
-            }
+    /// Registers one pool job against this connection so the event loop
+    /// will not retire a half-closed peer before the job's response lands
+    /// in the outbox.
+    fn job_guard(&self) -> JobGuard {
+        self.inflight.fetch_add(1, Ordering::SeqCst);
+        JobGuard {
+            inflight: self.inflight.clone(),
+            waker: self.waker,
         }
     }
 }
@@ -669,77 +585,13 @@ impl Drop for JobGuard {
     }
 }
 
-/// Serves one connection until the peer closes, a protocol error, or
-/// shutdown (threads mode).
-fn handle_connection(mut stream: TcpStream, ctx: &Arc<Ctx>) {
-    ctx.telemetry.add_named("serve.connections", 1);
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
-    }
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let sink = ResponseSink::Direct(writer);
-    let mut sessions = HashMap::new();
-    loop {
-        let mut first = [0u8; 1];
-        match stream.read(&mut first) {
-            Ok(0) => return, // peer closed
-            Ok(_) => {
-                let _ = stream.set_read_timeout(Some(FRAME_TIMEOUT));
-                let frame = protocol::read_frame_after(&mut stream, first[0]);
-                let _ = stream.set_read_timeout(Some(IDLE_POLL));
-                match frame {
-                    Ok(frame) => {
-                        if !dispatch(ctx, &sink, &mut sessions, frame) {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        // A malformed frame desynchronises the stream:
-                        // answer once, then hang up.
-                        ctx.telemetry.add_named("serve.protocol_errors", 1);
-                        respond(
-                            &sink,
-                            MIN_PROTOCOL_VERSION,
-                            Status::Error,
-                            0,
-                            protocol::error_payload(&e.to_string()),
-                        );
-                        return;
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if ctx.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
 /// Delivers one response frame, echoing the request's protocol version.
 fn respond(sink: &ResponseSink, version: u8, status: Status, request_id: u64, payload: Vec<u8>) {
     let frame = Frame::response_v(version, status, request_id, payload);
-    match sink {
-        ResponseSink::Direct(writer) => {
-            let mut w = writer.lock().expect("connection writer poisoned");
-            let _ = protocol::write_frame(&mut *w, &frame);
-        }
-        ResponseSink::Queued { outbox, waker, .. } => {
-            let mut buf = Vec::with_capacity(protocol::HEADER_LEN + frame.payload.len());
-            protocol::write_frame(&mut buf, &frame).expect("vec write cannot fail");
-            outbox.lock().expect("outbox poisoned").push(buf);
-            waker.wake();
-        }
-    }
+    let mut buf = Vec::with_capacity(protocol::HEADER_LEN + frame.payload.len());
+    protocol::write_frame(&mut buf, &frame).expect("vec write cannot fail");
+    sink.outbox.lock().expect("outbox poisoned").push(buf);
+    sink.waker.wake();
 }
 
 /// Handles one request frame; `false` ends the connection.
@@ -1230,11 +1082,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_loopback_ephemeral_readiness() {
+    fn default_config_is_loopback_ephemeral() {
         let cfg = ServerConfig::new("/tmp/registry");
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert!(cfg.pool.workers >= 1);
-        assert_eq!(cfg.io, IoMode::Readiness);
     }
 
     #[test]

@@ -14,16 +14,14 @@
 //!   the `RELOAD` opcode swaps atomically, never failing in-flight
 //!   requests;
 //! * [`pool`] — a fixed worker pool with a bounded queue and explicit
-//!   backpressure (`BUSY`), batching queued requests per model so the
-//!   HMM forward-cache setup is amortised across a batch, and running
-//!   per-stream session turns for the v2 streaming opcodes;
+//!   backpressure (`BUSY`), batching queued requests per model and
+//!   running per-stream session turns for the v2 streaming opcodes;
 //! * [`session`] — resumable per-stream forward state: chunked
 //!   estimation bit-identical to the one-shot path;
-//! * [`daemon`] — the connection engine: by default a readiness-driven
-//!   `poll(2)` event loop ([`poll`]) with non-blocking reads and
-//!   writes, with a thread-per-connection fallback; `STATS` reports
-//!   through [`psm_telemetry`], graceful drain on `SHUTDOWN` or SIGTERM
-//!   (self-pipe, [`signals`]);
+//! * [`daemon`] — the connection engine: a readiness-driven `poll(2)`
+//!   event loop ([`poll`]) with non-blocking reads and writes; `STATS`
+//!   reports through [`psm_telemetry`], graceful drain on `SHUTDOWN` or
+//!   SIGTERM (self-pipe, [`signals`]);
 //! * [`client`] — the blocking client the `psmctl` CLI and the loopback
 //!   tests/benches use, including the streaming session API.
 //!
@@ -46,9 +44,7 @@ pub(crate) mod test_support;
 pub use client::{
     ChunkReply, Client, ClientError, EstimateReply, EstimateStream, ModelInfo, StreamSummary,
 };
-pub use daemon::{
-    IoMode, RunningServer, ServeError, Server, ServerConfig, ServerHandle, DEFAULT_ADDR,
-};
+pub use daemon::{RunningServer, ServeError, Server, ServerConfig, ServerHandle, DEFAULT_ADDR};
 pub use pool::PoolConfig;
-pub use registry::{BatchRunner, Engine, Registry, RegistryError, ServedModel, Snapshot};
+pub use registry::{Registry, RegistryError, ServedModel, Snapshot};
 pub use session::{ChunkOutcome, StreamSession};

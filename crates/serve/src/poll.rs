@@ -11,8 +11,8 @@
 //! [`signals`](crate::signals).
 //!
 //! On non-Unix targets the module still compiles but [`poll_fds`]
-//! returns `Unsupported`; the daemon falls back to thread-per-connection
-//! there ([`IoMode`](crate::daemon::IoMode)).
+//! returns `Unsupported`, and so does the daemon's
+//! [`Server::run`](crate::daemon::Server::run).
 
 use std::io;
 

@@ -3,13 +3,10 @@
 //!
 //! Requests land in one bounded FIFO. A fixed set of workers pull from
 //! it; each pull takes the oldest job **plus every other queued job for
-//! the same model** (up to [`PoolConfig::max_batch`]), builds one
-//! engine context ([`ServedModel::batch_runner`] — for the interpreted
-//! engine that is the forward-cache setup the batch amortises; the
-//! compiled engine's flat tables cost nothing to set up) — and answers
-//! the whole batch through it. Because
-//! responses carry the request id, batch reordering is invisible to
-//! clients.
+//! the same model** (up to [`PoolConfig::max_batch`]) and answers the
+//! whole batch in one turn, so one worker wake-up and one queue-lock
+//! round serve several requests. Because responses carry the request id,
+//! batch reordering is invisible to clients.
 //!
 //! A full queue never blocks and never grows: [`Pool::submit`] returns
 //! [`SubmitOutcome::Busy`] and the daemon turns that into the wire-level
@@ -61,7 +58,7 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Queue slots; a submission beyond this is rejected `Busy`.
     pub queue_capacity: usize,
-    /// Most jobs one worker answers through a single engine context.
+    /// Most same-model jobs one worker answers in a single turn.
     pub max_batch: usize,
     /// Fault-injection: how long a worker sleeps before executing a
     /// batch. Zero in production; tests raise it to hold jobs in the
@@ -445,7 +442,7 @@ fn worker_loop(shared: &Shared) {
                     // Steal every queued estimate for the same model
                     // (same Arc — a reload makes new Arcs, so jobs
                     // resolved against different snapshots never share
-                    // a simulator). Session turns are never stolen.
+                    // a batch). Session turns are never stolen.
                     let mut i = 0;
                     while batch.len() < shared.cfg.max_batch && i < st.queue.len() {
                         let steal = match &st.queue[i] {
@@ -499,16 +496,15 @@ fn run_batch(shared: &Shared, batch: Vec<EstimateJob>) {
         .set_gauge(GAUGE_BATCH_SIZE, batch.len() as u64);
     shared.telemetry.add_named(COUNTER_BATCHES, 1);
 
-    let model = batch[0].model.clone();
-    let runner = model.batch_runner();
     for job in batch {
+        let model = &job.model;
         let outcome = shared.telemetry.time(
             Stage::Serve,
             format!(
                 "estimate {}@{} req {}",
                 model.name, model.version, job.request_id
             ),
-            || job.model.estimate_with_runner(&runner, &job.trace),
+            || model.estimate(&job.trace),
         );
         (job.respond)(outcome);
     }
@@ -711,7 +707,7 @@ mod tests {
         assert_eq!(pool.submit(job(0, &model, &tx)), "accepted");
         wait_until(Duration::from_secs(10), || pool.queue_depth() == 0);
         // These four queue up behind the stalled worker and come out as
-        // one batch through one simulator.
+        // one batch.
         for id in 1..5 {
             assert_eq!(pool.submit(job(id, &model, &tx)), "accepted");
         }

@@ -379,42 +379,27 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// surfaces as [`io::ErrorKind::UnexpectedEof`]), or a structural error
 /// for bad magic / version / kind / oversize payloads.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ProtocolError> {
-    let mut first = [0u8; 1];
+    let mut header = [0u8; HEADER_LEN];
+    // EOF before the first byte is a clean close; anywhere later the
+    // frame has started, so EOF is an error.
     loop {
-        match r.read(&mut first) {
+        match r.read(&mut header[..1]) {
             Ok(0) => return Ok(None),
-            Ok(_) => return read_frame_after(r, first[0]).map(Some),
+            Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(ProtocolError::Io(e)),
         }
     }
-}
-
-/// Reads the rest of a frame whose first magic byte has already been
-/// consumed.
-///
-/// The daemon's connection loop reads the first byte with a short
-/// timeout so it can poll the shutdown flag while idle; only that single
-/// byte can time out without desynchronising the stream, so the
-/// remainder is read here with plain blocking `read_exact`.
-///
-/// # Errors
-///
-/// Same conditions as [`read_frame`], except that EOF anywhere is
-/// [`ProtocolError::Io`] (the frame has definitely started).
-pub fn read_frame_after(r: &mut impl Read, first: u8) -> Result<Frame, ProtocolError> {
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first;
     r.read_exact(&mut header[1..])?;
     let (version, kind, request_id, len) = validate_header(&header)?;
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    Ok(Frame {
+    Ok(Some(Frame {
         version,
         kind,
         request_id,
         payload,
-    })
+    }))
 }
 
 /// Validates a complete frame header, returning `(version, kind,

@@ -14,23 +14,18 @@
 //! resolved its model. The old snapshot simply drops when its last
 //! request finishes.
 //!
-//! # Engines and artifact formats
+//! # Artifact formats
 //!
-//! Every loaded model carries **both** runtimes: the interpreted
-//! `psm-hmm` walker and the flat-table [`CompiledModel`] of
-//! `psm-compile`, which [`Engine`] selects per registry (compiled by
-//! default — `psmd --engine interpreted` restores the old path). The
-//! two are bit-identical by construction, so the choice is purely a
-//! throughput knob. A `psmgen-artifact/v3` file ships its compiled
-//! section pre-built (`psmctl compile` writes these); the registry
-//! *verifies* that section against a fresh compilation of the
-//! interpreted model it rides with and refuses artifacts where the two
-//! disagree — a v3 file can never smuggle in divergent serving tables.
-//! v1/v2 artifacts are compiled on the fly at load time.
+//! Every loaded model answers through the flat-table [`CompiledModel`] of
+//! `psm-compile`. A `psmgen-artifact/v3` file ships that compiled section
+//! pre-built (`psmctl compile` writes these); the registry *verifies* it
+//! against a fresh compilation of the table/PSM/HMM it rides with and
+//! refuses artifacts where the two disagree — a v3 file can never smuggle
+//! in divergent serving tables. v1/v2 artifacts are compiled at load time.
 
 use psm_compile::CompiledModel;
 use psm_core::{classify_trace, Psm};
-use psm_hmm::{ForwardCache, ForwardPass, Hmm, HmmOutcome, HmmSimulator};
+use psm_hmm::{Hmm, HmmOutcome};
 use psm_mining::{PropositionId, PropositionTable};
 use psm_persist::{decode_artifact, ArtifactEntry, Persist, PersistError};
 use psm_trace::FunctionalTrace;
@@ -71,50 +66,13 @@ impl std::error::Error for RegistryError {
     }
 }
 
-/// Which estimation runtime a registry's models answer through.
-///
-/// Both runtimes are loaded for every model and produce bit-identical
-/// outcomes; the engine only decides which one executes requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The flat-table compiled runtime (`psm-compile`): allocation-free
-    /// per instant. The default.
-    #[default]
-    Compiled,
-    /// The assertion-driven interpreted walker (`psm-hmm`).
-    Interpreted,
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Engine::Compiled => "compiled",
-            Engine::Interpreted => "interpreted",
-        })
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "compiled" => Ok(Engine::Compiled),
-            "interpreted" => Ok(Engine::Interpreted),
-            other => Err(format!(
-                "engine must be compiled or interpreted, got `{other}`"
-            )),
-        }
-    }
-}
-
 /// One loaded model, ready to estimate: the proposition table that
-/// classifies raw cycles, the joined PSM, and its HMM.
+/// classifies raw cycles and the compiled PSM+HMM runtime.
 ///
 /// This mirrors the facade's `TrainedModel` minus the training stats —
 /// the daemon reads the same artifact files `PsmFlow` writes, but only
-/// needs the estimation path, so it parses the three substrate fields
-/// directly and stays off the facade crate.
+/// needs the estimation path, so it parses the substrate fields directly
+/// and stays off the facade crate.
 #[derive(Debug)]
 pub struct ServedModel {
     /// The model name (registry file stem up to `@`).
@@ -124,15 +82,11 @@ pub struct ServedModel {
     /// The artifact *format* version the file was probed at.
     pub format_version: u32,
     table: PropositionTable,
-    psm: Psm,
-    hmm: Hmm,
-    cache: ForwardCache,
-    compiled: Arc<CompiledModel>,
-    engine: Engine,
+    compiled: CompiledModel,
 }
 
 impl ServedModel {
-    /// Loads one registry artifact, answering requests through `engine`.
+    /// Loads one registry artifact.
     ///
     /// A v3 artifact must carry a `compiled` section, which is verified
     /// against a fresh compilation of the `table`/`psm`/`hmm` it ships
@@ -144,8 +98,8 @@ impl ServedModel {
     /// read, is truncated/wrong-magic, its body does not hold the
     /// `table`/`psm`/`hmm` fields of a flat trained model (hierarchical
     /// artifacts are not servable), or its compiled section is missing,
-    /// malformed, or disagrees with the interpreted model.
-    pub fn load(entry: &ArtifactEntry, engine: Engine) -> Result<ServedModel, RegistryError> {
+    /// malformed, or disagrees with the model it ships with.
+    pub fn load(entry: &ArtifactEntry) -> Result<ServedModel, RegistryError> {
         let text = std::fs::read_to_string(&entry.path)
             .map_err(|e| RegistryError::of(&entry.path, PersistError::Io(e)))?;
         let (format_version, doc) =
@@ -158,16 +112,6 @@ impl ServedModel {
             ))
         };
         let (table, psm, hmm) = parse().map_err(|e| RegistryError::of(&entry.path, e))?;
-        if psm.state_count() != hmm.num_states() {
-            return Err(RegistryError::of(
-                &entry.path,
-                PersistError::schema(format!(
-                    "PSM has {} states but HMM has {}",
-                    psm.state_count(),
-                    hmm.num_states()
-                )),
-            ));
-        }
         let compile_fresh = || {
             CompiledModel::compile_with_dictionary(&table, &psm, &hmm)
                 .map_err(|e| PersistError::schema(e.to_string()))
@@ -185,27 +129,23 @@ impl ServedModel {
                 }
                 Ok(shipped)
             };
-            verify().map_err(|e| RegistryError::of(&entry.path, e))?
+            verify()
         } else {
-            compile_fresh().map_err(|e| RegistryError::of(&entry.path, e))?
-        };
-        let cache = hmm.forward_cache();
+            compile_fresh()
+        }
+        .map_err(|e| RegistryError::of(&entry.path, e))?;
         Ok(ServedModel {
             name: entry.name.clone(),
             version: entry.version,
             format_version,
             table,
-            psm,
-            hmm,
-            cache,
-            compiled: Arc::new(compiled),
-            engine,
+            compiled,
         })
     }
 
     /// Number of PSM states.
     pub fn state_count(&self) -> usize {
-        self.psm.state_count()
+        self.compiled.num_states()
     }
 
     /// Number of mined propositions in the classification table.
@@ -213,73 +153,18 @@ impl ServedModel {
         self.table.len()
     }
 
-    /// The engine this model answers requests through.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// The compiled runtime, always present regardless of [`Engine`]
-    /// (v3 artifacts ship it; v1/v2 were compiled at load time).
-    pub fn compiled(&self) -> &Arc<CompiledModel> {
+    /// The compiled runtime (shipped by v3 artifacts, compiled at load
+    /// time from v1/v2).
+    pub fn compiled(&self) -> &CompiledModel {
         &self.compiled
     }
 
-    /// Builds a simulator for a batch of *interpreted* estimations.
-    ///
-    /// Construction builds the HMM forward cache — the per-model setup
-    /// cost the worker pool amortises by running every queued request
-    /// for the same model through one simulator.
-    pub fn simulator(&self) -> HmmSimulator<'_> {
-        HmmSimulator::new(&self.psm, self.hmm.clone())
-    }
-
-    /// The per-batch context for this model's engine: the compiled
-    /// tables (nothing to set up), or one interpreted simulator whose
-    /// forward-cache construction the batch amortises.
-    pub fn batch_runner(&self) -> BatchRunner<'_> {
-        match self.engine {
-            Engine::Compiled => BatchRunner::Compiled(&self.compiled),
-            Engine::Interpreted => BatchRunner::Interpreted(self.simulator()),
-        }
-    }
-
-    /// Estimates one trace through an existing simulator (the
-    /// interpreted batch path). Identical, instant for instant, to the
+    /// Estimates one trace. Identical, instant for instant, to the
     /// facade's `PsmFlow::estimate_from_trace` on the same loaded model.
-    pub fn estimate_with(&self, sim: &HmmSimulator<'_>, trace: &FunctionalTrace) -> HmmOutcome {
-        let observations = classify_trace(&self.table, trace);
-        let hamming = trace.input_hamming_series();
-        sim.run(&observations, &hamming)
-    }
-
-    /// Estimates one trace through a prepared [`BatchRunner`] — the
-    /// worker pool's path, engine-dispatched but bit-identical either
-    /// way.
-    pub fn estimate_with_runner(
-        &self,
-        runner: &BatchRunner<'_>,
-        trace: &FunctionalTrace,
-    ) -> HmmOutcome {
-        let observations = classify_trace(&self.table, trace);
-        let hamming = trace.input_hamming_series();
-        match runner {
-            BatchRunner::Compiled(compiled) => compiled.run(&observations, &hamming),
-            BatchRunner::Interpreted(sim) => sim.run(&observations, &hamming),
-        }
-    }
-
-    /// Estimates one trace through this model's engine (the
-    /// single-request path).
     pub fn estimate(&self, trace: &FunctionalTrace) -> HmmOutcome {
-        self.estimate_with_runner(&self.batch_runner(), trace)
-    }
-
-    /// Builds a resumable forward pass over the model's *owned* forward
-    /// cache (built once at load time) — the streaming path, where a
-    /// session must re-enter the model chunk after chunk without paying
-    /// cache construction per chunk.
-    pub fn forward_pass(&self) -> ForwardPass<'_> {
-        ForwardPass::new(&self.psm, &self.hmm, &self.cache)
+        let observations = classify_trace(&self.table, trace);
+        let hamming = trace.input_hamming_series();
+        self.compiled.run(&observations, &hamming)
     }
 
     /// Classifies one chunk of a streamed trace against the model's
@@ -287,25 +172,6 @@ impl ServedModel {
     /// classification equals classification of the concatenated trace.
     pub fn classify_chunk(&self, chunk: &FunctionalTrace) -> Vec<Option<PropositionId>> {
         classify_trace(&self.table, chunk)
-    }
-}
-
-/// A per-batch estimation context — the engine-specific setup a worker
-/// builds once and reuses for every request of one batch
-/// ([`ServedModel::batch_runner`]).
-pub enum BatchRunner<'m> {
-    /// The compiled flat tables; construction is free.
-    Compiled(&'m Arc<CompiledModel>),
-    /// An interpreted simulator owning its forward cache.
-    Interpreted(HmmSimulator<'m>),
-}
-
-impl std::fmt::Debug for BatchRunner<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BatchRunner::Compiled(_) => "BatchRunner::Compiled",
-            BatchRunner::Interpreted(_) => "BatchRunner::Interpreted",
-        })
     }
 }
 
@@ -351,13 +217,11 @@ impl Snapshot {
 #[derive(Debug)]
 pub struct Registry {
     dir: PathBuf,
-    engine: Engine,
     current: Mutex<Arc<Snapshot>>,
 }
 
 impl Registry {
-    /// Opens a registry directory with the default [`Engine`] and loads
-    /// every artifact in it.
+    /// Opens a registry directory and loads every artifact in it.
     ///
     /// # Errors
     ///
@@ -365,23 +229,10 @@ impl Registry {
     /// artifact fails to load — an unreadable registry never comes up
     /// half-populated.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Registry, RegistryError> {
-        Self::open_with_engine(dir, Engine::default())
-    }
-
-    /// Opens a registry directory whose models answer through `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Registry::open`].
-    pub fn open_with_engine(
-        dir: impl Into<PathBuf>,
-        engine: Engine,
-    ) -> Result<Registry, RegistryError> {
         let dir = dir.into();
-        let snapshot = Self::scan(&dir, engine)?;
+        let snapshot = Self::scan(&dir)?;
         Ok(Registry {
             dir,
-            engine,
             current: Mutex::new(Arc::new(snapshot)),
         })
     }
@@ -389,11 +240,6 @@ impl Registry {
     /// The registry directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The engine every model of this registry answers through.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// The current snapshot. Cheap: one mutex lock and an `Arc` clone.
@@ -412,17 +258,17 @@ impl Registry {
     ///
     /// Same conditions as [`Registry::open`].
     pub fn reload(&self) -> Result<Arc<Snapshot>, RegistryError> {
-        let snapshot = Arc::new(Self::scan(&self.dir, self.engine)?);
+        let snapshot = Arc::new(Self::scan(&self.dir)?);
         *self.current.lock().expect("registry lock poisoned") = snapshot.clone();
         Ok(snapshot)
     }
 
-    fn scan(dir: &Path, engine: Engine) -> Result<Snapshot, RegistryError> {
+    fn scan(dir: &Path) -> Result<Snapshot, RegistryError> {
         let entries = psm_persist::list_artifacts(dir)
             .map_err(|source| RegistryError { path: None, source })?;
         let models = entries
             .iter()
-            .map(|e| ServedModel::load(e, engine).map(Arc::new))
+            .map(|e| ServedModel::load(e).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Snapshot { models })
     }
@@ -468,23 +314,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn served_estimates_match_across_batch_and_single_paths() {
-        let dir = temp_registry("estimate");
-        write_artifact(&dir, "toy@1.json", &toy_model_json());
-        let registry = Registry::open(&dir).unwrap();
-        let model = registry.snapshot().lookup("toy", None).unwrap();
-        let trace = toy_trace();
-        let single = model.estimate(&trace);
-        let sim = model.simulator();
-        let batched = model.estimate_with(&sim, &trace);
-        let again = model.estimate_with(&sim, &trace);
-        assert_eq!(single, batched, "one simulator per batch changes nothing");
-        assert_eq!(batched, again, "simulator reuse is stateless across runs");
-        assert_eq!(single.estimate.len(), trace.len());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Parses the three substrate fields back out of a rendered body.
     fn substrate(body: &JsonValue) -> (PropositionTable, Psm, Hmm) {
         (
@@ -507,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_artifacts_serve_identically_on_both_engines() {
+    fn v3_artifacts_serve_identically_to_v2() {
         let dir = temp_registry("v3");
         let body = toy_model_json();
         write_artifact(&dir, "toy@1.json", &body);
@@ -516,25 +345,22 @@ mod tests {
         std::fs::write(dir.join("toy@2.json"), v3_text(body, &compiled)).unwrap();
 
         let registry = Registry::open(&dir).unwrap();
-        assert_eq!(registry.engine(), Engine::Compiled);
         let v2 = registry.snapshot().lookup("toy", Some(1)).unwrap();
         let v3 = registry.snapshot().lookup("toy", Some(2)).unwrap();
         assert_eq!(v2.format_version, 2);
         assert_eq!(v3.format_version, 3);
         assert_eq!(v3.compiled().num_states(), v3.state_count());
 
-        let interpreted = Registry::open_with_engine(&dir, Engine::Interpreted).unwrap();
-        let old_path = interpreted.snapshot().lookup("toy", Some(2)).unwrap();
-        assert_eq!(old_path.engine(), Engine::Interpreted);
-
-        // v2-compiled-on-the-fly, v3-shipped, and interpreted all agree
-        // to the bit.
+        // Compiled on the fly and shipped pre-compiled agree to the bit,
+        // and both match the reference simulator.
         let trace = toy_trace();
         let a = v2.estimate(&trace);
         let b = v3.estimate(&trace);
-        let c = old_path.estimate(&trace);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+        let observations = classify_trace(&table, &trace);
+        let want =
+            psm_hmm::HmmSimulator::new(&psm, hmm).run(&observations, &trace.input_hamming_series());
+        assert_eq!(a, want);
+        assert_eq!(a.estimate.len(), trace.len());
         for (x, y) in a.estimate.iter().zip(b.estimate.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

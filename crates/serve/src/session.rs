@@ -2,18 +2,16 @@
 //!
 //! A [`StreamSession`] is the server-side object behind one `STREAM_OPEN`.
 //! It pins an `Arc<ServedModel>` (so registry reloads never invalidate a
-//! live stream) and carries the forward state of the model's
-//! [`Engine`] — the interpreted [`ForwardState`] or the allocation-free
-//! compiled [`CompiledForwardState`] — plus the last cycle of the
-//! previous chunk, which stitches the input-Hamming series across
-//! chunk boundaries. Feeding chunks c₁, …, cₖ produces, instant for
-//! instant, the *bit-identical* estimate of a one-shot run over the
-//! concatenated trace c₁‖…‖cₖ — the session is the one-shot path with a
-//! pause button, not an approximation of it.
+//! live stream) and carries the allocation-free
+//! [`CompiledForwardState`] of the model's compiled runtime, plus the
+//! last cycle of the previous chunk, which stitches the input-Hamming
+//! series across chunk boundaries. Feeding chunks c₁, …, cₖ produces,
+//! instant for instant, the *bit-identical* estimate of a one-shot run
+//! over the concatenated trace c₁‖…‖cₖ — the session is the one-shot path
+//! with a pause button, not an approximation of it.
 
-use crate::registry::{Engine, ServedModel};
+use crate::registry::ServedModel;
 use psm_compile::CompiledForwardState;
-use psm_hmm::ForwardState;
 use psm_trace::{Bits, FunctionalTrace, PowerTrace, TraceError};
 use std::sync::Arc;
 
@@ -30,32 +28,20 @@ pub struct ChunkOutcome {
     pub instants: usize,
 }
 
-/// The resumable forward state of one stream, matching the pinned
-/// model's [`Engine`]. Both variants produce bit-identical estimates;
-/// the compiled one additionally never allocates per chunk.
-#[derive(Debug)]
-enum SessionState {
-    Interpreted(ForwardState),
-    Compiled(CompiledForwardState),
-}
-
 /// One live estimation stream over a pinned model.
 #[derive(Debug)]
 pub struct StreamSession {
     model: Arc<ServedModel>,
-    state: SessionState,
+    state: CompiledForwardState,
     prev_cycle: Option<Vec<Bits>>,
 }
 
 impl StreamSession {
     /// Opens a session against `model`, positioned before the first
-    /// instant, on the model's engine. No allocation beyond the forward
-    /// state itself happens per chunk after this point.
+    /// instant. No allocation beyond the forward state itself happens per
+    /// chunk after this point.
     pub fn open(model: Arc<ServedModel>) -> StreamSession {
-        let state = match model.engine() {
-            Engine::Compiled => SessionState::Compiled(model.compiled().begin()),
-            Engine::Interpreted => SessionState::Interpreted(model.forward_pass().begin()),
-        };
+        let state = model.compiled().begin();
         StreamSession {
             model,
             state,
@@ -70,26 +56,17 @@ impl StreamSession {
 
     /// Total instants estimated so far.
     pub fn instants(&self) -> usize {
-        match &self.state {
-            SessionState::Interpreted(s) => s.instants(),
-            SessionState::Compiled(s) => s.instants(),
-        }
+        self.state.instants()
     }
 
     /// Cumulative wrong-state predictions so far.
     pub fn wrong_state_predictions(&self) -> usize {
-        match &self.state {
-            SessionState::Interpreted(s) => s.wrong_state_predictions(),
-            SessionState::Compiled(s) => s.wrong_state_predictions(),
-        }
+        self.state.wrong_state_predictions()
     }
 
     /// Cumulative unknown instants so far.
     pub fn unknown_instants(&self) -> usize {
-        match &self.state {
-            SessionState::Interpreted(s) => s.unknown_instants(),
-            SessionState::Compiled(s) => s.unknown_instants(),
-        }
+        self.state.unknown_instants()
     }
 
     /// Feeds the next chunk of the trace and returns its estimate plus
@@ -107,18 +84,9 @@ impl StreamSession {
             *first = chunk.input_hamming_vs(prev, 0)?;
         }
         let mut estimate = PowerTrace::with_capacity(chunk.len());
-        match &mut self.state {
-            SessionState::Interpreted(state) => {
-                self.model
-                    .forward_pass()
-                    .resume(state, &observations, &hamming, &mut estimate)
-            }
-            SessionState::Compiled(state) => {
-                self.model
-                    .compiled()
-                    .resume(state, &observations, &hamming, &mut estimate)
-            }
-        }
+        self.model
+            .compiled()
+            .resume(&mut self.state, &observations, &hamming, &mut estimate);
         if !chunk.is_empty() {
             self.prev_cycle = Some(chunk.cycle(chunk.len() - 1).to_vec());
         }
@@ -218,49 +186,6 @@ mod tests {
             session.feed(&bad),
             Err(TraceError::CycleShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn compiled_and_interpreted_sessions_agree_bit_for_bit() {
-        let dir = std::env::temp_dir().join("psm-serve-session-engines");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("toy@1.json"),
-            psm_persist::encode_artifact(&toy_model_json()),
-        )
-        .unwrap();
-        let compiled = Registry::open_with_engine(&dir, Engine::Compiled)
-            .unwrap()
-            .snapshot()
-            .lookup("toy", None)
-            .unwrap();
-        let interpreted = Registry::open_with_engine(&dir, Engine::Interpreted)
-            .unwrap()
-            .snapshot()
-            .lookup("toy", None)
-            .unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-
-        let trace = toy_trace();
-        for window in [1, 2, 3, 5, trace.len()] {
-            let mut fast = StreamSession::open(compiled.clone());
-            let mut slow = StreamSession::open(interpreted.clone());
-            for chunk in trace.split_windows(window) {
-                let f = fast.feed(&chunk).unwrap();
-                let s = slow.feed(&chunk).unwrap();
-                assert_eq!(f.instants, s.instants, "window {window}");
-                assert_eq!(
-                    f.wrong_state_predictions, s.wrong_state_predictions,
-                    "window {window}"
-                );
-                assert_eq!(f.unknown_instants, s.unknown_instants, "window {window}");
-                assert_eq!(f.estimate.len(), s.estimate.len());
-                for (a, b) in f.estimate.iter().zip(s.estimate.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "window {window}");
-                }
-            }
-        }
     }
 
     #[test]

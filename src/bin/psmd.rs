@@ -5,14 +5,13 @@
 //! (v1 clients keep working): clients submit functional traces as JSON
 //! or binary frames — one-shot or chunked over a streaming session —
 //! and the daemon classifies and HMM-simulates them through a batching
-//! worker pool, answering per-instant estimates incrementally. By
-//! default one readiness-driven event loop serves every connection
-//! (`--io threads` restores thread-per-connection). `RELOAD` hot-swaps
-//! the registry atomically; `SHUTDOWN` (or SIGTERM) drains in-flight
-//! work, flushes the telemetry report to stderr and exits 0. See
-//! `psmctl` for the client.
+//! worker pool, answering per-instant estimates incrementally. One
+//! readiness-driven event loop serves every connection. `RELOAD`
+//! hot-swaps the registry atomically; `SHUTDOWN` (or SIGTERM) drains
+//! in-flight work, flushes the telemetry report to stderr and exits 0.
+//! See `psmctl` for the client.
 
-use psmgen::serve::{Engine, IoMode, PoolConfig, Server, ServerConfig, DEFAULT_ADDR};
+use psmgen::serve::{PoolConfig, Server, ServerConfig, DEFAULT_ADDR};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -25,12 +24,8 @@ Options:
                      takes an ephemeral port, see --port-file)
   --workers <n>      estimation worker threads (default: CPU count, max 8)
   --queue <n>        queue slots before requests bounce BUSY (default 64)
-  --batch <n>        max estimates answered through one simulator (default 8)
-  --io <mode>        connection engine: readiness (poll-driven event
-                     loop, the default) or threads (one per connection)
-  --engine <which>   estimation engine: compiled (flat-table runtime,
-                     the default) or interpreted (assertion walker);
-                     both produce bit-identical estimates
+  --batch <n>        max same-model estimates one worker answers per
+                     turn (default 8)
   --port-file <path> write the bound address to <path> once listening
   -h, --help         show this help
 
@@ -41,8 +36,6 @@ struct Options {
     registry: String,
     addr: String,
     pool: PoolConfig,
-    io: IoMode,
-    engine: Engine,
     port_file: Option<String>,
 }
 
@@ -50,8 +43,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut registry = None;
     let mut addr = DEFAULT_ADDR.to_owned();
     let mut pool = PoolConfig::default();
-    let mut io = IoMode::default();
-    let mut engine = Engine::default();
     let mut port_file = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -69,18 +60,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--batch" => {
                 pool.max_batch = parse_count(it.next().ok_or("--batch needs a number")?)?;
             }
-            "--io" => {
-                io = match it.next().ok_or("--io needs a mode")?.as_str() {
-                    "readiness" => IoMode::Readiness,
-                    "threads" => IoMode::Threads,
-                    other => {
-                        return Err(format!("--io must be readiness or threads, got `{other}`"))
-                    }
-                };
-            }
-            "--engine" => {
-                engine = it.next().ok_or("--engine needs a mode")?.parse()?;
-            }
             "--port-file" => {
                 port_file = Some(it.next().ok_or("--port-file needs a path")?.clone());
             }
@@ -92,8 +71,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         registry: registry.ok_or("--registry is required")?.to_owned(),
         addr,
         pool,
-        io,
-        engine,
         port_file,
     })
 }
@@ -124,8 +101,6 @@ fn main() -> ExitCode {
         addr: opts.addr,
         registry_dir: opts.registry.clone().into(),
         pool: opts.pool,
-        io: opts.io,
-        engine: opts.engine,
     }) {
         Ok(server) => server,
         Err(e) => {
@@ -146,8 +121,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     eprintln!(
-        "psmd: serving registry {} at {addr} ({workers} worker(s), {} engine)",
-        opts.registry, opts.engine
+        "psmd: serving registry {} at {addr} ({workers} worker(s))",
+        opts.registry
     );
 
     match server.run() {

@@ -39,11 +39,12 @@ use psm_analyze::{
     AnalysisReport, Severity,
 };
 pub use psm_analyze::{LintConfig, LintLevel, Strictness, VerifyConfig};
+use psm_compile::CompiledModel;
 use psm_core::{
     calibrate, classify_trace, generate_psm, join, simplify, CalibrationConfig, CoreError,
     MergePolicy, Psm,
 };
-use psm_hmm::{build_hmm, Hmm, HmmOutcome, HmmSimulator};
+use psm_hmm::{build_hmm, Hmm, HmmOutcome};
 use psm_ips::{behavioural_trace, Ip};
 use psm_mining::{Miner, MiningConfig, MiningError, PropositionTable};
 use psm_rtl::{
@@ -267,16 +268,16 @@ impl TrainedModel {
     /// Lowers this model to its flat-table serving form (see
     /// [`psm_compile::CompiledModel`]): interned observation codes, flat
     /// transition/emission tables, precomputed log-probabilities and an
-    /// allocation-free forward pass, bit-identical to the interpreted
-    /// estimator.
+    /// allocation-free forward pass, bit-identical to the reference
+    /// [`HmmSimulator`](psm_hmm::HmmSimulator).
     ///
     /// # Errors
     ///
     /// Returns [`psm_compile::CompileError`] when the PSM and HMM disagree
     /// on the state space (impossible for models produced by
     /// [`PsmFlow::train`], possible for hand-assembled ones).
-    pub fn compile(&self) -> Result<psm_compile::CompiledModel, psm_compile::CompileError> {
-        psm_compile::CompiledModel::compile_with_dictionary(&self.table, &self.psm, &self.hmm)
+    pub fn compile(&self) -> Result<CompiledModel, psm_compile::CompileError> {
+        CompiledModel::compile_with_dictionary(&self.table, &self.psm, &self.hmm)
     }
 
     /// Saves the model as a `psmgen-artifact/v3`: the
@@ -568,20 +569,6 @@ impl PsmFlow {
     /// Starts a fluent configuration ([`PsmFlowBuilder`]).
     pub fn builder() -> PsmFlowBuilder {
         PsmFlowBuilder::default()
-    }
-
-    /// Defaults tuned for the Table I benchmarks by name.
-    ///
-    /// Unknown names fall back to the stock defaults.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PsmFlow::builder().preset(IpPreset::…)` — presets are now typed"
-    )]
-    pub fn for_ip(name: &str) -> Self {
-        match IpPreset::from_name(name) {
-            Some(preset) => PsmFlow::builder().preset(preset).build(),
-            None => PsmFlow::default(),
-        }
     }
 
     /// Runs the full training pipeline of Fig. 1 on one IP.
@@ -924,6 +911,16 @@ impl PsmFlow {
 
     /// The fast path of Table III: PSM/HMM estimation from an
     /// already-captured functional trace, with no gate-level work at all.
+    ///
+    /// The model is lowered to its flat-table form
+    /// ([`psm_compile::CompiledModel`], tens of microseconds) and run
+    /// there; the result is bit-identical to the reference
+    /// [`HmmSimulator`](psm_hmm::HmmSimulator).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the model's PSM and HMM disagree on the state space
+    /// (impossible for models produced by [`PsmFlow::train`]).
     pub fn estimate_from_trace(
         &self,
         model: &TrainedModel,
@@ -931,8 +928,9 @@ impl PsmFlow {
     ) -> HmmOutcome {
         let observations = classify_trace(&model.table, functional);
         let hamming = functional.input_hamming_series();
-        let sim = HmmSimulator::new(&model.psm, model.hmm.clone());
-        sim.run(&observations, &hamming)
+        let compiled = CompiledModel::compile(&model.psm, &model.hmm)
+            .unwrap_or_else(|e| panic!("HMM and PSM must agree on the state space: {e}"));
+        compiled.run(&observations, &hamming)
     }
 
     /// Trains one PSM set **per power domain** of the IP's netlist — the
@@ -1156,18 +1154,6 @@ mod tests {
         // Two traces, joined into one model with at most one initial state
         // per distinct starting behaviour.
         assert!(model.psm.initials().iter().map(|(_, c)| c).sum::<usize>() == 2);
-    }
-
-    #[test]
-    fn deprecated_for_ip_matches_preset() {
-        #[allow(deprecated)]
-        let old = PsmFlow::for_ip("MultSum");
-        let new = PsmFlow::builder().preset(IpPreset::MultSum).build();
-        assert_eq!(old.mining.pair_relations(), new.mining.pair_relations());
-        assert_eq!(old.noise_seed, new.noise_seed);
-        #[allow(deprecated)]
-        let unknown = PsmFlow::for_ip("nonesuch");
-        assert!(unknown.mining.pair_relations());
     }
 
     #[test]

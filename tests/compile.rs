@@ -1,14 +1,16 @@
-//! Bit-identity of the compiled serving runtime (`psm-compile`) against
-//! the interpreted walker (`psm-hmm`).
+//! Bit-identity of the compiled runtime (`psm-compile`) against the
+//! reference walker (`psm_hmm::HmmSimulator`).
 //!
-//! The compiled engine is only admissible because it changes *nothing*
-//! observable: every estimate bit, wrong-state-prediction count and
-//! unknown-instant count must equal the interpreted result — one-shot,
-//! under any chunking of the same inputs, and for models the compiler
-//! was never tuned on. These tests pin that contract on all four paper
-//! benchmarks, on randomised PRNG-built models (including unknown and
-//! out-of-range observations), and through the `psmgen-artifact/v3`
-//! round trip into the serving registry.
+//! The compiled runtime is the only estimator of the flow and of `psmd`,
+//! and it is only admissible because it changes *nothing* observable:
+//! every estimate bit, wrong-state-prediction count and unknown-instant
+//! count must equal the reference result — one-shot, under any chunking
+//! of the same inputs, and for models the compiler was never tuned on.
+//! These tests pin that contract on all four paper benchmarks (directly
+//! and through `PsmFlow`'s flat and hierarchical estimation), on
+//! randomised PRNG-built models (including unknown and out-of-range
+//! observations), and through the `psmgen-artifact/v3` round trip into
+//! the serving registry.
 
 use psm_prng::Prng;
 use psmgen::compile::CompiledModel;
@@ -17,15 +19,27 @@ use psmgen::hmm::{build_hmm, HmmOutcome, HmmSimulator};
 use psmgen::ips::{behavioural_trace, ip_by_name, testbench};
 use psmgen::mining::{PropositionId, PropositionTrace};
 use psmgen::psm::{classify_trace, generate_psm, join, MergePolicy};
-use psmgen::serve::{Engine, Registry};
+use psmgen::serve::Registry;
 use psmgen::trace::{FunctionalTrace, PowerTrace};
+use std::process::Command;
 
 const BENCHES: [&str; 4] = ["RAM", "MultSum", "AES", "Camellia"];
 
+fn flow_for(name: &str) -> PsmFlow {
+    let preset = IpPreset::from_name(name).expect("paper benchmark");
+    PsmFlow::builder().preset(preset).build()
+}
+
+/// The reference estimate: classify, then the textbook walker.
+fn oracle(model: &TrainedModel, workload: &FunctionalTrace) -> HmmOutcome {
+    let obs = classify_trace(&model.table, workload);
+    let hamming = workload.input_hamming_series();
+    HmmSimulator::new(&model.psm, model.hmm.clone()).run(&obs, &hamming)
+}
+
 /// Trains one paper benchmark and generates a fresh estimation workload.
 fn trained(name: &str, cycles: usize) -> (TrainedModel, FunctionalTrace) {
-    let preset = IpPreset::from_name(name).expect("paper benchmark");
-    let flow = PsmFlow::builder().preset(preset).build();
+    let flow = flow_for(name);
     let mut ip = ip_by_name(name).expect("paper benchmark");
     let model = flow
         .train(
@@ -60,10 +74,49 @@ fn compiled_forward_is_bit_identical_on_all_paper_benches() {
         let compiled = model.compile().expect("model compiles");
         let obs = classify_trace(&model.table, &workload);
         let hamming = workload.input_hamming_series();
-        let interp = HmmSimulator::new(&model.psm, model.hmm.clone()).run(&obs, &hamming);
+        let interp = oracle(&model, &workload);
         let fast = compiled.run(&obs, &hamming);
         assert!(!interp.estimate.is_empty(), "{name}: empty workload");
         assert_bit_identical(&fast, &interp, name);
+    }
+}
+
+#[test]
+fn flow_estimation_is_bit_identical_to_the_reference_simulator() {
+    for name in BENCHES {
+        let flow = flow_for(name);
+        let mut ip = ip_by_name(name).expect("paper benchmark");
+        let training = [testbench::short_ts(name, 1).expect("paper benchmark")];
+        let stim = testbench::long_ts(name, 5, 1_500).expect("paper benchmark");
+        let workload = behavioural_trace(ip.as_mut(), &stim).expect("workload fits");
+
+        let model = flow
+            .train(ip.as_mut(), &training)
+            .expect("training succeeds");
+        let flat = flow.estimate_from_trace(&model, &workload);
+        assert!(!flat.estimate.is_empty(), "{name}: empty workload");
+        assert_bit_identical(&flat, &oracle(&model, &workload), &format!("{name} flat"));
+
+        // Hierarchical: the per-domain reference outcomes, combined the
+        // way `estimate_hierarchical` documents (instant-wise sum in
+        // domain order, worst-domain counters).
+        let hier = flow
+            .train_hierarchical(ip.as_mut(), &training)
+            .expect("hierarchical training succeeds");
+        let mut domains = hier.models.iter().map(|m| oracle(m, &workload));
+        let first = domains.next().expect("at least the core domain");
+        let want = domains.fold(first, |acc, out| HmmOutcome {
+            estimate: acc
+                .estimate
+                .iter()
+                .zip(out.estimate.iter())
+                .map(|(a, b)| a + b)
+                .collect(),
+            wrong_state_predictions: acc.wrong_state_predictions.max(out.wrong_state_predictions),
+            unknown_instants: acc.unknown_instants.max(out.unknown_instants),
+        });
+        let got = flow.estimate_hierarchical(&hier, &workload);
+        assert_bit_identical(&got, &want, &format!("{name} hierarchical"));
     }
 }
 
@@ -164,25 +217,25 @@ fn v3_artifact_round_trip_serves_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     model.save(dir.join("ram@1.json")).expect("v2 saves");
-    model
-        .save_compiled(dir.join("ram@2.json"))
-        .expect("v3 saves");
+    // The v3 twin comes from the offline compiler, as deployed.
+    let status = Command::new(env!("CARGO_BIN_EXE_psmctl"))
+        .arg("compile")
+        .arg(dir.join("ram@1.json"))
+        .arg(dir.join("ram@2.json"))
+        .status()
+        .expect("psmctl runs");
+    assert!(status.success(), "psmctl compile failed: {status}");
 
-    let obs = classify_trace(&model.table, &workload);
-    let hamming = workload.input_hamming_series();
-    let want = HmmSimulator::new(&model.psm, model.hmm.clone()).run(&obs, &hamming);
-
-    for engine in [Engine::Compiled, Engine::Interpreted] {
-        let registry = Registry::open_with_engine(&dir, engine).expect("registry opens");
-        for version in [1, 2] {
-            let served = registry
-                .snapshot()
-                .lookup("ram", Some(version))
-                .expect("model served");
-            assert_eq!(served.format_version, version as u32 + 1);
-            let got = served.estimate(&workload);
-            assert_bit_identical(&got, &want, &format!("{engine} v{version}"));
-        }
+    let want = oracle(&model, &workload);
+    let registry = Registry::open(&dir).expect("registry opens");
+    for version in [1, 2] {
+        let served = registry
+            .snapshot()
+            .lookup("ram", Some(version))
+            .expect("model served");
+        assert_eq!(served.format_version, version as u32 + 1);
+        let got = served.estimate(&workload);
+        assert_bit_identical(&got, &want, &format!("v{version}"));
     }
 
     // The v3 file also still loads as a training-side model: the

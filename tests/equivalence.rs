@@ -177,60 +177,6 @@ fn scratch_mining_path_matches_allocating_reference() {
     }
 }
 
-/// The transposed forward cache must reproduce the reference filter step
-/// bit-for-bit: same likelihood bits, same belief bits, at every instant
-/// of a real workload — the determinism contract says optimizations may
-/// not perturb even the last ulp.
-#[test]
-fn cached_hmm_forward_pass_is_bitwise_identical() {
-    let flow = psmgen::flow::PsmFlow::builder()
-        .preset(psmgen::flow::IpPreset::MultSum)
-        .build();
-    let mut ip = ip_by_name("MultSum").expect("benchmark exists");
-    let model = flow
-        .train(ip.as_mut(), &[testbench::multsum_short_ts(1)])
-        .expect("trains");
-
-    let workload = testbench::multsum_long_ts(57, 1_500);
-    let trace = behavioural_trace(ip.as_mut(), &workload).expect("workload fits");
-    let observations = psmgen::psm::classify_trace(&model.table, &trace);
-
-    let hmm = &model.hmm;
-    let cache = hmm.forward_cache();
-    let m = hmm.num_states();
-    let mut ref_belief = vec![1.0 / m as f64; m];
-    let mut fast_belief = ref_belief.clone();
-    let mut ref_scratch = vec![0.0; m];
-    let mut fast_scratch = vec![0.0; m];
-    let mut steps = 0usize;
-    for obs in observations.iter().flatten() {
-        let sym = obs.index();
-        if sym >= hmm.num_symbols() {
-            continue;
-        }
-        let ref_like = hmm
-            .filter_step_scratch(&mut ref_belief, sym, &mut ref_scratch)
-            .expect("symbol in range");
-        let fast_like = hmm
-            .filter_step_cached(&cache, &mut fast_belief, sym, &mut fast_scratch)
-            .expect("symbol in range");
-        assert_eq!(
-            ref_like.to_bits(),
-            fast_like.to_bits(),
-            "likelihood diverges at step {steps}"
-        );
-        for (i, (r, f)) in ref_belief.iter().zip(&fast_belief).enumerate() {
-            assert_eq!(
-                r.to_bits(),
-                f.to_bits(),
-                "belief[{i}] diverges at step {steps}"
-            );
-        }
-        steps += 1;
-    }
-    assert!(steps > 100, "workload must exercise the filter");
-}
-
 /// The log-caching Viterbi rewrite must decode exactly the path of the
 /// textbook recurrence (same log values, same strict-improvement ties).
 #[test]

@@ -9,7 +9,7 @@
 use psmgen::flow::{IpPreset, PsmFlow, TrainedModel};
 use psmgen::ips::{behavioural_trace, testbench, MultSum};
 use psmgen::serve::protocol::{self, Frame, Opcode, Status};
-use psmgen::serve::{Client, ClientError, IoMode, PoolConfig, Server, ServerConfig};
+use psmgen::serve::{Client, ClientError, PoolConfig, Server, ServerConfig};
 use psmgen::trace::FunctionalTrace;
 use std::io::Write;
 use std::net::TcpStream;
@@ -426,44 +426,6 @@ fn streamed_chunks_are_bit_identical_to_one_shot_estimation() {
 }
 
 #[test]
-fn threaded_io_mode_still_serves_every_dialect() {
-    let dir = temp_registry("threads");
-    train_into(&dir, "multsum@1.json", &[1]);
-    let mut cfg = ServerConfig::new(&dir);
-    cfg.io = IoMode::Threads;
-    let running = Server::bind(cfg).unwrap().spawn();
-    let trace = workload(4, 150);
-
-    let mut client = Client::connect(running.addr()).unwrap();
-    assert_eq!(client.negotiate().unwrap(), 2);
-    let json = client.estimate_json("multsum", None, &trace).unwrap();
-    let bin = client.estimate_binary("multsum", None, &trace).unwrap();
-    assert_eq!(
-        json.estimate
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<_>>(),
-        bin.estimate.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
-    let mut stream = client
-        .open_stream("multsum", None, trace.signals())
-        .unwrap();
-    let mut streamed = Vec::new();
-    for chunk in trace.split_windows(40) {
-        streamed.extend(stream.send_chunk(&chunk).unwrap().estimate);
-    }
-    let summary = stream.close().unwrap();
-    assert_eq!(summary.instants, trace.len());
-    assert_eq!(
-        streamed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        bin.estimate.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
-    client.shutdown().unwrap();
-    running.join().expect("clean exit");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn slow_partial_writer_does_not_stall_other_clients() {
     let dir = temp_registry("slowwrite");
     train_into(&dir, "multsum@1.json", &[1]);
@@ -472,8 +434,8 @@ fn slow_partial_writer_does_not_stall_other_clients() {
     let trace = workload(3, 200);
 
     // One connection trickles an estimate request in eight pieces with
-    // long pauses — under thread-per-connection this held a thread; the
-    // readiness loop must keep serving everyone else meanwhile.
+    // long pauses; the event loop must keep serving everyone else
+    // meanwhile.
     let mut bytes = Vec::new();
     protocol::write_frame(
         &mut bytes,
