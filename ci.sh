@@ -15,6 +15,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --offline --release
 cargo test --offline -q
 
+echo "==> member crates: unit and integration tests of crates/*"
+# `cargo test` above tests only the root package; the member crates'
+# own tests (psm-analyze's NL011 oracle units, psm-mining's proptests,
+# ...) run here. The root package is excluded because tier-1 ran it.
+cargo test --offline --workspace --exclude psmgen -q
+
 echo "==> psmperf: the long-run benchmark still builds and passes its smoke test"
 # psmperf is a package of its own, so the workspace build above never
 # compiles it; an API change in psmgen would otherwise break the

@@ -17,6 +17,7 @@
 //! bit can be read by live logic and still be unable to influence any
 //! output.
 
+use crate::netlist::{driver_counts, read_nets};
 use crate::{codes, AnalysisReport, Diagnostic};
 use psm_rtl::{levelize, GateKind, NetId, Netlist};
 use psm_trace::Direction;
@@ -229,34 +230,16 @@ impl DataflowResult {
 /// range references, arity mismatches or a combinational cycle) — those
 /// defects are the structural lints' to report.
 pub fn analyze_dataflow(netlist: &Netlist) -> Option<DataflowResult> {
-    let nets = netlist.net_count();
     let order = interpretable(netlist)?;
+    Some(fixpoint(netlist, &order))
+}
 
-    // Which nets have a driver at all; undriven reads seed the taint.
-    let mut driven = vec![false; nets];
-    driven[Netlist::CONST0.index()] = true;
-    driven[Netlist::CONST1.index()] = true;
-    for p in netlist.ports() {
-        if p.direction() == Direction::Input {
-            for &n in p.nets() {
-                driven[n.index()] = true;
-            }
-        }
-    }
-    for g in netlist.gates() {
-        driven[g.output.index()] = true;
-    }
-    for d in netlist.dffs() {
-        driven[d.q.index()] = true;
-    }
-    for m in netlist.memories() {
-        for &n in &m.rdata {
-            driven[n.index()] = true;
-        }
-    }
-
-    let mut values = vec![Ternary::X; nets];
-    let mut tainted: Vec<bool> = driven.iter().map(|&d| !d).collect();
+/// The fixpoint of [`analyze_dataflow`] over a levelized gate `order` of
+/// an [`interpretable`] netlist.
+fn fixpoint(netlist: &Netlist, order: &[usize]) -> DataflowResult {
+    // Undriven nets seed the taint.
+    let mut values = vec![Ternary::X; netlist.net_count()];
+    let mut tainted: Vec<bool> = driver_counts(netlist).iter().map(|&c| c == 0).collect();
     values[Netlist::CONST0.index()] = Ternary::Zero;
     values[Netlist::CONST1.index()] = Ternary::One;
     for d in netlist.dffs() {
@@ -268,7 +251,7 @@ pub fn analyze_dataflow(netlist: &Netlist) -> Option<DataflowResult> {
     loop {
         sweeps += 1;
         // One combinational sweep in topological order.
-        for &gi in &order {
+        for &gi in order {
             let g = &netlist.gates()[gi];
             let ins: Vec<Ternary> = g.inputs.iter().map(|n| values[n.index()]).collect();
             let out = eval_ternary(&g.kind, &ins);
@@ -297,17 +280,17 @@ pub fn analyze_dataflow(netlist: &Netlist) -> Option<DataflowResult> {
         }
     }
 
-    Some(DataflowResult {
+    DataflowResult {
         values,
         tainted,
         sweeps,
-    })
+    }
 }
 
 /// Checks that the netlist can be abstractly interpreted — levelizable,
 /// sane arities, every net reference in range — and returns the levelized
-/// gate order when it can. Shared guard of [`analyze_dataflow`] and the
-/// power-intent off-domain proof.
+/// gate order when it can. Shared guard of [`analyze_dataflow`], the
+/// power-intent off-domain proof and the sequential unroller.
 pub(crate) fn interpretable(netlist: &Netlist) -> Option<Vec<usize>> {
     let nets = netlist.net_count();
     let order = levelize(netlist).ok()?;
@@ -333,23 +316,19 @@ pub(crate) fn interpretable(netlist: &Netlist) -> Option<Vec<usize>> {
             return None;
         }
     }
-    let in_range = |n: &NetId| n.index() < nets;
+    let in_range = |n: NetId| n.index() < nets;
     if !netlist
         .dffs()
         .iter()
-        .all(|d| in_range(&d.d) && in_range(&d.q))
-        || !netlist.memories().iter().all(|m| {
-            m.addr
-                .iter()
-                .chain(&m.wdata)
-                .chain(&m.rdata)
-                .chain([&m.we, &m.re, &m.clear])
-                .all(in_range)
-        })
+        .all(|d| in_range(d.d) && in_range(d.q))
+        || !netlist
+            .memories()
+            .iter()
+            .all(|m| m.inputs().chain(m.rdata.iter().copied()).all(in_range))
         || !netlist
             .ports()
             .iter()
-            .all(|p| p.nets().iter().all(in_range))
+            .all(|p| p.nets().iter().copied().all(in_range))
     {
         return None;
     }
@@ -369,45 +348,25 @@ pub(crate) fn interpretable(netlist: &Netlist) -> Option<Vec<usize>> {
 ///   see a stuck primary output);
 /// * `NL010` — an undriven net whose `X` propagates all the way to an
 ///   output port (the float is observable, not just structural);
-/// * `NL011` — input-port bits that are read by live logic yet cannot
-///   influence any output, register or memory (the semantic refinement of
-///   `NL004`/`NL005`: the path exists but is provably blocked).
+/// * `NL011` — input-port bits that are read by logic yet cannot influence
+///   any output port (the semantic refinement of `NL004`/`NL005`: the path
+///   exists but is provably blocked). Registers and memories only pass
+///   influence on, so an input that feeds nothing but a register or
+///   memory no output observes is blocked too.
 ///
 /// Netlists that the structural lints would reject (cycles, bad arities,
 /// out-of-range nets) produce an empty report here — run
 /// [`crate::lint_netlist`] first.
 pub fn lint_netlist_dataflow(netlist: &Netlist) -> AnalysisReport {
     let mut report = AnalysisReport::new(format!("netlist `{}` dataflow", netlist.name()));
-    let Some(df) = analyze_dataflow(netlist) else {
+    let Some(order) = interpretable(netlist) else {
         return report;
     };
+    let df = fixpoint(netlist, &order);
     let nets = netlist.net_count();
 
     // What reads each net (to tell "feeding live logic" from dangling).
-    let mut read = vec![false; nets];
-    for g in netlist.gates() {
-        for &n in &g.inputs {
-            read[n.index()] = true;
-        }
-    }
-    for d in netlist.dffs() {
-        read[d.d.index()] = true;
-    }
-    for m in netlist.memories() {
-        for &n in m.addr.iter().chain(&m.wdata) {
-            read[n.index()] = true;
-        }
-        read[m.we.index()] = true;
-        read[m.re.index()] = true;
-        read[m.clear.index()] = true;
-    }
-    for p in netlist.ports() {
-        if p.direction() == Direction::Output {
-            for &n in p.nets() {
-                read[n.index()] = true;
-            }
-        }
-    }
+    let read = read_nets(netlist);
 
     // NL008: constant gate outputs that mask at least one live input.
     // Constants that are *benign* — fully explained by the constant nets
@@ -534,108 +493,79 @@ pub fn lint_netlist_dataflow(netlist: &Netlist) -> AnalysisReport {
         }
     }
 
-    // NL011: read input bits with no semantic path to an observable point.
-    // Forward reachability from each input net through gates whose output
-    // is not provably constant (a constant output blocks all influence),
-    // across register d→q and through every memory pin to its read data.
-    let mut influence_src: Vec<Vec<usize>> = vec![Vec::new(); nets];
-    let mut input_nets: Vec<NetId> = Vec::new();
+    // NL011: read input bits with no semantic path to an output port.
+    // Backward liveness from the output-port nets over the reversed
+    // influence edges: a gate whose output is not provably constant (a
+    // constant output blocks all influence) passes liveness to its inputs,
+    // a non-constant register from q to d, and a memory from any read-data
+    // bit to every input pin. Sweeping gates in reverse levelized order
+    // settles the combinational cone in one pass, so another round is
+    // needed only after a register or memory edge (or a net with two
+    // drivers, which levelization does not order) marks a new net. Each
+    // round is linear in the netlist.
+    let mut live = vec![false; nets];
     for p in netlist.ports() {
-        if p.direction() == Direction::Input {
+        if p.direction() == Direction::Output {
             for &n in p.nets() {
-                influence_src[n.index()].push(input_nets.len());
-                input_nets.push(n);
+                live[n.index()] = true;
             }
         }
     }
-    if !input_nets.is_empty() {
-        let order = levelize(netlist).expect("analyze_dataflow already levelized");
-        loop {
-            let mut changed = false;
-            let mut extend = |dst: usize, src_sets: Vec<usize>, flows: &mut Vec<Vec<usize>>| {
-                for s in src_sets {
-                    if !flows[dst].contains(&s) {
-                        flows[dst].push(s);
-                        changed = true;
-                    }
-                }
-            };
-            for &gi in &order {
-                let g = &netlist.gates()[gi];
-                if df.value(g.output).is_const() {
-                    continue;
-                }
-                let gathered: Vec<usize> = g
-                    .inputs
-                    .iter()
-                    .flat_map(|n| influence_src[n.index()].clone())
-                    .collect();
-                extend(g.output.index(), gathered, &mut influence_src);
-            }
-            for d in netlist.dffs() {
-                if df.value(d.q).is_const() {
-                    continue;
-                }
-                let gathered = influence_src[d.d.index()].clone();
-                extend(d.q.index(), gathered, &mut influence_src);
-            }
-            for m in netlist.memories() {
-                let gathered: Vec<usize> = m
-                    .addr
-                    .iter()
-                    .chain(&m.wdata)
-                    .chain([&m.we, &m.re, &m.clear])
-                    .flat_map(|n| influence_src[n.index()].clone())
-                    .collect();
-                for &rd in &m.rdata {
-                    extend(rd.index(), gathered.clone(), &mut influence_src);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        let mut influences_output = vec![false; input_nets.len()];
-        for p in netlist.ports() {
-            if p.direction() == Direction::Output {
-                for &n in p.nets() {
-                    for &s in &influence_src[n.index()] {
-                        influences_output[s] = true;
-                    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &gi in order.iter().rev() {
+            let g = &netlist.gates()[gi];
+            if live[g.output.index()] && !df.value(g.output).is_const() {
+                for &n in &g.inputs {
+                    changed |= mark(&mut live, n);
                 }
             }
         }
-        let mut bit_of = 0usize;
-        for p in netlist.ports() {
-            if p.direction() != Direction::Input {
-                continue;
+        for d in netlist.dffs() {
+            if live[d.q.index()] && !df.value(d.q).is_const() {
+                changed |= mark(&mut live, d.d);
             }
-            let blocked: Vec<usize> = p
-                .nets()
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| read[n.index()])
-                .filter(|(bit, _)| !influences_output[bit_of + bit])
-                .map(|(bit, _)| bit)
-                .collect();
-            if !blocked.is_empty() {
-                report.push(Diagnostic::new(
-                    &codes::NL011,
-                    format!("port `{}`", p.name()),
-                    format!(
-                        "{} of {} input bit(s) read by logic but provably \
-                         unable to influence any output (bits {blocked:?})",
-                        blocked.len(),
-                        p.width(),
-                    ),
-                ));
+        }
+        for m in netlist.memories() {
+            if m.rdata.iter().any(|n| live[n.index()]) {
+                for n in m.inputs() {
+                    changed |= mark(&mut live, n);
+                }
             }
-            bit_of += p.width();
+        }
+    }
+    for p in netlist.ports() {
+        if p.direction() != Direction::Input {
+            continue;
+        }
+        let blocked: Vec<usize> = p
+            .nets()
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| read[n.index()] && !live[n.index()])
+            .map(|(bit, _)| bit)
+            .collect();
+        if !blocked.is_empty() {
+            report.push(Diagnostic::new(
+                &codes::NL011,
+                format!("port `{}`", p.name()),
+                format!(
+                    "{} of {} input bit(s) read by logic but provably \
+                     unable to influence any output (bits {blocked:?})",
+                    blocked.len(),
+                    p.width(),
+                ),
+            ));
         }
     }
 
     report
+}
+
+/// Marks `net` live; `true` when it was not live before.
+fn mark(live: &mut [bool], net: NetId) -> bool {
+    !std::mem::replace(&mut live[net.index()], true)
 }
 
 #[cfg(test)]
@@ -748,15 +678,24 @@ mod tests {
         let masked = b.and(a.bit(0), zero); // `a` is read, influence blocked
         let out = b.or(masked, c.bit(0));
         b.output("x", &Word::from_nets(vec![out]));
+        // `e` only feeds a self-looping XOR register that no output
+        // observes: registers pass influence on but are not observable
+        // points, so `e` is blocked, while NL004 (which counts register
+        // data as a sink) stays silent.
+        let e = b.input("e", 1);
+        let r = b.register("r", 1);
+        let next = b.xor(r.q().bit(0), e.bit(0));
+        b.connect_register(&r, &Word::from_nets(vec![next]));
         let n = b.finish().unwrap();
+        assert!(crate::lint_netlist(&n).is_clean());
         let report = lint_netlist_dataflow(&n);
-        let nl011: Vec<_> = report
+        let nl011: Vec<&str> = report
             .diagnostics()
             .iter()
             .filter(|d| d.code == "NL011")
+            .map(|d| d.location.as_str())
             .collect();
-        assert_eq!(nl011.len(), 1, "{}", report.text());
-        assert!(nl011[0].location.contains('a'), "{}", nl011[0].location);
+        assert_eq!(nl011, ["port `a`", "port `e`"], "{}", report.text());
     }
 
     #[test]

@@ -71,12 +71,9 @@ pub fn lint_netlist(netlist: &Netlist) -> AnalysisReport {
             check(d.q);
         }
         for m in netlist.memories() {
-            for &n in m.addr.iter().chain(&m.wdata).chain(&m.rdata) {
-                check(n);
-            }
-            check(m.we);
-            check(m.re);
-            check(m.clear);
+            m.inputs()
+                .chain(m.rdata.iter().copied())
+                .for_each(&mut check);
         }
         for p in netlist.ports() {
             p.nets().iter().for_each(|&n| check(n));
@@ -95,27 +92,7 @@ pub fn lint_netlist(netlist: &Netlist) -> AnalysisReport {
 
     // Driver census, mirroring Netlist::validate but reporting every
     // offender instead of stopping at the first.
-    let mut drivers = vec![0usize; nets];
-    drivers[Netlist::CONST0.index()] += 1;
-    drivers[Netlist::CONST1.index()] += 1;
-    for p in netlist.ports() {
-        if p.direction() == Direction::Input {
-            for &n in p.nets() {
-                drivers[n.index()] += 1;
-            }
-        }
-    }
-    for g in netlist.gates() {
-        drivers[g.output.index()] += 1;
-    }
-    for d in netlist.dffs() {
-        drivers[d.q.index()] += 1;
-    }
-    for m in netlist.memories() {
-        for &n in &m.rdata {
-            drivers[n.index()] += 1;
-        }
-    }
+    let drivers = driver_counts(netlist);
     for (idx, &count) in drivers.iter().enumerate() {
         if count > 1 {
             report.push(Diagnostic::new(
@@ -126,31 +103,8 @@ pub fn lint_netlist(netlist: &Netlist) -> AnalysisReport {
         }
     }
 
-    // NL003: everything a cell, memory, register or output port reads.
-    let mut read = vec![false; nets];
-    for g in netlist.gates() {
-        for &n in &g.inputs {
-            read[n.index()] = true;
-        }
-    }
-    for d in netlist.dffs() {
-        read[d.d.index()] = true;
-    }
-    for m in netlist.memories() {
-        for &n in m.addr.iter().chain(&m.wdata) {
-            read[n.index()] = true;
-        }
-        read[m.we.index()] = true;
-        read[m.re.index()] = true;
-        read[m.clear.index()] = true;
-    }
-    for p in netlist.ports() {
-        if p.direction() == Direction::Output {
-            for &n in p.nets() {
-                read[n.index()] = true;
-            }
-        }
-    }
+    // NL003: read nets without a driver.
+    let read = read_nets(netlist);
     for idx in 0..nets {
         if read[idx] && drivers[idx] == 0 {
             report.push(Diagnostic::new(
@@ -195,13 +149,8 @@ pub fn lint_netlist(netlist: &Netlist) -> AnalysisReport {
     for d in netlist.dffs() {
         seed(d.d, &mut queue, &mut live_net);
     }
-    for m in netlist.memories() {
-        for &n in m.addr.iter().chain(&m.wdata) {
-            seed(n, &mut queue, &mut live_net);
-        }
-        seed(m.we, &mut queue, &mut live_net);
-        seed(m.re, &mut queue, &mut live_net);
-        seed(m.clear, &mut queue, &mut live_net);
+    for n in netlist.memories().iter().flat_map(|m| m.inputs()) {
+        seed(n, &mut queue, &mut live_net);
     }
     while let Some(idx) = queue.pop_front() {
         if let Some(gi) = driver_gate[idx] {
@@ -261,6 +210,55 @@ pub fn lint_netlist(netlist: &Netlist) -> AnalysisReport {
     }
 
     report
+}
+
+/// How many cells drive each net: the constants, input-port bits, gate
+/// and register outputs and memory read data. Every net reference must be
+/// in range.
+pub(crate) fn driver_counts(netlist: &Netlist) -> Vec<usize> {
+    let mut drivers = vec![0usize; netlist.net_count()];
+    let inputs = netlist
+        .ports()
+        .iter()
+        .filter(|p| p.direction() == Direction::Input)
+        .flat_map(|p| p.nets().iter().copied());
+    let gates = netlist.gates().iter().map(|g| g.output);
+    let flops = netlist.dffs().iter().map(|d| d.q);
+    let memories = netlist
+        .memories()
+        .iter()
+        .flat_map(|m| m.rdata.iter().copied());
+    for n in [Netlist::CONST0, Netlist::CONST1]
+        .into_iter()
+        .chain(inputs)
+        .chain(gates)
+        .chain(flops)
+        .chain(memories)
+    {
+        drivers[n.index()] += 1;
+    }
+    drivers
+}
+
+/// Which nets something reads: gate inputs, register data, memory input
+/// pins and output-port bits. Every net reference must be in range.
+pub(crate) fn read_nets(netlist: &Netlist) -> Vec<bool> {
+    let mut read = vec![false; netlist.net_count()];
+    let gates = netlist
+        .gates()
+        .iter()
+        .flat_map(|g| g.inputs.iter().copied());
+    let flops = netlist.dffs().iter().map(|d| d.d);
+    let memories = netlist.memories().iter().flat_map(|m| m.inputs());
+    let outputs = netlist
+        .ports()
+        .iter()
+        .filter(|p| p.direction() == Direction::Output)
+        .flat_map(|p| p.nets().iter().copied());
+    for n in gates.chain(flops).chain(memories).chain(outputs) {
+        read[n.index()] = true;
+    }
+    read
 }
 
 #[cfg(test)]

@@ -243,14 +243,7 @@ pub fn prove_domain_off(netlist: &Netlist, domain: usize) -> Option<DomainOffPro
             }
             // A still-on macro addressed or written through tainted pins
             // can deliver the corruption on any later read.
-            let src = m
-                .addr
-                .iter()
-                .chain(&m.wdata)
-                .chain([&m.we, &m.re, &m.clear])
-                .find(|n| tainted[n.index()])
-                .copied();
-            if let Some(src) = src {
+            if let Some(src) = m.inputs().find(|n| tainted[n.index()]) {
                 for &rd in &m.rdata {
                     if !tainted[rd.index()] {
                         tainted[rd.index()] = true;
@@ -499,13 +492,7 @@ pub fn lint_power_intent(netlist: &Netlist) -> AnalysisReport {
             }
         }
         for m in netlist.memories() {
-            let any_pin = m
-                .addr
-                .iter()
-                .chain(&m.wdata)
-                .chain([&m.we, &m.re, &m.clear])
-                .any(|n| reach[n.index()]);
-            if any_pin {
+            if m.inputs().any(|n| reach[n.index()]) {
                 for &rd in &m.rdata {
                     if !reach[rd.index()] {
                         reach[rd.index()] = true;
@@ -530,12 +517,7 @@ pub fn lint_power_intent(netlist: &Netlist) -> AnalysisReport {
     }
     for (m, &d) in netlist.memories().iter().zip(netlist.mem_domains()) {
         populated[d] = true;
-        controllable[d] |= m
-            .addr
-            .iter()
-            .chain(&m.wdata)
-            .chain([&m.we, &m.re, &m.clear])
-            .any(|n| reach[n.index()]);
+        controllable[d] |= m.inputs().any(|n| reach[n.index()]);
     }
     for (d, name) in domains.iter().enumerate() {
         if d != ALWAYS_ON && populated[d] && !controllable[d] {
@@ -572,12 +554,7 @@ pub fn lint_power_intent(netlist: &Netlist) -> AnalysisReport {
             mark(ff.d, d);
         }
         for (m, &d) in netlist.memories().iter().zip(netlist.mem_domains()) {
-            for &n in m
-                .addr
-                .iter()
-                .chain(&m.wdata)
-                .chain([&m.we, &m.re, &m.clear])
-            {
+            for n in m.inputs() {
                 mark(n, d);
             }
         }

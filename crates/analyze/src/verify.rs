@@ -46,14 +46,14 @@
 //! assertion's scope (surfaced once as MC007 when the whole port
 //! valuation leaves the dictionary).
 
-use crate::dataflow::{analyze_dataflow, eval_ternary, Ternary};
+use crate::dataflow::{eval_ternary, interpretable, Ternary};
 use crate::{codes, AnalysisReport, Diagnostic};
 use psm_core::{Psm, StateId};
 use psm_mining::{
     AtomicProposition, PropositionId, PropositionTable, TemporalAssertion, TemporalPattern,
 };
 use psm_prng::Prng;
-use psm_rtl::{levelize, Netlist, PortHandle, Simulator};
+use psm_rtl::{Netlist, PortHandle, Simulator};
 use psm_trace::{Bits, Direction};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -196,10 +196,7 @@ pub struct VerifyOutcome {
 /// arity mismatches, out-of-range nets) — the structural lints report
 /// those.
 pub fn unroll_ternary(netlist: &Netlist, depth: usize) -> Option<Vec<Vec<Ternary>>> {
-    // Validation (arity, net ranges, levelizability) is the single-cycle
-    // analysis' preamble; reuse it wholesale.
-    analyze_dataflow(netlist)?;
-    let order = levelize(netlist).ok()?;
+    let order = interpretable(netlist)?;
     let nets = netlist.net_count();
     let mut qs: Vec<Ternary> = netlist
         .dffs()

@@ -139,12 +139,7 @@ impl Netlist {
             push(ff.d, to, CellRef::Dff(i));
         }
         for (i, (m, &to)) in self.memories().iter().zip(self.mem_domains()).enumerate() {
-            for &n in m
-                .addr
-                .iter()
-                .chain(&m.wdata)
-                .chain([&m.we, &m.re, &m.clear])
-            {
+            for n in m.inputs() {
                 push(n, to, CellRef::Memory(i));
             }
         }

@@ -86,6 +86,17 @@ impl MemoryMacro {
     pub fn bits(&self) -> usize {
         self.words() * self.width()
     }
+
+    /// Every net the macro reads: address, write data, then `we`, `re`
+    /// and `clear`. The read-data nets are the macro's outputs and are
+    /// not included.
+    pub fn inputs(&self) -> impl Iterator<Item = NetId> + '_ {
+        self.addr
+            .iter()
+            .chain(&self.wdata)
+            .chain([&self.we, &self.re, &self.clear])
+            .copied()
+    }
 }
 
 /// A named bundle of nets forming a primary input or output.
@@ -370,12 +381,9 @@ impl Netlist {
             check_read(d.d)?;
         }
         for m in &self.memories {
-            for n in m.addr.iter().chain(&m.wdata) {
-                check_read(*n)?;
+            for n in m.inputs() {
+                check_read(n)?;
             }
-            check_read(m.we)?;
-            check_read(m.re)?;
-            check_read(m.clear)?;
         }
         for p in self
             .ports

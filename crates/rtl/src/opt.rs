@@ -222,13 +222,8 @@ pub fn optimize(netlist: &Netlist) -> Result<(Netlist, OptStats), RtlError> {
     for slot in dffs.iter().flatten() {
         mark(slot.0.d, &mut live);
     }
-    for m in netlist.memories() {
-        for &n in m.addr.iter().chain(&m.wdata) {
-            mark(final_net(resolve(&subst, n)), &mut live);
-        }
-        for n in [m.we, m.re, m.clear] {
-            mark(final_net(resolve(&subst, n)), &mut live);
-        }
+    for n in netlist.memories().iter().flat_map(|m| m.inputs()) {
+        mark(final_net(resolve(&subst, n)), &mut live);
     }
     // Backward closure over remaining gates (levelized order reversed is
     // cheapest, but a fixpoint is simplest and the pass is cold).

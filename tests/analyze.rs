@@ -745,3 +745,187 @@ fn off_domain_proof_matches_concrete_simulation() {
         "off-domain data must reach x[1] through the unisolated crossing"
     );
 }
+
+/// A small random netlist for the NL011 oracle: input words, registers
+/// (some provably stuck at 0 through `s' = s & x` with reset 0, the rest
+/// closed with random feedback), a soup of gates, muxes and adders over
+/// the nets created so far, an optional memory macro and 1–3 output
+/// ports.
+fn nl011_random_netlist(rng: &mut psm_prng::Prng) -> Netlist {
+    use psmgen::rtl::{NetId, NetlistBuilder, Word};
+    let mut b = NetlistBuilder::new("nl011");
+    let mut pool: Vec<NetId> = vec![b.const0(), b.const1()];
+    for i in 0..rng.range_usize(1..4) {
+        let word = b.input(format!("i{i}"), rng.range_usize(1..5));
+        pool.extend_from_slice(word.nets());
+    }
+    let regs: Vec<_> = (0..rng.range_usize(0..4))
+        .map(|i| (b.register(format!("r{i}"), 1), rng.chance(0.5)))
+        .collect();
+    pool.extend(regs.iter().map(|(r, _)| r.q().bit(0)));
+    let mut memory = rng.chance(0.3);
+    for _ in 0..rng.range_usize(3..30) {
+        let a = *rng.pick(&pool);
+        let c = *rng.pick(&pool);
+        let net = match rng.range_usize(0..8) {
+            0 => b.and(a, c),
+            1 => b.or(a, c),
+            2 => b.xor(a, c),
+            3 => b.not(a),
+            4 => b.nand(a, c),
+            5 => {
+                let sel = *rng.pick(&pool);
+                b.mux(sel, a, c)
+            }
+            6 => {
+                let d = *rng.pick(&pool);
+                let sum = b.add(&Word::from_nets(vec![a, c]), &Word::from_nets(vec![d, a]));
+                pool.push(sum.sum.bit(0));
+                sum.carry
+            }
+            _ if memory => {
+                memory = false;
+                let pins: Vec<NetId> = (0..5).map(|_| *rng.pick(&pool)).collect();
+                let rdata = b.memory(
+                    &Word::from_nets(vec![pins[0]]),
+                    &Word::from_nets(vec![pins[1], a]),
+                    pins[2],
+                    pins[3],
+                    pins[4],
+                );
+                pool.push(rdata.bit(0));
+                rdata.bit(1)
+            }
+            _ => b.nor(a, c),
+        };
+        pool.push(net);
+    }
+    for (r, stuck) in &regs {
+        let x = *rng.pick(&pool);
+        let next = if *stuck { b.and(r.q().bit(0), x) } else { x };
+        b.connect_register(r, &Word::from_nets(vec![next]));
+    }
+    for o in 0..rng.range_usize(1..4) {
+        let width = rng.range_usize(1..4);
+        // Outputs lean towards the late, deep nets.
+        let nets: Vec<NetId> = (0..width)
+            .map(|_| pool[rng.range_usize(pool.len() / 2..pool.len())])
+            .collect();
+        b.output(format!("o{o}"), &Word::from_nets(nets));
+    }
+    b.finish().expect("generated netlist is well-formed")
+}
+
+/// Brute-force NL011: for each read input bit, a forward DFS over the
+/// influence edges (gates with a non-constant output, non-constant
+/// register d→q, memory input pin→read data) under the ternary fixpoint,
+/// asking whether any output-port net is reachable. Returns the blocked
+/// bits of each input port that has any, as (location, bits).
+fn nl011_oracle(netlist: &Netlist) -> Vec<(String, Vec<usize>)> {
+    use psmgen::analyze::analyze_dataflow;
+    use psmgen::trace::Direction;
+    let df = analyze_dataflow(netlist).expect("interpretable");
+    let nets = netlist.net_count();
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); nets];
+    let mut read = vec![false; nets];
+    for g in netlist.gates() {
+        for n in &g.inputs {
+            read[n.index()] = true;
+            if !df.value(g.output).is_const() {
+                succ[n.index()].push(g.output.index());
+            }
+        }
+    }
+    for d in netlist.dffs() {
+        read[d.d.index()] = true;
+        if !df.value(d.q).is_const() {
+            succ[d.d.index()].push(d.q.index());
+        }
+    }
+    for m in netlist.memories() {
+        for pin in m.inputs() {
+            read[pin.index()] = true;
+            succ[pin.index()].extend(m.rdata.iter().map(|n| n.index()));
+        }
+    }
+    let mut observable = vec![false; nets];
+    for p in netlist.ports() {
+        if p.direction() == Direction::Output {
+            for n in p.nets() {
+                read[n.index()] = true;
+                observable[n.index()] = true;
+            }
+        }
+    }
+    let reaches_output = |start: usize| {
+        let mut seen = vec![false; nets];
+        let mut stack = vec![start];
+        seen[start] = true;
+        while let Some(n) = stack.pop() {
+            if observable[n] {
+                return true;
+            }
+            for &s in &succ[n] {
+                if !std::mem::replace(&mut seen[s], true) {
+                    stack.push(s);
+                }
+            }
+        }
+        false
+    };
+    netlist
+        .ports()
+        .iter()
+        .filter(|p| p.direction() == Direction::Input)
+        .filter_map(|p| {
+            let blocked: Vec<usize> = (0..p.width())
+                .filter(|&bit| {
+                    let n = p.nets()[bit].index();
+                    read[n] && !reaches_output(n)
+                })
+                .collect();
+            (!blocked.is_empty()).then(|| (format!("port `{}`", p.name()), blocked))
+        })
+        .collect()
+}
+
+/// The NL011 findings of `lint_netlist_dataflow` as (location, bits).
+fn nl011_findings(netlist: &Netlist) -> Vec<(String, Vec<usize>)> {
+    psmgen::analyze::lint_netlist_dataflow(netlist)
+        .diagnostics()
+        .iter()
+        .filter(|d| d.code == codes::NL011.code)
+        .map(|d| {
+            let bits = d.message.rsplit("(bits [").next().unwrap();
+            let bits = bits.trim_end_matches("])");
+            let bits = bits.split(", ").map(|b| b.parse().unwrap()).collect();
+            (d.location.clone(), bits)
+        })
+        .collect()
+}
+
+#[test]
+fn nl011_matches_a_brute_force_reachability_oracle() {
+    let (mut flagged, mut clean) = (0, 0);
+    for seed in 0..600u64 {
+        let mut rng = psm_prng::Prng::seed_from_u64(0x4E4C_0110 ^ seed);
+        let netlist = nl011_random_netlist(&mut rng);
+        let expected = nl011_oracle(&netlist);
+        assert_eq!(nl011_findings(&netlist), expected, "seed {seed}");
+        if expected.is_empty() {
+            clean += 1;
+        } else {
+            flagged += 1;
+        }
+    }
+    assert!(
+        flagged > 0 && clean > 0,
+        "both outcomes must occur: {flagged} flagged, {clean} clean"
+    );
+
+    use psmgen::ips::{ip_by_name, BENCHMARK_NAMES};
+    for name in BENCHMARK_NAMES {
+        let netlist = ip_by_name(name).unwrap().netlist().unwrap();
+        assert_eq!(nl011_findings(&netlist), nl011_oracle(&netlist), "{name}");
+    }
+}
