@@ -331,6 +331,7 @@ fn main() -> ExitCode {
             "classify_long_trace",
             "psm_generate_simplify",
             "join_traces",
+            "reduce_long_ts",
             "hmm_build",
             "hmm_forward_sim",
             "compiled_forward_ram",

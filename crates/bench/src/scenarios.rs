@@ -176,6 +176,38 @@ fn simplified_psms(fx: &Fixtures) -> Vec<Psm> {
         .collect()
 }
 
+/// Cycles of each capture behind `reduce_long_ts`, whatever the suite's
+/// budget: `simplify` and `join` cost grows with the number of generated
+/// states, and the `--quick` traces are too short for the regression gate
+/// to see a superlinear slowdown above host noise.
+const REDUCE_CYCLES: usize = 25_000;
+
+/// The generated (not yet simplified) chain PSMs of four MultSum long-TS
+/// captures of [`REDUCE_CYCLES`] cycles, with their total instants.
+fn long_chain_psms(flow: &PsmFlow, seed: u64) -> (Vec<Psm>, usize) {
+    let netlist = crate::ip("MultSum").netlist().expect("netlist builds");
+    let stimuli: Vec<Stimulus> = (0..4)
+        .map(|k| testbench::multsum_long_ts(seed + k, REDUCE_CYCLES))
+        .collect();
+    let seeds: Vec<u64> = (0..stimuli.len() as u64).map(|k| seed + k).collect();
+    let (functional, power): (Vec<FunctionalTrace>, Vec<PowerTrace>) =
+        capture_traces_batch(&netlist, &flow.power_model, &stimuli, &seeds)
+            .expect("capture succeeds")
+            .into_iter()
+            .map(|cap| (cap.functional, cap.power))
+            .unzip();
+    let refs: Vec<&FunctionalTrace> = functional.iter().collect();
+    let mined = Miner::new(flow.mining).mine(&refs).expect("mines");
+    let chains = mined
+        .traces
+        .iter()
+        .zip(&power)
+        .enumerate()
+        .map(|(i, (trace, pw))| generate_psm(trace, pw, i).expect("generates"))
+        .collect();
+    (chains, functional.iter().map(FunctionalTrace::len).sum())
+}
+
 /// Runs the whole suite, printing one harness line per scenario, and
 /// returns the results in run order as `(name, result)` pairs.
 pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
@@ -219,6 +251,21 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
         join(&psms, &fx.flow.merge)
     });
     out.push(("join_traces".into(), ScenarioResult::plain(m, rows)));
+
+    // -- simplify + join at long-trace scale ----------------------------
+    let (chains, rows) = long_chain_psms(&fx.flow, cfg.seed);
+    let m = bench_iters("reduce_long_ts", cfg.iters, &mut || {
+        let simplified: Vec<Psm> = chains
+            .iter()
+            .map(|chain| {
+                let mut psm = chain.clone();
+                simplify(&mut psm, &fx.flow.merge);
+                psm
+            })
+            .collect();
+        join(&simplified, &fx.flow.merge)
+    });
+    out.push(("reduce_long_ts".into(), ScenarioResult::plain(m, rows)));
 
     // -- HMM construction from a PSM -----------------------------------
     let rows = fx.model.psm.states().count();

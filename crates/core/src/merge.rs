@@ -1,6 +1,6 @@
 //! Mergeability of power states (paper §IV-A) and the `join` procedure.
 
-use crate::psm::Psm;
+use crate::psm::{Fold, Psm};
 use crate::PowerAttributes;
 use psm_stats::{one_sample_t_test, welch_t_test};
 
@@ -156,19 +156,53 @@ impl Default for MergePolicy {
 /// ([`Psm::is_deterministic`]); such models are simulated through the
 /// HMM of `psm-hmm`.
 ///
-/// Merging is greedy and deterministic: the lowest-indexed mergeable pair
-/// merges first, repeating until no pair qualifies.
+/// Merging is greedy and deterministic. The states of all PSMs, in input
+/// order, are swept row by row: row `i` probes every later state `j` in
+/// index order and folds each mergeable one into `i`; after a fold, `i`'s
+/// attributes have changed, so the row restarts at `i + 1`. Sweeps repeat
+/// until one performs no merge: a merge in a later row changes a state
+/// that an earlier row already probed, which can make that pair mergeable.
 pub fn join(psms: &[Psm], policy: &MergePolicy) -> Psm {
     let mut combined = Psm::new();
     for p in psms {
         combined.absorb_psm(p);
     }
-    // Greedy lowest-pair-first merging to a fixpoint. Restarting the whole
-    // scan after every merge would be O(S³) on long chains; instead each
-    // sweep advances `i` monotonically while folding every partner into it,
-    // and sweeps repeat until a full pass performs no merge (a kept state's
-    // attributes can change after its row was visited, re-enabling an
-    // earlier pair — usually the second pass is a no-op).
+    let mut fold = Fold::new(combined);
+    // Original indices of the live states, in index order: row and column
+    // positions of the sweep.
+    let mut live: Vec<usize> = (0..fold.state_count()).collect();
+    loop {
+        let mut merged_any = false;
+        let mut i = 0;
+        while i < live.len() {
+            let mut j = i + 1;
+            while j < live.len() {
+                if policy.mergeable(fold.state(live[i]).attrs(), fold.state(live[j]).attrs()) {
+                    fold.merge(live[i], live.remove(j), false);
+                    merged_any = true;
+                    // `i`'s attributes changed: partners before `j` may now
+                    // match, so rescan from the start of the row.
+                    j = i + 1;
+                } else {
+                    j += 1;
+                }
+            }
+            i += 1;
+        }
+        if !merged_any {
+            return fold.compact();
+        }
+    }
+}
+
+/// [`join`] with the per-merge rebuild of [`Psm::merge_states`]: the
+/// differential oracle of the in-place fold.
+#[cfg(test)]
+pub(crate) fn join_reference(psms: &[Psm], policy: &MergePolicy) -> Psm {
+    let mut combined = Psm::new();
+    for p in psms {
+        combined.absorb_psm(p);
+    }
     loop {
         let mut merged_any = false;
         let mut i = 0usize;
@@ -180,8 +214,6 @@ pub fn join(psms: &[Psm], policy: &MergePolicy) -> Psm {
                 if policy.mergeable(combined.state(a).attrs(), combined.state(b).attrs()) {
                     combined.merge_states(a, b, false);
                     merged_any = true;
-                    // `a`'s attributes changed: partners before `j` may now
-                    // match, so rescan from the start of the row.
                     j = i + 1;
                 } else {
                     j += 1;
@@ -199,7 +231,9 @@ pub fn join(psms: &[Psm], policy: &MergePolicy) -> Psm {
 mod tests {
     use super::*;
     use crate::generator::generate_psm;
+    use crate::simplify::{simplify, simplify_reference};
     use psm_mining::PropositionTrace;
+    use psm_prng::Prng;
     use psm_trace::PowerTrace;
 
     fn attrs(values: &[f64]) -> PowerAttributes {
@@ -337,6 +371,58 @@ mod tests {
             .transitions()
             .iter()
             .any(|t| t.from == busy && t.to == idle));
+    }
+
+    /// A chain PSM over random phases: a small alphabet so that
+    /// propositions recur, and a few repeated power levels so that
+    /// `simplify` and `join` both find work.
+    fn random_chain(rng: &mut Prng, trace: usize) -> Option<Psm> {
+        const LEVELS: [f64; 4] = [1.0, 3.0, 3.03, 6.0];
+        let mut props = Vec::new();
+        let mut power = Vec::new();
+        for _ in 0..2 + rng.range_usize(0..24) {
+            let id = rng.range_u32(0..6);
+            let mw = *rng.pick(&LEVELS);
+            for _ in 0..1 + rng.range_usize(0..8) {
+                props.push(id);
+                power.push(mw + 0.01 * rng.next_f64());
+            }
+        }
+        let gamma = PropositionTrace::from_indices(&props);
+        let delta: PowerTrace = power.into_iter().collect();
+        generate_psm(&gamma, &delta, trace).ok()
+    }
+
+    #[test]
+    fn in_place_reduction_matches_the_per_merge_reference() {
+        let policies = [
+            MergePolicy::default(),
+            MergePolicy::new(0.0, 0.01),
+            MergePolicy::default().with_mean_tolerance_override(false),
+        ];
+        let mut rng = Prng::seed_from_u64(0x0515_F01D);
+        let (mut simplified, mut joined) = (0, 0);
+        for case in 0..600 {
+            let policy = &policies[case % policies.len()];
+            let mut chains: Vec<Psm> = (0..1 + rng.range_usize(0..6))
+                .filter_map(|i| random_chain(&mut rng, i))
+                .collect();
+            for chain in &mut chains {
+                let mut slow = chain.clone();
+                let merges = simplify(chain, policy);
+                assert_eq!(merges, simplify_reference(&mut slow, policy), "case {case}");
+                assert_eq!(*chain, slow, "case {case}");
+                simplified += merges;
+            }
+            let combined = join(&chains, policy);
+            assert_eq!(combined, join_reference(&chains, policy), "case {case}");
+            joined += chains.iter().map(Psm::state_count).sum::<usize>() - combined.state_count();
+        }
+        // The oracle is only as strong as the merges it sees.
+        assert!(
+            simplified > 5_000 && joined > 10_000,
+            "{simplified} {joined}"
+        );
     }
 
     #[test]

@@ -224,23 +224,21 @@ impl PowerState {
     /// Absorbs another state's assertions, windows and attributes, either
     /// as a *sequence* (`simplify`: other's chain is appended to this
     /// state's single chain) or as *alternatives* (`join`).
-    pub(crate) fn absorb(&mut self, other: &PowerState, as_sequence: bool) {
+    pub(crate) fn absorb(&mut self, other: PowerState, as_sequence: bool) {
         if as_sequence {
             debug_assert_eq!(self.chains.len(), 1, "sequence merges act on chain PSMs");
             debug_assert_eq!(other.chains.len(), 1);
-            self.chains[0] = self.chains[0].concat(&other.chains[0]);
+            let tail = other
+                .chains
+                .into_iter()
+                .next()
+                .expect("chains are non-empty");
+            self.chains[0].parts.extend(tail.parts);
         } else {
-            for c in &other.chains {
-                if !self.chains.contains(c) {
-                    self.chains.push(c.clone());
-                } else {
-                    // Identical assertion joined twice: keep the duplicate,
-                    // the paper counts multiplicity in the HMM's B matrix.
-                    self.chains.push(c.clone());
-                }
-            }
+            // Identical chains are kept: the HMM's B matrix counts them.
+            self.chains.extend(other.chains);
         }
-        self.windows.extend_from_slice(&other.windows);
+        self.windows.extend(other.windows);
         self.attrs.merge(&other.attrs);
         // Keep a constant output in sync with the merged mean; calibrated
         // outputs are recomputed after merging anyway.
@@ -387,15 +385,18 @@ impl Psm {
     /// combined, transitions and initial marks are redirected, and the id
     /// space is compacted.
     ///
-    /// All previously held [`StateId`]s become stale.
+    /// All previously held [`StateId`]s become stale. This per-merge
+    /// rebuild is the primitive of the reference `simplify`/`join` the unit
+    /// tests check [`Fold`] against.
     ///
     /// # Panics
     ///
     /// Panics if the ids are equal or stale.
+    #[cfg(test)]
     pub(crate) fn merge_states(&mut self, keep: StateId, remove: StateId, as_sequence: bool) {
         assert_ne!(keep, remove, "cannot merge a state with itself");
         let removed = self.states[remove.0].clone();
-        self.states[keep.0].absorb(&removed, as_sequence);
+        self.states[keep.0].absorb(removed, as_sequence);
         self.states.remove(remove.0);
 
         if as_sequence {
@@ -468,6 +469,145 @@ impl Psm {
             } else {
                 self.initials.push((shifted, *count));
             }
+        }
+    }
+}
+
+/// A [`Psm`] under reduction by [`simplify`](crate::simplify) or
+/// [`join`](crate::join): merges fold states together in place, and the id
+/// space is compacted once, by [`Fold::compact`].
+///
+/// A merge moves the removed state into the kept one and records
+/// `into[remove] = keep`. Every state keeps its index for the whole
+/// reduction and no transition is rewritten per merge. Compacting keeps the
+/// live states in index order, maps every transition through the resolved
+/// `into`, drops the retired ones and keeps the first occurrence of each
+/// image; the initial marks fold by first occurrence the same way. That is
+/// exactly the PSM a remap-and-deduplicate after every merge yields: a
+/// deduplication only drops a later transition whose earlier twin maps to
+/// the same image, and the two stay twins under every later remap.
+pub(crate) struct Fold {
+    states: Vec<Option<PowerState>>,
+    into: Vec<usize>,
+    transitions: Vec<Transition>,
+    retired: Vec<bool>,
+    initials: Vec<(StateId, usize)>,
+    merged: bool,
+}
+
+impl Fold {
+    pub(crate) fn new(psm: Psm) -> Self {
+        let n = psm.states.len();
+        Fold {
+            states: psm.states.into_iter().map(Some).collect(),
+            into: (0..n).collect(),
+            retired: vec![false; psm.transitions.len()],
+            transitions: psm.transitions,
+            initials: psm.initials,
+            merged: false,
+        }
+    }
+
+    /// Number of states before any merge (live and folded).
+    pub(crate) fn state_count(&self) -> usize {
+        self.states.len()
+    }
+
+    /// `false` once state `i` has been folded into another.
+    pub(crate) fn is_live(&self, i: usize) -> bool {
+        self.states[i].is_some()
+    }
+
+    /// The live state at original index `i`.
+    pub(crate) fn state(&self, i: usize) -> &PowerState {
+        self.states[i].as_ref().expect("state was folded away")
+    }
+
+    /// All transitions, in original ids, retired ones included.
+    pub(crate) fn transitions(&self) -> &[Transition] {
+        &self.transitions
+    }
+
+    /// `true` once transition `t` has been retired.
+    pub(crate) fn is_retired(&self, t: usize) -> bool {
+        self.retired[t]
+    }
+
+    /// Drops transition `t` from the compacted PSM.
+    pub(crate) fn retire(&mut self, t: usize) {
+        self.retired[t] = true;
+    }
+
+    /// Folds state `remove` into state `keep` (see [`PowerState::absorb`]).
+    pub(crate) fn merge(&mut self, keep: usize, remove: usize, as_sequence: bool) {
+        assert_ne!(keep, remove, "cannot merge a state with itself");
+        let removed = self.states[remove].take().expect("state was folded away");
+        self.states[keep]
+            .as_mut()
+            .expect("state was folded away")
+            .absorb(removed, as_sequence);
+        self.into[remove] = keep;
+        self.merged = true;
+    }
+
+    /// The reduced PSM with dense ids.
+    pub(crate) fn compact(self) -> Psm {
+        let states = self.states.into_iter().flatten();
+        if !self.merged {
+            return Psm {
+                states: states.collect(),
+                transitions: self.transitions,
+                initials: self.initials,
+            };
+        }
+        let mut into = self.into;
+        let mut dense = vec![usize::MAX; into.len()];
+        let mut live = 0;
+        for (i, &target) in into.iter().enumerate() {
+            if target == i {
+                dense[i] = live;
+                live += 1;
+            }
+        }
+        let image: Vec<StateId> = (0..into.len())
+            .map(|i| {
+                // Path halving keeps chains of folds cheap to resolve.
+                let mut r = i;
+                while into[r] != r {
+                    into[r] = into[into[r]];
+                    r = into[r];
+                }
+                StateId(dense[r])
+            })
+            .collect();
+
+        let mut seen = std::collections::HashSet::with_capacity(self.transitions.len());
+        let transitions = self
+            .transitions
+            .iter()
+            .zip(&self.retired)
+            .filter(|(_, &retired)| !retired)
+            .map(|(t, _)| Transition {
+                from: image[t.from.0],
+                to: image[t.to.0],
+                guard: t.guard,
+            })
+            .filter(|t| seen.insert(*t))
+            .collect();
+
+        let mut initials: Vec<(StateId, usize)> = Vec::new();
+        for (s, count) in self.initials {
+            let s = image[s.0];
+            if let Some(entry) = initials.iter_mut().find(|(e, _)| *e == s) {
+                entry.1 += count;
+            } else {
+                initials.push((s, count));
+            }
+        }
+        Psm {
+            states: states.collect(),
+            transitions,
+            initials,
         }
     }
 }
