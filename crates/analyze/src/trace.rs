@@ -50,8 +50,8 @@ pub fn lint_functional_trace(trace: &FunctionalTrace) -> AnalysisReport {
         return report;
     }
     for (id, decl) in trace.signals().iter() {
-        let first = trace.value(id, 0);
-        let stuck = (1..trace.len()).all(|t| trace.value(id, t) == first);
+        let first = trace.cycle(0).words(id);
+        let stuck = trace.iter().all(|row| row.words(id) == first);
         if stuck {
             report.push(Diagnostic::new(
                 &codes::TR004,
@@ -101,9 +101,11 @@ pub fn lint_proposition_coverage(
     name: &str,
 ) -> AnalysisReport {
     let mut report = AnalysisReport::new(format!("proposition coverage of {name}"));
-    let mut scratch = psm_mining::RowScratch::new();
-    let uncovered: Vec<usize> = (0..trace.len())
-        .filter(|&t| table.classify_with(trace.cycle(t), &mut scratch).is_none())
+    let uncovered: Vec<usize> = table
+        .classify_trace(trace)
+        .iter()
+        .enumerate()
+        .filter_map(|(t, id)| id.is_none().then_some(t))
         .collect();
     if let Some(&first) = uncovered.first() {
         report.push(Diagnostic::new(

@@ -54,7 +54,7 @@ use psm_mining::{
 };
 use psm_prng::Prng;
 use psm_rtl::{Netlist, PortHandle, Simulator};
-use psm_trace::{Bits, Direction};
+use psm_trace::{Bits, Direction, FunctionalTrace, Row};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Knobs of the bounded verification pass (the `[verify]` section of
@@ -397,7 +397,7 @@ impl<'a> Checker<'a> {
     fn violates(
         &self,
         antecedent: PropositionId,
-        next_row: &[Bits],
+        next_row: Row<'_>,
         next_prop: Option<PropositionId>,
     ) -> bool {
         let Some(next) = self.allowed.get(&antecedent.index()) else {
@@ -423,18 +423,18 @@ impl<'a> Checker<'a> {
 }
 
 /// Replays `stimulus` from reset; returns the classified proposition and
-/// the sampled port valuation per instant, or `None` when the simulator
-/// rejects the netlist or stimulus.
-#[allow(clippy::type_complexity)]
+/// the trace of sampled port valuations, one per instant, or `None` when
+/// the simulator rejects the netlist or stimulus.
 fn simulate_props(
     netlist: &Netlist,
     table: &PropositionTable,
     stimulus: &[Vec<Bits>],
-) -> Option<(Vec<Option<PropositionId>>, Vec<Vec<Bits>>)> {
+) -> Option<(Vec<Option<PropositionId>>, FunctionalTrace)> {
     let mut sim = Simulator::new(netlist).ok()?;
     let handles: Vec<PortHandle> = sim.input_handles().into_iter().map(|(_, h)| h).collect();
     let mut props = Vec::with_capacity(stimulus.len());
-    let mut rows = Vec::with_capacity(stimulus.len());
+    let mut rows =
+        FunctionalTrace::with_capacity(table.vocabulary().signals().clone(), stimulus.len());
     for cycle in stimulus {
         if cycle.len() != handles.len() {
             return None;
@@ -443,9 +443,8 @@ fn simulate_props(
             sim.set_input_by_handle(h, bits).ok()?;
         }
         sim.step();
-        let row = sim.sample_ports();
-        props.push(table.classify(&row));
-        rows.push(row);
+        rows.push_cycle(sim.sample_ports()).ok()?;
+        props.push(table.classify(rows.cycle(rows.len() - 1)));
     }
     Some((props, rows))
 }
@@ -499,7 +498,7 @@ fn confirm_witness(
             return None;
         }
         checker
-            .violates(a, &rows[t + 1], props[t + 1])
+            .violates(a, rows.cycle(t + 1), props[t + 1])
             .then_some((t + 1, a.index()))
     });
     let (instant, left) = violation?;
@@ -595,6 +594,8 @@ fn exhaustive_search(
     // node indices to rebuild the stimulus from.
     let mut candidates: BTreeMap<usize, usize> = BTreeMap::new();
     let mut unknown_candidate: Option<usize> = None;
+    // Every sampled port valuation, one row per node after the root.
+    let mut samples = FunctionalTrace::new(table.vocabulary().signals().clone());
 
     while let Some((ni, sim)) = frontier.pop_front() {
         if nodes[ni].depth >= cfg.depth {
@@ -606,8 +607,9 @@ fn exhaustive_search(
                 child.set_input_by_handle(h, bits).ok()?;
             }
             child.step();
-            let sampled = child.sample_ports();
-            let prop = table.classify(&sampled);
+            samples.push_cycle(child.sample_ports()).ok()?;
+            let sampled = samples.cycle(samples.len() - 1);
+            let prop = table.classify(sampled);
             let m = nodes.len();
             nodes.push(Node {
                 parent: ni,
@@ -628,7 +630,7 @@ fn exhaustive_search(
             // A transition out of a classified instant that the mined
             // assertion set does not allow is a violation candidate.
             if let Some(a) = nodes[ni].prop {
-                if checker.violates(a, &sampled, prop) {
+                if checker.violates(a, sampled, prop) {
                     candidates.entry(a.index()).or_insert(m);
                 }
             }
@@ -1320,7 +1322,7 @@ mod tests {
         // exactly the bound.
         let pv = mined
             .table
-            .classify(&[Bits::from_bool(true), Bits::from_bool(true)])
+            .classify(phi.cycle(4))
             .expect("the (en=1, y=1) row is in the mined dictionary");
         let at_v: Vec<&AssertionCheck> = outcome
             .checks

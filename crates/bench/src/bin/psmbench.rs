@@ -183,6 +183,25 @@ fn scenario_json(name: &str, r: &ScenarioResult) -> JsonValue {
     JsonValue::obj(fields)
 }
 
+/// Logical CPUs the host offers this process.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The checked-out commit, or `unknown` outside a git checkout.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
 fn suite_json(cfg: &SuiteConfig, quick: bool, results: &[(String, ScenarioResult)]) -> JsonValue {
     JsonValue::obj([
         ("schema", JsonValue::from(SCHEMA)),
@@ -197,6 +216,8 @@ fn suite_json(cfg: &SuiteConfig, quick: bool, results: &[(String, ScenarioResult
                     "threads",
                     JsonValue::arr(cfg.threads.iter().map(|&t| JsonValue::from(t as u64))),
                 ),
+                ("nproc", JsonValue::from(nproc())),
+                ("git_rev", JsonValue::from(git_revision())),
             ]),
         ),
         (
@@ -329,6 +350,7 @@ fn main() -> ExitCode {
         for name in [
             "mine_long_trace",
             "classify_long_trace",
+            "decode_trace_bin",
             "psm_generate_simplify",
             "join_traces",
             "reduce_long_ts",

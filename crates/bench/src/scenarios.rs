@@ -14,6 +14,7 @@ use psm_hmm::{build_hmm, HmmSimulator};
 use psm_ips::{behavioural_trace, testbench};
 use psm_mining::Miner;
 use psm_rtl::{capture_traces_batch, Stimulus};
+use psm_trace::binary::{decode_trace, encode_trace};
 use psm_trace::{FunctionalTrace, PowerTrace};
 use psmgen::analyze::{
     lint_interface, lint_model, lint_netlist, lint_netlist_dataflow, lint_power_intent,
@@ -229,6 +230,18 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
         classify_trace(&fx.model.table, &fx.workload_trace)
     });
     out.push(("classify_long_trace".into(), ScenarioResult::plain(m, rows)));
+
+    // -- binary trace decode: a 2000-cycle AES payload, as psmd gets it -
+    let stim = testbench::long_ts("AES", cfg.seed + 31, 2_000).expect("known IP");
+    let aes_trace = behavioural_trace(crate::ip("AES").as_mut(), &stim).expect("workload fits");
+    let payload = encode_trace(&aes_trace);
+    let m = bench_iters("decode_trace_bin", cfg.iters, &mut || {
+        decode_trace(&payload).expect("decodes")
+    });
+    out.push((
+        "decode_trace_bin".into(),
+        ScenarioResult::plain(m, aes_trace.len()),
+    ));
 
     // -- XU-automaton generation + simplify ----------------------------
     let refs: Vec<&FunctionalTrace> = fx.functional.iter().collect();

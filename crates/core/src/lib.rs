@@ -20,10 +20,12 @@
 //! 5. [`calibrate`] replaces the constant μ of data-dependent states (high
 //!    σ, strong Hamming/power correlation) with a linear-regression output
 //!    function (paper §IV);
-//! 6. [`PsmSimulator`] replays a deterministic PSM against fresh
-//!    observations, estimating power per instant and counting
-//!    synchronisation losses (§III-C). Non-deterministic models are handled
-//!    by the HMM simulator in `psm-hmm` (§V).
+//! 6. [`classify_trace`] turns a fresh functional trace into the
+//!    observation stream of simulation (§III-C): one mined proposition per
+//!    instant, `None` for behaviour unseen in training. The HMM forward
+//!    pass of `psm-hmm` (compiled by `psm-compile`) walks that stream and
+//!    estimates power per instant, for deterministic and joined,
+//!    non-deterministic models alike (§V).
 //!
 //! Mergeability (§IV-A) is decided by [`MergePolicy`]: ε-tolerance between
 //! two `next` states (case 1), Welch's t-test between two `until` states
@@ -61,24 +63,24 @@
 
 mod attrs;
 mod calibrate;
+mod classify;
 mod dot;
 mod generator;
 mod merge;
 mod psm;
 mod report;
 mod simplify;
-mod simulate;
 mod xu;
 
 pub use attrs::PowerAttributes;
 pub use calibrate::{calibrate, CalibrationConfig, CalibrationReport};
+pub use classify::classify_trace;
 pub use dot::to_dot;
 pub use generator::generate_psm;
 pub use merge::{join, MergePolicy};
 pub use psm::{ChainAssertion, OutputFunction, PowerState, Psm, SourceWindow, StateId, Transition};
 pub use report::report;
 pub use simplify::simplify;
-pub use simulate::{classify_trace, EstimationOutcome, PsmSimulator};
 pub use xu::{mine_xu_assertions, MinedAssertion};
 
 use std::error::Error;
@@ -98,12 +100,6 @@ pub enum CoreError {
     /// The trace was too short to expose any temporal pattern, so the PSM
     /// would have no states.
     NoBehaviours,
-    /// A deterministic walk hit a non-deterministic choice; use the HMM
-    /// simulator from `psm-hmm` instead.
-    NonDeterministic {
-        /// The state where the ambiguity arose.
-        state: usize,
-    },
     /// A state id did not belong to the PSM.
     UnknownState(usize),
     /// Calibration referenced a training trace index that was not supplied.
@@ -126,10 +122,6 @@ impl fmt::Display for CoreError {
                     "trace exposes no temporal pattern; the PSM would be empty"
                 )
             }
-            CoreError::NonDeterministic { state } => write!(
-                f,
-                "non-deterministic choice in state s{state}; simulate through the HMM instead"
-            ),
             CoreError::UnknownState(s) => write!(f, "state s{s} does not belong to this PSM"),
             CoreError::MissingTrainingTrace(i) => {
                 write!(
@@ -155,7 +147,6 @@ mod tests {
                 power: 4,
             },
             CoreError::NoBehaviours,
-            CoreError::NonDeterministic { state: 2 },
             CoreError::UnknownState(9),
             CoreError::MissingTrainingTrace(1),
         ];

@@ -2,12 +2,69 @@
 //! invariants, driven by the workspace PRNG so runs are deterministic and
 //! offline.
 
-use psm_core::{generate_psm, join, mine_xu_assertions, simplify, MergePolicy, PsmSimulator};
-use psm_mining::PropositionTrace;
+use psm_core::{generate_psm, join, mine_xu_assertions, simplify, MergePolicy, Psm, StateId};
+use psm_mining::{PropositionId, PropositionTrace, TemporalPattern};
 use psm_prng::Prng;
 use psm_trace::PowerTrace;
 
 const CASES: usize = 128;
+
+/// Where a deterministic walk sits: state, chain, part, and whether a
+/// `next` part already consumed its single left instant.
+type Cursor = (StateId, usize, usize, bool);
+
+/// Instants a deterministic walk of `psm` spends out of synchronisation
+/// while replaying `gamma` (paper §III-C). The walk starts lost, enters
+/// the lowest state with a chain whose entry proposition is observed,
+/// follows `until`/`next` parts and guarded transitions, and loses sync
+/// on any observation its current part does not allow.
+fn replay_sync_losses(psm: &Psm, gamma: &PropositionTrace) -> usize {
+    let enter = |state: StateId, chain: usize| -> Cursor {
+        let part = psm.state(state).chains()[chain].parts()[0];
+        (state, chain, 0, part.pattern() == TemporalPattern::Next)
+    };
+    let resync = |o: PropositionId| {
+        psm.states().find_map(|(id, s)| {
+            let chain = s.chains().iter().position(|c| c.entry_proposition() == o)?;
+            Some(enter(id, chain))
+        })
+    };
+    let advance = |(state, chain, part, consumed): Cursor, o: PropositionId| {
+        let parts = psm.state(state).chains()[chain].parts();
+        let current = parts[part];
+        if o == current.left() && !consumed && current.pattern() == TemporalPattern::Until {
+            return Some((state, chain, part, consumed));
+        }
+        if o != current.right() {
+            return None;
+        }
+        if let Some(next) = parts.get(part + 1) {
+            return Some((
+                state,
+                chain,
+                part + 1,
+                next.pattern() == TemporalPattern::Next,
+            ));
+        }
+        let to = psm.successors(state).find(|t| t.guard == o)?.to;
+        let chain = psm
+            .state(to)
+            .chains()
+            .iter()
+            .position(|c| c.entry_proposition() == o)?;
+        Some(enter(to, chain))
+    };
+    let mut cursor = None;
+    let mut lost = 0;
+    for o in gamma.iter() {
+        cursor = match cursor {
+            None => resync(o),
+            Some(c) => advance(c, o),
+        };
+        lost += usize::from(cursor.is_none());
+    }
+    lost
+}
 
 /// A proposition trace as run-length phases plus a matching power trace.
 fn random_phases(rng: &mut Prng) -> (PropositionTrace, PowerTrace) {
@@ -128,18 +185,14 @@ fn deterministic_replay_of_training_trace_never_desyncs_midway() {
         // Replaying the exact training observations through a deterministic
         // chain PSM loses sync only in the dropped tail, never before.
         if let Ok(psm) = generate_psm(&gamma, &delta, 0) {
-            if let Ok(sim) = PsmSimulator::new(&psm) {
-                let obs: Vec<_> = gamma.iter().map(Some).collect();
-                let hamming = vec![0u32; obs.len()];
-                let outcome = sim.run(&obs, &hamming);
+            if psm.is_deterministic() {
+                let lost = replay_sync_losses(&psm, &gamma);
                 let mined = mine_xu_assertions(&gamma);
                 let recognised_until = mined.last().expect("non-empty").stop;
                 let tail = gamma.len() - 1 - recognised_until;
                 assert!(
-                    outcome.sync_loss_instants <= tail + 1,
-                    "lost {} instants with a tail of {}",
-                    outcome.sync_loss_instants,
-                    tail
+                    lost <= tail + 1,
+                    "lost {lost} instants with a tail of {tail}"
                 );
             }
         }

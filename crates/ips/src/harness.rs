@@ -43,12 +43,19 @@ pub fn behavioural_trace(
 ) -> Result<FunctionalTrace, TraceError> {
     ip.reset();
     let signals = ip.signals();
+    let mut row = Vec::with_capacity(signals.words_per_cycle());
     let mut trace = FunctionalTrace::with_capacity(signals, stimulus.len());
     for cycle_inputs in stimulus.iter() {
         let outputs = ip.step(cycle_inputs);
-        let mut row = cycle_inputs.to_vec();
-        row.extend(outputs);
-        trace.push_cycle(row)?;
+        // Inputs are declared before outputs, so the row is their words
+        // in that order.
+        let values = cycle_inputs.iter().chain(&outputs);
+        trace.signals().check_cycle(values.clone())?;
+        row.clear();
+        for value in values {
+            row.extend_from_slice(value.as_words());
+        }
+        trace.push_words(&row)?;
     }
     Ok(trace)
 }

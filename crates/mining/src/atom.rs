@@ -1,8 +1,9 @@
 //! Atomic propositions: the indivisible predicates of the mined logic.
 
-use psm_trace::{Bits, SignalId, SignalSet};
+use psm_trace::{Bits, Row, SignalId, SignalSet};
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 
 /// Relational operator between two signals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,22 +75,45 @@ pub enum AtomicProposition {
 }
 
 impl AtomicProposition {
-    /// Evaluates the atom over one functional-trace cycle (signal values in
-    /// declaration order).
+    /// Evaluates the atom over one functional-trace cycle, reading the
+    /// row's words in place.
+    ///
+    /// A `v = c` atom whose constant has a different width from `v` never
+    /// holds, as `Bits` equality would have it.
     ///
     /// # Panics
     ///
-    /// Panics if a referenced signal index is out of range for `cycle`, or
-    /// if a `VarCmpVar` was constructed over signals of different widths
-    /// (the miner never does).
-    pub fn eval(&self, cycle: &[Bits]) -> bool {
+    /// Panics if a referenced signal is out of range for the row's
+    /// interface, or if a `VarCmpVar` was constructed over signals of
+    /// different widths (the miner never does).
+    pub fn eval(&self, cycle: Row<'_>) -> bool {
+        self.resolve(cycle.signals()).holds(cycle.as_words())
+    }
+
+    /// Resolves the atom against the row layout of `signals`.
+    ///
+    /// # Panics
+    ///
+    /// As [`eval`](Self::eval).
+    pub(crate) fn resolve(&self, signals: &SignalSet) -> RowTest<'_> {
         match self {
-            AtomicProposition::VarEqConst { signal, value } => &cycle[signal.index()] == value,
+            AtomicProposition::VarEqConst { signal, value } => {
+                let range = signals.word_range(*signal);
+                if signals.decl(*signal).width() != value.width() {
+                    RowTest::Never
+                } else if range.len() == 1 {
+                    RowTest::Word(range.start, value.as_words()[0])
+                } else {
+                    RowTest::Words(range, value.as_words())
+                }
+            }
             AtomicProposition::VarCmpVar { left, cmp, right } => {
-                let ord = cycle[left.index()]
-                    .compare(&cycle[right.index()])
-                    .expect("mined relational atoms always compare equal widths");
-                cmp.test(ord)
+                assert_eq!(
+                    signals.decl(*left).width(),
+                    signals.decl(*right).width(),
+                    "mined relational atoms always compare equal widths"
+                );
+                RowTest::Cmp(signals.word_range(*left), *cmp, signals.word_range(*right))
             }
         }
     }
@@ -118,6 +142,41 @@ impl AtomicProposition {
             }
         }
     }
+}
+
+/// An atom resolved against one row layout: the words it reads. A trace
+/// walk resolves its atoms once and then tests every row with a few word
+/// compares.
+#[derive(Debug, Clone)]
+pub(crate) enum RowTest<'a> {
+    /// `v = c` where `c` has another width than `v`: never holds.
+    Never,
+    /// `v = c` for a one-word `v`: the word at this index equals `c`.
+    Word(usize, u64),
+    /// `v = c` for a wider `v`: these words equal `c`'s.
+    Words(Range<usize>, &'a [u64]),
+    /// `v ∘ w` over two equal-width word ranges.
+    Cmp(Range<usize>, Comparison, Range<usize>),
+}
+
+impl RowTest<'_> {
+    /// Whether the atom holds on the row `words`.
+    pub(crate) fn holds(&self, words: &[u64]) -> bool {
+        match self {
+            RowTest::Never => false,
+            RowTest::Word(at, value) => words[*at] == *value,
+            RowTest::Words(range, value) => words[range.clone()] == **value,
+            RowTest::Cmp(left, cmp, right) => {
+                cmp.test(compare_words(&words[left.clone()], &words[right.clone()]))
+            }
+        }
+    }
+}
+
+/// Numeric order of two equal-width values given as little-endian words,
+/// as [`Bits::compare`] orders them.
+pub(crate) fn compare_words(a: &[u64], b: &[u64]) -> Ordering {
+    a.iter().rev().cmp(b.iter().rev())
 }
 
 impl psm_persist::Persist for Comparison {
@@ -180,19 +239,22 @@ impl psm_persist::Persist for AtomicProposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psm_trace::Direction;
+    use psm_trace::{Direction, FunctionalTrace};
 
-    fn setup() -> (SignalSet, Vec<Bits>) {
+    fn setup() -> (SignalSet, FunctionalTrace) {
         let mut s = SignalSet::new();
         s.push("en", 1, Direction::Input).unwrap();
         s.push("a", 4, Direction::Input).unwrap();
         s.push("b", 4, Direction::Output).unwrap();
-        let cycle = vec![
-            Bits::from_bool(true),
-            Bits::from_u64(9, 4),
-            Bits::from_u64(3, 4),
-        ];
-        (s, cycle)
+        let mut trace = FunctionalTrace::new(s.clone());
+        trace
+            .push_cycle(vec![
+                Bits::from_bool(true),
+                Bits::from_u64(9, 4),
+                Bits::from_u64(3, 4),
+            ])
+            .unwrap();
+        (s, trace)
     }
 
     #[test]
@@ -203,12 +265,12 @@ mod tests {
             signal: en,
             value: Bits::from_bool(true),
         };
-        assert!(atom.eval(&cycle));
+        assert!(atom.eval(cycle.cycle(0)));
         let atom = AtomicProposition::VarEqConst {
             signal: en,
             value: Bits::from_bool(false),
         };
-        assert!(!atom.eval(&cycle));
+        assert!(!atom.eval(cycle.cycle(0)));
     }
 
     #[test]
@@ -231,9 +293,9 @@ mod tests {
             cmp: Comparison::Eq,
             right: b,
         };
-        assert!(gt.eval(&cycle));
-        assert!(!lt.eval(&cycle));
-        assert!(!eq.eval(&cycle));
+        assert!(gt.eval(cycle.cycle(0)));
+        assert!(!lt.eval(cycle.cycle(0)));
+        assert!(!eq.eval(cycle.cycle(0)));
     }
 
     #[test]

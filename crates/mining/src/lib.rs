@@ -78,9 +78,7 @@ mod trace;
 pub use atom::{AtomicProposition, Comparison};
 pub use config::MiningConfig;
 pub use miner::{MinedTraces, Miner};
-pub use proposition::{
-    Proposition, PropositionId, PropositionTable, PropositionVocabulary, RowScratch,
-};
+pub use proposition::{Proposition, PropositionId, PropositionTable, PropositionVocabulary};
 pub use report::{AtomSupport, MiningReport};
 pub use temporal::{TemporalAssertion, TemporalPattern};
 pub use trace::PropositionTrace;

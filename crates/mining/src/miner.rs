@@ -1,8 +1,8 @@
 //! The two-phase mining procedure (ref. [9] of the paper).
 
-use crate::atom::{AtomicProposition, Comparison};
+use crate::atom::{compare_words, AtomicProposition, Comparison};
 use crate::config::MiningConfig;
-use crate::proposition::{PropositionTable, PropositionVocabulary, RowScratch};
+use crate::proposition::{PropositionTable, PropositionVocabulary};
 use crate::trace::PropositionTrace;
 use crate::MiningError;
 use psm_trace::{Bits, FunctionalTrace};
@@ -150,12 +150,12 @@ impl Miner {
 
         // --- `v = c` atoms for small-domain (control-like) signals -------
         let max_domain = self.config.const_atom_max_domain();
-        for (id, _) in signals.iter() {
-            let mut counts: HashMap<Bits, usize> = HashMap::new();
+        for (id, decl) in signals.iter() {
+            let mut counts: HashMap<&[u64], usize> = HashMap::new();
             let mut overflowed = false;
             'outer: for trace in traces {
-                for t in 0..trace.len() {
-                    let v = trace.value(id, t);
+                for row in trace.iter() {
+                    let v = row.words(id);
                     if let Some(c) = counts.get_mut(v) {
                         *c += 1;
                     } else {
@@ -163,7 +163,7 @@ impl Miner {
                             overflowed = true;
                             break 'outer;
                         }
-                        counts.insert(v.clone(), 1);
+                        counts.insert(v, 1);
                     }
                 }
             }
@@ -171,12 +171,14 @@ impl Miner {
                 continue;
             }
             // Deterministic order: sort observed constants numerically.
-            let mut observed: Vec<(Bits, usize)> = counts.into_iter().collect();
-            observed
-                .sort_by(|(a, _), (b, _)| a.compare(b).expect("one signal's values share a width"));
-            for (value, support) in observed {
+            let mut observed: Vec<(&[u64], usize)> = counts.into_iter().collect();
+            observed.sort_by(|(a, _), (b, _)| compare_words(a, b));
+            for (words, support) in observed {
                 if keep(support) {
-                    atoms.push(AtomicProposition::VarEqConst { signal: id, value });
+                    atoms.push(AtomicProposition::VarEqConst {
+                        signal: id,
+                        value: Bits::from_words(words, decl.width()),
+                    });
                 }
             }
         }
@@ -193,12 +195,8 @@ impl Miner {
                     }
                     let mut support = [0usize; 3]; // Eq, Lt, Gt
                     for trace in traces {
-                        for t in 0..trace.len() {
-                            let ord = trace
-                                .value(left, t)
-                                .compare(trace.value(right, t))
-                                .expect("equal widths checked above");
-                            match ord {
+                        for row in trace.iter() {
+                            match compare_words(row.words(left), row.words(right)) {
                                 std::cmp::Ordering::Equal => support[0] += 1,
                                 std::cmp::Ordering::Less => support[1] += 1,
                                 std::cmp::Ordering::Greater => support[2] += 1,
@@ -223,13 +221,11 @@ impl Miner {
     /// Phase 2: converts one functional trace into its proposition trace,
     /// interning any new truth row into `table`.
     ///
-    /// One [`RowScratch`] spans the whole walk, so evaluating and interning
-    /// a cycle allocates only when its truth row is previously unseen.
+    /// The atoms are resolved against the trace's row layout once (see
+    /// [`PropositionTable::intern_trace`]), and a truth row is allocated
+    /// only when it is previously unseen.
     pub fn mine_trace(table: &mut PropositionTable, trace: &FunctionalTrace) -> PropositionTrace {
-        let mut scratch = RowScratch::new();
-        (0..trace.len())
-            .map(|t| table.intern_cycle_with(trace.cycle(t), &mut scratch))
-            .collect()
+        table.intern_trace(trace)
     }
 }
 
@@ -326,13 +322,16 @@ mod tests {
         let phi = fig3_trace();
         let mined = Miner::new(MiningConfig::default()).mine(&[&phi]).unwrap();
         // v1=false & v2=false never occurs in training.
-        let unseen = vec![
-            Bits::from_u64(0, 1),
-            Bits::from_u64(0, 1),
-            Bits::from_u64(1, 4),
-            Bits::from_u64(2, 4),
-        ];
-        assert!(mined.table.classify(&unseen).is_none());
+        let mut unseen = FunctionalTrace::new(phi.signals().clone());
+        unseen
+            .push_cycle(vec![
+                Bits::from_u64(0, 1),
+                Bits::from_u64(0, 1),
+                Bits::from_u64(1, 4),
+                Bits::from_u64(2, 4),
+            ])
+            .unwrap();
+        assert!(mined.table.classify(unseen.cycle(0)).is_none());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Propositions: AND-compositions of atomic propositions, one per distinct
 //! truth-matrix row.
 
-use crate::atom::AtomicProposition;
-use psm_trace::{Bits, SignalSet};
+use crate::atom::{AtomicProposition, RowTest};
+use crate::trace::PropositionTrace;
+use psm_trace::{FunctionalTrace, Row, SignalSet};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -57,51 +58,37 @@ impl PropositionVocabulary {
     }
 
     /// Evaluates every atom over one functional-trace cycle, producing a
-    /// packed truth row (bit *i* = truth of atom *i*).
-    pub fn evaluate_row(&self, cycle: &[Bits]) -> Vec<u64> {
-        let mut scratch = RowScratch::new();
-        self.evaluate_row_into(cycle, &mut scratch);
-        scratch.row
+    /// packed truth row (bit *i* = truth of atom *i*). This is the per-row
+    /// reference; whole-trace walks use [`PropositionTable::intern_trace`]
+    /// and [`PropositionTable::classify_trace`].
+    pub fn evaluate_row(&self, cycle: Row<'_>) -> Vec<u64> {
+        let mut row = Vec::new();
+        pack_truths(
+            &mut row,
+            self.atoms.len(),
+            self.atoms.iter().map(|atom| atom.eval(cycle)),
+        );
+        row
     }
 
-    /// Like [`PropositionVocabulary::evaluate_row`], writing the packed row
-    /// into a reusable [`RowScratch`] instead of allocating. The per-cycle
-    /// hot paths ([`PropositionTable::intern_cycle_with`] and
-    /// [`PropositionTable::classify_with`]) run on this.
-    pub fn evaluate_row_into(&self, cycle: &[Bits], scratch: &mut RowScratch) {
-        let words = self.atoms.len().div_ceil(64).max(1);
-        scratch.row.clear();
-        scratch.row.resize(words, 0);
-        for (i, atom) in self.atoms.iter().enumerate() {
-            if atom.eval(cycle) {
-                scratch.row[i / 64] |= 1 << (i % 64);
-            }
+    /// Every atom resolved against the row layout of `signals`, for a
+    /// walk over many rows of that layout.
+    fn resolve(&self, signals: &SignalSet) -> Vec<RowTest<'_>> {
+        self.atoms
+            .iter()
+            .map(|atom| atom.resolve(signals))
+            .collect()
+    }
+}
+
+/// Writes the packed truth row of `count` atoms (bit *i* = truth *i*).
+fn pack_truths(row: &mut Vec<u64>, count: usize, truths: impl Iterator<Item = bool>) {
+    row.clear();
+    row.resize(count.div_ceil(64).max(1), 0);
+    for (i, truth) in truths.enumerate() {
+        if truth {
+            row[i / 64] |= 1 << (i % 64);
         }
-    }
-}
-
-/// A reusable packed-truth-row buffer.
-///
-/// [`PropositionVocabulary::evaluate_row`] allocates a fresh `Vec<u64>` on
-/// every call, which dominates per-cycle cost when a whole trace is
-/// classified. Callers that walk traces keep one `RowScratch` alive and
-/// pass it to [`PropositionTable::intern_cycle_with`] /
-/// [`PropositionTable::classify_with`], so the row buffer is allocated
-/// once per trace instead of once per cycle.
-#[derive(Debug, Clone, Default)]
-pub struct RowScratch {
-    row: Vec<u64>,
-}
-
-impl RowScratch {
-    /// Creates an empty scratch buffer; it sizes itself on first use.
-    pub fn new() -> Self {
-        RowScratch::default()
-    }
-
-    /// The packed row from the most recent evaluation.
-    pub fn row(&self) -> &[u64] {
-        &self.row
     }
 }
 
@@ -183,58 +170,46 @@ impl PropositionTable {
 
     /// Interns a truth row, returning the existing or a fresh id.
     pub fn intern(&mut self, row: Vec<u64>) -> PropositionId {
-        if let Some(&id) = self.index.get(&row) {
-            return id;
-        }
-        let id = PropositionId(self.props.len() as u32);
-        self.props.push(Proposition {
-            row: row.clone(),
-            atom_count: self.vocabulary.len(),
-        });
-        self.index.insert(row, id);
-        id
+        intern_row(
+            &mut self.props,
+            &mut self.index,
+            self.vocabulary.len(),
+            &row,
+        )
     }
 
     /// Evaluates one cycle and interns its row (mining path).
-    pub fn intern_cycle(&mut self, cycle: &[Bits]) -> PropositionId {
-        let mut scratch = RowScratch::new();
-        self.intern_cycle_with(cycle, &mut scratch)
+    pub fn intern_cycle(&mut self, cycle: Row<'_>) -> PropositionId {
+        let row = self.vocabulary.evaluate_row(cycle);
+        self.intern(row)
     }
 
-    /// Like [`PropositionTable::intern_cycle`] with a caller-owned
-    /// [`RowScratch`]: the row is evaluated in place and only *cloned*
-    /// when it is a previously unseen proposition, so a trace walk
-    /// allocates once per distinct proposition instead of once per cycle.
-    pub fn intern_cycle_with(&mut self, cycle: &[Bits], scratch: &mut RowScratch) -> PropositionId {
-        self.vocabulary.evaluate_row_into(cycle, scratch);
-        if let Some(&id) = self.index.get(scratch.row.as_slice()) {
-            return id;
-        }
-        let id = PropositionId(self.props.len() as u32);
-        self.props.push(Proposition {
-            row: scratch.row.clone(),
-            atom_count: self.vocabulary.len(),
-        });
-        self.index.insert(scratch.row.clone(), id);
-        id
+    /// Interns every instant of `trace` in time order, returning its
+    /// proposition trace (mining path). The atoms are resolved against
+    /// the trace's row layout once, so an instant costs a few word
+    /// compares and one lookup.
+    pub fn intern_trace(&mut self, trace: &FunctionalTrace) -> PropositionTrace {
+        let tests = self.vocabulary.resolve(trace.signals());
+        let mut row = Vec::new();
+        trace
+            .iter()
+            .map(|cycle| {
+                let words = cycle.as_words();
+                pack_truths(&mut row, tests.len(), tests.iter().map(|t| t.holds(words)));
+                intern_row(&mut self.props, &mut self.index, tests.len(), &row)
+            })
+            .collect()
     }
 
-    /// Evaluates one cycle *without* interning (simulation path); `None`
-    /// means unknown behaviour.
-    pub fn classify(&self, cycle: &[Bits]) -> Option<PropositionId> {
-        let mut scratch = RowScratch::new();
-        self.classify_with(cycle, &mut scratch)
-    }
-
-    /// Like [`PropositionTable::classify`] with a caller-owned
-    /// [`RowScratch`]: no allocation at all — the row is evaluated in
-    /// place and looked up by slice (`HashMap<Vec<u64>, _>` borrows as
-    /// `[u64]`), never re-built or re-boxed.
+    /// Classifies every instant of `trace` without interning (simulation
+    /// path); `None` marks unknown behaviour. Equal, instant for instant,
+    /// to [`classify`](Self::classify) on each row, with the atoms
+    /// resolved against the trace's row layout once.
     ///
     /// # Examples
     ///
     /// ```
-    /// use psm_mining::{Miner, MiningConfig, RowScratch};
+    /// use psm_mining::{Miner, MiningConfig};
     /// use psm_trace::{Bits, Direction, FunctionalTrace, SignalSet};
     ///
     /// let mut signals = SignalSet::new();
@@ -245,16 +220,31 @@ impl PropositionTable {
     /// }
     /// let mined = Miner::new(MiningConfig::default()).mine(&[&phi])?;
     ///
-    /// // One scratch serves a whole trace walk, allocation-free.
-    /// let mut scratch = RowScratch::new();
-    /// let a = mined.table.classify_with(&[Bits::from_u64(1, 1)], &mut scratch);
-    /// let b = mined.table.classify_with(&[Bits::from_u64(0, 1)], &mut scratch);
-    /// assert!(a.is_some() && b.is_some() && a != b);
+    /// let ids = mined.table.classify_trace(&phi);
+    /// assert!(ids.iter().all(Option::is_some));
+    /// assert_eq!(ids[0], ids[1]);
+    /// assert_ne!(ids[1], ids[2]);
+    /// assert_eq!(ids[2], mined.table.classify(phi.cycle(2)));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn classify_with(&self, cycle: &[Bits], scratch: &mut RowScratch) -> Option<PropositionId> {
-        self.vocabulary.evaluate_row_into(cycle, scratch);
-        self.index.get(scratch.row.as_slice()).copied()
+    pub fn classify_trace(&self, trace: &FunctionalTrace) -> Vec<Option<PropositionId>> {
+        let tests = self.vocabulary.resolve(trace.signals());
+        let mut row = Vec::new();
+        trace
+            .iter()
+            .map(|cycle| {
+                let words = cycle.as_words();
+                pack_truths(&mut row, tests.len(), tests.iter().map(|t| t.holds(words)));
+                self.index.get(row.as_slice()).copied()
+            })
+            .collect()
+    }
+
+    /// Evaluates one cycle *without* interning (simulation path); `None`
+    /// means unknown behaviour.
+    pub fn classify(&self, cycle: Row<'_>) -> Option<PropositionId> {
+        let row = self.vocabulary.evaluate_row(cycle);
+        self.index.get(row.as_slice()).copied()
     }
 
     /// The proposition behind an id.
@@ -341,6 +331,26 @@ impl psm_persist::Persist for Proposition {
     }
 }
 
+/// Returns the id of `row`, interning it as a fresh proposition over
+/// `atom_count` atoms when unseen (the row is cloned only then).
+fn intern_row(
+    props: &mut Vec<Proposition>,
+    index: &mut HashMap<Vec<u64>, PropositionId>,
+    atom_count: usize,
+    row: &[u64],
+) -> PropositionId {
+    if let Some(&id) = index.get(row) {
+        return id;
+    }
+    let id = PropositionId(props.len() as u32);
+    props.push(Proposition {
+        row: row.to_vec(),
+        atom_count,
+    });
+    index.insert(row.to_vec(), id);
+    id
+}
+
 /// The serialised table stores only the vocabulary and the interned
 /// propositions; the row→id lookup index is derived data and is rebuilt on
 /// load.
@@ -387,7 +397,7 @@ impl psm_persist::Persist for PropositionTable {
 mod tests {
     use super::*;
     use crate::atom::Comparison;
-    use psm_trace::Direction;
+    use psm_trace::{Bits, Direction, FunctionalTrace};
 
     fn table() -> PropositionTable {
         let mut s = SignalSet::new();
@@ -409,20 +419,25 @@ mod tests {
         PropositionTable::new(vocab)
     }
 
-    fn cycle(en: u64, a: u64, b: u64) -> Vec<Bits> {
-        vec![
-            Bits::from_u64(en, 1),
-            Bits::from_u64(a, 4),
-            Bits::from_u64(b, 4),
-        ]
+    /// A one-instant trace over [`table`]'s interface.
+    fn cycle(en: u64, a: u64, b: u64) -> FunctionalTrace {
+        let mut trace = FunctionalTrace::new(table().vocabulary().signals().clone());
+        trace
+            .push_cycle(vec![
+                Bits::from_u64(en, 1),
+                Bits::from_u64(a, 4),
+                Bits::from_u64(b, 4),
+            ])
+            .unwrap();
+        trace
     }
 
     #[test]
     fn interning_dedupes_rows() {
         let mut t = table();
-        let p1 = t.intern_cycle(&cycle(1, 5, 3));
-        let p2 = t.intern_cycle(&cycle(1, 9, 2)); // same truth row: en & a>b
-        let p3 = t.intern_cycle(&cycle(0, 5, 3));
+        let p1 = t.intern_cycle(cycle(1, 5, 3).cycle(0));
+        let p2 = t.intern_cycle(cycle(1, 9, 2).cycle(0)); // same truth row: en & a>b
+        let p3 = t.intern_cycle(cycle(0, 5, 3).cycle(0));
         assert_eq!(p1, p2);
         assert_ne!(p1, p3);
         assert_eq!(t.len(), 2);
@@ -431,25 +446,25 @@ mod tests {
     #[test]
     fn classify_does_not_intern() {
         let mut t = table();
-        t.intern_cycle(&cycle(1, 5, 3));
-        assert!(t.classify(&cycle(1, 9, 9)).is_none()); // en & !(a>b): unseen
+        t.intern_cycle(cycle(1, 5, 3).cycle(0));
+        assert!(t.classify(cycle(1, 9, 9).cycle(0)).is_none()); // en & !(a>b): unseen
         assert_eq!(t.len(), 1);
-        assert_eq!(t.classify(&cycle(1, 7, 0)), Some(PropositionId(0)));
+        assert_eq!(t.classify(cycle(1, 7, 0).cycle(0)), Some(PropositionId(0)));
     }
 
     #[test]
     fn render_shows_satisfied_atoms_only() {
         let mut t = table();
-        let p = t.intern_cycle(&cycle(1, 5, 3));
+        let p = t.intern_cycle(cycle(1, 5, 3).cycle(0));
         assert_eq!(t.render(p), "en=true & a>b");
-        let q = t.intern_cycle(&cycle(0, 0, 3));
+        let q = t.intern_cycle(cycle(0, 0, 3).cycle(0));
         assert_eq!(t.render(q), "⊤");
     }
 
     #[test]
     fn proposition_truths() {
         let mut t = table();
-        let p = t.intern_cycle(&cycle(0, 9, 3)); // !en, a>b
+        let p = t.intern_cycle(cycle(0, 9, 3).cycle(0)); // !en, a>b
         let prop = t.get(p);
         assert!(!prop.atom_truth(0));
         assert!(prop.atom_truth(1));
@@ -459,8 +474,8 @@ mod tests {
     #[test]
     fn ids_iterate_in_order() {
         let mut t = table();
-        t.intern_cycle(&cycle(1, 5, 3));
-        t.intern_cycle(&cycle(0, 5, 3));
+        t.intern_cycle(cycle(1, 5, 3).cycle(0));
+        t.intern_cycle(cycle(0, 5, 3).cycle(0));
         let ids: Vec<_> = t.ids().collect();
         assert_eq!(ids.len(), 2);
         assert_eq!(ids[0].index(), 0);
@@ -471,14 +486,14 @@ mod tests {
     fn table_round_trips_through_json() {
         use psm_persist::{JsonValue, Persist};
         let mut t = table();
-        let p1 = t.intern_cycle(&cycle(1, 5, 3));
-        t.intern_cycle(&cycle(0, 5, 3));
+        let p1 = t.intern_cycle(cycle(1, 5, 3).cycle(0));
+        t.intern_cycle(cycle(0, 5, 3).cycle(0));
         let text = t.to_json().render();
         let back = PropositionTable::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back.len(), t.len());
         // The rebuilt index classifies exactly like the original.
-        assert_eq!(back.classify(&cycle(1, 9, 2)), Some(p1));
-        assert_eq!(back.classify(&cycle(1, 9, 9)), None);
+        assert_eq!(back.classify(cycle(1, 9, 2).cycle(0)), Some(p1));
+        assert_eq!(back.classify(cycle(1, 9, 9).cycle(0)), None);
         assert_eq!(back.render(p1), t.render(p1));
         // Serialisation is deterministic.
         assert_eq!(text, back.to_json().render());
@@ -488,7 +503,7 @@ mod tests {
     fn table_rejects_inconsistent_documents() {
         use psm_persist::{JsonValue, Persist};
         let mut t = table();
-        t.intern_cycle(&cycle(1, 5, 3));
+        t.intern_cycle(cycle(1, 5, 3).cycle(0));
         let good = t.to_json().render();
         // Corrupt the atom count of the proposition.
         let bad = good.replace("\"atoms\":2", "\"atoms\":1");
@@ -508,7 +523,9 @@ mod tests {
             .collect();
         let vocab = PropositionVocabulary::new(s, atoms);
         assert_eq!(vocab.len(), 70);
-        let row = vocab.evaluate_row(&[Bits::from_u64(69, 8)]);
+        let mut trace = FunctionalTrace::new(vocab.signals().clone());
+        trace.push_cycle(vec![Bits::from_u64(69, 8)]).unwrap();
+        let row = vocab.evaluate_row(trace.cycle(0));
         assert_eq!(row.len(), 2);
         assert_eq!(row[1], 1 << 5); // atom 69 in word 1, bit 5
     }

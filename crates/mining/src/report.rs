@@ -37,9 +37,9 @@ impl MiningReport {
         let total: usize = traces.iter().map(|t| t.len()).sum();
         let mut holds = vec![0usize; vocab.len()];
         for trace in traces {
-            for t in 0..trace.len() {
+            for row in trace.iter() {
                 for (i, atom) in vocab.atoms().iter().enumerate() {
-                    if atom.eval(trace.cycle(t)) {
+                    if atom.eval(row) {
                         holds[i] += 1;
                     }
                 }

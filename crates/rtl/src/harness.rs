@@ -246,7 +246,7 @@ mod tests {
         let mut expected = 0u64;
         for t in 0..10 {
             assert_eq!(
-                r.functional.value(q, t).to_u64().unwrap(),
+                r.functional.cycle(t).bits(q).to_u64().unwrap(),
                 expected,
                 "cycle {t}"
             );

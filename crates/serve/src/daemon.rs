@@ -696,8 +696,9 @@ fn dispatch(
     }
 }
 
-/// Resolves the model of an estimate-class request, answering the error
-/// inline when it is unknown.
+/// Resolves the model of an estimate-class request and checks the
+/// request's signal dictionary against it, answering the error inline
+/// when the model is unknown or reads a different interface.
 fn resolve_model(
     ctx: &Arc<Ctx>,
     sink: &ResponseSink,
@@ -705,17 +706,23 @@ fn resolve_model(
     id: u64,
     name: &str,
     version: Option<u64>,
+    signals: &SignalSet,
 ) -> Option<Arc<crate::registry::ServedModel>> {
-    let model = ctx.registry.snapshot().lookup(name, version);
-    if model.is_none() {
+    let Some(model) = ctx.registry.snapshot().lookup(name, version) else {
         let msg = match version {
             Some(ver) => format!("unknown model {name}@{ver}"),
             None => format!("unknown model {name}"),
         };
         ctx.telemetry.add_named("serve.unknown_model", 1);
         respond(sink, v, Status::Error, id, protocol::error_payload(&msg));
+        return None;
+    };
+    if let Err(msg) = model.check_interface(signals) {
+        ctx.telemetry.add_named("serve.interface_mismatch", 1);
+        respond(sink, v, Status::Error, id, protocol::error_payload(&msg));
+        return None;
     }
-    model
+    Some(model)
 }
 
 /// Submits an estimate job, answering backpressure inline.
@@ -749,7 +756,7 @@ fn dispatch_estimate(ctx: &Arc<Ctx>, sink: &ResponseSink, frame: &Frame) -> bool
             return true;
         }
     };
-    let Some(model) = resolve_model(ctx, sink, v, id, &name, version) else {
+    let Some(model) = resolve_model(ctx, sink, v, id, &name, version, trace.signals()) else {
         return true;
     };
     let reply_name = model.name.clone();
@@ -791,7 +798,7 @@ fn dispatch_estimate_bin(ctx: &Arc<Ctx>, sink: &ResponseSink, frame: &Frame) -> 
             return true;
         }
     };
-    let Some(model) = resolve_model(ctx, sink, v, id, &name, version) else {
+    let Some(model) = resolve_model(ctx, sink, v, id, &name, version, trace.signals()) else {
         return true;
     };
     let reply_name = model.name.clone();
@@ -855,7 +862,7 @@ fn dispatch_stream_open(
         );
         return true;
     }
-    let Some(model) = resolve_model(ctx, sink, v, id, &name, version) else {
+    let Some(model) = resolve_model(ctx, sink, v, id, &name, version, &signals) else {
         return true;
     };
     match ctx.pool.open_session(model) {

@@ -1128,6 +1128,71 @@ mod tests {
     }
 
     #[test]
+    fn byte_mutated_trace_payloads_parse_like_decode_trace() {
+        use psm_prng::Prng;
+        use psm_trace::binary::{decode_trace, encode_trace};
+
+        let mut rng = Prng::seed_from_u64(0x5EB0_0001);
+        let mut signals = SignalSet::new();
+        signals.push("a", 7, Direction::Input).unwrap();
+        signals.push("y", 65, Direction::Output).unwrap();
+        signals.push("b", 1, Direction::Input).unwrap();
+        let mut parsed_ok = 0;
+        for case in 0..10_000 {
+            let mut trace = FunctionalTrace::new(signals.clone());
+            for _ in 0..rng.range_usize(0..5) {
+                let row: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+                trace.push_words(&row).unwrap();
+            }
+            // One to four overwrites, bit flips, truncations, insertions
+            // or deletions of an encoded trace.
+            let mut payload = encode_trace(&trace);
+            for _ in 0..1 + rng.range_usize(0..4) {
+                let at = rng.range_usize(0..payload.len().max(1));
+                match rng.range_u32(0..5) {
+                    _ if payload.is_empty() => payload.push(rng.next_u8()),
+                    0 => payload[at] = rng.next_u8(),
+                    1 => payload[at] ^= 1 << rng.range_u32(0..8),
+                    2 => payload.truncate(at),
+                    3 => payload.insert(at, rng.next_u8()),
+                    _ => {
+                        payload.remove(at);
+                    }
+                }
+            }
+            let decoded = decode_trace(&payload);
+            if let Ok(trace) = &decoded {
+                let again = decode_trace(&encode_trace(trace)).expect("re-encoded payload decodes");
+                assert_eq!(&again, trace, "case {case}");
+            }
+            if payload.len() < 5 {
+                continue;
+            }
+            // The same frames as an ESTIMATE_BIN request: the model name
+            // and version ride between the header and the dictionary.
+            let mut request = payload[..5].to_vec();
+            put_name(&mut request, "multsum");
+            put_version(&mut request, Some(3));
+            request.extend_from_slice(&payload[5..]);
+            let frame = Frame::request(Opcode::EstimateBin, case, request);
+            match (parse_estimate_bin_request(&frame), decoded) {
+                (Ok((model, version, parsed)), Ok(trace)) => {
+                    parsed_ok += 1;
+                    assert_eq!((model.as_str(), version), ("multsum", Some(3)));
+                    assert_eq!(parsed, trace, "case {case}");
+                }
+                (Err(_), Err(_)) => {}
+                (parsed, decoded) => panic!(
+                    "case {case}: request parsed {:?}, payload decoded {:?}",
+                    parsed.map(|p| p.2.len()),
+                    decoded.map(|t| t.len())
+                ),
+            }
+        }
+        assert!(parsed_ok > 100, "only {parsed_ok} mutated requests parsed");
+    }
+
+    #[test]
     fn stream_payloads_round_trip() {
         let trace = two_cycle_trace();
         let open = Frame::request(

@@ -28,7 +28,7 @@ use psm_core::{classify_trace, Psm};
 use psm_hmm::{Hmm, HmmOutcome};
 use psm_mining::{PropositionId, PropositionTable};
 use psm_persist::{decode_artifact, ArtifactEntry, Persist, PersistError};
-use psm_trace::FunctionalTrace;
+use psm_trace::{FunctionalTrace, SignalSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -157,6 +157,47 @@ impl ServedModel {
     /// time from v1/v2).
     pub fn compiled(&self) -> &CompiledModel {
         &self.compiled
+    }
+
+    /// Checks that a request's signal dictionary lays out rows the way
+    /// this model reads them: the same number of signals, and each with
+    /// the model's width and direction, in order. Names are not compared.
+    ///
+    /// Every trace or stream reaching [`estimate`](Self::estimate) or a
+    /// session must pass this first: classification indexes rows by the
+    /// model's signals.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first difference.
+    pub fn check_interface(&self, signals: &SignalSet) -> Result<(), String> {
+        let model = self.table.vocabulary().signals();
+        if signals.len() != model.len() {
+            return Err(format!(
+                "interface mismatch: request declares {} signal(s), model {}@{} reads {}",
+                signals.len(),
+                self.name,
+                self.version,
+                model.len()
+            ));
+        }
+        for (i, ((_, got), (_, want))) in signals.iter().zip(model.iter()).enumerate() {
+            if got.width() != want.width() || got.direction() != want.direction() {
+                return Err(format!(
+                    "interface mismatch: request signal {i} `{}` is a {}-bit {}, \
+                     model {}@{} reads a {}-bit {} `{}`",
+                    got.name(),
+                    got.width(),
+                    got.direction(),
+                    self.name,
+                    self.version,
+                    want.width(),
+                    want.direction(),
+                    want.name()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Estimates one trace. Identical, instant for instant, to the

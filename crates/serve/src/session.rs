@@ -12,7 +12,7 @@
 
 use crate::registry::ServedModel;
 use psm_compile::CompiledForwardState;
-use psm_trace::{Bits, FunctionalTrace, PowerTrace, TraceError};
+use psm_trace::{FunctionalTrace, PowerTrace, TraceError};
 use std::sync::Arc;
 
 /// The incremental result of feeding one chunk into a session.
@@ -33,7 +33,8 @@ pub struct ChunkOutcome {
 pub struct StreamSession {
     model: Arc<ServedModel>,
     state: CompiledForwardState,
-    prev_cycle: Option<Vec<Bits>>,
+    /// Words of the last row of the previous non-empty chunk.
+    prev_cycle: Option<Vec<u64>>,
 }
 
 impl StreamSession {
@@ -88,7 +89,10 @@ impl StreamSession {
             .compiled()
             .resume(&mut self.state, &observations, &hamming, &mut estimate);
         if !chunk.is_empty() {
-            self.prev_cycle = Some(chunk.cycle(chunk.len() - 1).to_vec());
+            let last = chunk.cycle(chunk.len() - 1).as_words();
+            let prev = self.prev_cycle.get_or_insert_with(Vec::new);
+            prev.clear();
+            prev.extend_from_slice(last);
         }
         Ok(ChunkOutcome {
             estimate,
@@ -104,6 +108,7 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use crate::test_support::{toy_model_json, toy_trace};
+    use psm_trace::Bits;
 
     fn toy_model() -> Arc<ServedModel> {
         let dir = std::env::temp_dir().join("psm-serve-session-toy");

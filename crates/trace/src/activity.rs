@@ -56,12 +56,12 @@ pub fn activity_profile(trace: &FunctionalTrace, distinct_cap: usize) -> Vec<Sig
         .map(|(id, _)| {
             let mut toggles = 0u64;
             let mut nonzero = 0usize;
-            let mut distinct: std::collections::HashSet<&crate::Bits> =
-                std::collections::HashSet::new();
+            let mut distinct: std::collections::HashSet<&[u64]> = std::collections::HashSet::new();
             let mut capped = false;
-            for t in 0..n {
-                let v = trace.value(id, t);
-                if !v.is_zero() {
+            let mut prev: Option<&[u64]> = None;
+            for row in trace.iter() {
+                let v = row.words(id);
+                if v.iter().any(|&w| w != 0) {
                     nonzero += 1;
                 }
                 if !capped {
@@ -70,14 +70,14 @@ pub fn activity_profile(trace: &FunctionalTrace, distinct_cap: usize) -> Vec<Sig
                         capped = true;
                     }
                 }
-                if t > 0 {
-                    toggles += u64::from(
-                        trace
-                            .value(id, t - 1)
-                            .hamming_distance(v)
-                            .expect("one signal's values share a width"),
-                    );
+                if let Some(p) = prev {
+                    toggles += p
+                        .iter()
+                        .zip(v)
+                        .map(|(a, b)| u64::from((a ^ b).count_ones()))
+                        .sum::<u64>();
                 }
+                prev = Some(v);
             }
             SignalActivity {
                 signal: id,

@@ -17,6 +17,12 @@
 //! cycle        := per declared signal, width.div_ceil(64) words of u64
 //! ```
 //!
+//! A cycle on the wire is exactly one row of a [`FunctionalTrace`]'s
+//! word buffer, so encoding writes the buffer as it is and decoding is a
+//! bounds-checked copy: one reservation per frame, no allocation per
+//! cycle or per signal. Wire bits above a signal's width are cleared on
+//! decode, so such a word decodes to the same trace as the clean one.
+//!
 //! Decoding is strict: every length is bounds-checked before any
 //! allocation sized from it, unknown tags and malformed names are
 //! structured errors (never panics), and [`decode_trace`] rejects
@@ -41,7 +47,7 @@
 //! # Ok::<(), psm_trace::TraceError>(())
 //! ```
 
-use crate::{Bits, Direction, FunctionalTrace, SignalSet, TraceError};
+use crate::{Direction, FunctionalTrace, SignalSet, TraceError};
 use std::error::Error;
 use std::fmt;
 
@@ -310,21 +316,16 @@ pub fn read_dict(r: &mut Reader<'_>) -> Result<SignalSet, BinCodecError> {
     Ok(signals)
 }
 
-/// Words each cycle of `signals` occupies on the wire.
-fn words_per_cycle(signals: &SignalSet) -> usize {
-    signals.iter().map(|(_, d)| d.width().div_ceil(64)).sum()
-}
-
 /// Appends a cycles frame carrying every cycle of `trace` to `out`.
+///
+/// The frame body is the trace's word buffer as it is stored, one
+/// little-endian `u64` after another.
 pub fn write_cycles(trace: &FunctionalTrace, out: &mut Vec<u8>) {
     out.push(TAG_CYCLES);
     out.extend_from_slice(&(trace.len() as u32).to_le_bytes());
-    for t in 0..trace.len() {
-        for bits in trace.cycle(t) {
-            for w in bits.as_words() {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
+    out.reserve(trace.as_words().len() * 8);
+    for w in trace.as_words() {
+        out.extend_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -333,8 +334,10 @@ pub fn write_cycles(trace: &FunctionalTrace, out: &mut Vec<u8>) {
 /// cycles appended.
 ///
 /// The whole frame's size is validated against the remaining input
-/// before any cycle is materialised, so a hostile cycle count cannot
-/// trigger oversized allocations.
+/// before anything is allocated, so a hostile cycle count cannot trigger
+/// oversized allocations. The words are then appended to the trace's
+/// buffer in one reserved copy, with the bits above each signal's width
+/// cleared.
 pub fn read_cycles_into(
     r: &mut Reader<'_>,
     trace: &mut FunctionalTrace,
@@ -347,12 +350,10 @@ pub fn read_cycles_into(
         });
     }
     let count = r.u32()? as usize;
-    let wpc = words_per_cycle(trace.signals());
+    let wpc = trace.signals().words_per_cycle();
     // A zero-signal dictionary makes every cycle free on the wire, so
-    // the byte-budget check below would accept any count; a hostile
-    // frame could then demand billions of (empty, but heap-allocated)
-    // cycles. Cycles against an empty dictionary carry no information —
-    // reject them outright.
+    // the byte-budget check below would accept any count. Cycles against
+    // an empty dictionary carry no information — reject them outright.
     if wpc == 0 && count > 0 {
         return Err(BinCodecError::Limit {
             what: "cycle count for an empty signal dictionary",
@@ -368,27 +369,18 @@ pub fn read_cycles_into(
             have: r.remaining(),
         });
     }
-    let widths: Vec<usize> = trace.signals().iter().map(|(_, d)| d.width()).collect();
-    for _ in 0..count {
-        let mut cycle = Vec::with_capacity(widths.len());
-        for &width in &widths {
-            let nwords = width.div_ceil(64);
-            let mut words = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                words.push(r.u64()?);
-            }
-            cycle.push(Bits::from_words(&words, width));
-        }
-        trace.push_cycle(cycle)?;
-    }
+    let body = r.bytes(need as usize)?;
+    trace.extend_rows(
+        body.chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("chunks_exact yields 8 bytes"))),
+        count,
+    );
     Ok(count)
 }
 
 /// Encodes a complete trace: header, dictionary, one cycles frame.
 pub fn encode_trace(trace: &FunctionalTrace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        MAGIC.len() + 1 + 16 + trace.len() * words_per_cycle(trace.signals()) * 8,
-    );
+    let mut out = Vec::with_capacity(MAGIC.len() + 1 + 16 + trace.as_words().len() * 8);
     write_header(&mut out);
     write_dict(trace.signals(), &mut out);
     write_cycles(trace, &mut out);
@@ -411,6 +403,7 @@ pub fn decode_trace(buf: &[u8]) -> Result<FunctionalTrace, BinCodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Bits;
 
     fn sample_trace(cycles: usize) -> FunctionalTrace {
         let mut signals = SignalSet::new();

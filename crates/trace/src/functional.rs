@@ -1,15 +1,26 @@
 //! Functional traces: evaluations of PIs/POs over simulation instants.
 
 use crate::bits::Bits;
-use crate::signal::{SignalId, SignalSet};
+use crate::signal::{Direction, SignalId, SignalSet};
 use crate::TraceError;
+use std::fmt;
+use std::ops::Range;
 
 /// A functional trace Φ = ⟨φ₁, …, φₙ⟩ (paper Def. 2): for every simulation
 /// instant, the value of every primary input and output of the model.
 ///
-/// Storage is time-major (one `Vec<Bits>` per cycle, indexed by
-/// [`SignalId`]), matching how a simulator produces it and how the miner
-/// consumes it.
+/// Storage is one row-major buffer of `u64` words: each instant is a row
+/// of [`SignalSet::words_per_cycle`] words, and each signal sits in its
+/// row at the words [`SignalSet::word_range`] names, little-endian, with
+/// the bits above its width kept at zero. Appending an instant copies
+/// words; nothing is allocated per instant or per signal. [`cycle`]
+/// borrows one row as a [`Row`], which is how the miner, the classifier
+/// and the Hamming series read the trace.
+///
+/// The instant count is stored on its own, so an interface with no
+/// signals still has a length.
+///
+/// [`cycle`]: FunctionalTrace::cycle
 ///
 /// # Examples
 ///
@@ -24,31 +35,101 @@ use crate::TraceError;
 /// trace.push_cycle(vec![Bits::from_bool(false), Bits::from_u64(0x13, 8)])?;
 ///
 /// assert_eq!(trace.len(), 2);
-/// assert!(trace.value(en, 0).bit(0));
+/// assert_eq!(trace.cycle(0).words(en), [1]);
 /// // 0x10 ^ 0x13 = 0x03 → two toggling output bits between instants 0 and 1.
-/// assert_eq!(trace.value(q, 0).hamming_distance(trace.value(q, 1))?, 2);
+/// assert_eq!(trace.cycle(0).bits(q).hamming_distance(&trace.cycle(1).bits(q))?, 2);
 /// # Ok::<(), psm_trace::TraceError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionalTrace {
     signals: SignalSet,
-    cycles: Vec<Vec<Bits>>,
+    len: usize,
+    words: Vec<u64>,
+}
+
+/// One instant of a [`FunctionalTrace`], borrowed: the trace's signal set
+/// and the row's words.
+///
+/// A `Row` is `Copy` and costs two pointers. [`words`](Row::words) reads a
+/// signal in place; [`bits`](Row::bits) builds an owned [`Bits`] and is
+/// meant for API edges (files, messages, tests), not for per-instant
+/// loops.
+#[derive(Clone, Copy)]
+pub struct Row<'a> {
+    signals: &'a SignalSet,
+    words: &'a [u64],
+}
+
+impl<'a> Row<'a> {
+    /// The interface the row is laid out by.
+    #[inline]
+    pub fn signals(&self) -> &'a SignalSet {
+        self.signals
+    }
+
+    /// The words of `signal`, least-significant first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` does not belong to the row's interface.
+    #[inline]
+    pub fn words(&self, signal: SignalId) -> &'a [u64] {
+        &self.words[self.signals.word_range(signal)]
+    }
+
+    /// Every word of the row, in declaration order.
+    #[inline]
+    pub fn as_words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// The value of `signal` as an owned [`Bits`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` does not belong to the row's interface.
+    pub fn bits(&self, signal: SignalId) -> Bits {
+        Bits::from_words(self.words(signal), self.signals.decl(signal).width())
+    }
+
+    /// Every value of the row as an owned [`Bits`], in declaration order.
+    pub fn iter(&self) -> impl Iterator<Item = Bits> + 'a {
+        let row = *self;
+        row.signals.iter().map(move |(id, _)| row.bits(id))
+    }
+
+    /// The row as one owned [`Bits`] per signal — the shape
+    /// [`FunctionalTrace::push_cycle`] takes.
+    pub fn to_vec(&self) -> Vec<Bits> {
+        self.iter().collect()
+    }
+}
+
+impl PartialEq for Row<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words && self.signals == other.signals
+    }
+}
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl FunctionalTrace {
     /// Creates an empty trace over the given interface.
     pub fn new(signals: SignalSet) -> Self {
-        FunctionalTrace {
-            signals,
-            cycles: Vec::new(),
-        }
+        FunctionalTrace::with_capacity(signals, 0)
     }
 
     /// Creates an empty trace with room for `capacity` cycles.
     pub fn with_capacity(signals: SignalSet, capacity: usize) -> Self {
+        let words = Vec::with_capacity(capacity * signals.words_per_cycle());
         FunctionalTrace {
             signals,
-            cycles: Vec::with_capacity(capacity),
+            len: 0,
+            words,
         }
     }
 
@@ -68,57 +149,95 @@ impl FunctionalTrace {
     /// * [`TraceError::SignalWidthMismatch`] when a value's width differs
     ///   from its declaration.
     pub fn push_cycle(&mut self, values: Vec<Bits>) -> Result<(), TraceError> {
-        if values.len() != self.signals.len() {
+        self.signals.check_cycle(&values)?;
+        for value in &values {
+            self.words.extend_from_slice(value.as_words());
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Appends one simulation instant given as a raw row of
+    /// [`SignalSet::words_per_cycle`] words. Bits above each signal's
+    /// width are cleared, as [`Bits::from_words`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::CycleShapeMismatch`] (counting words) when `row` has
+    /// the wrong length.
+    pub fn push_words(&mut self, row: &[u64]) -> Result<(), TraceError> {
+        let wpc = self.signals.words_per_cycle();
+        if row.len() != wpc {
             return Err(TraceError::CycleShapeMismatch {
-                expected: self.signals.len(),
-                actual: values.len(),
+                expected: wpc,
+                actual: row.len(),
             });
         }
-        for ((_, decl), value) in self.signals.iter().zip(&values) {
-            if decl.width() != value.width() {
-                return Err(TraceError::SignalWidthMismatch {
-                    signal: decl.name().to_owned(),
-                    expected: decl.width(),
-                    actual: value.width(),
-                });
+        self.words.extend_from_slice(row);
+        self.len += 1;
+        self.clear_unused_bits(self.len - 1);
+        Ok(())
+    }
+
+    /// Appends `count` rows from `words`, which holds them back to back
+    /// and reports its exact length, so the buffer grows once. The
+    /// caller has checked that length against `count`.
+    pub(crate) fn extend_rows(&mut self, words: impl Iterator<Item = u64>, count: usize) {
+        let first = self.len;
+        self.words.extend(words);
+        self.len += count;
+        self.clear_unused_bits(first);
+    }
+
+    /// Clears the bits above each signal's width in rows `first..`.
+    fn clear_unused_bits(&mut self, first: usize) {
+        let wpc = self.signals.words_per_cycle();
+        for (word, mask) in self.signals.top_word_masks() {
+            for row in first..self.len {
+                self.words[row * wpc + word] &= mask;
             }
         }
-        self.cycles.push(values);
-        Ok(())
     }
 
     /// Number of simulation instants recorded.
     pub fn len(&self) -> usize {
-        self.cycles.len()
+        self.len
     }
 
     /// Returns `true` when no instant has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.cycles.is_empty()
+        self.len == 0
     }
 
-    /// Value of `signal` at instant `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `t` is out of range or `signal` does not belong to this
-    /// trace's interface.
-    pub fn value(&self, signal: SignalId, t: usize) -> &Bits {
-        &self.cycles[t][signal.index()]
+    /// The whole buffer: [`len`](FunctionalTrace::len) rows of
+    /// [`SignalSet::words_per_cycle`] words, in time order.
+    pub fn as_words(&self) -> &[u64] {
+        &self.words
     }
 
-    /// All signal values at instant `t`, in declaration order.
+    /// Instant `t`.
     ///
     /// # Panics
     ///
     /// Panics when `t` is out of range.
-    pub fn cycle(&self, t: usize) -> &[Bits] {
-        &self.cycles[t]
+    #[inline]
+    pub fn cycle(&self, t: usize) -> Row<'_> {
+        assert!(
+            t < self.len,
+            "instant {t} out of a {}-instant trace",
+            self.len
+        );
+        let wpc = self.signals.words_per_cycle();
+        Row {
+            signals: &self.signals,
+            words: &self.words[t * wpc..(t + 1) * wpc],
+        }
     }
 
     /// Iterates over instants in time order.
-    pub fn iter(&self) -> impl Iterator<Item = &[Bits]> {
-        self.cycles.iter().map(|c| c.as_slice())
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Row<'_>> {
+        (0..self.len).map(|t| self.cycle(t))
     }
 
     /// Concatenation of all *input* values at instant `t` (declaration
@@ -150,16 +269,34 @@ impl FunctionalTrace {
             !ids.is_empty(),
             "interface has no signals of that direction"
         );
-        let mut word = self.value(ids[0], t).clone();
+        let row = self.cycle(t);
+        let mut word = row.bits(ids[0]);
         for id in &ids[1..] {
-            word = word.concat(self.value(*id, t));
+            word = word.concat(&row.bits(*id));
         }
         word
     }
 
+    /// The row words of the primary inputs, merged into maximal
+    /// contiguous spans.
+    fn input_spans(&self) -> Vec<Range<usize>> {
+        let mut spans: Vec<Range<usize>> = Vec::new();
+        let ranges = self
+            .signals
+            .iter()
+            .filter(|(_, decl)| decl.direction() == Direction::Input)
+            .map(|(id, _)| self.signals.word_range(id));
+        for range in ranges {
+            match spans.last_mut() {
+                Some(last) if last.end == range.start => last.end = range.end,
+                _ => spans.push(range),
+            }
+        }
+        spans
+    }
+
     /// Hamming distance of the primary-input values between consecutive
-    /// instants `t-1` and `t` (equivalently: of the concatenated input
-    /// words, computed per signal to avoid building them).
+    /// instants `t-1` and `t`.
     ///
     /// This sequence (for t = 1..n) is the predictor used by the paper's §IV
     /// linear-regression calibration of data-dependent power states. By
@@ -169,64 +306,65 @@ impl FunctionalTrace {
     ///
     /// Panics when `t` is out of range.
     pub fn input_hamming(&self, t: usize) -> u32 {
+        let row = self.cycle(t);
         if t == 0 {
             return 0;
         }
-        self.signals
-            .inputs()
-            .into_iter()
-            .map(|id| {
-                self.value(id, t - 1)
-                    .hamming_distance(self.value(id, t))
-                    .expect("one signal's values share a width")
-            })
-            .sum()
+        input_distance(&self.input_spans(), self.cycle(t - 1).words, row.words)
     }
 
     /// The full input-Hamming-distance series, one entry per instant.
     pub fn input_hamming_series(&self) -> Vec<u32> {
-        let inputs = self.signals.inputs();
-        let mut out = Vec::with_capacity(self.len());
-        if !self.is_empty() {
+        let spans = self.input_spans();
+        let wpc = self.signals.words_per_cycle();
+        let mut out = Vec::with_capacity(self.len);
+        if self.len > 0 {
             out.push(0);
         }
-        for t in 1..self.len() {
-            out.push(
-                inputs
-                    .iter()
-                    .map(|id| {
-                        self.value(*id, t - 1)
-                            .hamming_distance(self.value(*id, t))
-                            .expect("one signal's values share a width")
-                    })
-                    .sum(),
+        if wpc > 0 {
+            let rows = self.words.chunks_exact(wpc);
+            out.extend(
+                rows.clone()
+                    .zip(rows.skip(1))
+                    .map(|(prev, row)| input_distance(&spans, prev, row)),
             );
+        } else {
+            out.resize(self.len, 0);
         }
         out
     }
 
     /// Hamming distance of the input signals between an externally held
-    /// previous cycle and instant `t` of this trace.
+    /// previous row and instant `t` of this trace.
     ///
-    /// `prev` holds one value per declared signal in declaration order —
-    /// the shape [`cycle`](FunctionalTrace::cycle) returns. Streaming
-    /// estimation uses this to stitch the Hamming series across chunk
-    /// boundaries: when `prev` is the cycle immediately preceding this
+    /// `prev` holds one row's words — what [`Row::as_words`] returns.
+    /// Streaming estimation uses this to stitch the Hamming series across
+    /// chunk boundaries: when `prev` is the row immediately preceding this
     /// chunk in the full trace, the result equals the corresponding entry
     /// of [`input_hamming_series`](FunctionalTrace::input_hamming_series)
     /// on the concatenated trace.
-    pub fn input_hamming_vs(&self, prev: &[Bits], t: usize) -> Result<u32, TraceError> {
-        if prev.len() != self.signals.len() {
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::CycleShapeMismatch`] (counting words) when `prev` is
+    /// not one row of this trace's interface.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` is out of range.
+    pub fn input_hamming_vs(&self, prev: &[u64], t: usize) -> Result<u32, TraceError> {
+        let wpc = self.signals.words_per_cycle();
+        if prev.len() != wpc {
             return Err(TraceError::CycleShapeMismatch {
-                expected: self.signals.len(),
+                expected: wpc,
                 actual: prev.len(),
             });
         }
-        let mut total = 0u32;
-        for id in self.signals.inputs() {
-            total += prev[id.index()].hamming_distance(self.value(id, t))?;
-        }
-        Ok(total)
+        Ok(input_distance(
+            &self.input_spans(),
+            prev,
+            self.cycle(t).words,
+        ))
     }
 
     /// Splits the trace into windows of at most `window` instants each
@@ -238,14 +376,33 @@ impl FunctionalTrace {
     /// Panics if `window` is zero.
     pub fn split_windows(&self, window: usize) -> Vec<FunctionalTrace> {
         assert!(window > 0, "window must be positive");
-        self.cycles
-            .chunks(window)
-            .map(|chunk| FunctionalTrace {
-                signals: self.signals.clone(),
-                cycles: chunk.to_vec(),
+        let wpc = self.signals.words_per_cycle();
+        (0..self.len)
+            .step_by(window)
+            .map(|start| {
+                let len = window.min(self.len - start);
+                FunctionalTrace {
+                    signals: self.signals.clone(),
+                    len,
+                    words: self.words[start * wpc..(start + len) * wpc].to_vec(),
+                }
             })
             .collect()
     }
+}
+
+/// Number of input bits that differ between two rows.
+fn input_distance(spans: &[Range<usize>], prev: &[u64], row: &[u64]) -> u32 {
+    spans
+        .iter()
+        .map(|range| {
+            prev[range.clone()]
+                .iter()
+                .zip(&row[range.clone()])
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum::<u32>()
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -269,9 +426,10 @@ mod tests {
     fn push_and_read_back() {
         let (t, a, b) = simple_trace();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.value(a, 1).to_u64().unwrap(), 3);
-        assert_eq!(t.value(b, 2).to_u64().unwrap(), 2);
-        assert_eq!(t.cycle(0).len(), 2);
+        assert_eq!(t.cycle(1).bits(a).to_u64().unwrap(), 3);
+        assert_eq!(t.cycle(2).words(b), [2]);
+        assert_eq!(t.cycle(0).as_words(), [0, 1]);
+        assert_eq!(t.as_words(), [0, 1, 3, 1, 15, 2]);
     }
 
     #[test]
@@ -284,6 +442,14 @@ mod tests {
                 actual: 1
             })
         ));
+        assert!(matches!(
+            t.push_words(&[0, 0, 0]),
+            Err(TraceError::CycleShapeMismatch {
+                expected: 2,
+                actual: 3
+            })
+        ));
+        assert_eq!(t.len(), 3);
     }
 
     #[test]
@@ -298,6 +464,26 @@ mod tests {
                 ..
             })
         ));
+        assert_eq!(t.as_words().len(), 6, "a rejected cycle writes nothing");
+    }
+
+    #[test]
+    fn push_words_masks_bits_above_each_width() {
+        let (mut t, a, b) = simple_trace();
+        t.push_words(&[0xf5, u64::MAX]).unwrap();
+        assert_eq!(t.cycle(3).bits(a), Bits::from_u64(5, 4));
+        assert_eq!(t.cycle(3).bits(b), Bits::from_u64(15, 4));
+    }
+
+    #[test]
+    fn zero_signal_interface_still_counts_instants() {
+        let mut t = FunctionalTrace::new(SignalSet::new());
+        t.push_cycle(vec![]).unwrap();
+        t.push_words(&[]).unwrap();
+        assert_eq!(t.len(), 2);
+        assert!(t.cycle(1).as_words().is_empty());
+        assert_eq!(t.input_hamming_series(), vec![0, 0]);
+        assert_eq!(t.split_windows(1).len(), 2);
     }
 
     #[test]
@@ -305,6 +491,9 @@ mod tests {
         let (t, _, _) = simple_trace();
         // inputs: 0 → 3 (2 bits) → 15 (2 bits)
         assert_eq!(t.input_hamming_series(), vec![0, 2, 2]);
+        assert_eq!(t.input_hamming(2), 2);
+        assert_eq!(t.input_hamming_vs(t.cycle(0).as_words(), 2).unwrap(), 4);
+        assert!(t.input_hamming_vs(&[0], 2).is_err());
     }
 
     #[test]
@@ -322,12 +511,17 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].len(), 2);
         assert_eq!(parts[1].len(), 1);
-        assert_eq!(parts[1].value(a, 0).to_u64().unwrap(), 15);
+        assert_eq!(parts[1].cycle(0).bits(a).to_u64().unwrap(), 15);
     }
 
     #[test]
     fn iter_visits_all_cycles() {
         let (t, _, _) = simple_trace();
         assert_eq!(t.iter().count(), 3);
+        assert_eq!(t.iter().nth(1), Some(t.cycle(1)));
+        assert_eq!(
+            t.cycle(2).to_vec(),
+            vec![Bits::from_u64(15, 4), Bits::from_u64(2, 4)]
+        );
     }
 }

@@ -42,7 +42,7 @@ pub fn write_functional_csv<W: Write>(
     writeln!(writer)?;
     for (t, cycle) in trace.iter().enumerate() {
         write!(writer, "{t}")?;
-        for value in cycle {
+        for value in cycle.iter() {
             write!(writer, ",{value}")?;
         }
         writeln!(writer)?;
@@ -207,14 +207,16 @@ pub fn write_vcd<W: Write>(
     }
     writeln!(writer, "$upscope $end")?;
     writeln!(writer, "$enddefinitions $end")?;
-    let mut prev: Option<&[crate::Bits]> = None;
+    let mut prev: Option<crate::Row<'_>> = None;
     for (t, cycle) in trace.iter().enumerate() {
         writeln!(writer, "#{t}")?;
-        for (i, value) in cycle.iter().enumerate() {
-            let changed = prev.is_none_or(|p| &p[i] != value);
+        for (id, _) in trace.signals().iter() {
+            let i = id.index();
+            let changed = prev.is_none_or(|p| p.words(id) != cycle.words(id));
             if !changed {
                 continue;
             }
+            let value = cycle.bits(id);
             if value.width() == 1 {
                 writeln!(writer, "{}{}", if value.bit(0) { 1 } else { 0 }, code(i))?;
             } else {

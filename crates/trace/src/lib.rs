@@ -35,7 +35,7 @@
 //!     Bits::from_u64(1, 4),
 //! ])?;
 //! assert_eq!(trace.len(), 1);
-//! assert_eq!(trace.value(v3, 0).to_u64()?, 3);
+//! assert_eq!(trace.cycle(0).bits(v3).to_u64()?, 3);
 //! # let _ = (v1, v2, v4);
 //! # Ok::<(), psm_trace::TraceError>(())
 //! ```
@@ -52,7 +52,7 @@ mod signal;
 
 pub use activity::{activity_profile, SignalActivity};
 pub use bits::Bits;
-pub use functional::FunctionalTrace;
+pub use functional::{FunctionalTrace, Row};
 pub use io::{
     read_functional_csv, read_power_csv, write_functional_csv, write_power_csv, write_vcd,
 };

@@ -123,7 +123,7 @@ impl Persist for FunctionalTrace {
                 "cycles",
                 JsonValue::arr(
                     self.iter()
-                        .map(|cycle| JsonValue::arr(cycle.iter().map(Persist::to_json))),
+                        .map(|cycle| JsonValue::arr(cycle.iter().map(|v| v.to_json()))),
                 ),
             ),
         ])

@@ -1,7 +1,8 @@
 //! Signal declarations: the PI/PO interface of a model.
 
-use crate::TraceError;
+use crate::{Bits, TraceError};
 use std::fmt;
+use std::ops::Range;
 
 /// Direction of a primary signal as seen from the IP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,8 +24,8 @@ impl fmt::Display for Direction {
 
 /// Opaque, cheap handle identifying a signal within one [`SignalSet`].
 ///
-/// IDs are dense indices assigned in declaration order, so they can index
-/// per-cycle value vectors directly.
+/// IDs are dense indices assigned in declaration order; a signal's words
+/// within a trace row are found through [`SignalSet::word_range`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SignalId(pub(crate) usize);
 
@@ -86,6 +87,10 @@ impl fmt::Display for SignalDecl {
 /// propositions predicate. Declaration order is preserved and defines the
 /// column order of a [`FunctionalTrace`](crate::FunctionalTrace).
 ///
+/// The set also fixes the word layout of one trace row: each signal takes
+/// `width.div_ceil(64)` little-endian `u64` words, in declaration order,
+/// starting at the offset [`SignalSet::word_range`] reports.
+///
 /// # Examples
 ///
 /// ```
@@ -104,6 +109,8 @@ impl fmt::Display for SignalDecl {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SignalSet {
     decls: Vec<SignalDecl>,
+    /// Words of each signal within a row, in declaration order.
+    ranges: Vec<Range<usize>>,
 }
 
 impl SignalSet {
@@ -131,12 +138,76 @@ impl SignalSet {
         if self.decls.iter().any(|d| d.name == name) {
             return Err(TraceError::DuplicateSignal(name));
         }
+        let start = self.words_per_cycle();
+        self.ranges.push(start..start + width.div_ceil(64));
         self.decls.push(SignalDecl {
             name,
             width,
             direction,
         });
         Ok(SignalId(self.decls.len() - 1))
+    }
+
+    /// Checks that `values` holds one value per declared signal, in
+    /// declaration order, each with the declared width.
+    ///
+    /// # Errors
+    ///
+    /// * [`TraceError::CycleShapeMismatch`] when the count is wrong;
+    /// * [`TraceError::SignalWidthMismatch`] when a value's width differs
+    ///   from its declaration.
+    pub fn check_cycle<'a>(
+        &self,
+        values: impl IntoIterator<Item = &'a Bits>,
+    ) -> Result<(), TraceError> {
+        let mut count = 0;
+        let mut width_error = None;
+        for value in values {
+            if let Some(decl) = self.decls.get(count) {
+                if width_error.is_none() && decl.width != value.width() {
+                    width_error = Some(TraceError::SignalWidthMismatch {
+                        signal: decl.name.clone(),
+                        expected: decl.width,
+                        actual: value.width(),
+                    });
+                }
+            }
+            count += 1;
+        }
+        if count != self.decls.len() {
+            return Err(TraceError::CycleShapeMismatch {
+                expected: self.decls.len(),
+                actual: count,
+            });
+        }
+        width_error.map_or(Ok(()), Err)
+    }
+
+    /// Number of `u64` words one trace row of this interface occupies.
+    #[inline]
+    pub fn words_per_cycle(&self) -> usize {
+        self.ranges.last().map_or(0, |r| r.end)
+    }
+
+    /// The words of signal `id` within a trace row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this set.
+    #[inline]
+    pub fn word_range(&self, id: SignalId) -> Range<usize> {
+        self.ranges[id.0].clone()
+    }
+
+    /// For every signal whose width does not fill its top word: that
+    /// word's index within a row and the mask of the bits the width
+    /// covers.
+    pub(crate) fn top_word_masks(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.decls
+            .iter()
+            .zip(&self.ranges)
+            .filter(|(d, _)| d.width % 64 != 0)
+            .map(|(d, r)| (r.end - 1, (1u64 << (d.width % 64)) - 1))
     }
 
     /// Number of declared signals.
@@ -261,6 +332,20 @@ mod tests {
         assert_eq!(s.outputs(), vec![c]);
         assert_eq!(s.input_width(), 9);
         assert_eq!(s.output_width(), 16);
+    }
+
+    #[test]
+    fn word_layout_follows_declaration_order() {
+        let mut s = SignalSet::new();
+        let a = s.push("a", 1, Direction::Input).unwrap();
+        let b = s.push("b", 130, Direction::Output).unwrap();
+        let c = s.push("c", 64, Direction::Input).unwrap();
+        assert_eq!(s.word_range(a), 0..1);
+        assert_eq!(s.word_range(b), 1..4);
+        assert_eq!(s.word_range(c), 4..5);
+        assert_eq!(s.words_per_cycle(), 5);
+        assert_eq!(s.top_word_masks().collect::<Vec<_>>(), [(0, 1), (3, 3)]);
+        assert_eq!(SignalSet::new().words_per_cycle(), 0);
     }
 
     #[test]

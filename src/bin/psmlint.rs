@@ -380,7 +380,7 @@ fn load_witness(path: &str, netlist: &Netlist) -> Result<Vec<Vec<Bits>>, String>
     let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace = read_functional_csv(input_signals(netlist)?, std::io::BufReader::new(file))
         .map_err(|e| format!("{path}: {e}"))?;
-    Ok(trace.iter().map(<[Bits]>::to_vec).collect())
+    Ok(trace.iter().map(|row| row.to_vec()).collect())
 }
 
 fn main() -> ExitCode {

@@ -28,13 +28,12 @@ fn assert_equivalent(name: &str, stimulus: &Stimulus) {
         let sampled = sim.sample_ports();
         for (i, (_, decl)) in netlist.signal_set().iter().enumerate() {
             assert_eq!(
-                &sampled[i],
-                behavioural.value(
+                sampled[i],
+                behavioural.cycle(t).bits(
                     behavioural
                         .signals()
                         .by_name(decl.name())
-                        .expect("same interface"),
-                    t
+                        .expect("same interface")
                 ),
                 "{name}: port `{}` diverges at cycle {t}",
                 decl.name()
@@ -116,21 +115,21 @@ fn whitebox_camellia_probe_matches_structurally() {
         }
         sim.step();
         assert_eq!(
-            &sim.output("fl_active").expect("probe port"),
-            behavioural.value(fl, t),
+            sim.output("fl_active").expect("probe port"),
+            behavioural.cycle(t).bits(fl),
             "probe diverges at cycle {t}"
         );
     }
 }
 
-/// The scratch-based mining fast path (`intern_cycle_with` /
-/// `classify_with`, one row buffer per trace) must be indistinguishable
-/// from the allocating reference path: same ids in the same order, and a
-/// byte-identical serialised table.
+/// The whole-trace mining fast path (`intern_trace` / `classify_trace`:
+/// atoms resolved against the row layout once, one truth-row buffer per
+/// trace) must be indistinguishable from the per-row allocating
+/// reference: same ids in the same order, and a byte-identical
+/// serialised table.
 #[test]
 fn scratch_mining_path_matches_allocating_reference() {
     use psm_persist::Persist;
-    use psmgen::mining::RowScratch;
 
     let flow = psmgen::flow::PsmFlow::builder()
         .preset(psmgen::flow::IpPreset::MultSum)
@@ -145,16 +144,15 @@ fn scratch_mining_path_matches_allocating_reference() {
     let trace = behavioural_trace(ip.as_mut(), &workload).expect("workload fits");
 
     // Interning: reference (allocate + intern a boxed row per cycle)
-    // against the scratch path, starting from identical table clones.
+    // against the trace walk, starting from identical table clones.
     let mut reference_table = model.table.clone();
     let mut fast_table = model.table.clone();
-    let mut scratch = RowScratch::new();
+    let fast_ids = fast_table.intern_trace(&trace);
+    assert_eq!(fast_ids.len(), trace.len());
     for t in 0..trace.len() {
-        let cycle = trace.cycle(t);
-        let row = reference_table.vocabulary().evaluate_row(cycle);
+        let row = reference_table.vocabulary().evaluate_row(trace.cycle(t));
         let ref_id = reference_table.intern(row);
-        let fast_id = fast_table.intern_cycle_with(cycle, &mut scratch);
-        assert_eq!(ref_id, fast_id, "intern diverges at cycle {t}");
+        assert_eq!(ref_id, fast_ids.id(t), "intern diverges at cycle {t}");
     }
     assert_eq!(
         reference_table.to_json().render(),
@@ -162,18 +160,16 @@ fn scratch_mining_path_matches_allocating_reference() {
         "interned tables must serialise byte-identically"
     );
 
-    // Classification: the scratch lookup against a linear row scan.
-    let mut scratch = RowScratch::new();
-    for t in 0..trace.len() {
-        let cycle = trace.cycle(t);
-        let row = model.table.vocabulary().evaluate_row(cycle);
+    // Classification: the trace walk against a linear row scan.
+    let fast = model.table.classify_trace(&trace);
+    assert_eq!(fast.len(), trace.len());
+    for (t, &fast) in fast.iter().enumerate() {
+        let row = model.table.vocabulary().evaluate_row(trace.cycle(t));
         let scan = model
             .table
             .ids()
             .find(|&id| model.table.get(id).row() == row.as_slice());
-        let fast = model.table.classify_with(cycle, &mut scratch);
         assert_eq!(scan, fast, "classify diverges at cycle {t}");
-        assert_eq!(scratch.row(), row.as_slice(), "scratch row differs");
     }
 }
 
@@ -307,13 +303,12 @@ fn optimised_netlists_match_behavioural_models() {
             sim.step();
             for (i, (_, decl)) in optimised.signal_set().iter().enumerate() {
                 assert_eq!(
-                    &sim.sample_ports()[i],
-                    behavioural.value(
+                    sim.sample_ports()[i],
+                    behavioural.cycle(t).bits(
                         behavioural
                             .signals()
                             .by_name(decl.name())
-                            .expect("same interface"),
-                        t
+                            .expect("same interface")
                     ),
                     "{name} (optimised): port `{}` diverges at cycle {t}",
                     decl.name()

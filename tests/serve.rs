@@ -10,7 +10,7 @@ use psmgen::flow::{IpPreset, PsmFlow, TrainedModel};
 use psmgen::ips::{behavioural_trace, testbench, MultSum};
 use psmgen::serve::protocol::{self, Frame, Opcode, Status};
 use psmgen::serve::{Client, ClientError, PoolConfig, Server, ServerConfig};
-use psmgen::trace::FunctionalTrace;
+use psmgen::trace::{Bits, Direction, FunctionalTrace, SignalSet};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -368,6 +368,63 @@ fn malformed_binary_frames_are_structured_errors() {
     client.shutdown().unwrap();
     let report = running.join().expect("clean exit");
     assert!(report.named_counter("serve.protocol_errors") >= 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn interface_mismatch_is_an_error_reply_not_a_dead_worker() {
+    let dir = temp_registry("mismatch");
+    train_into(&dir, "multsum@1.json", &[1]);
+    let flow = PsmFlow::builder().preset(IpPreset::MultSum).build();
+    let loaded = TrainedModel::load(dir.join("multsum@1.json")).unwrap();
+    // One worker: a job that panicked it would leave nobody to answer
+    // the valid request below.
+    let mut cfg = ServerConfig::new(&dir);
+    cfg.pool.workers = 1;
+    let running = Server::bind(cfg).unwrap().spawn();
+    let mut client = Client::connect(running.addr()).unwrap();
+
+    // A one-signal trace against the MultSum model's interface.
+    let mut signals = SignalSet::new();
+    signals.push("en", 1, Direction::Input).unwrap();
+    let mut narrow = FunctionalTrace::new(signals);
+    for t in 0..8u64 {
+        narrow.push_cycle(vec![Bits::from_u64(t % 2, 1)]).unwrap();
+    }
+    // Sent on a raw socket with a read deadline, so a dead worker fails
+    // the test instead of hanging it.
+    let mut sock = TcpStream::connect(running.addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let payload = protocol::estimate_bin_request("multsum", None, &narrow);
+    protocol::write_frame(&mut sock, &Frame::request(Opcode::EstimateBin, 7, payload)).unwrap();
+    let reply = protocol::read_frame(&mut sock)
+        .expect("a reply before the deadline")
+        .expect("an open connection");
+    assert_eq!(reply.request_id, 7);
+    assert_eq!(reply.status(), Some(Status::Error));
+    drop(sock);
+    // The JSON estimate and the stream opener refuse it the same way.
+    assert!(matches!(
+        client.estimate_json("multsum", None, &narrow),
+        Err(ClientError::Server(msg)) if msg.contains("interface mismatch")
+    ));
+    assert!(matches!(
+        client.open_stream("multsum", None, narrow.signals()),
+        Err(ClientError::Server(_))
+    ));
+
+    // The next valid request on the same daemon answers bit-identically.
+    let trace = workload(3, 300);
+    let expected = flow.estimate_from_trace(&loaded, &trace);
+    let bin = client.estimate_binary("multsum", None, &trace).unwrap();
+    let bin_bits: Vec<u64> = bin.estimate.iter().map(|v| v.to_bits()).collect();
+    let expected_bits: Vec<u64> = expected.estimate.iter().map(f64::to_bits).collect();
+    assert_eq!(bin_bits, expected_bits);
+
+    client.shutdown().unwrap();
+    let report = running.join().expect("clean exit");
+    assert_eq!(report.named_counter("serve.interface_mismatch"), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -134,7 +134,7 @@ fn every_counterexample_replays_to_a_violation() {
         let mut csv = Vec::new();
         write_functional_csv(&trace, &mut csv).expect("witness writes");
         let back = read_functional_csv(inputs, csv.as_slice()).expect("witness reads back");
-        let stimulus: Vec<Vec<Bits>> = back.iter().map(<[Bits]>::to_vec).collect();
+        let stimulus: Vec<Vec<Bits>> = back.iter().map(|row| row.to_vec()).collect();
         let replay = replay_witness(&netlist, &model.table, &model.psm, &stimulus);
         assert!(
             replay.diagnostics().iter().any(|d| d.code == "MC001"),
