@@ -21,6 +21,12 @@ echo "==> member crates: unit and integration tests of crates/*"
 # ...) run here. The root package is excluded because tier-1 ran it.
 cargo test --offline --workspace --exclude psmgen -q
 
+echo "==> psm-core: ten-million-pair differential test of the merge decision"
+# The tabulated critical-value decision of MergePolicy must agree with the
+# full t-tests on every pair; the large case is #[ignore]d in the default
+# run and takes about a minute in release.
+cargo test --offline --release -p psm-core -- --ignored
+
 echo "==> psmperf: the long-run benchmark still builds and passes its smoke test"
 # psmperf is a package of its own, so the workspace build above never
 # compiles it; an API change in psmgen would otherwise break the

@@ -67,6 +67,7 @@ mod classify;
 mod dot;
 mod generator;
 mod merge;
+mod probe;
 mod psm;
 mod report;
 mod simplify;

@@ -1,5 +1,6 @@
 //! Mergeability of power states (paper §IV-A) and the `join` procedure.
 
+use crate::probe::{CriticalTable, Probe};
 use crate::psm::{Fold, Psm};
 use crate::PowerAttributes;
 use psm_stats::{one_sample_t_test, welch_t_test};
@@ -20,6 +21,29 @@ use psm_stats::{one_sample_t_test, welch_t_test};
 /// Disable it to evaluate the paper's pure-test behaviour (see the
 /// `ablation_epsilon` bench).
 ///
+/// # How a t-test is decided
+///
+/// After the ε-override, cases 2 and 3 are decided in three steps:
+///
+/// 1. A pair whose means lie more than six summed standard errors apart
+///    (case 2) or six prediction-interval widths apart (case 3), so that
+///    `|t| > 6`, is rejected untested. In `join` over long traces almost
+///    every pair ends here.
+/// 2. Otherwise `|t|` is compared with the two-sided critical values of α
+///    tabulated at the ladder points bracketing the test's degrees of
+///    freedom. The critical value falls as df grows, so `|t|` above the
+///    larger one is a certain reject and below the smaller one a certain
+///    accept; both bounds are widened by a relative guard band of 1e-7
+///    that covers the p-value's rounding noise.
+/// 3. Inside the band, for df above 2²⁰, and for degenerate input (zero
+///    variance, non-finite values) the full test runs.
+///
+/// Steps 2 and 3 together give exactly the verdict `p >= α` of
+/// [`welch_t_test`] or [`one_sample_t_test`], mostly without computing p.
+///
+/// The table is shared by every policy with the same α, filled on first
+/// use and kept for the life of the process.
+///
 /// # Examples
 ///
 /// ```
@@ -35,11 +59,21 @@ use psm_stats::{one_sample_t_test, welch_t_test};
 /// assert!(policy.mergeable(&low, &low));
 /// assert!(!policy.mergeable(&low, &high));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct MergePolicy {
     epsilon: f64,
     alpha: f64,
     mean_tolerance_override: bool,
+    critical: &'static CriticalTable,
+}
+
+impl PartialEq for MergePolicy {
+    /// The critical-value table follows from α, so it takes no part.
+    fn eq(&self, other: &Self) -> bool {
+        self.epsilon == other.epsilon
+            && self.alpha == other.alpha
+            && self.mean_tolerance_override == other.mean_tolerance_override
+    }
 }
 
 impl MergePolicy {
@@ -55,6 +89,7 @@ impl MergePolicy {
             epsilon,
             alpha,
             mean_tolerance_override: true,
+            critical: CriticalTable::for_alpha(alpha),
         }
     }
 
@@ -81,6 +116,75 @@ impl MergePolicy {
 
     /// Applies the appropriate §IV-A case to two attribute triplets.
     pub fn mergeable(&self, a: &PowerAttributes, b: &PowerAttributes) -> bool {
+        self.decide(&Probe::new(a), &Probe::new(b))
+    }
+
+    /// [`mergeable`](Self::mergeable) on precomputed probes: the one
+    /// decision path, which `join` calls with probes it caches per state.
+    pub(crate) fn decide(&self, a: &Probe, b: &Probe) -> bool {
+        if a.n() == 0 || b.n() == 0 {
+            return false;
+        }
+        let delta = (a.mu() - b.mu()).abs();
+        let mean_close = delta < self.epsilon;
+        match (a.n() == 1, b.n() == 1) {
+            // Case 1: two next-pattern states.
+            (true, true) => mean_close,
+            _ if self.mean_tolerance_override && mean_close => true,
+            // Case 3: until vs next.
+            (false, true) => self.case3(a, b, delta),
+            (true, false) => self.case3(b, a, delta),
+            // Case 2: two until-pattern states.
+            (false, false) => self.case2(a, b, delta),
+        }
+    }
+
+    /// Welch's test, with the statistic and Welch–Satterthwaite df
+    /// computed as [`welch_t_test`] computes them.
+    fn case2(&self, a: &Probe, b: &Probe, delta: f64) -> bool {
+        // The prefilter is part of the decision: means more than six summed
+        // standard errors apart (so |t| > 6) are rejected untested. Most
+        // `join` probes end here.
+        let spread = a.standard_error + b.standard_error;
+        if delta > 6.0 * spread && spread.is_finite() {
+            return false;
+        }
+        let (na, nb) = (a.n() as f64, b.n() as f64);
+        let (wa, wb) = (a.variance / na, b.variance / nb);
+        let se2 = wa + wb;
+        if se2 > 0.0 {
+            let t = (a.mu() - b.mu()) / se2.sqrt();
+            let df = se2 * se2 / (wa.powi(2) / (na - 1.0) + wb.powi(2) / (nb - 1.0));
+            if let Some(same) = self.critical.decide(t, df) {
+                return same;
+            }
+        }
+        welch_t_test(&a.stats, &b.stats).is_ok_and(|t| t.is_same_population(self.alpha))
+    }
+
+    /// The one-sample prediction-interval test, with the statistic
+    /// computed as [`one_sample_t_test`] computes it.
+    fn case3(&self, sample: &Probe, single: &Probe, delta: f64) -> bool {
+        if sample.variance > 0.0 {
+            // The same prefilter on the prediction interval.
+            if delta > sample.prediction_radius {
+                return false;
+            }
+            let t = (single.mu() - sample.mu()) / sample.prediction_scale;
+            let df = sample.n() as f64 - 1.0;
+            if let Some(same) = self.critical.decide(t, df) {
+                return same;
+            }
+        }
+        one_sample_t_test(&sample.stats, single.mu())
+            .is_ok_and(|t| t.is_same_population(self.alpha))
+    }
+
+    /// The decision as it was made before the critical-value table, one
+    /// p-value per test past the prefilters: the differential oracle of
+    /// [`Self::decide`].
+    #[cfg(test)]
+    pub(crate) fn mergeable_reference(&self, a: &PowerAttributes, b: &PowerAttributes) -> bool {
         if a.n() == 0 || b.n() == 0 {
             return false;
         }
@@ -90,8 +194,8 @@ impl MergePolicy {
             // Case 1: two next-pattern states.
             (true, true) => mean_close,
             // Case 3: until vs next.
-            (false, true) => self.case3(a, b, mean_close, delta),
-            (true, false) => self.case3(b, a, mean_close, delta),
+            (false, true) => self.case3_reference(a, b, mean_close, delta),
+            (true, false) => self.case3_reference(b, a, mean_close, delta),
             // Case 2: two until-pattern states.
             (false, false) => {
                 if self.mean_tolerance_override && mean_close {
@@ -113,11 +217,13 @@ impl MergePolicy {
         }
     }
 
+    #[cfg(test)]
     fn standard_error(x: &PowerAttributes) -> f64 {
         x.stats().standard_error().unwrap_or(f64::INFINITY)
     }
 
-    fn case3(
+    #[cfg(test)]
+    fn case3_reference(
         &self,
         sample: &PowerAttributes,
         single: &PowerAttributes,
@@ -168,24 +274,26 @@ pub fn join(psms: &[Psm], policy: &MergePolicy) -> Psm {
         combined.absorb_psm(p);
     }
     let mut fold = Fold::new(combined);
-    // Original indices of the live states, in index order: row and column
-    // positions of the sweep.
-    let mut live: Vec<usize> = (0..fold.state_count()).collect();
+    // The live states in index order, each as its original index beside
+    // its probe: row and column positions of the sweep.
+    let mut live: Vec<(usize, Probe)> = (0..fold.state_count())
+        .map(|i| (i, Probe::new(fold.state(i).attrs())))
+        .collect();
     loop {
         let mut merged_any = false;
         let mut i = 0;
         while i < live.len() {
-            let mut j = i + 1;
-            while j < live.len() {
-                if policy.mergeable(fold.state(live[i]).attrs(), fold.state(live[j]).attrs()) {
-                    fold.merge(live[i], live.remove(j), false);
-                    merged_any = true;
-                    // `i`'s attributes changed: partners before `j` may now
-                    // match, so rescan from the start of the row.
-                    j = i + 1;
-                } else {
-                    j += 1;
-                }
+            // `i`'s attributes change with every fold, so after one the
+            // row rescans from `i + 1`: earlier partners may now match.
+            while let Some(k) = live[i + 1..]
+                .iter()
+                .position(|(_, probe)| policy.decide(&live[i].1, probe))
+            {
+                let (removed, _) = live.remove(i + 1 + k);
+                let keep = live[i].0;
+                fold.merge(keep, removed, false);
+                live[i].1 = Probe::new(fold.state(keep).attrs());
+                merged_any = true;
             }
             i += 1;
         }
@@ -231,9 +339,11 @@ pub(crate) fn join_reference(psms: &[Psm], policy: &MergePolicy) -> Psm {
 mod tests {
     use super::*;
     use crate::generator::generate_psm;
+    use crate::probe::{bracket, GUARD, LADDER_END};
     use crate::simplify::{simplify, simplify_reference};
     use psm_mining::PropositionTrace;
     use psm_prng::Prng;
+    use psm_stats::StudentsT;
     use psm_trace::PowerTrace;
 
     fn attrs(values: &[f64]) -> PowerAttributes {
@@ -423,6 +533,149 @@ mod tests {
             simplified > 5_000 && joined > 10_000,
             "{simplified} {joined}"
         );
+    }
+
+    /// Attributes with freely chosen accumulator fields, built through
+    /// the persisted form: n, μ and the sum of squared deviations.
+    fn raw_attrs(count: u64, mean: f64, m2: f64) -> PowerAttributes {
+        use psm_persist::{JsonValue, Persist};
+        let stats = JsonValue::obj([
+            ("count", JsonValue::from(count)),
+            ("mean", JsonValue::from_f64(mean)),
+            ("m2", JsonValue::from_f64(m2)),
+            ("min", JsonValue::from_f64(mean)),
+            ("max", JsonValue::from_f64(mean)),
+        ]);
+        PowerAttributes::from_json(&stats).expect("well-formed accumulator")
+    }
+
+    const ALPHAS: [f64; 5] = [0.001, 0.01, 0.05, 0.3, 0.9];
+
+    /// A state size: the degenerate sizes, sizes past the critical-value
+    /// table, and log-uniform sizes across it.
+    fn draw_n(rng: &mut Prng) -> u64 {
+        match rng.range_usize(0..10) {
+            0 => 0,
+            1 => 1,
+            2 => 2,
+            3 => 3,
+            4 => 1_000_000 + rng.range_u64(0..4_000_000),
+            _ => 2f64.powf(rng.f64_in(1.0, 22.0)) as u64,
+        }
+    }
+
+    /// One side of a pair: n, μ at one of several magnitudes and signs,
+    /// and a spread that is zero, relative to μ, or infinite.
+    fn draw_side(rng: &mut Prng) -> (u64, f64, f64) {
+        let n = draw_n(rng);
+        let scale = *rng.pick(&[3.0, -5.0, 1e12, 1e-12, -1e9, 1e300]);
+        let mu = scale * rng.f64_in(0.5, 1.5);
+        let m2 = match rng.range_usize(0..8) {
+            _ if n < 2 => 0.0,
+            0 => 0.0,
+            1 if scale.abs() < 1e100 => f64::INFINITY,
+            _ => {
+                let sd = scale.abs() * 10f64.powf(rng.f64_in(-9.0, 0.0));
+                sd * sd * (n - 1) as f64
+            }
+        };
+        (n, mu, m2)
+    }
+
+    /// The t statistic's denominator and df for a pair whose second side
+    /// is still to be placed, or `None` outside the t-test cases.
+    fn test_shape(first: &Probe, n_second: u64, m2_second: f64) -> Option<(f64, f64)> {
+        let second = Probe::new(&raw_attrs(n_second, 0.0, m2_second));
+        match (first.n(), second.n()) {
+            (0 | 1, _) | (_, 0) => None,
+            (n, 1) => Some((first.prediction_scale, n as f64 - 1.0)),
+            (na, nb) => {
+                let (na, nb) = (na as f64, nb as f64);
+                let (wa, wb) = (first.variance / na, second.variance / nb);
+                let se2 = wa + wb;
+                let df = se2 * se2 / (wa.powi(2) / (na - 1.0) + wb.powi(2) / (nb - 1.0));
+                Some((se2.sqrt(), df))
+            }
+        }
+    }
+
+    /// Draws a pair and checks the probe decision against the reference
+    /// under `policy`. Returns the shared verdict.
+    fn check_random_pair(rng: &mut Prng, policy: &MergePolicy) -> bool {
+        let (na, mu_a, m2_a) = draw_side(rng);
+        let (nb, _, m2_b) = draw_side(rng);
+        let a = raw_attrs(na, mu_a, m2_a);
+        let shape = test_shape(&Probe::new(&a), nb, m2_b)
+            .filter(|&(scale, df)| scale > 0.0 && scale.is_finite() && df >= 1.0 && df.is_finite());
+        let sign = if rng.chance(0.5) { 1.0 } else { -1.0 };
+        let mu_b = match (rng.range_usize(0..4), shape) {
+            // |t| a hair either side of the exact critical value.
+            (0, Some((scale, df))) => {
+                let crit = StudentsT::new(df)
+                    .unwrap()
+                    .critical_value(policy.alpha())
+                    .unwrap();
+                let nudge = if rng.chance(0.5) {
+                    1.0 + 1e-9
+                } else {
+                    1.0 - 1e-9
+                };
+                mu_a + sign * crit * nudge * scale
+            }
+            // |t| just outside the guard band of the bracketing entries,
+            // where the table decides alone.
+            (1, Some((scale, df))) if df < LADDER_END => {
+                let (lo, hi) = bracket(df).unwrap();
+                let margin = GUARD * rng.f64_in(1.000_001, 1.5);
+                let t = if rng.chance(0.5) {
+                    policy.critical.critical_value(lo) * (1.0 + margin)
+                } else {
+                    policy.critical.critical_value(hi) * (1.0 - margin)
+                };
+                mu_a + sign * t * scale
+            }
+            // Means a hair either side of ε.
+            (2, _) => mu_a + sign * policy.epsilon() * rng.f64_in(1.0 - 1e-12, 1.0 + 1e-12),
+            // Anywhere from identical to far apart.
+            (_, Some((scale, _))) => mu_a + sign * rng.f64_in(0.0, 12.0) * scale,
+            (_, None) => mu_a + sign * mu_a.abs() * 10f64.powf(rng.f64_in(-12.0, 0.0)),
+        };
+        let b = raw_attrs(nb, mu_b, m2_b);
+        let (a, b) = if rng.chance(0.5) { (a, b) } else { (b, a) };
+        let expected = policy.mergeable_reference(&a, &b);
+        assert_eq!(
+            policy.mergeable(&a, &b),
+            expected,
+            "{policy:?}\n a = {:?}\n b = {:?}",
+            a.stats(),
+            b.stats()
+        );
+        expected
+    }
+
+    fn check_random_pairs(pairs: usize, seed: u64) {
+        let policies: Vec<MergePolicy> = ALPHAS
+            .iter()
+            .flat_map(|&alpha| [0.0, 0.05].map(|eps| MergePolicy::new(eps, alpha)))
+            .flat_map(|p| [true, false].map(|on| p.with_mean_tolerance_override(on)))
+            .collect();
+        let mut rng = Prng::seed_from_u64(seed);
+        let merged = (0..pairs)
+            .filter(|k| check_random_pair(&mut rng, &policies[k % policies.len()]))
+            .count();
+        // Both verdicts must be well represented for the check to bite.
+        assert!(merged > pairs / 10 && merged < pairs * 9 / 10, "{merged}");
+    }
+
+    #[test]
+    fn probe_decision_matches_the_reference() {
+        check_random_pairs(200_000, 0x1A7E_57E5);
+    }
+
+    #[test]
+    #[ignore = "ten million pairs; run in release with --ignored"]
+    fn probe_decision_matches_the_reference_at_scale() {
+        check_random_pairs(10_000_000, 0x0DEC_1DE5);
     }
 
     #[test]

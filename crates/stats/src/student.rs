@@ -75,6 +75,61 @@ impl StudentsT {
         let x = self.df / (self.df + t * t);
         regularized_incomplete_beta(0.5 * self.df, 0.5, x)
     }
+
+    /// Two-sided critical value: the `|t|` at which
+    /// [`two_sided_p_value`](Self::two_sided_p_value) equals `alpha`, so that
+    /// `p >= alpha` exactly when `|t|` is at most this value.
+    ///
+    /// Found by bisection on `two_sided_p_value` itself, down to adjacent
+    /// floats, so a table of these values agrees with the p-values it
+    /// stands in for. Returns `+inf` when the p-value stays at or above
+    /// `alpha` for every finite `t` (only for `alpha` near the smallest
+    /// floats).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InvalidParameter`] unless `0 < alpha < 1`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use psm_stats::StudentsT;
+    ///
+    /// let t = StudentsT::new(10.0)?;
+    /// let crit = t.critical_value(0.05)?;
+    /// assert!((crit - 2.228).abs() < 1e-3);
+    /// assert!((t.two_sided_p_value(crit) - 0.05).abs() < 1e-12);
+    /// # Ok::<(), psm_stats::StatsError>(())
+    /// ```
+    pub fn critical_value(&self, alpha: f64) -> Result<f64, StatsError> {
+        if !(alpha > 0.0 && alpha < 1.0) {
+            return Err(StatsError::InvalidParameter(
+                "significance level must lie in (0, 1)",
+            ));
+        }
+        // Invariant: p(lo) >= alpha > p(hi). p(0) = 1, and p falls
+        // monotonically towards 0 as |t| grows.
+        let mut lo = 0.0f64;
+        let mut hi = 1.0f64;
+        while self.two_sided_p_value(hi) >= alpha {
+            lo = hi;
+            hi *= 2.0;
+            if !hi.is_finite() {
+                return Ok(f64::INFINITY);
+            }
+        }
+        loop {
+            let mid = lo + 0.5 * (hi - lo);
+            if mid <= lo || mid >= hi {
+                return Ok(lo);
+            }
+            if self.two_sided_p_value(mid) >= alpha {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +199,77 @@ mod tests {
             assert!((p - via_cdf).abs() < 1e-12, "x = {x}");
             // p-value must be sign-invariant.
             assert!((p - t.two_sided_p_value(-x)).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn critical_values_match_the_t_table() {
+        // Two-sided table entries: (alpha, df, t_crit).
+        let cases = [
+            (0.01, 1.0, 63.657),
+            (0.01, 10.0, 3.169),
+            (0.01, 30.0, 2.750),
+            (0.3, 1.0, 1.963),
+            (0.3, 10.0, 1.093),
+        ];
+        for (alpha, df, crit) in cases {
+            let t = StudentsT::new(df).unwrap();
+            let got = t.critical_value(alpha).unwrap();
+            assert!((got - crit).abs() < 5e-4, "alpha {alpha}, df {df}: {got}");
+        }
+    }
+
+    #[test]
+    fn critical_value_inverts_the_p_value() {
+        for alpha in [0.001, 0.01, 0.05, 0.3, 0.9] {
+            for df in [1.0, 1.5, 2.0, 7.0, 33.25, 1e3, 1e4, 1e5] {
+                let t = StudentsT::new(df).unwrap();
+                let crit = t.critical_value(alpha).unwrap();
+                // The largest float whose p-value is still >= alpha.
+                let p = t.two_sided_p_value(crit);
+                let next = f64::from_bits(crit.to_bits() + 1);
+                assert!(p >= alpha, "alpha {alpha}, df {df}: p {p}");
+                assert!(t.two_sided_p_value(next) < alpha, "alpha {alpha}, df {df}");
+                // The p-value is a staircase in t: x = df / (df + t²) moves
+                // in ulp steps near 1, each worth about dp/dx · 1e-16, which
+                // grows with df (alpha = 0.9 steps by 2.5e-12 at df = 1e4,
+                // alpha = 0.9 by 3.3e-11 at df = 1e5).
+                let tolerance = if df <= 1e3 { 1e-12 } else { 1e-10 };
+                assert!(
+                    (p - alpha).abs() < tolerance,
+                    "alpha {alpha}, df {df}: p {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn critical_value_does_not_increase_with_df() {
+        // The ladder psm-core tabulates: 16 points per octave of df, up to
+        // 2^20. Much further out, rounding noise in the p-value outgrows
+        // the true decrease between neighbouring points.
+        let ladder = (0..=20 * 16).map(|k| (16 + k % 16) as f64 / 16.0 * (1u64 << (k / 16)) as f64);
+        for alpha in [0.001, 0.01, 0.05, 0.3, 0.9] {
+            let mut last = f64::INFINITY;
+            for df in ladder.clone() {
+                let crit = StudentsT::new(df).unwrap().critical_value(alpha).unwrap();
+                assert!(crit <= last, "alpha {alpha}, df {df}: {crit} > {last}");
+                last = crit;
+            }
+        }
+    }
+
+    #[test]
+    fn critical_value_rejects_alpha_outside_the_unit_interval() {
+        let t = StudentsT::new(5.0).unwrap();
+        for alpha in [0.0, 1.0, -0.1, 1.5, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    t.critical_value(alpha),
+                    Err(StatsError::InvalidParameter(_))
+                ),
+                "alpha {alpha}"
+            );
         }
     }
 
