@@ -583,3 +583,94 @@ fn half_closing_client_still_gets_its_responses() {
     running.join().expect("clean exit");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn inline_errors_are_one_error_reply_each() {
+    let dir = temp_registry("inline-errors");
+    train_into(&dir, "multsum@1.json", &[1]);
+    let running = Server::bind(ServerConfig::new(&dir)).unwrap().spawn();
+    let trace = workload(4, 40);
+    let mut sock = TcpStream::connect(running.addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut call = |version: u8, op: Opcode, id: u64, payload: Vec<u8>| {
+        protocol::write_frame(&mut sock, &Frame::request_v(version, op, id, payload)).unwrap();
+        let reply = protocol::read_frame(&mut sock)
+            .expect("a reply before the deadline")
+            .expect("an open connection");
+        assert_eq!(reply.request_id, id);
+        reply
+    };
+
+    let opened = call(
+        2,
+        Opcode::StreamOpen,
+        1,
+        protocol::stream_open_request(1, "multsum", None, trace.signals()),
+    );
+    assert_eq!(opened.status(), Some(Status::Ok));
+    let mut bad_chunk = protocol::stream_chunk_request(1, &trace);
+    bad_chunk.pop();
+    let cases: Vec<(u8, Opcode, Vec<u8>)> = vec![
+        (2, Opcode::Estimate, b"{\"model\": ".to_vec()),
+        (
+            2,
+            Opcode::EstimateBin,
+            protocol::estimate_bin_request("nosuch", None, &trace),
+        ),
+        (
+            2,
+            Opcode::EstimateBin,
+            protocol::estimate_bin_request("multsum", Some(9), &trace),
+        ),
+        (
+            1,
+            Opcode::StreamChunk,
+            protocol::stream_chunk_request(1, &trace),
+        ),
+        (
+            2,
+            Opcode::StreamOpen,
+            protocol::stream_open_request(1, "multsum", None, trace.signals()),
+        ),
+        (
+            2,
+            Opcode::StreamChunk,
+            protocol::stream_chunk_request(5, &trace),
+        ),
+        (2, Opcode::StreamClose, protocol::stream_close_request(6)),
+        (2, Opcode::StreamChunk, bad_chunk),
+    ];
+    let expected = [
+        "malformed payload: JSON syntax error at byte 10: unexpected end of input",
+        "unknown model nosuch",
+        "unknown model multsum@9",
+        "opcode stream_chunk requires protocol v2 (frame is v1)",
+        "stream 1 is already open",
+        "stream 5 is not open",
+        "stream 6 is not open",
+        "malformed payload: JSON schema error: binary trace payload truncated at byte 14: need 7720 more byte(s), have 7719",
+    ];
+    for (i, ((version, op, payload), want)) in cases.into_iter().zip(expected).enumerate() {
+        let id = 10 + i as u64;
+        let reply = call(version, op, id, payload);
+        assert_eq!(reply.version, version, "case {i}");
+        assert_eq!(reply.status(), Some(Status::Error), "case {i}");
+        assert_eq!(protocol::parse_error(&reply), want, "case {i}");
+    }
+
+    // The connection still serves a good estimate afterwards.
+    let reply = call(
+        2,
+        Opcode::EstimateBin,
+        99,
+        protocol::estimate_bin_request("multsum", None, &trace),
+    );
+    assert_eq!(reply.status(), Some(Status::Ok));
+    let bin = protocol::parse_estimate_bin_reply(&reply).unwrap();
+    assert_eq!(bin.estimate.len(), trace.len());
+
+    Client::connect(running.addr()).unwrap().shutdown().unwrap();
+    running.join().expect("clean exit");
+    std::fs::remove_dir_all(&dir).ok();
+}
