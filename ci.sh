@@ -124,6 +124,10 @@ cmp target/psmd-smoke/estimate.json target/psmd-smoke/slow.json
     --gen MultSum:7:200 --clients 2 --streams 2 --rounds 3 \
     --format json > /dev/null
 ./target/release/psmctl --addr "$PSMD_ADDR" stats > /dev/null
+# The JSON report carries the fixed per-job time counters.
+./target/release/psmctl --addr "$PSMD_ADDR" stats --format json \
+    > target/psmd-smoke/stats.json
+grep -q serve.estimate_ns target/psmd-smoke/stats.json
 ./target/release/psmctl --addr "$PSMD_ADDR" shutdown
 wait "$PSMD_PID"   # psmd must drain and exit 0
 

@@ -663,7 +663,6 @@ mod tests {
         cfg.pool = PoolConfig {
             workers: 1,
             queue_capacity: 1,
-            max_batch: 1,
             stall: Duration::from_millis(500),
         };
         let running = Server::bind(cfg).unwrap().spawn();
@@ -707,7 +706,6 @@ mod tests {
         cfg.pool = PoolConfig {
             workers: 1,
             queue_capacity: 8,
-            max_batch: 8,
             stall: Duration::from_millis(300),
         };
         let running = Server::bind(cfg).unwrap().spawn();

@@ -9,10 +9,13 @@
 //! to the outbox and wake the loop through the wake pipe. The daemon
 //! needs `poll(2)`, so it serves on Unix targets only.
 //!
-//! Estimations go through the [`pool`](crate::pool) (bounded queue,
-//! per-model batching, per-stream session turns); everything else is
-//! answered inline. Responses echo the request frame's protocol version,
-//! so v1 clients interoperate with this v2 daemon untouched.
+//! Estimations go through the [`pool`](crate::pool) (bounded queue, one
+//! job per worker turn, per-stream session turns); everything else is
+//! answered inline. Each opcode's dispatcher returns either an inline
+//! answer, which `dispatch` sends once, or hands the request to the pool,
+//! whose callback sends the reply. Responses echo the request frame's
+//! protocol version, so v1 clients interoperate with this v2 daemon
+//! untouched.
 //!
 //! Shutdown — the `SHUTDOWN` opcode or SIGTERM via
 //! [`signals::on_sigterm`](crate::signals::on_sigterm) — is graceful by
@@ -21,15 +24,13 @@
 //! land in the final [`TelemetryReport`], and [`Server::run`] returns it.
 
 use crate::poll::Waker;
-use crate::pool::{
-    EstimateJob, Pool, PoolConfig, SessionEntry, StreamJob, StreamReply, StreamSubmit, StreamWork,
-    SubmitOutcome,
-};
+use crate::pool::{EstimateJob, Pool, PoolConfig, Refused, SessionEntry, StreamJob};
 use crate::protocol::{self, Frame, Opcode, Status, MIN_PROTOCOL_VERSION};
-use crate::registry::{Registry, RegistryError, Snapshot};
+use crate::registry::{Registry, RegistryError, ServedModel, Snapshot};
+use psm_hmm::HmmOutcome;
 use psm_persist::JsonValue;
 use psm_telemetry::{Stage, Telemetry, TelemetryReport};
-use psm_trace::SignalSet;
+use psm_trace::{FunctionalTrace, PowerTrace, SignalSet};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -388,6 +389,7 @@ impl RunningServer {
 const OUTBOX_BACKPRESSURE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Bytes queued towards one peer, flushed as the socket drains.
+#[derive(Default)]
 struct Outbox {
     queue: std::collections::VecDeque<Vec<u8>>,
     /// How much of the front entry has been written.
@@ -437,11 +439,7 @@ impl Conn {
         let _ = stream.set_nodelay(true);
         stream.set_nonblocking(true).ok()?;
         let fd = stream.as_raw_fd();
-        let outbox = Arc::new(Mutex::new(Outbox {
-            queue: std::collections::VecDeque::new(),
-            offset: 0,
-            bytes: 0,
-        }));
+        let outbox = Arc::new(Mutex::new(Outbox::default()));
         let inflight = Arc::new(AtomicU64::new(0));
         Some(Conn {
             stream,
@@ -557,84 +555,169 @@ struct ResponseSink {
 }
 
 impl ResponseSink {
-    /// Registers one pool job against this connection so the event loop
-    /// will not retire a half-closed peer before the job's response lands
-    /// in the outbox.
-    fn job_guard(&self) -> JobGuard {
+    /// The reply half of a request handed to the pool. It registers one
+    /// job against this connection, so the event loop will not retire a
+    /// half-closed peer before the job's response lands in the outbox.
+    fn defer(&self, frame: &Frame) -> Deferred {
         self.inflight.fetch_add(1, Ordering::SeqCst);
-        JobGuard {
-            inflight: self.inflight.clone(),
-            waker: self.waker,
+        Deferred {
+            sink: self.clone(),
+            version: frame.version,
+            request_id: frame.request_id,
         }
     }
 }
 
-/// Releases a [`ResponseSink::job_guard`] registration on drop —
-/// whether the job responded, was rejected by a full queue, or was
-/// dropped by a draining pool — and wakes the event loop so it
+/// A pool job's way back to its connection. Dropping it — after the job
+/// responded, or with a job the pool refused — releases the
+/// [`ResponseSink::defer`] registration and wakes the event loop so it
 /// re-evaluates the connection.
-struct JobGuard {
-    inflight: Arc<AtomicU64>,
-    waker: Waker,
+struct Deferred {
+    sink: ResponseSink,
+    version: u8,
+    request_id: u64,
 }
 
-impl Drop for JobGuard {
+impl Deferred {
+    fn send(self, status: Status, payload: Vec<u8>) {
+        respond(&self.sink, self.version, status, self.request_id, payload);
+    }
+}
+
+impl Drop for Deferred {
     fn drop(&mut self) {
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.waker.wake();
+        self.sink.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.sink.waker.wake();
     }
 }
 
 /// Delivers one response frame, echoing the request's protocol version.
+/// A payload over the frame cap is replaced by one `ERROR` reply that
+/// names its size, so the request still gets exactly one answer.
 fn respond(sink: &ResponseSink, version: u8, status: Status, request_id: u64, payload: Vec<u8>) {
-    let frame = Frame::response_v(version, status, request_id, payload);
+    let mut frame = Frame::response_v(version, status, request_id, payload);
+    if frame.payload.len() > protocol::MAX_PAYLOAD as usize {
+        let message = format!(
+            "reply of {} bytes exceeds the {}-byte frame cap",
+            frame.payload.len(),
+            protocol::MAX_PAYLOAD
+        );
+        frame = Frame::response_v(
+            version,
+            Status::Error,
+            request_id,
+            protocol::error_payload(&message),
+        );
+    }
     let mut buf = Vec::with_capacity(protocol::HEADER_LEN + frame.payload.len());
-    protocol::write_frame(&mut buf, &frame).expect("vec write cannot fail");
+    protocol::write_frame(&mut buf, &frame).expect("vec write of a capped frame cannot fail");
     sink.outbox.lock().expect("outbox poisoned").push(buf);
     sink.waker.wake();
 }
 
-/// Handles one request frame; `false` ends the connection.
+/// A request answered inline with a status other than `OK`.
+enum InlineError {
+    /// `BUSY`: the pool refused the job for lack of room.
+    Busy,
+    /// `ERROR` carrying this message.
+    Error(String),
+}
+
+impl From<String> for InlineError {
+    fn from(message: String) -> Self {
+        InlineError::Error(message)
+    }
+}
+
+impl From<protocol::ProtocolError> for InlineError {
+    fn from(e: protocol::ProtocolError) -> Self {
+        InlineError::Error(e.to_string())
+    }
+}
+
+impl From<Refused> for InlineError {
+    fn from(refused: Refused) -> Self {
+        match refused {
+            Refused::Busy => InlineError::Busy,
+            Refused::Draining => InlineError::Error("daemon is shutting down".to_owned()),
+        }
+    }
+}
+
+/// What a dispatcher decided: `Some(payload)` answers `OK` now, `None`
+/// hands the request to the pool, whose callback answers it later.
+type Answer = Result<Option<Vec<u8>>, InlineError>;
+
+/// Handles one request frame, sending its inline reply (if any) once;
+/// `false` ends the connection.
 fn dispatch(
     ctx: &Arc<Ctx>,
     sink: &ResponseSink,
     sessions: &mut HashMap<u32, ConnSession>,
     frame: Frame,
 ) -> bool {
-    let id = frame.request_id;
-    let v = frame.version;
-    let Some(op) = frame.opcode() else {
-        respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload("frame kind is a response status, not a request opcode"),
-        );
-        return false;
+    let op = frame.opcode();
+    let answer = match op {
+        None => Err(InlineError::Error(
+            "frame kind is a response status, not a request opcode".to_owned(),
+        )),
+        Some(op) => {
+            ctx.telemetry
+                .add_named(&format!("serve.op.{}", op.name()), 1);
+            if frame.version < op.min_version() {
+                Err(InlineError::Error(format!(
+                    "opcode {} requires protocol v{} (frame is v{})",
+                    op.name(),
+                    op.min_version(),
+                    frame.version
+                )))
+            } else {
+                dispatch_op(ctx, sink, sessions, op, &frame)
+            }
+        }
     };
-    ctx.telemetry
-        .add_named(&format!("serve.op.{}", op.name()), 1);
-    if v < op.min_version() {
-        respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload(&format!(
-                "opcode {} requires protocol v{} (frame is v{v})",
-                op.name(),
-                op.min_version()
-            )),
-        );
-        return true;
-    }
+    let (status, payload) = match answer {
+        Ok(None) => return true,
+        Ok(Some(payload)) => (Status::Ok, payload),
+        Err(InlineError::Busy) => (Status::Busy, Vec::new()),
+        Err(InlineError::Error(message)) => (Status::Error, protocol::error_payload(&message)),
+    };
+    respond(sink, frame.version, status, frame.request_id, payload);
+    !matches!(op, None | Some(Opcode::Shutdown))
+}
+
+fn dispatch_op(
+    ctx: &Arc<Ctx>,
+    sink: &ResponseSink,
+    sessions: &mut HashMap<u32, ConnSession>,
+    op: Opcode,
+    frame: &Frame,
+) -> Answer {
     match op {
-        Opcode::Estimate => dispatch_estimate(ctx, sink, &frame),
-        Opcode::EstimateBin => dispatch_estimate_bin(ctx, sink, &frame),
-        Opcode::StreamOpen => dispatch_stream_open(ctx, sink, sessions, &frame),
-        Opcode::StreamChunk => dispatch_stream_chunk(ctx, sink, sessions, &frame),
-        Opcode::StreamClose => dispatch_stream_close(ctx, sink, sessions, &frame),
+        Opcode::Estimate => dispatch_estimate(
+            ctx,
+            sink,
+            frame,
+            protocol::parse_estimate_request,
+            |model, outcome| protocol::estimate_reply(&model.name, model.version, outcome),
+        ),
+        Opcode::EstimateBin => dispatch_estimate(
+            ctx,
+            sink,
+            frame,
+            protocol::parse_estimate_bin_request,
+            |model, outcome| {
+                bin_reply(
+                    model,
+                    &outcome.estimate,
+                    outcome.wrong_state_predictions,
+                    outcome.unknown_instants,
+                )
+            },
+        ),
+        Opcode::StreamOpen => dispatch_stream_open(ctx, sessions, frame),
+        Opcode::StreamChunk => dispatch_stream_chunk(ctx, sink, sessions, frame),
+        Opcode::StreamClose => dispatch_stream_close(ctx, sink, sessions, frame),
         Opcode::Stats => {
             let format = frame
                 .json()
@@ -652,240 +735,101 @@ fn dispatch(
                     ("stats", JsonValue::from(report.text())),
                 ]),
             };
-            respond(sink, v, Status::Ok, id, payload.render().into_bytes());
-            true
+            Ok(Some(payload.render().into_bytes()))
         }
         Opcode::Reload => {
-            let reloaded = ctx
+            let snapshot = ctx
                 .telemetry
-                .time(Stage::Serve, "registry reload", || ctx.registry.reload());
-            match reloaded {
-                Ok(snapshot) => respond(sink, v, Status::Ok, id, models_payload(&snapshot)),
-                Err(e) => {
+                .time_named("serve.reload_ns", || ctx.registry.reload())
+                .map_err(|e| {
                     ctx.telemetry.add_named("serve.reload_failures", 1);
-                    respond(
-                        sink,
-                        v,
-                        Status::Error,
-                        id,
-                        protocol::error_payload(&e.to_string()),
-                    );
-                }
-            }
-            true
+                    e.to_string()
+                })?;
+            Ok(Some(models_payload(&snapshot)))
         }
-        Opcode::List => {
-            respond(
-                sink,
-                v,
-                Status::Ok,
-                id,
-                models_payload(&ctx.registry.snapshot()),
-            );
-            true
-        }
-        Opcode::Ping => {
-            respond(sink, v, Status::Ok, id, protocol::ping_reply(v));
-            true
-        }
+        Opcode::List => Ok(Some(models_payload(&ctx.registry.snapshot()))),
+        Opcode::Ping => Ok(Some(protocol::ping_reply(frame.version))),
         Opcode::Shutdown => {
-            respond(sink, v, Status::Ok, id, Vec::new());
             ctx.trigger_shutdown();
-            false
+            Ok(Some(Vec::new()))
         }
     }
 }
 
 /// Resolves the model of an estimate-class request and checks the
-/// request's signal dictionary against it, answering the error inline
-/// when the model is unknown or reads a different interface.
+/// request's signal dictionary against it.
 fn resolve_model(
     ctx: &Arc<Ctx>,
-    sink: &ResponseSink,
-    v: u8,
-    id: u64,
     name: &str,
     version: Option<u64>,
     signals: &SignalSet,
-) -> Option<Arc<crate::registry::ServedModel>> {
+) -> Result<Arc<ServedModel>, InlineError> {
     let Some(model) = ctx.registry.snapshot().lookup(name, version) else {
-        let msg = match version {
+        ctx.telemetry.add_named("serve.unknown_model", 1);
+        return Err(match version {
             Some(ver) => format!("unknown model {name}@{ver}"),
             None => format!("unknown model {name}"),
-        };
-        ctx.telemetry.add_named("serve.unknown_model", 1);
-        respond(sink, v, Status::Error, id, protocol::error_payload(&msg));
-        return None;
+        }
+        .into());
     };
-    if let Err(msg) = model.check_interface(signals) {
+    if let Err(message) = model.check_interface(signals) {
         ctx.telemetry.add_named("serve.interface_mismatch", 1);
-        respond(sink, v, Status::Error, id, protocol::error_payload(&msg));
-        return None;
+        return Err(message.into());
     }
-    Some(model)
+    Ok(model)
 }
 
-/// Submits an estimate job, answering backpressure inline.
-fn submit_estimate(ctx: &Arc<Ctx>, sink: &ResponseSink, v: u8, id: u64, job: EstimateJob) {
-    match ctx.pool.submit(job) {
-        SubmitOutcome::Accepted => {}
-        SubmitOutcome::Busy(_) => respond(sink, v, Status::Busy, id, Vec::new()),
-        SubmitOutcome::Draining(_) => respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload("daemon is shutting down"),
-        ),
-    }
+/// The binary estimate payload answering `ESTIMATE_BIN` and
+/// `STREAM_CHUNK`.
+fn bin_reply(model: &ServedModel, estimate: &PowerTrace, wrong: usize, unknown: usize) -> Vec<u8> {
+    protocol::estimate_bin_reply(
+        &model.name,
+        model.version,
+        estimate.as_slice(),
+        wrong as u64,
+        unknown as u64,
+    )
 }
 
-fn dispatch_estimate(ctx: &Arc<Ctx>, sink: &ResponseSink, frame: &Frame) -> bool {
-    let id = frame.request_id;
-    let v = frame.version;
-    let (name, version, trace) = match protocol::parse_estimate_request(frame) {
-        Ok(parts) => parts,
-        Err(e) => {
-            respond(
-                sink,
-                v,
-                Status::Error,
-                id,
-                protocol::error_payload(&e.to_string()),
-            );
-            return true;
-        }
-    };
-    let Some(model) = resolve_model(ctx, sink, v, id, &name, version, trace.signals()) else {
-        return true;
-    };
-    let reply_name = model.name.clone();
-    let reply_version = model.version;
-    let reply_sink = sink.clone();
-    let guard = sink.job_guard();
-    let job = EstimateJob {
-        request_id: id,
+/// A parsed one-shot estimate request: model name, pinned version and
+/// workload.
+type EstimateRequest = (String, Option<u64>, FunctionalTrace);
+
+/// `ESTIMATE` and `ESTIMATE_BIN`: the same job, read by `parse` and
+/// answered through `encode`.
+fn dispatch_estimate(
+    ctx: &Arc<Ctx>,
+    sink: &ResponseSink,
+    frame: &Frame,
+    parse: fn(&Frame) -> Result<EstimateRequest, protocol::ProtocolError>,
+    encode: fn(&ServedModel, &HmmOutcome) -> Vec<u8>,
+) -> Answer {
+    let (name, version, trace) = parse(frame)?;
+    let model = resolve_model(ctx, &name, version, trace.signals())?;
+    let reply = sink.defer(frame);
+    let reply_model = model.clone();
+    ctx.pool.submit(EstimateJob {
         model,
         trace,
-        respond: Box::new(move |outcome| {
-            let _guard = guard;
-            respond(
-                &reply_sink,
-                v,
-                Status::Ok,
-                id,
-                protocol::estimate_reply(&reply_name, reply_version, &outcome),
-            );
-        }),
-    };
-    submit_estimate(ctx, sink, v, id, job);
-    true
-}
-
-fn dispatch_estimate_bin(ctx: &Arc<Ctx>, sink: &ResponseSink, frame: &Frame) -> bool {
-    let id = frame.request_id;
-    let v = frame.version;
-    let (name, version, trace) = match protocol::parse_estimate_bin_request(frame) {
-        Ok(parts) => parts,
-        Err(e) => {
-            respond(
-                sink,
-                v,
-                Status::Error,
-                id,
-                protocol::error_payload(&e.to_string()),
-            );
-            return true;
-        }
-    };
-    let Some(model) = resolve_model(ctx, sink, v, id, &name, version, trace.signals()) else {
-        return true;
-    };
-    let reply_name = model.name.clone();
-    let reply_version = model.version;
-    let reply_sink = sink.clone();
-    let guard = sink.job_guard();
-    let job = EstimateJob {
-        request_id: id,
-        model,
-        trace,
-        respond: Box::new(move |outcome| {
-            let _guard = guard;
-            let estimate: Vec<f64> = outcome.estimate.iter().collect();
-            respond(
-                &reply_sink,
-                v,
-                Status::Ok,
-                id,
-                protocol::estimate_bin_reply(
-                    &reply_name,
-                    reply_version,
-                    &estimate,
-                    outcome.wrong_state_predictions as u64,
-                    outcome.unknown_instants as u64,
-                ),
-            );
-        }),
-    };
-    submit_estimate(ctx, sink, v, id, job);
-    true
+        respond: Box::new(move |outcome| reply.send(Status::Ok, encode(&reply_model, &outcome))),
+    })?;
+    Ok(None)
 }
 
 fn dispatch_stream_open(
     ctx: &Arc<Ctx>,
-    sink: &ResponseSink,
     sessions: &mut HashMap<u32, ConnSession>,
     frame: &Frame,
-) -> bool {
-    let id = frame.request_id;
-    let v = frame.version;
-    let (stream, name, version, signals) = match protocol::parse_stream_open_request(frame) {
-        Ok(parts) => parts,
-        Err(e) => {
-            respond(
-                sink,
-                v,
-                Status::Error,
-                id,
-                protocol::error_payload(&e.to_string()),
-            );
-            return true;
-        }
-    };
+) -> Answer {
+    let (stream, name, version, signals) = protocol::parse_stream_open_request(frame)?;
     if sessions.contains_key(&stream) {
-        respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload(&format!("stream {stream} is already open")),
-        );
-        return true;
+        return Err(format!("stream {stream} is already open").into());
     }
-    let Some(model) = resolve_model(ctx, sink, v, id, &name, version, &signals) else {
-        return true;
-    };
-    match ctx.pool.open_session(model) {
-        Some(entry) => {
-            let m = entry.model().clone();
-            respond(
-                sink,
-                v,
-                Status::Ok,
-                id,
-                protocol::stream_open_reply(stream, &m.name, m.version),
-            );
-            sessions.insert(stream, ConnSession { entry, signals });
-        }
-        None => respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload("daemon is shutting down"),
-        ),
-    }
-    true
+    let model = resolve_model(ctx, &name, version, &signals)?;
+    let entry = ctx.pool.open_session(model).ok_or(Refused::Draining)?;
+    let payload = protocol::stream_open_reply(stream, &entry.model().name, entry.model().version);
+    sessions.insert(stream, ConnSession { entry, signals });
+    Ok(Some(payload))
 }
 
 fn dispatch_stream_chunk(
@@ -893,99 +837,33 @@ fn dispatch_stream_chunk(
     sink: &ResponseSink,
     sessions: &mut HashMap<u32, ConnSession>,
     frame: &Frame,
-) -> bool {
-    let id = frame.request_id;
-    let v = frame.version;
-    let stream = match protocol::parse_stream_id(frame) {
-        Ok(s) => s,
-        Err(e) => {
-            respond(
-                sink,
-                v,
-                Status::Error,
-                id,
-                protocol::error_payload(&e.to_string()),
-            );
-            return true;
-        }
-    };
-    let Some(cs) = sessions.get(&stream) else {
-        respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload(&format!("stream {stream} is not open")),
-        );
-        return true;
-    };
-    let chunk = match protocol::parse_stream_chunk_cycles(frame, &cs.signals) {
-        Ok(c) => c,
-        Err(e) => {
-            respond(
-                sink,
-                v,
-                Status::Error,
-                id,
-                protocol::error_payload(&e.to_string()),
-            );
-            return true;
-        }
-    };
+) -> Answer {
+    let stream = protocol::parse_stream_id(frame)?;
+    let cs = sessions
+        .get(&stream)
+        .ok_or_else(|| format!("stream {stream} is not open"))?;
+    let chunk = protocol::parse_stream_chunk_cycles(frame, &cs.signals)?;
     let model = cs.entry.model().clone();
-    let reply_sink = sink.clone();
-    let guard = sink.job_guard();
-    let job = StreamJob {
-        request_id: id,
-        kind: StreamWork::Chunk(chunk),
-        respond: Box::new(move |reply| {
-            let _guard = guard;
-            match reply {
-                StreamReply::Chunk(out) => {
-                    let estimate: Vec<f64> = out.estimate.iter().collect();
-                    respond(
-                        &reply_sink,
-                        v,
-                        Status::Ok,
-                        id,
-                        protocol::estimate_bin_reply(
-                            &model.name,
-                            model.version,
-                            &estimate,
-                            out.wrong_state_predictions as u64,
-                            out.unknown_instants as u64,
-                        ),
-                    );
-                }
-                StreamReply::Failed(msg) => respond(
-                    &reply_sink,
-                    v,
-                    Status::Error,
-                    id,
-                    protocol::error_payload(&msg),
+    let reply = sink.defer(frame);
+    ctx.pool.submit_stream(
+        &cs.entry,
+        StreamJob::Chunk {
+            chunk,
+            respond: Box::new(move |fed| match fed {
+                Ok(out) => reply.send(
+                    Status::Ok,
+                    bin_reply(
+                        &model,
+                        &out.estimate,
+                        out.wrong_state_predictions,
+                        out.unknown_instants,
+                    ),
                 ),
-                StreamReply::Closed(_) => respond(
-                    &reply_sink,
-                    v,
-                    Status::Error,
-                    id,
-                    protocol::error_payload("stream closed before the chunk ran"),
-                ),
-            }
-        }),
-    };
-    match ctx.pool.submit_stream(&cs.entry, job) {
-        StreamSubmit::Accepted => {}
-        StreamSubmit::Busy(_) => respond(sink, v, Status::Busy, id, Vec::new()),
-        StreamSubmit::Draining(_) => respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload("daemon is shutting down"),
-        ),
-    }
-    true
+                Err(e) => reply.send(Status::Error, protocol::error_payload(&e.to_string())),
+            }),
+        },
+    )?;
+    Ok(None)
 }
 
 fn dispatch_stream_close(
@@ -993,46 +871,19 @@ fn dispatch_stream_close(
     sink: &ResponseSink,
     sessions: &mut HashMap<u32, ConnSession>,
     frame: &Frame,
-) -> bool {
-    let id = frame.request_id;
-    let v = frame.version;
-    let stream = match protocol::parse_stream_id(frame) {
-        Ok(s) => s,
-        Err(e) => {
-            respond(
-                sink,
-                v,
-                Status::Error,
-                id,
-                protocol::error_payload(&e.to_string()),
-            );
-            return true;
-        }
-    };
-    let Some(cs) = sessions.remove(&stream) else {
-        respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload(&format!("stream {stream} is not open")),
-        );
-        return true;
-    };
+) -> Answer {
+    let stream = protocol::parse_stream_id(frame)?;
+    let cs = sessions
+        .remove(&stream)
+        .ok_or_else(|| format!("stream {stream} is not open"))?;
     let model = cs.entry.model().clone();
-    let reply_sink = sink.clone();
-    let guard = sink.job_guard();
-    let job = StreamJob {
-        request_id: id,
-        kind: StreamWork::Close,
-        respond: Box::new(move |reply| {
-            let _guard = guard;
-            match reply {
-                StreamReply::Closed(totals) => respond(
-                    &reply_sink,
-                    v,
+    let reply = sink.defer(frame);
+    ctx.pool.submit_stream(
+        &cs.entry,
+        StreamJob::Close {
+            respond: Box::new(move |totals| {
+                reply.send(
                     Status::Ok,
-                    id,
                     protocol::stream_close_reply(
                         stream,
                         &model.name,
@@ -1041,29 +892,11 @@ fn dispatch_stream_close(
                         totals.wrong_state_predictions as u64,
                         totals.unknown_instants as u64,
                     ),
-                ),
-                StreamReply::Chunk(_) | StreamReply::Failed(_) => respond(
-                    &reply_sink,
-                    v,
-                    Status::Error,
-                    id,
-                    protocol::error_payload("close answered with a non-close reply"),
-                ),
-            }
-        }),
-    };
-    match ctx.pool.submit_stream(&cs.entry, job) {
-        StreamSubmit::Accepted => {}
-        StreamSubmit::Busy(_) => respond(sink, v, Status::Busy, id, Vec::new()),
-        StreamSubmit::Draining(_) => respond(
-            sink,
-            v,
-            Status::Error,
-            id,
-            protocol::error_payload("daemon is shutting down"),
-        ),
-    }
-    true
+                )
+            }),
+        },
+    )?;
+    Ok(None)
 }
 
 /// Renders a snapshot's model list — the `LIST` and `RELOAD` payload.
@@ -1093,6 +926,34 @@ mod tests {
         let cfg = ServerConfig::new("/tmp/registry");
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert!(cfg.pool.workers >= 1);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn oversize_reply_becomes_one_error_reply() {
+        let wake = crate::poll::WakePipe::new().unwrap();
+        let sink = ResponseSink {
+            outbox: Arc::new(Mutex::new(Outbox::default())),
+            inflight: Arc::new(AtomicU64::new(0)),
+            waker: wake.waker(),
+        };
+        let cap = protocol::MAX_PAYLOAD as usize;
+        respond(&sink, 2, Status::Ok, 42, vec![0u8; cap + 1]);
+        let outbox = sink.outbox.lock().unwrap();
+        assert_eq!(outbox.queue.len(), 1, "exactly one reply");
+        let bytes = &outbox.queue[0];
+        let (frame, used) = protocol::parse_frame_bytes(bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len());
+        assert_eq!(frame.version, 2);
+        assert_eq!(frame.request_id, 42);
+        assert_eq!(frame.status(), Some(Status::Error));
+        assert_eq!(
+            protocol::parse_error(&frame),
+            format!(
+                "reply of {} bytes exceeds the {cap}-byte frame cap",
+                cap + 1
+            )
+        );
     }
 
     #[test]

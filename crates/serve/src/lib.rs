@@ -14,14 +14,16 @@
 //!   the `RELOAD` opcode swaps atomically, never failing in-flight
 //!   requests;
 //! * [`pool`] — a fixed worker pool with a bounded queue and explicit
-//!   backpressure (`BUSY`), batching queued requests per model and
+//!   backpressure (`BUSY`), answering one job per worker turn and
 //!   running per-stream session turns for the v2 streaming opcodes;
 //! * [`session`] — resumable per-stream forward state: chunked
 //!   estimation bit-identical to the one-shot path;
 //! * [`daemon`] — the connection engine: a readiness-driven `poll(2)`
 //!   event loop ([`poll`]) with non-blocking reads and writes; `STATS`
-//!   reports through [`psm_telemetry`], graceful drain on `SHUTDOWN` or
-//!   SIGTERM (self-pipe, [`signals`]);
+//!   reports through [`psm_telemetry`] from fixed named counters and
+//!   gauges (no per-request spans, so its size does not grow with
+//!   requests served), graceful drain on `SHUTDOWN` or SIGTERM
+//!   (self-pipe, [`signals`]);
 //! * [`client`] — the blocking client the `psmctl` CLI and the loopback
 //!   tests/benches use, including the streaming session API.
 //!

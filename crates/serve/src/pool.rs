@@ -1,20 +1,21 @@
-//! The estimation worker pool: bounded queue, per-model batching,
+//! The estimation worker pool: bounded queue, one job per worker turn,
 //! explicit backpressure, graceful drain.
 //!
 //! Requests land in one bounded FIFO. A fixed set of workers pull from
-//! it; each pull takes the oldest job **plus every other queued job for
-//! the same model** (up to [`PoolConfig::max_batch`]) and answers the
-//! whole batch in one turn, so one worker wake-up and one queue-lock
-//! round serve several requests. Because responses carry the request id,
-//! batch reordering is invisible to clients.
+//! it, one job per turn. Because responses carry the request id, the
+//! order in which workers finish is invisible to clients.
 //!
 //! A full queue never blocks and never grows: [`Pool::submit`] returns
-//! [`SubmitOutcome::Busy`] and the daemon turns that into the wire-level
+//! [`Refused::Busy`] and the daemon turns that into the wire-level
 //! `BUSY` status — backpressure is explicit, not an OOM or a hang.
 //!
 //! [`Pool::drain`] is the graceful-shutdown half: refuse new work,
 //! run the queue dry, join the workers. Every accepted request gets its
 //! response before drain returns.
+//!
+//! Workers record no spans: each job adds its elapsed time to a fixed
+//! named counter ([`COUNTER_ESTIMATE_NS`], [`COUNTER_CHUNK_NS`]), so the
+//! pool's telemetry stays the same size however many requests it serves.
 //!
 //! # Streams
 //!
@@ -33,8 +34,8 @@
 use crate::registry::ServedModel;
 use crate::session::{ChunkOutcome, StreamSession};
 use psm_hmm::HmmOutcome;
-use psm_telemetry::{Stage, Telemetry};
-use psm_trace::FunctionalTrace;
+use psm_telemetry::Telemetry;
+use psm_trace::{FunctionalTrace, TraceError};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -42,14 +43,16 @@ use std::time::Duration;
 
 /// Gauge: jobs waiting in the queue, sampled at every push and pull.
 pub const GAUGE_QUEUE_DEPTH: &str = "serve.queue_depth";
-/// Gauge: size of the batch a worker just pulled.
-pub const GAUGE_BATCH_SIZE: &str = "serve.batch_size";
-/// Counter: batches executed.
+/// Counter: one-shot estimates answered.
 pub const COUNTER_BATCHES: &str = "serve.batches";
 /// Counter: submissions rejected with `BUSY`.
 pub const COUNTER_BUSY: &str = "serve.busy";
 /// Counter: stream chunks estimated.
 pub const COUNTER_STREAM_CHUNKS: &str = "serve.stream_chunks";
+/// Counter: nanoseconds workers spent estimating one-shot requests.
+pub const COUNTER_ESTIMATE_NS: &str = "serve.estimate_ns";
+/// Counter: nanoseconds workers spent feeding stream chunks.
+pub const COUNTER_CHUNK_NS: &str = "serve.chunk_ns";
 
 /// Worker-pool tuning knobs.
 #[derive(Debug, Clone)]
@@ -58,12 +61,10 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Queue slots; a submission beyond this is rejected `Busy`.
     pub queue_capacity: usize,
-    /// Most same-model jobs one worker answers in a single turn.
-    pub max_batch: usize,
     /// Fault-injection: how long a worker sleeps before executing a
-    /// batch. Zero in production; tests raise it to hold jobs in the
-    /// queue deterministically (forcing `BUSY`, observing batching, or
-    /// racing a `RELOAD`/`SHUTDOWN` against in-flight work).
+    /// job. Zero in production; tests raise it to hold jobs in the
+    /// queue deterministically (forcing `BUSY`, or racing a
+    /// `RELOAD`/`SHUTDOWN` against in-flight work).
     pub stall: Duration,
 }
 
@@ -75,7 +76,6 @@ impl Default for PoolConfig {
                 .unwrap_or(2)
                 .min(8),
             queue_capacity: 64,
-            max_batch: 8,
             stall: Duration::ZERO,
         }
     }
@@ -85,8 +85,6 @@ impl Default for PoolConfig {
 /// callback that delivers the outcome (for the daemon, a closure that
 /// writes the response frame).
 pub struct EstimateJob {
-    /// Echoed in the response; also labels the telemetry span.
-    pub request_id: u64,
     /// The model snapshot resolved at submission time. Holding the
     /// `Arc` here is what makes registry reloads atomic towards
     /// in-flight work.
@@ -97,82 +95,33 @@ pub struct EstimateJob {
     pub respond: Box<dyn FnOnce(HmmOutcome) + Send>,
 }
 
-impl std::fmt::Debug for EstimateJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EstimateJob")
-            .field("request_id", &self.request_id)
-            .field("model", &self.model.name)
-            .field("cycles", &self.trace.len())
-            .finish_non_exhaustive()
-    }
+/// Why the pool refused a submission. The job is dropped unrun, so its
+/// callback never fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// The queue (or the session's pending queue) is full.
+    Busy,
+    /// The pool is draining for shutdown.
+    Draining,
 }
 
-/// What [`Pool::submit`] did with a job.
-#[derive(Debug)]
-pub enum SubmitOutcome {
-    /// Queued; the callback will run.
-    Accepted,
-    /// Queue full; the job was dropped and its callback will not run.
-    Busy(EstimateJob),
-    /// The pool is draining for shutdown; the job was dropped.
-    Draining(EstimateJob),
-}
-
-impl PartialEq<&str> for SubmitOutcome {
-    fn eq(&self, other: &&str) -> bool {
-        matches!(
-            (self, *other),
-            (SubmitOutcome::Accepted, "accepted")
-                | (SubmitOutcome::Busy(_), "busy")
-                | (SubmitOutcome::Draining(_), "draining")
-        )
-    }
-}
-
-/// One unit of stream work queued on a session.
-pub struct StreamJob {
-    /// Echoed in the response frame.
-    pub request_id: u64,
-    /// Chunk to estimate, or a close.
-    pub kind: StreamWork,
-    /// Receives the reply, exactly once.
-    pub respond: Box<dyn FnOnce(StreamReply) + Send>,
-}
-
-impl std::fmt::Debug for StreamJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamJob")
-            .field("request_id", &self.request_id)
-            .field(
-                "kind",
-                &match &self.kind {
-                    StreamWork::Chunk(c) => format!("chunk({} cycles)", c.len()),
-                    StreamWork::Close => "close".to_owned(),
-                },
-            )
-            .finish_non_exhaustive()
-    }
-}
-
-/// The payload of a [`StreamJob`].
-#[derive(Debug)]
-pub enum StreamWork {
-    /// Estimate the next chunk of the stream.
-    Chunk(FunctionalTrace),
-    /// Finish the stream and report its totals.
-    Close,
-}
-
-/// What a worker sends back for one [`StreamJob`].
-#[derive(Debug)]
-pub enum StreamReply {
-    /// The chunk's estimate plus cumulative counters.
-    Chunk(ChunkOutcome),
-    /// The stream's final totals.
-    Closed(StreamTotals),
-    /// The chunk could not be estimated (e.g. interface drift); the
-    /// stream stays open.
-    Failed(String),
+/// One unit of stream work queued on a session, with the callback that
+/// receives its answer exactly once.
+pub enum StreamJob {
+    /// Estimate the next chunk of the stream. The callback gets the
+    /// chunk's outcome, or the error that leaves the stream open (e.g.
+    /// interface drift).
+    Chunk {
+        /// The chunk's cycles.
+        chunk: FunctionalTrace,
+        /// Receives the chunk's outcome.
+        respond: Box<dyn FnOnce(Result<ChunkOutcome, TraceError>) + Send>,
+    },
+    /// Finish the stream; the callback gets its totals.
+    Close {
+        /// Receives the stream's totals.
+        respond: Box<dyn FnOnce(StreamTotals) + Send>,
+    },
 }
 
 /// Cumulative counters of a finished stream.
@@ -184,28 +133,6 @@ pub struct StreamTotals {
     pub wrong_state_predictions: usize,
     /// Unknown instants across the stream.
     pub unknown_instants: usize,
-}
-
-/// What [`Pool::submit_stream`] did with a job.
-#[derive(Debug)]
-pub enum StreamSubmit {
-    /// Queued on the session; the callback will run.
-    Accepted,
-    /// The session's pending queue is full; the job was handed back.
-    Busy(StreamJob),
-    /// The pool is draining; the job was handed back.
-    Draining(StreamJob),
-}
-
-impl PartialEq<&str> for StreamSubmit {
-    fn eq(&self, other: &&str) -> bool {
-        matches!(
-            (self, *other),
-            (StreamSubmit::Accepted, "accepted")
-                | (StreamSubmit::Busy(_), "busy")
-                | (StreamSubmit::Draining(_), "draining")
-        )
-    }
 }
 
 /// One live stream registered with the pool: the session plus its FIFO
@@ -239,7 +166,7 @@ struct SessionInner {
 }
 
 enum Work {
-    Batch(EstimateJob),
+    Estimate(EstimateJob),
     Session(Arc<SessionEntry>),
 }
 
@@ -279,7 +206,6 @@ impl Pool {
         let cfg = PoolConfig {
             workers: cfg.workers.max(1),
             queue_capacity: cfg.queue_capacity.max(1),
-            max_batch: cfg.max_batch.max(1),
             stall: cfg.stall,
         };
         let worker_count = cfg.workers;
@@ -312,24 +238,26 @@ impl Pool {
 
     /// Offers a job to the queue; never blocks.
     ///
-    /// `Busy`/`Draining` hand the job back so the caller can answer the
-    /// client without running the estimate.
-    pub fn submit(&self, job: EstimateJob) -> SubmitOutcome {
+    /// # Errors
+    ///
+    /// [`Refused`] when the queue is full or the pool is draining; the
+    /// job is dropped and the caller answers the client itself.
+    pub fn submit(&self, job: EstimateJob) -> Result<(), Refused> {
         let mut st = self.shared.state.lock().expect("pool lock poisoned");
         if st.draining {
-            return SubmitOutcome::Draining(job);
+            return Err(Refused::Draining);
         }
         if st.queue.len() >= self.shared.cfg.queue_capacity {
             self.shared.telemetry.add_named(COUNTER_BUSY, 1);
-            return SubmitOutcome::Busy(job);
+            return Err(Refused::Busy);
         }
-        st.queue.push_back(Work::Batch(job));
+        st.queue.push_back(Work::Estimate(job));
         self.shared
             .telemetry
             .set_gauge(GAUGE_QUEUE_DEPTH, st.queue.len() as u64);
         drop(st);
         self.shared.work.notify_one();
-        SubmitOutcome::Accepted
+        Ok(())
     }
 
     /// Opens a streaming session pinned to `model`, or `None` when the
@@ -355,20 +283,24 @@ impl Pool {
     ///
     /// A session turn is enqueued only when the session is not already
     /// scheduled, so per-session jobs run in submission order while
-    /// different sessions estimate in parallel. A chunk beyond the
-    /// session's pending capacity is rejected `Busy`; a close is always
-    /// accepted unless the pool is draining.
-    pub fn submit_stream(&self, entry: &Arc<SessionEntry>, job: StreamJob) -> StreamSubmit {
+    /// different sessions estimate in parallel.
+    ///
+    /// # Errors
+    ///
+    /// [`Refused::Busy`] for a chunk beyond the session's pending
+    /// capacity (a close is always accepted), [`Refused::Draining`] once
+    /// the pool drains. The job is dropped either way.
+    pub fn submit_stream(&self, entry: &Arc<SessionEntry>, job: StreamJob) -> Result<(), Refused> {
         let mut st = self.shared.state.lock().expect("pool lock poisoned");
         if st.draining {
-            return StreamSubmit::Draining(job);
+            return Err(Refused::Draining);
         }
         let mut inner = entry.inner.lock().expect("session lock poisoned");
-        if matches!(job.kind, StreamWork::Chunk(_))
+        if matches!(job, StreamJob::Chunk { .. })
             && inner.pending.len() >= self.shared.cfg.queue_capacity
         {
             self.shared.telemetry.add_named(COUNTER_BUSY, 1);
-            return StreamSubmit::Busy(job);
+            return Err(Refused::Busy);
         }
         inner.pending.push_back(job);
         if !inner.scheduled {
@@ -381,7 +313,7 @@ impl Pool {
             .set_gauge(GAUGE_QUEUE_DEPTH, st.queue.len() as u64);
         drop(st);
         self.shared.work.notify_one();
-        StreamSubmit::Accepted
+        Ok(())
     }
 
     /// Jobs currently waiting (not counting ones a worker already
@@ -424,42 +356,14 @@ fn worker_loop(shared: &Shared) {
     loop {
         let work = {
             let mut st = shared.state.lock().expect("pool lock poisoned");
-            loop {
-                if !st.queue.is_empty() {
-                    break;
+            let work = loop {
+                if let Some(work) = st.queue.pop_front() {
+                    break work;
                 }
                 if st.stop {
                     return;
                 }
                 st = shared.work.wait(st).expect("pool lock poisoned");
-            }
-            let first = st.queue.pop_front().expect("queue non-empty");
-            let work = match first {
-                Work::Session(entry) => Pulled::Session(entry),
-                Work::Batch(first) => {
-                    let model = first.model.clone();
-                    let mut batch = vec![first];
-                    // Steal every queued estimate for the same model
-                    // (same Arc — a reload makes new Arcs, so jobs
-                    // resolved against different snapshots never share
-                    // a batch). Session turns are never stolen.
-                    let mut i = 0;
-                    while batch.len() < shared.cfg.max_batch && i < st.queue.len() {
-                        let steal = match &st.queue[i] {
-                            Work::Batch(job) => Arc::ptr_eq(&job.model, &model),
-                            Work::Session(_) => false,
-                        };
-                        if steal {
-                            match st.queue.remove(i).expect("index in range") {
-                                Work::Batch(job) => batch.push(job),
-                                Work::Session(_) => unreachable!("steal checked the variant"),
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    Pulled::Batch(batch)
-                }
             };
             st.busy_workers += 1;
             shared
@@ -473,8 +377,14 @@ fn worker_loop(shared: &Shared) {
         }
 
         match work {
-            Pulled::Batch(batch) => run_batch(shared, batch),
-            Pulled::Session(entry) => run_session_turn(shared, &entry),
+            Work::Estimate(job) => {
+                let outcome = shared
+                    .telemetry
+                    .time_named(COUNTER_ESTIMATE_NS, || job.model.estimate(&job.trace));
+                shared.telemetry.add_named(COUNTER_BATCHES, 1);
+                (job.respond)(outcome);
+            }
+            Work::Session(entry) => run_session_turn(shared, &entry),
         }
 
         let mut st = shared.state.lock().expect("pool lock poisoned");
@@ -482,31 +392,6 @@ fn worker_loop(shared: &Shared) {
         if st.queue.is_empty() && st.busy_workers == 0 {
             shared.idle.notify_all();
         }
-    }
-}
-
-enum Pulled {
-    Batch(Vec<EstimateJob>),
-    Session(Arc<SessionEntry>),
-}
-
-fn run_batch(shared: &Shared, batch: Vec<EstimateJob>) {
-    shared
-        .telemetry
-        .set_gauge(GAUGE_BATCH_SIZE, batch.len() as u64);
-    shared.telemetry.add_named(COUNTER_BATCHES, 1);
-
-    for job in batch {
-        let model = &job.model;
-        let outcome = shared.telemetry.time(
-            Stage::Serve,
-            format!(
-                "estimate {}@{} req {}",
-                model.name, model.version, job.request_id
-            ),
-            || model.estimate(&job.trace),
-        );
-        (job.respond)(outcome);
     }
 }
 
@@ -541,30 +426,19 @@ fn run_session_turn(shared: &Shared, entry: &Arc<SessionEntry>) {
                 }
             }
         };
-        match job.kind {
-            StreamWork::Chunk(chunk) => {
-                let model = session.model().clone();
-                let reply = shared.telemetry.time(
-                    Stage::Serve,
-                    format!(
-                        "stream chunk {}@{} req {}",
-                        model.name, model.version, job.request_id
-                    ),
-                    || match session.feed(&chunk) {
-                        Ok(out) => StreamReply::Chunk(out),
-                        Err(e) => StreamReply::Failed(e.to_string()),
-                    },
-                );
+        match job {
+            StreamJob::Chunk { chunk, respond } => {
+                let fed = shared
+                    .telemetry
+                    .time_named(COUNTER_CHUNK_NS, || session.feed(&chunk));
                 shared.telemetry.add_named(COUNTER_STREAM_CHUNKS, 1);
-                (job.respond)(reply);
+                respond(fed);
             }
-            StreamWork::Close => {
-                (job.respond)(StreamReply::Closed(StreamTotals {
-                    instants: session.instants(),
-                    wrong_state_predictions: session.wrong_state_predictions(),
-                    unknown_instants: session.unknown_instants(),
-                }));
-            }
+            StreamJob::Close { respond } => respond(StreamTotals {
+                instants: session.instants(),
+                wrong_state_predictions: session.wrong_state_predictions(),
+                unknown_instants: session.unknown_instants(),
+            }),
         }
     }
 }
@@ -602,7 +476,6 @@ mod tests {
     fn job(id: u64, model: &Arc<ServedModel>, tx: &mpsc::Sender<(u64, HmmOutcome)>) -> EstimateJob {
         let tx = tx.clone();
         EstimateJob {
-            request_id: id,
             model: model.clone(),
             trace: toy_trace(),
             respond: Box::new(move |out| {
@@ -626,7 +499,6 @@ mod tests {
             PoolConfig {
                 workers: 2,
                 queue_capacity: 32,
-                max_batch: 8,
                 stall: Duration::ZERO,
             },
             telemetry.clone(),
@@ -635,7 +507,7 @@ mod tests {
         let expected = model.estimate(&toy_trace());
         let (tx, rx) = mpsc::channel();
         for id in 0..16 {
-            assert_eq!(pool.submit(job(id, &model, &tx)), "accepted");
+            assert_eq!(pool.submit(job(id, &model, &tx)), Ok(()));
         }
         let mut got = Vec::new();
         for _ in 0..16 {
@@ -659,7 +531,6 @@ mod tests {
             PoolConfig {
                 workers: 1,
                 queue_capacity: 2,
-                max_batch: 1,
                 stall: Duration::from_millis(400),
             },
             telemetry.clone(),
@@ -668,16 +539,12 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         // First job: wait until the (stalled) worker has pulled it, so
         // the queue state below is deterministic.
-        assert_eq!(pool.submit(job(0, &model, &tx)), "accepted");
+        assert_eq!(pool.submit(job(0, &model, &tx)), Ok(()));
         wait_until(Duration::from_secs(10), || pool.queue_depth() == 0);
         // Fill both queue slots, then overflow.
-        assert_eq!(pool.submit(job(1, &model, &tx)), "accepted");
-        assert_eq!(pool.submit(job(2, &model, &tx)), "accepted");
-        let overflow = pool.submit(job(3, &model, &tx));
-        let SubmitOutcome::Busy(rejected) = overflow else {
-            panic!("expected Busy, got {overflow:?}");
-        };
-        assert_eq!(rejected.request_id, 3);
+        assert_eq!(pool.submit(job(1, &model, &tx)), Ok(()));
+        assert_eq!(pool.submit(job(2, &model, &tx)), Ok(()));
+        assert_eq!(pool.submit(job(3, &model, &tx)), Err(Refused::Busy));
         // The three accepted jobs all complete; the rejected one never
         // responds.
         let mut ids: Vec<u64> = (0..3)
@@ -691,43 +558,12 @@ mod tests {
     }
 
     #[test]
-    fn stalled_queue_forms_batches() {
-        let telemetry = Arc::new(Telemetry::new());
-        let pool = Pool::new(
-            PoolConfig {
-                workers: 1,
-                queue_capacity: 32,
-                max_batch: 8,
-                stall: Duration::from_millis(200),
-            },
-            telemetry.clone(),
-        );
-        let model = toy_model();
-        let (tx, rx) = mpsc::channel();
-        assert_eq!(pool.submit(job(0, &model, &tx)), "accepted");
-        wait_until(Duration::from_secs(10), || pool.queue_depth() == 0);
-        // These four queue up behind the stalled worker and come out as
-        // one batch.
-        for id in 1..5 {
-            assert_eq!(pool.submit(job(id, &model, &tx)), "accepted");
-        }
-        for _ in 0..5 {
-            rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        }
-        pool.drain();
-        let report = telemetry.report();
-        assert_eq!(report.named_counter(COUNTER_BATCHES), 2);
-        assert_eq!(report.gauge(GAUGE_BATCH_SIZE).unwrap().max, 4);
-    }
-
-    #[test]
     fn drain_answers_accepted_work_then_refuses_more() {
         let telemetry = Arc::new(Telemetry::new());
         let pool = Pool::new(
             PoolConfig {
                 workers: 2,
                 queue_capacity: 32,
-                max_batch: 4,
                 stall: Duration::from_millis(100),
             },
             telemetry,
@@ -735,28 +571,39 @@ mod tests {
         let model = toy_model();
         let (tx, rx) = mpsc::channel();
         for id in 0..6 {
-            assert_eq!(pool.submit(job(id, &model, &tx)), "accepted");
+            assert_eq!(pool.submit(job(id, &model, &tx)), Ok(()));
         }
         pool.drain();
         // All six responses are already in the channel once drain returns.
         let mut ids: Vec<u64> = (0..6).map(|_| rx.try_recv().unwrap().0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(pool.submit(job(9, &model, &tx)), "draining");
+        assert_eq!(pool.submit(job(9, &model, &tx)), Err(Refused::Draining));
         pool.drain(); // idempotent
     }
 
-    fn chunk_job(
-        id: u64,
-        chunk: FunctionalTrace,
-        tx: &mpsc::Sender<(u64, StreamReply)>,
-    ) -> StreamJob {
+    /// What a stream job's callback received, tagged by job kind.
+    #[derive(Debug)]
+    enum Answer {
+        Chunk(Result<ChunkOutcome, TraceError>),
+        Closed(StreamTotals),
+    }
+
+    fn chunk_job(id: u64, chunk: FunctionalTrace, tx: &mpsc::Sender<(u64, Answer)>) -> StreamJob {
         let tx = tx.clone();
-        StreamJob {
-            request_id: id,
-            kind: StreamWork::Chunk(chunk),
-            respond: Box::new(move |reply| {
-                let _ = tx.send((id, reply));
+        StreamJob::Chunk {
+            chunk,
+            respond: Box::new(move |fed| {
+                let _ = tx.send((id, Answer::Chunk(fed)));
+            }),
+        }
+    }
+
+    fn close_job(id: u64, tx: &mpsc::Sender<(u64, Answer)>) -> StreamJob {
+        let tx = tx.clone();
+        StreamJob::Close {
+            respond: Box::new(move |totals| {
+                let _ = tx.send((id, Answer::Closed(totals)));
             }),
         }
     }
@@ -768,7 +615,6 @@ mod tests {
             PoolConfig {
                 workers: 2,
                 queue_capacity: 32,
-                max_batch: 8,
                 stall: Duration::ZERO,
             },
             telemetry.clone(),
@@ -782,34 +628,21 @@ mod tests {
         for (i, chunk) in chunks.into_iter().enumerate() {
             assert_eq!(
                 pool.submit_stream(&entry, chunk_job(i as u64, chunk, &tx)),
-                "accepted"
+                Ok(())
             );
         }
-        let close_tx = tx.clone();
-        assert_eq!(
-            pool.submit_stream(
-                &entry,
-                StreamJob {
-                    request_id: n,
-                    kind: StreamWork::Close,
-                    respond: Box::new(move |reply| {
-                        let _ = close_tx.send((n, reply));
-                    }),
-                },
-            ),
-            "accepted"
-        );
+        assert_eq!(pool.submit_stream(&entry, close_job(n, &tx)), Ok(()));
         let mut streamed: Vec<f64> = Vec::new();
         for want in 0..n {
             let (id, reply) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
             assert_eq!(id, want, "per-session replies arrive in order");
             match reply {
-                StreamReply::Chunk(out) => streamed.extend(out.estimate.iter()),
+                Answer::Chunk(Ok(out)) => streamed.extend(out.estimate.iter()),
                 other => panic!("expected chunk reply, got {other:?}"),
             }
         }
         let (_, last) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        let StreamReply::Closed(totals) = last else {
+        let Answer::Closed(totals) = last else {
             panic!("expected close reply, got {last:?}");
         };
         assert_eq!(totals.instants, expected.estimate.len());
@@ -833,7 +666,6 @@ mod tests {
             PoolConfig {
                 workers: 1,
                 queue_capacity: 8,
-                max_batch: 4,
                 stall: Duration::from_millis(100),
             },
             telemetry,
@@ -844,7 +676,7 @@ mod tests {
         for id in 0..3 {
             assert_eq!(
                 pool.submit_stream(&entry, chunk_job(id, toy_trace(), &tx)),
-                "accepted"
+                Ok(())
             );
         }
         pool.drain();
@@ -855,7 +687,7 @@ mod tests {
         // …and both new chunks and new sessions are now refused.
         assert_eq!(
             pool.submit_stream(&entry, chunk_job(9, toy_trace(), &tx)),
-            "draining"
+            Err(Refused::Draining)
         );
         assert!(pool.open_session(model).is_none());
     }
@@ -867,7 +699,6 @@ mod tests {
             PoolConfig {
                 workers: 1,
                 queue_capacity: 2,
-                max_batch: 1,
                 stall: Duration::from_millis(300),
             },
             telemetry.clone(),
@@ -875,44 +706,75 @@ mod tests {
         let model = toy_model();
         let (btx, _brx) = mpsc::channel();
         // Park the single worker on a slow one-shot batch…
-        assert_eq!(pool.submit(job(0, &model, &btx)), "accepted");
+        assert_eq!(pool.submit(job(0, &model, &btx)), Ok(()));
         wait_until(Duration::from_secs(10), || pool.queue_depth() == 0);
         // …then overfill one session's pending queue.
         let entry = pool.open_session(model).unwrap();
         let (tx, rx) = mpsc::channel();
         assert_eq!(
             pool.submit_stream(&entry, chunk_job(1, toy_trace(), &tx)),
-            "accepted"
+            Ok(())
         );
         assert_eq!(
             pool.submit_stream(&entry, chunk_job(2, toy_trace(), &tx)),
-            "accepted"
+            Ok(())
         );
-        let overflow = pool.submit_stream(&entry, chunk_job(3, toy_trace(), &tx));
-        let StreamSubmit::Busy(rejected) = overflow else {
-            panic!("expected Busy, got {overflow:?}");
-        };
-        assert_eq!(rejected.request_id, 3);
-        // A close still lands even with pending at capacity.
-        let close_tx = tx.clone();
         assert_eq!(
-            pool.submit_stream(
-                &entry,
-                StreamJob {
-                    request_id: 4,
-                    kind: StreamWork::Close,
-                    respond: Box::new(move |r| {
-                        let _ = close_tx.send((4, r));
-                    }),
-                },
-            ),
-            "accepted"
+            pool.submit_stream(&entry, chunk_job(3, toy_trace(), &tx)),
+            Err(Refused::Busy)
         );
+        // A close still lands even with pending at capacity.
+        assert_eq!(pool.submit_stream(&entry, close_job(4, &tx)), Ok(()));
         let ids: Vec<u64> = (0..3)
             .map(|_| rx.recv_timeout(Duration::from_secs(30)).unwrap().0)
             .collect();
         assert_eq!(ids, vec![1, 2, 4]);
         assert_eq!(telemetry.report().named_counter(COUNTER_BUSY), 1);
         pool.drain();
+    }
+
+    #[test]
+    fn telemetry_stays_bounded_however_many_jobs_run() {
+        let telemetry = Arc::new(Telemetry::new());
+        let pool = Pool::new(
+            PoolConfig {
+                workers: 2,
+                queue_capacity: 4096,
+                stall: Duration::ZERO,
+            },
+            telemetry.clone(),
+        );
+        let model = toy_model();
+        let entry = pool.open_session(model.clone()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let (stream_tx, stream_rx) = mpsc::channel();
+        let run = |ids: std::ops::Range<u64>| {
+            for id in ids.clone() {
+                assert_eq!(pool.submit(job(id, &model, &tx)), Ok(()));
+                assert_eq!(
+                    pool.submit_stream(&entry, chunk_job(id, toy_trace(), &stream_tx)),
+                    Ok(())
+                );
+            }
+            for _ in ids {
+                rx.recv_timeout(Duration::from_secs(30)).unwrap();
+                let (_, answer) = stream_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+                assert!(matches!(answer, Answer::Chunk(Ok(_))), "{answer:?}");
+            }
+        };
+        run(0..10);
+        let early = telemetry.report();
+        run(10..2000);
+        let late = telemetry.report();
+        pool.drain();
+
+        assert!(early.spans.is_empty());
+        assert!(late.spans.is_empty());
+        assert_eq!(late.named_counters.len(), early.named_counters.len());
+        assert_eq!(late.gauges.len(), early.gauges.len());
+        assert_eq!(late.named_counter(COUNTER_BATCHES), 2000);
+        assert_eq!(late.named_counter(COUNTER_STREAM_CHUNKS), 2000);
+        assert!(late.named_counter(COUNTER_ESTIMATE_NS) > 0);
+        assert!(late.named_counter(COUNTER_CHUNK_NS) > 0);
     }
 }

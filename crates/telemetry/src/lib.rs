@@ -5,15 +5,15 @@
 //! when it started relative to the run, how long it took), *counters* (how
 //! many states the optimiser merged, how often estimation lost sync, how
 //! many requests each opcode served) and *gauges* (instantaneous values
-//! such as queue depth or batch size, tracked as last + high-water mark).
+//! such as queue depth, tracked as last + high-water mark).
 //! The result is a [`TelemetryReport`] that renders as an aligned text
 //! table or as JSON — the raw material of the paper's Table II/III timing
 //! columns and of the daemon's `STATS` opcode.
 //!
 //! [`Telemetry`] is thread-safe: the parallel engine's workers record spans
 //! concurrently while fanning captures and per-trace generation across
-//! threads, and the service's worker pool records request spans while
-//! connection threads bump opcode counters.
+//! threads, and the service's worker pool adds request time to fixed
+//! named counters while the event loop bumps opcode counters.
 
 #![deny(missing_docs)]
 
@@ -45,8 +45,8 @@ pub enum Stage {
     HmmBuild,
     /// PSM/HMM power estimation of a workload.
     Estimation,
-    /// Service-side work outside estimation proper: registry (re)loads,
-    /// request decoding, response writing.
+    /// Service start-up: `psmd`'s registry load. Per-request service
+    /// time goes to named counters, not spans.
     Serve,
 }
 
@@ -133,7 +133,7 @@ pub struct Counters {
 /// high-water mark across the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaugeSnapshot {
-    /// The gauge name (e.g. `queue_depth`, `batch_size`).
+    /// The gauge name (e.g. `serve.queue_depth`).
     pub name: String,
     /// The most recently observed value.
     pub last: u64,
@@ -193,6 +193,18 @@ impl Telemetry {
             start,
             duration,
         });
+        out
+    }
+
+    /// Runs `f`, adding its elapsed nanoseconds to the named counter
+    /// `name`. Unlike [`Telemetry::time`] it records no span, so a
+    /// service can call it once per request without the collector
+    /// growing.
+    pub fn time_named<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        let nanos = start.elapsed().as_nanos().max(1);
+        self.add_named(name, u64::try_from(nanos).unwrap_or(u64::MAX));
         out
     }
 
@@ -300,7 +312,7 @@ pub struct TelemetryReport {
     /// Named counters (service opcodes, BUSY rejections, …), sorted by
     /// name.
     pub named_counters: Vec<(String, u64)>,
-    /// Gauge snapshots (queue depth, batch size, …), sorted by name.
+    /// Gauge snapshots (queue depth, …), sorted by name.
     pub gauges: Vec<GaugeSnapshot>,
     /// Wall-clock from the telemetry epoch to the snapshot.
     pub total: Duration,
@@ -711,5 +723,17 @@ mod tests {
         let report = t.report();
         assert_eq!(report.named_counter("op.estimate"), 400);
         assert_eq!(report.gauge("queue_depth").unwrap().max, 99);
+    }
+
+    #[test]
+    fn time_named_adds_nanoseconds_without_a_span() {
+        let t = Telemetry::new();
+        let out = t.time_named("serve.estimate_ns", || 7);
+        t.time_named("serve.estimate_ns", || ());
+        assert_eq!(out, 7);
+        let report = t.report();
+        assert!(report.spans.is_empty());
+        assert_eq!(report.named_counters.len(), 1);
+        assert!(report.named_counter("serve.estimate_ns") >= 2);
     }
 }

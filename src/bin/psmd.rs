@@ -4,11 +4,12 @@
 //! `<model>@<version>.json`) over the `psmd/v2` framed TCP protocol
 //! (v1 clients keep working): clients submit functional traces as JSON
 //! or binary frames — one-shot or chunked over a streaming session —
-//! and the daemon classifies and HMM-simulates them through a batching
-//! worker pool, answering per-instant estimates incrementally. One
-//! readiness-driven event loop serves every connection. `RELOAD`
-//! hot-swaps the registry atomically; `SHUTDOWN` (or SIGTERM) drains
-//! in-flight work, flushes the telemetry report to stderr and exits 0.
+//! and the daemon classifies and HMM-simulates them on a bounded worker
+//! pool, one request per worker turn, answering per-instant estimates
+//! incrementally. One readiness-driven event loop serves every
+//! connection. `RELOAD` hot-swaps the registry atomically; `SHUTDOWN`
+//! (or SIGTERM) drains in-flight work, flushes the telemetry report to
+//! stderr and exits 0.
 //! See `psmctl` for the client.
 
 use psmgen::serve::{PoolConfig, Server, ServerConfig, DEFAULT_ADDR};
@@ -24,8 +25,6 @@ Options:
                      takes an ephemeral port, see --port-file)
   --workers <n>      estimation worker threads (default: CPU count, max 8)
   --queue <n>        queue slots before requests bounce BUSY (default 64)
-  --batch <n>        max same-model estimates one worker answers per
-                     turn (default 8)
   --port-file <path> write the bound address to <path> once listening
   -h, --help         show this help
 
@@ -56,9 +55,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--queue" => {
                 pool.queue_capacity = parse_count(it.next().ok_or("--queue needs a number")?)?;
-            }
-            "--batch" => {
-                pool.max_batch = parse_count(it.next().ok_or("--batch needs a number")?)?;
             }
             "--port-file" => {
                 port_file = Some(it.next().ok_or("--port-file needs a path")?.clone());

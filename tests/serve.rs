@@ -103,7 +103,6 @@ fn full_queue_answers_busy_without_losing_accepted_work() {
     cfg.pool = PoolConfig {
         workers: 1,
         queue_capacity: 1,
-        max_batch: 1,
         stall: Duration::from_millis(600),
     };
     let running = Server::bind(cfg).unwrap().spawn();
@@ -193,7 +192,6 @@ fn shutdown_drains_queued_estimates_and_flushes_stats() {
     cfg.pool = PoolConfig {
         workers: 1,
         queue_capacity: 16,
-        max_batch: 8,
         stall: Duration::from_millis(400),
     };
     let running = Server::bind(cfg).unwrap().spawn();
