@@ -138,6 +138,14 @@ echo "==> psmd: v3 artifact (psmctl compile) serves the v2 answer bit for bit"
 rm -rf target/psmd-smoke-v3 && mkdir -p target/psmd-smoke-v3
 ./target/release/psmctl compile \
     target/psmd-smoke/demo@1.json target/psmd-smoke-v3/demo@1.json
+# A v3 file an earlier build wrote (its compiled section still holds
+# tables since dropped) must compile, and compiling the output again must
+# reproduce it byte for byte. psmd below serves both outputs too.
+./target/release/psmctl compile \
+    examples/artifacts/verify_defect_legacy_v3.json target/psmd-smoke-v3/legacy@1.json
+./target/release/psmctl compile \
+    target/psmd-smoke-v3/legacy@1.json target/psmd-smoke-v3/legacy@2.json
+cmp target/psmd-smoke-v3/legacy@1.json target/psmd-smoke-v3/legacy@2.json
 ./target/release/psmd --registry target/psmd-smoke-v3 \
     --addr 127.0.0.1:0 --port-file target/psmd-smoke/v3-port &
 PSMD_PID=$!

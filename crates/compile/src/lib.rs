@@ -5,18 +5,25 @@
 //! row-of-rows matrices, and the assertion-driven walker of `psm-hmm`
 //! allocates a fresh alternative set at every instant. Serving is the
 //! opposite workload — the same small model executed millions of instants —
-//! so this crate **compiles** a trained `(PropositionTable, Psm, Hmm)`
-//! triple into a [`CompiledModel`]: one contiguous bundle of flat,
-//! index-addressed tables plus an allocation-free resumable forward pass
+//! so this crate **compiles** a trained `(Psm, Hmm)` pair into a
+//! [`CompiledModel`]: one contiguous bundle of flat, index-addressed tables
+//! plus an allocation-free resumable forward pass
 //! ([`CompiledForwardState`]).
+//!
+//! The model holds only the tables that pass reads. Observations come in
+//! already classified: `PropositionTable::classify_trace` of `psm-mining`
+//! is the one classifier, for the flow and for `psmd` alike. Viterbi
+//! decoding, π and the per-state power attributes stay with the source
+//! `Hmm` and `Psm`.
 //!
 //! The compiled form is behaviour-preserving to the bit: every estimate,
 //! wrong-state-prediction count and unknown-instant count equals the
 //! reference `HmmSimulator::run` result exactly, one-shot and under any
 //! chunking of the same trace (the workspace's `tests/compile.rs` asserts
 //! this on all four paper benchmarks). It is the only estimation runtime
-//! of the flow and of `psmd`; `HmmSimulator` remains as the test oracle. See `DESIGN.md` § *Compiled
-//! serving runtime* for the table layout and the bit-identity argument.
+//! of the flow and of `psmd`; `HmmSimulator` remains as the test oracle.
+//! See `DESIGN.md` § *Compiled serving runtime* for the table layout and
+//! the bit-identity argument.
 //!
 //! # Examples
 //!

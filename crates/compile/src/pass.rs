@@ -77,8 +77,8 @@ impl CompiledModel {
         CompiledForwardState {
             belief: vec![1.0 / m as f64; m],
             scratch: vec![0.0; m],
-            alts: Vec::with_capacity(self.max_chains),
-            next_alts: Vec::with_capacity(self.max_chains),
+            alts: Vec::with_capacity(self.entries.max_chains),
+            next_alts: Vec::with_capacity(self.entries.max_chains),
             has_cursor: false,
             cur_state: 0,
             last_state: self.initial_state,
@@ -315,18 +315,18 @@ impl CompiledModel {
 
     /// The best state accepting `o` as an entry, ranked by belief with
     /// strict-`>` ties — the compiled `resync` of the reference walker. Scans the
-    /// per-symbol entry dictionary, whose slots are state-ascending like the
+    /// per-symbol entry table, whose slots are state-ascending like the
     /// interpreter's full state scan (duplicate slots of one state carry an
     /// equal score and thus never change the winner).
     fn resync_state(&self, o: u32, belief: &[f64]) -> Option<u32> {
-        if o as usize >= self.props {
+        let entries = &self.entries;
+        if o as usize >= entries.props {
             return None;
         }
-        let lo = self.entry_off[o as usize] as usize;
-        let hi = self.entry_off[o as usize + 1] as usize;
+        let lo = entries.off[o as usize] as usize;
+        let hi = entries.off[o as usize + 1] as usize;
         let mut best: Option<(f64, u32)> = None;
-        for e in lo..hi {
-            let s = self.entry_state[e];
+        for &s in &entries.state[lo..hi] {
             let score = belief[s as usize];
             if best.is_none_or(|(b, _)| score > b) {
                 best = Some((score, s));

@@ -1,21 +1,25 @@
 //! JSON persistence of a [`CompiledModel`] — the `"compiled"` section of a
 //! `psmgen-artifact/v3`.
 //!
-//! Only the *linear* tables are serialised. The log tables and the
-//! alternative-buffer capacity are derived state, recomputed on load by the
-//! same transforms compilation applies — a serialised artifact cannot carry
-//! log values that diverge from its linear probabilities.
+//! The section holds exactly the tables the forward pass reads. The
+//! alternative-buffer capacity is derived state, recomputed on load by the
+//! same function compilation uses.
 //!
 //! Loading performs full structural validation and returns a structured
 //! [`PersistError::Schema`](psm_persist::PersistError) (never a panic, never
 //! a silent fallback) when any table length disagrees with the declared
 //! state/symbol/proposition counts, when an offset table is non-monotonic,
-//! when an index is out of range, or when the entry dictionary does not
-//! match the chain table it accelerates.
+//! when an index is out of range, or when the entry table does not match
+//! the chain table it accelerates.
+//!
+//! Keys the section does not define are ignored. Sections written by
+//! earlier builds also carry `row_words`, `pi`, `entry_chain`, `attr_mu`,
+//! `attr_sigma`, `attr_n`, `dict_rows` and `dict_codes`; they still load,
+//! and re-rendering drops those keys.
 
 use psm_persist::{JsonValue, Persist, PersistError};
 
-use crate::model::{derive_logs, CompiledModel};
+use crate::model::{CompiledModel, EntryTable};
 
 fn u32s_to_json(values: &[u32]) -> JsonValue {
     JsonValue::Arr(
@@ -118,11 +122,9 @@ impl Persist for CompiledModel {
         JsonValue::obj([
             ("states", JsonValue::UInt(self.m as u64)),
             ("symbols", JsonValue::UInt(self.k as u64)),
-            ("props", JsonValue::UInt(self.props as u64)),
-            ("row_words", JsonValue::UInt(self.row_words as u64)),
+            ("props", JsonValue::UInt(self.entries.props as u64)),
             ("at", self.at.to_json()),
             ("bt", self.bt.to_json()),
-            ("pi", self.pi.to_json()),
             ("emission", self.emission.to_json()),
             ("emission_ok", bools_to_json(&self.emission_ok)),
             ("chain_off", u32s_to_json(&self.chain_off)),
@@ -130,9 +132,8 @@ impl Persist for CompiledModel {
             ("part_left", u32s_to_json(&self.part_left)),
             ("part_right", u32s_to_json(&self.part_right)),
             ("part_next", bools_to_json(&self.part_next)),
-            ("entry_off", u32s_to_json(&self.entry_off)),
-            ("entry_state", u32s_to_json(&self.entry_state)),
-            ("entry_chain", u32s_to_json(&self.entry_chain)),
+            ("entry_off", u32s_to_json(&self.entries.off)),
+            ("entry_state", u32s_to_json(&self.entries.state)),
             ("trans_off", u32s_to_json(&self.trans_off)),
             ("trans_to", u32s_to_json(&self.trans_to)),
             ("trans_guard", u32s_to_json(&self.trans_guard)),
@@ -147,12 +148,7 @@ impl Persist for CompiledModel {
             ),
             ("out_slope", self.out_slope.to_json()),
             ("out_offset", self.out_offset.to_json()),
-            ("attr_mu", self.attr_mu.to_json()),
-            ("attr_sigma", self.attr_sigma.to_json()),
-            ("attr_n", self.attr_n.to_json()),
             ("initial", JsonValue::UInt(u64::from(self.initial_state))),
-            ("dict_rows", self.dict_rows.to_json()),
-            ("dict_codes", u32s_to_json(&self.dict_codes)),
         ])
     }
 
@@ -160,7 +156,6 @@ impl Persist for CompiledModel {
         let m = v.usize_field("states")?;
         let k = v.usize_field("symbols")?;
         let props = v.usize_field("props")?;
-        let row_words = v.usize_field("row_words")?;
         if m == 0 {
             return Err(PersistError::schema("compiled model declares zero states"));
         }
@@ -170,12 +165,10 @@ impl Persist for CompiledModel {
 
         let at = f64s_field(v, "at")?;
         let bt = f64s_field(v, "bt")?;
-        let pi = f64s_field(v, "pi")?;
         let emission = f64s_field(v, "emission")?;
         let emission_ok = bools_field(v, "emission_ok")?;
         expect_len("at", at.len(), m * m)?;
         expect_len("bt", bt.len(), k * m)?;
-        expect_len("pi", pi.len(), m)?;
         expect_len("emission", emission.len(), k * m)?;
         expect_len("emission_ok", emission_ok.len(), k)?;
 
@@ -194,11 +187,6 @@ impl Persist for CompiledModel {
                     "compiled emission row {j} is not a probability distribution"
                 )));
             }
-        }
-        if !is_distribution(pi.iter().copied()) {
-            return Err(PersistError::schema(
-                "compiled initial distribution does not sum to 1",
-            ));
         }
         for s in 0..k {
             let row = &emission[s * m..(s + 1) * m];
@@ -236,43 +224,25 @@ impl Persist for CompiledModel {
 
         let entry_off = u32s_field(v, "entry_off")?;
         let entry_state = u32s_field(v, "entry_state")?;
-        let entry_chain = u32s_field(v, "entry_chain")?;
         expect_offsets("entry_off", &entry_off, props + 1, false, entry_state.len())?;
-        expect_len("entry_chain", entry_chain.len(), entry_state.len())?;
         expect_in_range("entry_state", &entry_state, m)?;
-        expect_in_range("entry_chain", &entry_chain, chains)?;
-        // The entry dictionary is an acceleration of the chain table; it
-        // must equal the one compilation derives, or resynchronisation
-        // would silently diverge from the interpreted walker.
-        {
-            let mut want_off: Vec<u32> = Vec::with_capacity(props + 1);
-            let mut want_state: Vec<u32> = Vec::with_capacity(chains);
-            let mut want_chain: Vec<u32> = Vec::with_capacity(chains);
-            let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); props];
-            for s in 0..m {
-                for c in chain_off[s]..chain_off[s + 1] {
-                    let entry = part_left[part_off[c as usize] as usize] as usize;
-                    if entry >= props {
-                        return Err(PersistError::schema(format!(
-                            "chain {c} enters on proposition {entry}, outside the declared {props}"
-                        )));
-                    }
-                    buckets[entry].push((s as u32, c));
-                }
+        // The entry table is an acceleration of the chain table; it must
+        // equal the one compilation derives, or resynchronisation would
+        // silently diverge from the interpreted walker. The declared width
+        // bounds the derivation's buckets.
+        for c in 0..chains {
+            let entry = part_left[part_off[c] as usize] as usize;
+            if entry >= props {
+                return Err(PersistError::schema(format!(
+                    "chain {c} enters on proposition {entry}, outside the declared {props}"
+                )));
             }
-            want_off.push(0);
-            for bucket in &buckets {
-                for &(s, c) in bucket {
-                    want_state.push(s);
-                    want_chain.push(c);
-                }
-                want_off.push(want_state.len() as u32);
-            }
-            if entry_off != want_off || entry_state != want_state || entry_chain != want_chain {
-                return Err(PersistError::schema(
-                    "compiled entry dictionary is inconsistent with the chain table",
-                ));
-            }
+        }
+        let entries = EntryTable::derive(&chain_off, &part_off, &part_left);
+        if entries.off != entry_off || entries.state != entry_state {
+            return Err(PersistError::schema(
+                "compiled entry table is inconsistent with the chain table",
+            ));
         }
 
         let trans_off = u32s_field(v, "trans_off")?;
@@ -298,14 +268,8 @@ impl Persist for CompiledModel {
             .collect::<Result<_, _>>()?;
         let out_slope = f64s_field(v, "out_slope")?;
         let out_offset = f64s_field(v, "out_offset")?;
-        let attr_mu = f64s_field(v, "attr_mu")?;
-        let attr_sigma = f64s_field(v, "attr_sigma")?;
-        let attr_n = Vec::<u64>::from_json(v.field("attr_n")?)?;
         expect_len("out_slope", out_slope.len(), m)?;
         expect_len("out_offset", out_offset.len(), m)?;
-        expect_len("attr_mu", attr_mu.len(), m)?;
-        expect_len("attr_sigma", attr_sigma.len(), m)?;
-        expect_len("attr_n", attr_n.len(), m)?;
 
         let initial = v.usize_field("initial")?;
         if initial >= m {
@@ -314,66 +278,26 @@ impl Persist for CompiledModel {
             )));
         }
 
-        let dict_rows = Vec::<u64>::from_json(v.field("dict_rows")?)?;
-        let dict_codes = u32s_field(v, "dict_codes")?;
-        if row_words == 0 {
-            if !dict_rows.is_empty() || !dict_codes.is_empty() {
-                return Err(PersistError::schema(
-                    "compiled dictionary has rows but declares zero words per row",
-                ));
-            }
-        } else {
-            expect_len("dict_rows", dict_rows.len(), dict_codes.len() * row_words)?;
-            for i in 1..dict_codes.len() {
-                let prev = &dict_rows[(i - 1) * row_words..i * row_words];
-                let cur = &dict_rows[i * row_words..(i + 1) * row_words];
-                if prev >= cur {
-                    return Err(PersistError::schema(format!(
-                        "compiled dictionary rows are not strictly sorted at slot {i}"
-                    )));
-                }
-            }
-        }
-
-        let (log_at, log_bt, log_pi) = derive_logs(&at, &bt, &pi);
-        let max_chains = (0..m)
-            .map(|s| (chain_off[s + 1] - chain_off[s]) as usize)
-            .max()
-            .unwrap_or(0);
         Ok(CompiledModel {
             m,
             k,
             at,
             bt,
-            pi,
             emission,
             emission_ok,
-            log_at,
-            log_bt,
-            log_pi,
-            props,
             chain_off,
             part_off,
             part_left,
             part_right,
             part_next,
-            entry_off,
-            entry_state,
-            entry_chain,
+            entries,
             trans_off,
             trans_to,
             trans_guard,
             out_kind,
             out_slope,
             out_offset,
-            attr_mu,
-            attr_sigma,
-            attr_n,
             initial_state: initial as u32,
-            max_chains,
-            row_words,
-            dict_rows,
-            dict_codes,
         })
     }
 }
@@ -462,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_entry_dictionary_is_rejected() {
+    fn corrupted_entry_table_is_rejected() {
         let (psm, hmm) = trained_pair();
         let compiled = CompiledModel::compile(&psm, &hmm).unwrap();
         let mut v = compiled.to_json();
@@ -477,48 +401,8 @@ mod tests {
         }
         let err = CompiledModel::from_json(&v).unwrap_err();
         assert!(
-            matches!(&err, PersistError::Schema(msg) if msg.contains("entry dictionary")),
+            matches!(&err, PersistError::Schema(msg) if msg.contains("entry table")),
             "swapped resync slots are caught, got: {err}"
-        );
-    }
-
-    #[test]
-    fn unsorted_dictionary_rows_are_rejected() {
-        let (psm, hmm) = trained_pair();
-        let compiled = CompiledModel::compile(&psm, &hmm).unwrap();
-        let mut v = compiled.to_json();
-        if let JsonValue::Obj(fields) = &mut v {
-            for (name, value) in fields.iter_mut() {
-                match name.as_str() {
-                    "row_words" => *value = JsonValue::UInt(1),
-                    "dict_rows" => {
-                        *value = JsonValue::Arr(vec![JsonValue::UInt(5), JsonValue::UInt(3)])
-                    }
-                    "dict_codes" => {
-                        *value = JsonValue::Arr(vec![JsonValue::UInt(0), JsonValue::UInt(1)])
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let err = CompiledModel::from_json(&v).unwrap_err();
-        assert!(
-            matches!(&err, PersistError::Schema(msg) if msg.contains("sorted")),
-            "unsorted dictionary rows are caught, got: {err}"
-        );
-    }
-
-    #[test]
-    fn decode_matches_interpreted_viterbi() {
-        let (psm, hmm) = trained_pair();
-        let compiled = CompiledModel::compile(&psm, &hmm).unwrap();
-        let seq = [0usize, 0, 1, 1, 2, 0, 0, 1, 1, 2, 0];
-        let a = compiled.decode(&seq).unwrap();
-        let b = hmm.viterbi(&seq).unwrap();
-        assert_eq!(a, b, "compiled Viterbi path matches the interpreter");
-        assert!(
-            compiled.decode(&[99]).is_err(),
-            "unknown symbols are errors"
         );
     }
 }

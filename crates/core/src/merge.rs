@@ -1,6 +1,6 @@
 //! Mergeability of power states (paper §IV-A) and the `join` procedure.
 
-use crate::probe::{CriticalTable, Probe};
+use crate::probe::{CriticalTable, Probe, PREFILTER_T};
 use crate::psm::{Fold, Psm};
 use crate::PowerAttributes;
 use psm_stats::{one_sample_t_test, welch_t_test};
@@ -27,8 +27,13 @@ use psm_stats::{one_sample_t_test, welch_t_test};
 ///
 /// 1. A pair whose means lie more than six summed standard errors apart
 ///    (case 2) or six prediction-interval widths apart (case 3), so that
-///    `|t| > 6`, is rejected untested. In `join` over long traces almost
-///    every pair ends here.
+///    `|t| > 6`, is rejected untested — but only when the test's degrees
+///    of freedom are at least df₆(α), the smallest df whose critical value
+///    (widened by the guard band below) is at most 6, so that `|t| > 6`
+///    is a certain reject. The df bound is `min(nₐ, n_b) − 1` for Welch
+///    and `n − 1` for case 3. For α = 0.3, df₆ = 1 and the prefilter
+///    always applies; for the default α = 0.01, df₆ = 3. In `join` over
+///    long traces almost every pair ends here.
 /// 2. Otherwise `|t|` is compared with the two-sided critical values of α
 ///    tabulated at the ladder points bracketing the test's degrees of
 ///    freedom. The critical value falls as df grows, so `|t|` above the
@@ -142,11 +147,15 @@ impl MergePolicy {
     /// Welch's test, with the statistic and Welch–Satterthwaite df
     /// computed as [`welch_t_test`] computes them.
     fn case2(&self, a: &Probe, b: &Probe, delta: f64) -> bool {
-        // The prefilter is part of the decision: means more than six summed
-        // standard errors apart (so |t| > 6) are rejected untested. Most
+        // The prefilter: means more than six summed standard errors apart
+        // (so |t| > 6) are rejected untested, once the Welch df, which is
+        // at least min(nₐ, n_b) − 1, is known to put t_crit below 6. Most
         // `join` probes end here.
         let spread = a.standard_error + b.standard_error;
-        if delta > 6.0 * spread && spread.is_finite() {
+        if a.n().min(b.n()) >= self.critical.prefilter_min_n
+            && delta > PREFILTER_T * spread
+            && spread.is_finite()
+        {
             return false;
         }
         let (na, nb) = (a.n() as f64, b.n() as f64);
@@ -166,8 +175,8 @@ impl MergePolicy {
     /// computed as [`one_sample_t_test`] computes it.
     fn case3(&self, sample: &Probe, single: &Probe, delta: f64) -> bool {
         if sample.variance > 0.0 {
-            // The same prefilter on the prediction interval.
-            if delta > sample.prediction_radius {
+            // The same prefilter on the prediction interval, at df n − 1.
+            if sample.n() >= self.critical.prefilter_min_n && delta > sample.prediction_radius {
                 return false;
             }
             let t = (single.mu() - sample.mu()) / sample.prediction_scale;
@@ -180,69 +189,25 @@ impl MergePolicy {
             .is_ok_and(|t| t.is_same_population(self.alpha))
     }
 
-    /// The decision as it was made before the critical-value table, one
-    /// p-value per test past the prefilters: the differential oracle of
-    /// [`Self::decide`].
+    /// The plain §IV-A tests, one p-value per pair and no prefilter: the
+    /// differential oracle of [`Self::decide`].
     #[cfg(test)]
     pub(crate) fn mergeable_reference(&self, a: &PowerAttributes, b: &PowerAttributes) -> bool {
         if a.n() == 0 || b.n() == 0 {
             return false;
         }
-        let delta = (a.mu() - b.mu()).abs();
-        let mean_close = delta < self.epsilon;
-        match (a.n() == 1, b.n() == 1) {
+        let mean_close = (a.mu() - b.mu()).abs() < self.epsilon;
+        let test = match (a.n() == 1, b.n() == 1) {
             // Case 1: two next-pattern states.
-            (true, true) => mean_close,
+            (true, true) => return mean_close,
+            _ if self.mean_tolerance_override && mean_close => return true,
             // Case 3: until vs next.
-            (false, true) => self.case3_reference(a, b, mean_close, delta),
-            (true, false) => self.case3_reference(b, a, mean_close, delta),
+            (false, true) => one_sample_t_test(a.stats(), b.mu()),
+            (true, false) => one_sample_t_test(b.stats(), a.mu()),
             // Case 2: two until-pattern states.
-            (false, false) => {
-                if self.mean_tolerance_override && mean_close {
-                    return true;
-                }
-                // Fast conservative reject: a t statistic beyond ~6 gives
-                // p < 1e-8 ≪ any practical α, so the full test (log-gamma,
-                // continued fractions) is skipped. `join` over long traces
-                // probes millions of pairs; almost all die here.
-                let spread = Self::standard_error(a) + Self::standard_error(b);
-                if delta > 6.0 * spread && spread.is_finite() {
-                    return false;
-                }
-                match welch_t_test(a.stats(), b.stats()) {
-                    Ok(t) => t.is_same_population(self.alpha),
-                    Err(_) => false,
-                }
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn standard_error(x: &PowerAttributes) -> f64 {
-        x.stats().standard_error().unwrap_or(f64::INFINITY)
-    }
-
-    #[cfg(test)]
-    fn case3_reference(
-        &self,
-        sample: &PowerAttributes,
-        single: &PowerAttributes,
-        mean_close: bool,
-        delta: f64,
-    ) -> bool {
-        if self.mean_tolerance_override && mean_close {
-            return true;
-        }
-        // Fast reject mirroring the one-sample prediction interval.
-        if let Ok(s) = sample.stats().sample_std_dev() {
-            if s > 0.0 && delta > 6.0 * s * (1.0 + 1.0 / sample.n() as f64).sqrt() {
-                return false;
-            }
-        }
-        match one_sample_t_test(sample.stats(), single.mu()) {
-            Ok(t) => t.is_same_population(self.alpha),
-            Err(_) => false,
-        }
+            (false, false) => welch_t_test(a.stats(), b.stats()),
+        };
+        test.is_ok_and(|t| t.is_same_population(self.alpha))
     }
 }
 
@@ -388,6 +353,20 @@ mod tests {
         let without = with.with_mean_tolerance_override(false);
         assert!(with.mergeable(&attrs(&a), &attrs(&b)));
         assert!(!without.mergeable(&attrs(&a), &attrs(&b)));
+    }
+
+    #[test]
+    fn small_samples_are_tested_not_prefiltered() {
+        // Six summed standard errors apart (|t| = 9.19), yet Welch's test
+        // at df 2 gives p = 0.0116 ≥ α = 0.01: t_crit(2) is 9.92, so the
+        // 6σ prefilter must not decide this pair.
+        let (a, b) = (attrs(&[0.0, 1.0]), attrs(&[6.5, 7.5]));
+        let welch = welch_t_test(a.stats(), b.stats()).unwrap();
+        assert!(welch.is_same_population(0.01), "{welch:?}");
+        assert!(MergePolicy::default().mergeable(&a, &b));
+        assert!(MergePolicy::default().mergeable_reference(&a, &b));
+        // At α = 0.3 the pair is rejected either way (t_crit(2) = 1.39).
+        assert!(!MergePolicy::new(0.05, 0.3).mergeable(&a, &b));
     }
 
     fn psm_from(levels: &[(u32, f64, usize)], trace_index: usize) -> Psm {

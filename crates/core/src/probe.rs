@@ -36,7 +36,7 @@ pub(crate) struct Probe {
     pub(crate) standard_error: f64,
     /// s·√(1 + 1/n), the denominator of the one-sample (case 3) statistic.
     pub(crate) prediction_scale: f64,
-    /// 6·s·√(1 + 1/n), the case-3 prefilter radius.
+    /// [`PREFILTER_T`]·s·√(1 + 1/n), the case-3 prefilter radius.
     pub(crate) prediction_radius: f64,
 }
 
@@ -51,7 +51,7 @@ impl Probe {
             variance,
             standard_error: stats.standard_error().unwrap_or(f64::INFINITY),
             prediction_scale: s * widen,
-            prediction_radius: 6.0 * s * widen,
+            prediction_radius: PREFILTER_T * s * widen,
         }
     }
 
@@ -63,6 +63,11 @@ impl Probe {
         self.stats.mean()
     }
 }
+
+/// The |t| past which the prefilters reject a pair untested, when the
+/// samples are large enough for that to be a certain reject
+/// ([`CriticalTable::prefilter_min_n`]).
+pub(crate) const PREFILTER_T: f64 = 6.0;
 
 /// Relative guard band around the tabulated critical values. The computed
 /// p-value's rounding noise moves its α-crossing by at most about 4e-9 of
@@ -116,6 +121,11 @@ pub(crate) fn bracket(df: f64) -> Option<(usize, usize)> {
 /// entry; they store the same value.
 pub(crate) struct CriticalTable {
     alpha: f64,
+    /// The smallest sample size at which the prefilters may reject: every
+    /// df of at least `prefilter_min_n − 1` has a `t_crit`, widened by
+    /// [`GUARD`], of at most [`PREFILTER_T`], so `|t| > PREFILTER_T` is a
+    /// certain reject. `u64::MAX` when no point of the table qualifies.
+    pub(crate) prefilter_min_n: u64,
     /// `t_crit` bits per ladder point; 0 until computed (`t_crit > 0`).
     entries: [AtomicU64; POINTS],
 }
@@ -134,12 +144,36 @@ impl CriticalTable {
         if let Some(table) = tables.iter().find(|t| t.alpha == alpha) {
             return table;
         }
-        let table: &'static CriticalTable = Box::leak(Box::new(CriticalTable {
+        let mut table = CriticalTable {
             alpha,
+            prefilter_min_n: u64::MAX,
             entries: std::array::from_fn(|_| AtomicU64::new(0)),
-        }));
+        };
+        table.prefilter_min_n = table.first_n_at_most(PREFILTER_T);
+        let table: &'static CriticalTable = Box::leak(Box::new(table));
         tables.push(table);
         table
+    }
+
+    /// One more than the smallest ladder df whose critical value, widened
+    /// by the guard band, is at most `t`, rounded up to a whole df; found
+    /// by bisection over the ladder (the critical value falls as df
+    /// grows). `u64::MAX` when there is none.
+    fn first_n_at_most(&self, t: f64) -> u64 {
+        let (mut lo, mut hi) = (0, POINTS);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.critical_value(mid) * (1.0 + GUARD) <= t {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        if lo < POINTS {
+            ladder_point(lo).ceil() as u64 + 1
+        } else {
+            u64::MAX
+        }
     }
 
     /// `Some(p >= α)` for a statistic `t` with `df` degrees of freedom when
@@ -233,5 +267,17 @@ mod tests {
         assert_eq!(a.decide(crit, 10.0), None);
         assert_eq!(a.decide(f64::INFINITY, 10.0), None);
         assert_eq!(a.decide(1.0, 0.5), None);
+    }
+
+    #[test]
+    fn prefilter_applies_from_the_first_df_with_a_critical_value_below_six() {
+        // t_crit at α = 0.01 is 63.657, 9.925, 5.841 for df 1, 2, 3; at
+        // α = 0.001, 6.869 (df 5) and 5.959 (df 6); at α = 0.3 it is 1.963
+        // at df 1. Six sigma never reaches α = 1e-10 (z = 6.47).
+        for (alpha, n) in [(0.01, 4), (0.001, 7), (0.3, 2), (0.9, 2)] {
+            let table = CriticalTable::for_alpha(alpha);
+            assert_eq!(table.prefilter_min_n, n, "α {alpha}");
+        }
+        assert_eq!(CriticalTable::for_alpha(1e-10).prefilter_min_n, u64::MAX);
     }
 }

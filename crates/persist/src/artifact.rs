@@ -23,9 +23,12 @@
 //!   flat-table serving form of the model (`psm-compile`'s
 //!   `CompiledModel`). Written by `TrainedModel::save_compiled` /
 //!   `psmctl compile` via [`encode_artifact_versioned`]; the registry
-//!   prefers this section and skips recompiling at load. A v3 body minus
-//!   `"compiled"` is exactly a v2 body, so v2 readers of the future could
-//!   downgrade by stripping the field.
+//!   serves this section after checking it against a fresh compile. A v3
+//!   body minus `"compiled"` is exactly a v2 body, so v2 readers of the
+//!   future could downgrade by stripping the field. The section's own keys
+//!   are `psm-compile`'s to define: sections written by earlier builds
+//!   carry keys this one ignores, and a reader older than a section's
+//!   keys fails with a schema error naming the first missing one.
 //!
 //! Truncated, empty or wrong-magic files always surface as
 //! [`PersistError`] values, never as panics; the facade wraps them in

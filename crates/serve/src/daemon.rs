@@ -662,8 +662,7 @@ fn dispatch(
             "frame kind is a response status, not a request opcode".to_owned(),
         )),
         Some(op) => {
-            ctx.telemetry
-                .add_named(&format!("serve.op.{}", op.name()), 1);
+            ctx.telemetry.add_named(op.counter_name(), 1);
             if frame.version < op.min_version() {
                 Err(InlineError::Error(format!(
                     "opcode {} requires protocol v{} (frame is v{})",

@@ -131,6 +131,23 @@ impl Opcode {
         }
     }
 
+    /// The telemetry counter that counts requests of this opcode:
+    /// `serve.op.` followed by [`name`](Self::name).
+    pub fn counter_name(self) -> &'static str {
+        match self {
+            Opcode::Estimate => "serve.op.estimate",
+            Opcode::Stats => "serve.op.stats",
+            Opcode::Reload => "serve.op.reload",
+            Opcode::List => "serve.op.list",
+            Opcode::Ping => "serve.op.ping",
+            Opcode::Shutdown => "serve.op.shutdown",
+            Opcode::EstimateBin => "serve.op.estimate_bin",
+            Opcode::StreamOpen => "serve.op.stream_open",
+            Opcode::StreamChunk => "serve.op.stream_chunk",
+            Opcode::StreamClose => "serve.op.stream_close",
+        }
+    }
+
     /// The lowest protocol version whose frames may carry this opcode.
     /// The daemon rejects v2-only opcodes arriving in v1 frames with a
     /// structured `ERROR` instead of guessing at the payload format.
@@ -1009,6 +1026,8 @@ mod tests {
             assert_eq!(Opcode::from_u8(op.as_u8()), Some(op));
             assert!(Status::from_u8(op.as_u8()).is_none());
             assert!(!op.name().is_empty());
+            // STATS reports counters under these names; they must not move.
+            assert_eq!(op.counter_name(), format!("serve.op.{}", op.name()));
             assert!(op.min_version() >= 1 && op.min_version() <= PROTOCOL_VERSION);
         }
         assert!(Opcode::from_u8(0x80).is_none());

@@ -112,14 +112,14 @@ impl ServedModel {
             ))
         };
         let (table, psm, hmm) = parse().map_err(|e| RegistryError::of(&entry.path, e))?;
-        let compile_fresh = || {
-            CompiledModel::compile_with_dictionary(&table, &psm, &hmm)
-                .map_err(|e| PersistError::schema(e.to_string()))
-        };
+        let compile_fresh =
+            || CompiledModel::compile(&psm, &hmm).map_err(|e| PersistError::schema(e.to_string()));
         let compiled = if format_version >= psm_persist::ARTIFACT_VERSION_COMPILED {
             // The shipped section must be the *exact* compilation of the
             // model beside it — compared on the canonical render, which
-            // distinguishes even -0.0 from 0.0.
+            // distinguishes even -0.0 from 0.0. Parsing keeps only the
+            // tables the forward pass reads, so a section written by an
+            // earlier build, with keys since dropped, still compares.
             let verify = || -> Result<CompiledModel, PersistError> {
                 let shipped: CompiledModel = Persist::from_json(doc.field("compiled")?)?;
                 if shipped.to_json().render() != compile_fresh()?.to_json().render() {
@@ -365,11 +365,11 @@ mod tests {
     }
 
     /// Renders `body` plus a `compiled` section as a v3 artifact.
-    fn v3_text(body: JsonValue, compiled: &CompiledModel) -> String {
+    fn v3_text(body: JsonValue, compiled: JsonValue) -> String {
         let JsonValue::Obj(mut fields) = body else {
             unreachable!("model bodies are objects")
         };
-        fields.push(("compiled".to_owned(), compiled.to_json()));
+        fields.push(("compiled".to_owned(), compiled));
         psm_persist::encode_artifact_versioned(
             &JsonValue::Obj(fields),
             psm_persist::ARTIFACT_VERSION_COMPILED,
@@ -382,8 +382,8 @@ mod tests {
         let body = toy_model_json();
         write_artifact(&dir, "toy@1.json", &body);
         let (table, psm, hmm) = substrate(&body);
-        let compiled = CompiledModel::compile_with_dictionary(&table, &psm, &hmm).unwrap();
-        std::fs::write(dir.join("toy@2.json"), v3_text(body, &compiled)).unwrap();
+        let compiled = CompiledModel::compile(&psm, &hmm).unwrap();
+        std::fs::write(dir.join("toy@2.json"), v3_text(body, compiled.to_json())).unwrap();
 
         let registry = Registry::open(&dir).unwrap();
         let v2 = registry.snapshot().lookup("toy", Some(1)).unwrap();
@@ -413,10 +413,22 @@ mod tests {
         let dir = temp_registry("v3-divergent");
         let body = toy_model_json();
         let (_, psm, hmm) = substrate(&body);
-        // Structurally valid, but compiled without the classification
-        // dictionary the shipped table would produce.
-        let divergent = CompiledModel::compile(&psm, &hmm).unwrap();
-        std::fs::write(dir.join("toy@1.json"), v3_text(body, &divergent)).unwrap();
+        // Structurally valid, but state 0 outputs 1 mW more than the
+        // model beside it says.
+        let mut divergent = CompiledModel::compile(&psm, &hmm).unwrap().to_json();
+        let JsonValue::Obj(fields) = &mut divergent else {
+            unreachable!("compiled sections are objects")
+        };
+        for (name, value) in fields.iter_mut() {
+            if name == "out_offset" {
+                let JsonValue::Arr(offsets) = value else {
+                    unreachable!("out_offset is an array")
+                };
+                offsets[0] = JsonValue::from_f64(offsets[0].as_f64().unwrap() + 1.0);
+            }
+        }
+        assert!(CompiledModel::from_json(&divergent).is_ok());
+        std::fs::write(dir.join("toy@1.json"), v3_text(body, divergent)).unwrap();
         let err = Registry::open(&dir).unwrap_err();
         let msg = err.to_string();
         assert!(

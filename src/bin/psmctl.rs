@@ -402,11 +402,9 @@ fn run_compile(input: &str, output: &str) -> ExitCode {
         return fail(&e.to_string());
     }
     println!(
-        "compiled {input} -> {output}: {} state(s), {} symbol(s), {} dictionary row(s), \
-         {} byte(s) of tables",
+        "compiled {input} -> {output}: {} state(s), {} symbol(s), {} byte(s) of tables",
         compiled.num_states(),
         compiled.num_symbols(),
-        compiled.dictionary_len(),
         compiled.footprint_bytes()
     );
     ExitCode::SUCCESS

@@ -265,11 +265,13 @@ impl TrainedModel {
         crate::persist::render_model(self)
     }
 
-    /// Lowers this model to its flat-table serving form (see
-    /// [`psm_compile::CompiledModel`]): interned observation codes, flat
-    /// transition/emission tables, precomputed log-probabilities and an
-    /// allocation-free forward pass, bit-identical to the reference
-    /// [`HmmSimulator`](psm_hmm::HmmSimulator).
+    /// Lowers this model's PSM and HMM to their flat-table serving form
+    /// (see [`psm_compile::CompiledModel`]): transposed transition and
+    /// emission tables, the chain and transition structure as offset
+    /// arrays, and an allocation-free forward pass, bit-identical to the
+    /// reference [`HmmSimulator`](psm_hmm::HmmSimulator). The compiled
+    /// model takes observations already classified by [`classify_trace`]
+    /// against this model's proposition table, which it does not copy.
     ///
     /// # Errors
     ///
@@ -277,7 +279,7 @@ impl TrainedModel {
     /// on the state space (impossible for models produced by
     /// [`PsmFlow::train`], possible for hand-assembled ones).
     pub fn compile(&self) -> Result<CompiledModel, psm_compile::CompileError> {
-        CompiledModel::compile_with_dictionary(&self.table, &self.psm, &self.hmm)
+        CompiledModel::compile(&self.psm, &self.hmm)
     }
 
     /// Saves the model as a `psmgen-artifact/v3`: the

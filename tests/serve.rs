@@ -3,17 +3,22 @@
 //! in-process `PsmFlow` estimation, v1 clients interoperate with the v2
 //! daemon, malformed binary frames get structured errors, backpressure
 //! is explicit (`BUSY`), registry hot-reload is atomic towards
-//! in-flight requests, slow writers cannot stall other connections, and
-//! shutdown drains before exiting.
+//! in-flight requests, slow writers cannot stall other connections,
+//! shutdown drains before exiting, and `psmgen-artifact/v3` files written
+//! by earlier builds still serve.
 
+use psm_prng::Prng;
 use psmgen::flow::{IpPreset, PsmFlow, TrainedModel};
+use psmgen::hmm::HmmSimulator;
 use psmgen::ips::{behavioural_trace, testbench, MultSum};
+use psmgen::psm::classify_trace;
 use psmgen::serve::protocol::{self, Frame, Opcode, Status};
-use psmgen::serve::{Client, ClientError, PoolConfig, Server, ServerConfig};
+use psmgen::serve::{Client, ClientError, PoolConfig, Registry, Server, ServerConfig};
 use psmgen::trace::{Bits, Direction, FunctionalTrace, SignalSet};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -670,5 +675,71 @@ fn inline_errors_are_one_error_reply_each() {
 
     Client::connect(running.addr()).unwrap().shutdown().unwrap();
     running.join().expect("clean exit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `examples/artifacts/verify_defect_legacy_v3.json` is
+/// `verify_defect.json` as `psmctl compile` wrote it before the compiled
+/// section dropped the tables the forward pass never read (the sorted
+/// observation dictionary, π, the entry chain ids, the state attributes).
+/// It still loads through the registry and serves its v2 source's
+/// estimates bit for bit, and `psmctl compile` rewrites it to the current
+/// section, which serves the same.
+#[test]
+fn legacy_v3_artifact_serves_like_its_v2_source() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/artifacts");
+    let legacy = fixtures.join("verify_defect_legacy_v3.json");
+    let legacy_text = std::fs::read_to_string(&legacy).unwrap();
+    assert!(legacy_text.starts_with("psmgen-artifact/v3\n"));
+    assert!(
+        legacy_text.contains("\"dict_rows\""),
+        "the fixture is legacy"
+    );
+
+    let dir = temp_registry("legacy-v3");
+    std::fs::copy(
+        fixtures.join("verify_defect.json"),
+        dir.join("defect@1.json"),
+    )
+    .unwrap();
+    std::fs::copy(&legacy, dir.join("defect@2.json")).unwrap();
+    let status = Command::new(env!("CARGO_BIN_EXE_psmctl"))
+        .arg("compile")
+        .arg(&legacy)
+        .arg(dir.join("defect@3.json"))
+        .status()
+        .expect("psmctl runs");
+    assert!(status.success(), "psmctl compile failed: {status}");
+    let upgraded = std::fs::read_to_string(dir.join("defect@3.json")).unwrap();
+    assert!(upgraded.starts_with("psmgen-artifact/v3\n"));
+    assert!(
+        !upgraded.contains("\"dict_rows\""),
+        "compile drops legacy keys"
+    );
+
+    let model = TrainedModel::load(dir.join("defect@1.json")).unwrap();
+    let mut rng = Prng::seed_from_u64(19);
+    let mut trace = FunctionalTrace::new(model.table.vocabulary().signals().clone());
+    for _ in 0..2_000 {
+        let row = [rng.range_u64(0..2), rng.range_u64(0..2)];
+        trace.push_words(&row).unwrap();
+    }
+    let want = HmmSimulator::new(&model.psm, model.hmm.clone()).run(
+        &classify_trace(&model.table, &trace),
+        &trace.input_hamming_series(),
+    );
+
+    let registry = Registry::open(&dir).expect("registry opens");
+    for (version, format) in [(1, 2), (2, 3), (3, 3)] {
+        let served = registry.snapshot().lookup("defect", Some(version)).unwrap();
+        assert_eq!(served.format_version, format, "defect@{version}");
+        let got = served.estimate(&trace);
+        assert_eq!(got.wrong_state_predictions, want.wrong_state_predictions);
+        assert_eq!(got.unknown_instants, want.unknown_instants);
+        assert_eq!(got.estimate.len(), trace.len());
+        for (t, (g, w)) in got.estimate.iter().zip(want.estimate.iter()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "defect@{version}, instant {t}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
