@@ -11,13 +11,15 @@ use psm_core::{classify_trace, generate_psm, join, simplify};
 use psm_hmm::{build_hmm, HmmSimulator};
 use psm_ips::{behavioural_trace, testbench};
 use psm_mining::Miner;
-use psm_rtl::capture_traces;
+use psm_rtl::capture_traces_batch;
 
 fn mining() {
     let pipeline = flow("MultSum");
     let netlist = ip("MultSum").netlist().expect("netlist builds");
     let stim = testbench::multsum_short_ts(1);
-    let cap = capture_traces(&netlist, &pipeline.power_model, &stim, 1).expect("capture succeeds");
+    let cap = capture_traces_batch(&netlist, &pipeline.power_model, &[stim], &[1])
+        .expect("capture succeeds")
+        .remove(0);
 
     let miner = Miner::new(pipeline.mining);
     bench_throughput("mine_multsum_short_ts", cap.functional.len(), || {

@@ -12,7 +12,7 @@ use psm_core::{calibrate, classify_trace, generate_psm, join, simplify, MergePol
 use psm_hmm::{build_hmm, HmmSimulator};
 use psm_ips::{behavioural_trace, testbench};
 use psm_mining::Miner;
-use psm_rtl::capture_traces;
+use psm_rtl::capture_traces_batch;
 use psm_trace::{FunctionalTrace, PowerTrace};
 
 fn main() {
@@ -25,19 +25,11 @@ fn main() {
             short_ts(name),
             testbench::long_ts(name, 2, 6_000).expect("benchmark names are valid"),
         ];
-        let caps: Vec<_> = stimuli
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                capture_traces(
-                    &netlist,
-                    &pipeline.power_model,
-                    s,
-                    pipeline.noise_seed + i as u64,
-                )
-                .expect("capture succeeds")
-            })
+        let seeds: Vec<u64> = (0..stimuli.len() as u64)
+            .map(|i| pipeline.noise_seed + i)
             .collect();
+        let caps = capture_traces_batch(&netlist, &pipeline.power_model, &stimuli, &seeds)
+            .expect("capture succeeds");
         let functional: Vec<&FunctionalTrace> = caps.iter().map(|c| &c.functional).collect();
         let power: Vec<&PowerTrace> = caps.iter().map(|c| &c.power).collect();
         let mined = Miner::new(pipeline.mining)

@@ -351,6 +351,9 @@ fn main() -> ExitCode {
             "mine_long_trace",
             "classify_long_trace",
             "decode_trace_bin",
+            "capture_lanes1",
+            "capture_lanes4",
+            "capture_lanes64",
             "psm_generate_simplify",
             "join_traces",
             "reduce_long_ts",

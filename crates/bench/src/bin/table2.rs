@@ -29,13 +29,14 @@ fn run_row(name: &str, label: &str, stimulus: &Stimulus) {
     let reference = {
         // Reproduce the training reference exactly (same noise seed).
         let netlist = core.netlist().expect("netlist builds");
-        psm_rtl::capture_traces(
+        psm_rtl::capture_traces_batch(
             &netlist,
             &pipeline.power_model,
-            stimulus,
-            pipeline.noise_seed,
+            std::slice::from_ref(stimulus),
+            &[pipeline.noise_seed],
         )
         .expect("capture succeeds")
+        .remove(0)
         .power
     };
     let mre = psm_stats::mean_relative_error(outcome.estimate.as_slice(), reference.as_slice())

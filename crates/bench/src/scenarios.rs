@@ -177,6 +177,11 @@ fn simplified_psms(fx: &Fixtures) -> Vec<Psm> {
         .collect()
 }
 
+/// Cycles of each of the 64 stimuli behind `capture_lanes64`, whatever
+/// the suite's budget: a full lane word at the `--quick` length would be
+/// too short to time above host noise, at the full length too slow.
+const CAPTURE_WIDE_CYCLES: usize = 1_500;
+
 /// Cycles of each capture behind `reduce_long_ts`, whatever the suite's
 /// budget: `simplify` and `join` cost grows with the number of generated
 /// states, and the `--quick` traces are too short for the regression gate
@@ -242,6 +247,45 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
         "decode_trace_bin".into(),
         ScenarioResult::plain(m, aes_trace.len()),
     ));
+
+    // -- gate-level capture at 1, 4 and 64 lanes ------------------------
+    // The batch engine's three regimes: one short-TS stimulus (psmperf's
+    // `train_short_ts`), four long-TS stimuli (`train_long_ts`) and a
+    // full 64-lane word, the wide accumulation path psmperf never runs.
+    // Rows are gate-cycles: combinational cells × captured cycles.
+    for (scen, name, stimuli) in [
+        (
+            "capture_lanes1",
+            "AES",
+            vec![testbench::short_ts("AES", cfg.seed).expect("known IP")],
+        ),
+        (
+            "capture_lanes4",
+            "MultSum",
+            (0..4)
+                .map(|k| testbench::multsum_long_ts(cfg.seed + k, cfg.cycles))
+                .collect(),
+        ),
+        (
+            "capture_lanes64",
+            "MultSum",
+            (0..64)
+                .map(|k| testbench::multsum_long_ts(cfg.seed + k, CAPTURE_WIDE_CYCLES))
+                .collect(),
+        ),
+    ] {
+        let netlist = crate::ip(name).netlist().expect("netlist builds");
+        let seeds: Vec<u64> = (0..stimuli.len() as u64).map(|k| cfg.seed + k).collect();
+        let power = crate::flow(name).power_model;
+        let cycles: usize = stimuli.iter().map(Stimulus::len).sum();
+        let m = bench_iters(scen, cfg.iters, &mut || {
+            capture_traces_batch(&netlist, &power, &stimuli, &seeds).expect("capture succeeds")
+        });
+        out.push((
+            scen.into(),
+            ScenarioResult::plain(m, netlist.gates().len() * cycles),
+        ));
+    }
 
     // -- XU-automaton generation + simplify ----------------------------
     let refs: Vec<&FunctionalTrace> = fx.functional.iter().collect();

@@ -7,10 +7,19 @@
 //! 64 independent stimuli into one `u64` **lane word** per net
 //! (struct-of-arrays: `values[net]` holds lane `l`'s value in bit `l`) and
 //! evaluates the levelized netlist with whole-word bitwise operations, so
-//! one AND instruction advances a gate for all lanes at once.
+//! one instruction advances a gate for all lanes at once.
+//!
+//! The engine works in its own net index space, renumbered once at
+//! construction: the sources (the two constants, input-port bits,
+//! flip-flop outputs, memory read data, then any net nothing drives) come
+//! first, and gate outputs follow in levelized order. Gate `i` of the
+//! tape therefore writes net `first_out + i` (unless the netlist drives
+//! some net twice), so the tape names no output and its writes walk
+//! `values` sequentially. Every cell except a LUT compiles to one 16-byte
+//! [`Op`] evaluated through the same branchless select.
 //!
 //! Switching-activity accounting stays *per lane* and **bit-identical** to
-//! the scalar engine: every capacitance contribution is scattered to the
+//! the scalar engine: every capacitance contribution is added to the
 //! toggling lanes in exactly the order the scalar simulator would have
 //! accumulated it, so the resulting [`CycleActivity`] values — and every
 //! model trained from them — are byte-for-byte the same. The equivalence is
@@ -19,7 +28,7 @@
 //! The scalar engine remains the independent reference implementation (and
 //! the substrate of the exhaustive bounded-model-checking search in
 //! `psm-analyze`, which forks simulators per input assignment); the batch
-//! engine is the capture hot path. See `DESIGN.md` §3 for the lane layout.
+//! engine is the capture hot path. See `DESIGN.md` §3c for the lane layout.
 
 use crate::gate::{GateKind, NetId};
 use crate::harness::{CaptureResult, HierarchicalCapture, Stimulus};
@@ -31,37 +40,59 @@ use crate::RtlError;
 use psm_trace::{Bits, Direction, FunctionalTrace, PowerTrace};
 use std::collections::HashMap;
 
-/// One compiled combinational cell, packed into a fixed 32 bytes so the
-/// levelized tape stays cache-dense: opcode, power domain, output net,
-/// three operand slots and the output capacitance. Two-input cells use
-/// `a`/`b` as net indices; a mux adds `c`; a LUT reads its input list and
-/// table from the shared pools (`a` = input-pool offset, `b` = input
-/// count, `c` = table-pool offset), keeping the tape free of pointers.
+/// One compiled combinational cell: 16 bytes, no output field (gate `i`
+/// writes net `first_out + i`) and no accounting (that lives in the
+/// per-op [`Charge`] table, read only when the cell toggles).
+///
+/// Every one- and two-input cell and the mux evaluate as the lane-wise
+/// select `a ? b ^ xb : c ^ xc`, where `kind` bit 0 sets `xb` and bit 1
+/// sets `xc` to all ones; constant operands point at the renumbered
+/// `CONST0`/`CONST1` nets:
+///
+/// | cell | `a` | `b` | `c` | inverts |
+/// |---|---|---|---|---|
+/// | BUF x | x | 1 | 0 | |
+/// | INV x | x | 0 | 1 | |
+/// | AND2 x y | x | y | 0 | |
+/// | OR2 x y | x | 1 | y | |
+/// | XOR2 x y | x | y | y | `b` |
+/// | NAND2 x y | x | y | 1 | `b` |
+/// | NOR2 x y | x | 0 | y | `c` |
+/// | MUX2 s lo hi | s | hi | lo | |
+///
+/// A LUT (`kind` = [`OP_LUT`]) instead reads its input list and table from
+/// the shared pools: `a` = input-pool offset, `b` = input count, `c` =
+/// table-pool offset. It is the only cell the step loop branches on.
+#[derive(Clone, Copy)]
 struct Op {
-    cap: f64,
-    out: u32,
     a: u32,
     b: u32,
     c: u32,
     kind: u8,
-    dom: u16,
 }
 
-/// Opcodes below 16 ARE the cell's 4-bit truth table over `(a, b)` —
-/// bit index `a | b << 1` — so every one/two-input cell evaluates through
-/// one branchless mask-expansion path and the only data-dependent branch
-/// in the hot loop is the rare "is this a mux or LUT" test.
-const OP_TT_BUF: u8 = 0b1010;
-const OP_TT_NOT: u8 = 0b0101;
-const OP_TT_AND2: u8 = 0b1000;
-const OP_TT_OR2: u8 = 0b1110;
-const OP_TT_XOR2: u8 = 0b0110;
-const OP_TT_NAND2: u8 = 0b0111;
-const OP_TT_NOR2: u8 = 0b0001;
-/// `out = sel ? b : a`, lane-wise; `a`=sel, `b`=low input, `c`=high input.
-const OP_MUX2: u8 = 16;
-/// Per-lane table lookup (ROMs, S-boxes) out of the LUT pools.
-const OP_LUT: u8 = 17;
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
+
+/// [`Op::kind`] bit that inverts the `b` operand of the select.
+const OP_INV_B: u8 = 1;
+/// [`Op::kind`] bit that inverts the `c` operand of the select.
+const OP_INV_C: u8 = 2;
+/// [`Op::kind`] of a per-lane table lookup (ROMs, S-boxes).
+const OP_LUT: u8 = 4;
+
+/// What one toggle of a gate output costs: its capacitance and the power
+/// domain it is charged to. Indexed like the tape.
+#[derive(Clone, Copy)]
+struct Charge {
+    cap: f64,
+    dom: u32,
+}
+
+/// Batches of at most this many lanes accumulate through the fixed-trip,
+/// branch-free loop of [`LaneSums::add_narrow`]; wider ones walk the set
+/// bits of each toggle mask ([`LaneSums::add_wide`]), because adding
+/// `+0.0` to 64 lanes for every toggled op costs more than the walk.
+const NARROW_LANES: usize = 8;
 
 /// A primary-input net staged for the next step: the new value and the
 /// lanes that staged it, in the scalar engine's staging order.
@@ -69,6 +100,345 @@ struct StagedNet {
     net: u32,
     value: u64,
     care: u64,
+}
+
+/// One memory macro's pins in the renumbered index space.
+struct MemPins {
+    addr: Vec<u32>,
+    wdata: Vec<u32>,
+    we: u32,
+    re: u32,
+    clear: u32,
+    rdata: Vec<u32>,
+    dom: usize,
+}
+
+/// Per-lane accounting of one step: switched capacitance, toggle count
+/// and (when tracked) switched capacitance per domain, `[dom * 64 + lane]`.
+struct LaneSums {
+    caps: [f64; 64],
+    toggles: [u32; 64],
+    /// Empty when domain tracking is disabled (total-only captures skip
+    /// the extra accumulate per toggling lane).
+    dom_caps: Vec<f64>,
+}
+
+impl LaneSums {
+    /// Adds `cap` to every lane set in `mask`, in lane order — the per-lane
+    /// equivalent of the scalar engine's single `+=`, so each lane sees the
+    /// same f64 addition sequence. Only set lanes are touched (a
+    /// `trailing_zeros` walk), so the cost scales with how many lanes
+    /// toggled, not with the batch width.
+    #[inline]
+    fn scatter(&mut self, dom: usize, mut mask: u64, cap: f64) {
+        if self.dom_caps.is_empty() {
+            while mask != 0 {
+                let l = mask.trailing_zeros() as usize;
+                self.caps[l] += cap;
+                self.toggles[l] += 1;
+                mask &= mask - 1;
+            }
+        } else {
+            while mask != 0 {
+                let l = mask.trailing_zeros() as usize;
+                self.caps[l] += cap;
+                self.dom_caps[dom * 64 + l] += cap;
+                self.toggles[l] += 1;
+                mask &= mask - 1;
+            }
+        }
+    }
+
+    /// Charges the toggled gates of a wide batch: one [`scatter`] per
+    /// toggled op, in tape order.
+    ///
+    /// [`scatter`]: LaneSums::scatter
+    #[inline(never)]
+    fn add_wide(&mut self, charges: &[Charge], ops: &[u32], masks: &[u64]) {
+        for (&op, &mask) in ops.iter().zip(masks) {
+            let Charge { cap, dom } = charges[op as usize];
+            self.scatter(dom as usize, mask, cap);
+        }
+    }
+
+    /// Charges the toggled gates of a batch of at most `W` lanes without
+    /// a data-dependent branch: every op adds `cap` to each of the `W`
+    /// lanes whose mask bit is set and `+0.0` to the others.
+    ///
+    /// This is bit-identical to adding to the set lanes only. Every running
+    /// sum starts at a clock-tree constant that is `+0.0` or positive and
+    /// only ever grows by non-negative capacitances, and `x + 0.0 == x`
+    /// exactly for every such `x` (only `-0.0 + 0.0` differs, and no sum is
+    /// ever `-0.0`). Lanes at or above the batch width add `+0.0` forever
+    /// and are never read.
+    #[inline(never)]
+    fn add_narrow<const W: usize>(&mut self, charges: &[Charge], ops: &[u32], masks: &[u64]) {
+        let caps: &mut [f64; W] = (&mut self.caps[..W]).try_into().expect("W ≤ 64");
+        let toggles: &mut [u32; W] = (&mut self.toggles[..W]).try_into().expect("W ≤ 64");
+        let lane_adds = |cap: f64, mask: u64| -> [f64; W] {
+            let bits = cap.to_bits();
+            std::array::from_fn(|l| f64::from_bits(bits & (mask >> l & 1).wrapping_neg()))
+        };
+        if self.dom_caps.is_empty() {
+            for (&op, &mask) in ops.iter().zip(masks) {
+                let adds = lane_adds(charges[op as usize].cap, mask);
+                for l in 0..W {
+                    caps[l] += adds[l];
+                    toggles[l] += (mask >> l & 1) as u32;
+                }
+            }
+        } else {
+            for (&op, &mask) in ops.iter().zip(masks) {
+                let Charge { cap, dom } = charges[op as usize];
+                let adds = lane_adds(cap, mask);
+                let base = dom as usize * 64;
+                let dom_caps: &mut [f64; W] = (&mut self.dom_caps[base..base + W])
+                    .try_into()
+                    .expect("slice has W elements");
+                for l in 0..W {
+                    caps[l] += adds[l];
+                    dom_caps[l] += adds[l];
+                    toggles[l] += (mask >> l & 1) as u32;
+                }
+            }
+        }
+    }
+
+    /// Charges the toggled gates of one step, in tape order: through the
+    /// branch-free [`add_narrow`] for batches of at most [`NARROW_LANES`]
+    /// lanes (its width rounded up to a power of two, so one lane does one
+    /// lane's work), through [`add_wide`] above that.
+    ///
+    /// [`add_narrow`]: LaneSums::add_narrow
+    /// [`add_wide`]: LaneSums::add_wide
+    fn add_toggled(&mut self, lanes: usize, charges: &[Charge], ops: &[u32], masks: &[u64]) {
+        match lanes {
+            1 => self.add_narrow::<1>(charges, ops, masks),
+            2 => self.add_narrow::<2>(charges, ops, masks),
+            3 | 4 => self.add_narrow::<4>(charges, ops, masks),
+            5..=NARROW_LANES => self.add_narrow::<NARROW_LANES>(charges, ops, masks),
+            _ => self.add_wide(charges, ops, masks),
+        }
+    }
+}
+
+/// Evaluates one LUT cell lane by lane: gathers each active lane's input
+/// bits into a table index and reads that lane's output bit.
+#[inline(never)]
+fn eval_lut(values: &[u64], inputs: &[u32], table: &[u64], lanes: usize) -> u64 {
+    let mut word = 0u64;
+    for l in 0..lanes {
+        let mut idx = 0usize;
+        for (k, &input) in inputs.iter().enumerate() {
+            idx |= ((values[input as usize] >> l & 1) as usize) << k;
+        }
+        word |= (table[idx / 64] >> (idx % 64) & 1) << l;
+    }
+    word
+}
+
+/// The netlist in the engine's index space: the op tape with its
+/// accounting table and LUT pools, and every pin the step loop reads, all
+/// renumbered once.
+struct Compiled {
+    ops: Vec<Op>,
+    charges: Vec<Charge>,
+    lut_inputs: Vec<u32>,
+    lut_tables: Vec<u64>,
+    /// Net written by the first op; op `i` writes `first_out + i`.
+    first_out: usize,
+    /// Op `i`'s output net, listed only when some gate drives a net that
+    /// another driver already numbered (a netlist that fails
+    /// [`Netlist::validate`] with [`RtlError::MultipleDrivers`]); empty, and
+    /// `first_out + i` in force, otherwise.
+    outs: Vec<u32>,
+    dff_q: Vec<u32>,
+    dff_d: Vec<u32>,
+    mems: Vec<MemPins>,
+    /// Every port's nets, back to back in declaration order; port `p`
+    /// owns `port_nets[port_start[p]..port_start[p + 1]]`.
+    port_nets: Vec<u32>,
+    port_start: Vec<usize>,
+}
+
+impl Compiled {
+    /// Renumbers the nets and compiles the levelized cells to the tape.
+    ///
+    /// Sources take the low indices: the constants keep 0 and 1, then come
+    /// input-port bits (declaration order), flip-flop outputs, memory read
+    /// data and any net nothing drives; gate outputs follow in `order`.
+    /// A net with several drivers keeps the one index its first driver in
+    /// that sequence gave it, so every driver reads and writes the same
+    /// word, as in the scalar engine.
+    fn new(netlist: &Netlist, order: &[usize]) -> Self {
+        let gates = netlist.gates();
+        let mut by_index = vec![Netlist::CONST0, Netlist::CONST1];
+        for p in netlist.ports() {
+            if p.direction() == Direction::Input {
+                by_index.extend_from_slice(p.nets());
+            }
+        }
+        by_index.extend(netlist.dffs().iter().map(|d| d.q));
+        for m in netlist.memories() {
+            by_index.extend_from_slice(&m.rdata);
+        }
+        let mut driven = vec![false; netlist.net_count()];
+        for net in by_index.iter().chain(gates.iter().map(|g| &g.output)) {
+            driven[net.index()] = true;
+        }
+        by_index.extend((0..netlist.net_count()).filter(|&i| !driven[i]).map(NetId));
+        // Numbers `net` unless an earlier driver already did.
+        fn number(map: &mut [u32], next: &mut u32, net: NetId) {
+            if map[net.index()] == u32::MAX {
+                map[net.index()] = *next;
+                *next += 1;
+            }
+        }
+        let mut map = vec![u32::MAX; netlist.net_count()];
+        let mut next = 0u32;
+        for &net in &by_index {
+            number(&mut map, &mut next, net);
+        }
+        let first_out = next as usize;
+        for &gi in order {
+            number(&mut map, &mut next, gates[gi].output);
+        }
+        let renum = |n: NetId| map[n.index()];
+        let dense = order
+            .iter()
+            .enumerate()
+            .all(|(i, &gi)| renum(gates[gi].output) as usize == first_out + i);
+        let outs = if dense {
+            Vec::new()
+        } else {
+            order.iter().map(|&gi| renum(gates[gi].output)).collect()
+        };
+
+        let gate_domains = netlist.gate_domains();
+        let mut lut_inputs: Vec<u32> = Vec::new();
+        let mut lut_tables: Vec<u64> = Vec::new();
+        let (zero, one) = (renum(Netlist::CONST0), renum(Netlist::CONST1));
+        let ops: Vec<Op> = order
+            .iter()
+            .map(|&gi| {
+                let g = &gates[gi];
+                let pin = |k: usize| renum(g.inputs[k]);
+                let (a, b, c, kind) = match &g.kind {
+                    GateKind::Buf => (pin(0), one, zero, 0),
+                    GateKind::Not => (pin(0), zero, one, 0),
+                    GateKind::And2 => (pin(0), pin(1), zero, 0),
+                    GateKind::Or2 => (pin(0), one, pin(1), 0),
+                    GateKind::Xor2 => (pin(0), pin(1), pin(1), OP_INV_B),
+                    GateKind::Nand2 => (pin(0), pin(1), one, OP_INV_B),
+                    GateKind::Nor2 => (pin(0), zero, pin(1), OP_INV_C),
+                    GateKind::Mux2 => (pin(0), pin(2), pin(1), 0),
+                    GateKind::Lut { table } => {
+                        let in_off = lut_inputs.len() as u32;
+                        lut_inputs.extend(g.inputs.iter().map(|&n| renum(n)));
+                        let tab_off = lut_tables.len() as u32;
+                        lut_tables.extend_from_slice(table);
+                        (in_off, g.inputs.len() as u32, tab_off, OP_LUT)
+                    }
+                };
+                Op { a, b, c, kind }
+            })
+            .collect();
+        let charges = order
+            .iter()
+            .map(|&gi| Charge {
+                cap: gates[gi].kind.capacitance_ff(),
+                dom: gate_domains[gi] as u32,
+            })
+            .collect();
+
+        let mems = netlist
+            .memories()
+            .iter()
+            .zip(netlist.mem_domains())
+            .map(|(m, &dom)| MemPins {
+                addr: m.addr.iter().map(|&n| renum(n)).collect(),
+                wdata: m.wdata.iter().map(|&n| renum(n)).collect(),
+                we: renum(m.we),
+                re: renum(m.re),
+                clear: renum(m.clear),
+                rdata: m.rdata.iter().map(|&n| renum(n)).collect(),
+                dom,
+            })
+            .collect();
+        let mut port_start = vec![0];
+        let mut port_nets = Vec::new();
+        for p in netlist.ports() {
+            port_nets.extend(p.nets().iter().map(|&n| renum(n)));
+            port_start.push(port_nets.len());
+        }
+        Compiled {
+            ops,
+            charges,
+            lut_inputs,
+            lut_tables,
+            first_out,
+            outs,
+            dff_q: netlist.dffs().iter().map(|d| renum(d.q)).collect(),
+            dff_d: netlist.dffs().iter().map(|d| renum(d.d)).collect(),
+            mems,
+            port_nets,
+            port_start,
+        }
+    }
+
+    /// Port `p`'s nets, in bit order.
+    fn port(&self, p: usize) -> &[u32] {
+        &self.port_nets[self.port_start[p]..self.port_start[p + 1]]
+    }
+
+    /// Settles the tape over `values`, whole words at a time. With `DENSE`,
+    /// op `i` writes net `first_out + i`; otherwise it writes `outs[i]`.
+    ///
+    /// Whether a cell toggled is data-dependent and unpredictable, so
+    /// instead of branching into the accounting per op, every op writes its
+    /// index and toggle mask to the compaction buffer (`toggled_op`,
+    /// `toggled_mask`) and a flag-add advances the cursor only when the mask
+    /// is nonzero. Returns the number of toggled ops. Stable compaction
+    /// keeps them in op order, which is what keeps the per-lane sums
+    /// bit-identical to the scalar engine's.
+    fn settle<const DENSE: bool>(
+        &self,
+        values: &mut [u64],
+        lanes: usize,
+        active: u64,
+        toggled_op: &mut [u32],
+        toggled_mask: &mut [u64],
+    ) -> usize {
+        let mut n_toggled = 0usize;
+        for (i, op) in self.ops.iter().enumerate() {
+            let new = if op.kind == OP_LUT {
+                let a = op.a as usize;
+                eval_lut(
+                    values,
+                    &self.lut_inputs[a..a + op.b as usize],
+                    &self.lut_tables[op.c as usize..],
+                    lanes,
+                )
+            } else {
+                let sel = values[op.a as usize];
+                let hi = values[op.b as usize] ^ u64::from(op.kind & OP_INV_B).wrapping_neg();
+                // Below `OP_LUT`, `kind >> 1` is the `OP_INV_C` bit.
+                let lo = values[op.c as usize] ^ u64::from(op.kind >> 1).wrapping_neg();
+                lo ^ (sel & (hi ^ lo))
+            };
+            let out = if DENSE {
+                self.first_out + i
+            } else {
+                self.outs[i] as usize
+            };
+            let mask = (values[out] ^ new) & active;
+            values[out] = new;
+            toggled_op[n_toggled] = i as u32;
+            toggled_mask[n_toggled] = mask;
+            n_toggled += usize::from(mask != 0);
+        }
+        n_toggled
+    }
 }
 
 /// Cycle-based gate-level simulator over up to 64 independent stimulus
@@ -112,15 +482,13 @@ struct StagedNet {
 /// ```
 pub struct BatchSimulator<'a> {
     netlist: &'a Netlist,
-    ops: Vec<Op>,
-    /// Flattened LUT input lists, referenced by [`Op::a`]/[`Op::b`].
-    lut_inputs: Vec<u32>,
-    /// Flattened LUT truth tables, referenced by [`Op::c`].
-    lut_tables: Vec<u64>,
+    compiled: Compiled,
     lanes: usize,
     /// Mask with one bit set per active lane.
     active: u64,
-    /// Lane word per net (struct-of-arrays layout).
+    /// Lane word per renumbered net (struct-of-arrays layout). Gate
+    /// outputs are stored unmasked: bits at or above `lanes` hold
+    /// don't-care values that no toggle mask and no reader sees.
     values: Vec<u64>,
     /// Lane word per flip-flop: next `q`, sampled at the previous edge.
     pending_q: Vec<u64>,
@@ -133,20 +501,16 @@ pub struct BatchSimulator<'a> {
     mem_prev_addr: Vec<usize>,
     mem_prev_wdata: Vec<u64>,
     staged: Vec<StagedNet>,
-    /// Per net: 1 + index into `staged`, or 0 when not staged this cycle.
+    /// Per renumbered net: 1 + index into `staged`, or 0 when not staged
+    /// this cycle.
     staged_slot: Vec<u32>,
-    /// Per-lane switched capacitance of the last step.
-    caps: Vec<f64>,
-    /// Per-lane toggle count of the last step.
-    toggles: Vec<u32>,
-    /// Per-domain, per-lane switched capacitance: `[dom * 64 + lane]`.
-    /// Empty when domain tracking is disabled (total-only captures skip
-    /// the extra accumulate per toggling lane).
-    dom_caps: Vec<f64>,
-    /// Step-scoped toggle compaction buffer, one slot per op. The eval
-    /// loop appends `(cap, toggle mask, domain)` branch-free; the scatter
-    /// pass then walks only the compacted prefix, in op order.
-    toggled: Vec<(f64, u64, u16)>,
+    sums: LaneSums,
+    /// Step-scoped toggle compaction buffer, one slot per op: the index of
+    /// each toggled op and its toggle mask. The eval loop writes every op
+    /// branch-free and advances the cursor only on a nonzero mask; the
+    /// accounting pass then reads just the compacted prefix, in op order.
+    toggled_op: Vec<u32>,
+    toggled_mask: Vec<u64>,
     /// Clock-tree capacitance added to every lane every cycle, computed
     /// with the scalar engine's exact expression.
     clock_cap_total: f64,
@@ -163,7 +527,7 @@ impl<'a> BatchSimulator<'a> {
     pub const MAX_LANES: usize = 64;
 
     /// Prepares a batch simulator for `lanes` independent stimuli
-    /// (levelizing and compiling the netlist's logic).
+    /// (levelizing, renumbering and compiling the netlist's logic).
     ///
     /// # Errors
     ///
@@ -193,46 +557,7 @@ impl<'a> BatchSimulator<'a> {
             Self::MAX_LANES
         );
         let order = levelize(netlist)?;
-        let gates = netlist.gates();
-        let gate_domains = netlist.gate_domains();
-        let mut lut_inputs: Vec<u32> = Vec::new();
-        let mut lut_tables: Vec<u64> = Vec::new();
-        let ops: Vec<Op> = order
-            .iter()
-            .map(|&gi| {
-                let g = &gates[gi];
-                let pin = |k: usize| g.inputs[k].index() as u32;
-                let (kind, a, b, c) = match &g.kind {
-                    // One-input cells repeat `a` in the `b` slot so the
-                    // uniform two-load path stays in bounds; their tables
-                    // ignore the second operand.
-                    GateKind::Buf => (OP_TT_BUF, pin(0), pin(0), 0),
-                    GateKind::Not => (OP_TT_NOT, pin(0), pin(0), 0),
-                    GateKind::And2 => (OP_TT_AND2, pin(0), pin(1), 0),
-                    GateKind::Or2 => (OP_TT_OR2, pin(0), pin(1), 0),
-                    GateKind::Xor2 => (OP_TT_XOR2, pin(0), pin(1), 0),
-                    GateKind::Nand2 => (OP_TT_NAND2, pin(0), pin(1), 0),
-                    GateKind::Nor2 => (OP_TT_NOR2, pin(0), pin(1), 0),
-                    GateKind::Mux2 => (OP_MUX2, pin(0), pin(1), pin(2)),
-                    GateKind::Lut { table } => {
-                        let in_off = lut_inputs.len() as u32;
-                        lut_inputs.extend(g.inputs.iter().map(|n| n.index() as u32));
-                        let tab_off = lut_tables.len() as u32;
-                        lut_tables.extend_from_slice(table);
-                        (OP_LUT, in_off, g.inputs.len() as u32, tab_off)
-                    }
-                };
-                Op {
-                    cap: g.kind.capacitance_ff(),
-                    out: g.output.index() as u32,
-                    a,
-                    b,
-                    c,
-                    kind,
-                    dom: gate_domains[gi] as u16,
-                }
-            })
-            .collect();
+        let compiled = Compiled::new(netlist, &order);
 
         // The scalar engine's per-step clock constants, reproduced with the
         // same expressions so per-lane accounting starts from identical
@@ -254,13 +579,10 @@ impl<'a> BatchSimulator<'a> {
             mem_words += m.words() * lanes;
         }
 
-        let toggled: Vec<(f64, u64, u16)> = vec![(0.0, 0, 0); ops.len()];
+        let n_ops = compiled.ops.len();
         let mut sim = BatchSimulator {
             netlist,
-            ops,
-            toggled,
-            lut_inputs,
-            lut_tables,
+            compiled,
             lanes,
             active: if lanes == Self::MAX_LANES {
                 !0
@@ -276,13 +598,17 @@ impl<'a> BatchSimulator<'a> {
             mem_prev_wdata: vec![0; netlist.memories().len() * 64],
             staged: Vec::new(),
             staged_slot: vec![0; netlist.net_count()],
-            caps: vec![0.0; 64],
-            toggles: vec![0; 64],
-            dom_caps: if track_domains {
-                vec![0.0; netlist.domains().len() * 64]
-            } else {
-                Vec::new()
+            sums: LaneSums {
+                caps: [0.0; 64],
+                toggles: [0; 64],
+                dom_caps: if track_domains {
+                    vec![0.0; netlist.domains().len() * 64]
+                } else {
+                    Vec::new()
+                },
             },
+            toggled_op: vec![0; n_ops],
+            toggled_mask: vec![0; n_ops],
             clock_cap_total,
             clock_dom_base,
             activities: vec![CycleActivity::default(); lanes],
@@ -312,11 +638,17 @@ impl<'a> BatchSimulator<'a> {
     /// at their initial values, memories zeroed, no staged inputs.
     pub fn reset(&mut self) {
         self.values.iter_mut().for_each(|v| *v = 0);
-        self.values[Netlist::CONST1.index()] = !0;
-        for (d, pending) in self.netlist.dffs().iter().zip(&mut self.pending_q) {
+        self.values[1] = !0; // CONST1 keeps its index
+        for ((d, &q), pending) in self
+            .netlist
+            .dffs()
+            .iter()
+            .zip(&self.compiled.dff_q)
+            .zip(&mut self.pending_q)
+        {
             let word = if d.init { !0 } else { 0 };
             *pending = word;
-            self.values[d.q.index()] = word;
+            self.values[q as usize] = word;
         }
         self.mem_contents.iter_mut().for_each(|v| *v = 0);
         self.mem_pending.iter_mut().for_each(|v| *v = 0);
@@ -376,19 +708,18 @@ impl<'a> BatchSimulator<'a> {
             });
         }
         let lane_bit = 1u64 << lane;
-        for (i, &net) in port.nets().iter().enumerate() {
-            let idx = net.index();
-            let slot = self.staged_slot[idx];
-            let entry = if slot == 0 {
+        for (i, &net) in self.compiled.port(h.index()).iter().enumerate() {
+            let slot = &mut self.staged_slot[net as usize];
+            let entry = if *slot == 0 {
                 self.staged.push(StagedNet {
-                    net: idx as u32,
+                    net,
                     value: 0,
                     care: 0,
                 });
-                self.staged_slot[idx] = self.staged.len() as u32;
+                *slot = self.staged.len() as u32;
                 self.staged.last_mut().expect("just pushed")
             } else {
-                &mut self.staged[slot as usize - 1]
+                &mut self.staged[*slot as usize - 1]
             };
             entry.care |= lane_bit;
             if value.bit(i) {
@@ -398,41 +729,6 @@ impl<'a> BatchSimulator<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Scatters one capacitance contribution to every toggling lane, in
-    /// lane order — the per-lane equivalent of the scalar engine's single
-    /// `+=`, so each lane sees the same f64 addition sequence.
-    ///
-    /// Only lanes whose mask bit is set are touched (a `trailing_zeros`
-    /// walk), so the cost scales with how many lanes actually toggled,
-    /// not with the batch width. `dom_caps` is empty when domain tracking
-    /// is off, which removes one accumulate per toggling lane.
-    #[inline]
-    fn scatter(
-        caps: &mut [f64],
-        dom_caps: &mut [f64],
-        toggles: &mut [u32],
-        dom: usize,
-        mut mask: u64,
-        cap: f64,
-    ) {
-        if dom_caps.is_empty() {
-            while mask != 0 {
-                let l = mask.trailing_zeros() as usize;
-                caps[l] += cap;
-                toggles[l] += 1;
-                mask &= mask - 1;
-            }
-        } else {
-            while mask != 0 {
-                let l = mask.trailing_zeros() as usize;
-                caps[l] += cap;
-                dom_caps[dom * 64 + l] += cap;
-                toggles[l] += 1;
-                mask &= mask - 1;
-            }
-        }
     }
 
     /// Runs one clock cycle on every lane.
@@ -447,64 +743,49 @@ impl<'a> BatchSimulator<'a> {
         let active = self.active;
         let lanes = self.lanes;
         let dff_cap = Netlist::dff_capacitance_ff();
+        let sums = &mut self.sums;
 
         // Clock tree: identical constants for every lane, accumulated with
         // the scalar engine's expressions.
         for l in 0..lanes {
-            self.caps[l] = self.clock_cap_total;
-            self.toggles[l] = 0;
+            sums.caps[l] = self.clock_cap_total;
+            sums.toggles[l] = 0;
         }
-        if !self.dom_caps.is_empty() {
+        if !sums.dom_caps.is_empty() {
             for (d, &base) in self.clock_dom_base.iter().enumerate() {
                 for l in 0..lanes {
-                    self.dom_caps[d * 64 + l] = base;
+                    sums.dom_caps[d * 64 + l] = base;
                 }
             }
         }
 
         // 1. Clock edge: apply pending flip-flop and macro outputs.
-        for ((dff, &q), &dom) in self
-            .netlist
-            .dffs()
+        for ((&net, &q), &dom) in self
+            .compiled
+            .dff_q
             .iter()
             .zip(&self.pending_q)
             .zip(self.netlist.dff_domains())
         {
-            let idx = dff.q.index();
-            let old = self.values[idx];
-            let mask = (old ^ q) & active;
+            let value = &mut self.values[net as usize];
+            let mask = (*value ^ q) & active;
+            *value = q;
             if mask != 0 {
-                self.values[idx] = (old & !active) | (q & active);
-                Self::scatter(
-                    &mut self.caps,
-                    &mut self.dom_caps,
-                    &mut self.toggles,
-                    dom,
-                    mask,
-                    dff_cap,
-                );
+                sums.scatter(dom, mask, dff_cap);
             }
         }
-        for (mi, mem) in self.netlist.memories().iter().enumerate() {
-            let dom = self.netlist.mem_domains()[mi];
-            for (bit, net) in mem.rdata.iter().enumerate() {
+        for (mi, pins) in self.compiled.mems.iter().enumerate() {
+            let pending = &self.mem_pending[mi * 64..mi * 64 + lanes];
+            for (bit, &net) in pins.rdata.iter().enumerate() {
                 let mut word = 0u64;
-                for l in 0..self.lanes {
-                    word |= (self.mem_pending[mi * 64 + l] >> bit & 1) << l;
+                for (l, &p) in pending.iter().enumerate() {
+                    word |= (p >> bit & 1) << l;
                 }
-                let idx = net.index();
-                let old = self.values[idx];
-                let mask = (old ^ word) & active;
+                let value = &mut self.values[net as usize];
+                let mask = (*value ^ word) & active;
                 if mask != 0 {
-                    self.values[idx] = (old & !active) | (word & active);
-                    Self::scatter(
-                        &mut self.caps,
-                        &mut self.dom_caps,
-                        &mut self.toggles,
-                        dom,
-                        mask,
-                        MemoryMacro::RDATA_CAP_FF,
-                    );
+                    *value = word;
+                    sums.scatter(pins.dom, mask, MemoryMacro::RDATA_CAP_FF);
                 }
             }
         }
@@ -519,103 +800,57 @@ impl<'a> BatchSimulator<'a> {
             let mask = old ^ new;
             if mask != 0 {
                 self.values[idx] = new;
-                Self::scatter(
-                    &mut self.caps,
-                    &mut self.dom_caps,
-                    &mut self.toggles,
-                    0,
-                    mask,
-                    INPUT_WIRE_CAP_FF,
-                );
+                sums.scatter(0, mask, INPUT_WIRE_CAP_FF);
             }
             self.staged_slot[idx] = 0;
         }
         self.staged.clear();
 
-        // 3. Settle combinational logic in levelized order, whole words at
-        //    a time — one dispatch per packed op, straight-line bitwise
-        //    evaluation over the lane words. Whether a cell toggled is
-        //    data-dependent and unpredictable, so instead of branching
-        //    into the accounting per op, every op unconditionally writes
-        //    its `(cap, mask, domain)` record to the compaction buffer and
-        //    a flag-add advances the cursor only when the mask is nonzero;
-        //    the scatter pass below then walks just the toggled prefix.
-        //    Stable compaction keeps per-lane cap sums in exact op order,
-        //    preserving bit-identity with the scalar engine.
-        let mut n_toggled = 0usize;
-        for op in &self.ops {
-            let a = op.a as usize;
-            let b = op.b as usize;
-            let v = &self.values;
-            let new = if op.kind < 16 {
-                // Truth-table cell: expand each table bit to a full lane
-                // mask and select — no data-dependent branch on the kind.
-                let va = v[a];
-                let vb = v[b];
-                let t = op.kind as u64;
-                ((t & 1).wrapping_neg() & !va & !vb)
-                    | ((t >> 1 & 1).wrapping_neg() & va & !vb)
-                    | ((t >> 2 & 1).wrapping_neg() & !va & vb)
-                    | ((t >> 3 & 1).wrapping_neg() & va & vb)
-            } else {
-                match op.kind {
-                    OP_MUX2 => {
-                        let s = v[a];
-                        (s & v[op.c as usize]) | (!s & v[b])
-                    }
-                    _ => {
-                        let inputs = &self.lut_inputs[a..a + op.b as usize];
-                        let table = &self.lut_tables[op.c as usize..];
-                        let mut word = 0u64;
-                        for l in 0..self.lanes {
-                            let mut idx = 0usize;
-                            for (k, &input) in inputs.iter().enumerate() {
-                                idx |= ((v[input as usize] >> l & 1) as usize) << k;
-                            }
-                            word |= (table[idx / 64] >> (idx % 64) & 1) << l;
-                        }
-                        word
-                    }
-                }
-            };
-            let out = op.out as usize;
-            let old = self.values[out];
-            let mask = (old ^ new) & active;
-            self.toggled[n_toggled] = (op.cap, mask, op.dom);
-            n_toggled += usize::from(mask != 0);
-            self.values[out] = (old & !active) | (new & active);
-        }
-        for i in 0..n_toggled {
-            let (cap, mask, dom) = self.toggled[i];
-            Self::scatter(
-                &mut self.caps,
-                &mut self.dom_caps,
-                &mut self.toggles,
-                dom as usize,
-                mask,
-                cap,
-            );
-        }
+        // 3. Settle combinational logic in tape order, then charge the
+        //    toggled ops in the same order.
+        let (values, ops, masks) = (
+            &mut self.values,
+            &mut self.toggled_op,
+            &mut self.toggled_mask,
+        );
+        let n_toggled = if self.compiled.outs.is_empty() {
+            self.compiled
+                .settle::<true>(values, lanes, active, ops, masks)
+        } else {
+            self.compiled
+                .settle::<false>(values, lanes, active, ops, masks)
+        };
+        sums.add_toggled(
+            lanes,
+            &self.compiled.charges,
+            &self.toggled_op[..n_toggled],
+            &self.toggled_mask[..n_toggled],
+        );
 
         // 3b. Memory-macro accesses, per macro then per lane so each
         //     lane's additions arrive in the scalar engine's order.
-        for (mi, mem) in self.netlist.memories().iter().enumerate() {
-            let dom = self.netlist.mem_domains()[mi];
+        for (mi, (mem, pins)) in self
+            .netlist
+            .memories()
+            .iter()
+            .zip(&self.compiled.mems)
+            .enumerate()
+        {
             let words = mem.words();
-            for l in 0..self.lanes {
-                let lane_bit = |net: NetId| self.values[net.index()] >> l & 1;
+            for l in 0..lanes {
+                let lane_bit = |net: u32| self.values[net as usize] >> l & 1;
                 let mut addr = 0usize;
-                for (bit, net) in mem.addr.iter().enumerate() {
-                    addr |= (lane_bit(*net) as usize) << bit;
+                for (bit, &net) in pins.addr.iter().enumerate() {
+                    addr |= (lane_bit(net) as usize) << bit;
                 }
-                let we = lane_bit(mem.we) == 1;
-                let re = lane_bit(mem.re) == 1;
-                let clear = lane_bit(mem.clear) == 1;
+                let we = lane_bit(pins.we) == 1;
+                let re = lane_bit(pins.re) == 1;
+                let clear = lane_bit(pins.clear) == 1;
                 let cell = self.mem_base[mi] + l * words + addr;
                 let stored = self.mem_contents[cell];
                 let mut wdata_now = 0u64;
-                for (bit, net) in mem.wdata.iter().enumerate() {
-                    wdata_now |= lane_bit(*net) << bit;
+                for (bit, &net) in pins.wdata.iter().enumerate() {
+                    wdata_now |= lane_bit(net) << bit;
                 }
                 let prev_addr = self.mem_prev_addr[mi * 64 + l];
                 let prev_wdata = self.mem_prev_wdata[mi * 64 + l];
@@ -634,9 +869,9 @@ impl<'a> BatchSimulator<'a> {
                     mem_cap += MemoryMacro::WRITE_CELL_CAP_FF * flipped as f64;
                     self.mem_contents[cell] = wdata_now;
                 }
-                self.caps[l] += mem_cap;
-                if !self.dom_caps.is_empty() {
-                    self.dom_caps[dom * 64 + l] += mem_cap;
+                sums.caps[l] += mem_cap;
+                if !sums.dom_caps.is_empty() {
+                    sums.dom_caps[pins.dom * 64 + l] += mem_cap;
                 }
                 if clear {
                     self.mem_pending[mi * 64 + l] = 0;
@@ -647,15 +882,15 @@ impl<'a> BatchSimulator<'a> {
         }
 
         // 4. Sample flip-flop inputs for the next edge.
-        for (dff, pending) in self.netlist.dffs().iter().zip(&mut self.pending_q) {
-            *pending = self.values[dff.d.index()];
+        for (&d, pending) in self.compiled.dff_d.iter().zip(&mut self.pending_q) {
+            *pending = self.values[d as usize];
         }
 
         self.cycle += 1;
-        for l in 0..self.lanes {
+        for l in 0..lanes {
             self.activities[l] = CycleActivity {
-                switched_capacitance_ff: self.caps[l],
-                toggled_nets: self.toggles[l],
+                switched_capacitance_ff: sums.caps[l],
+                toggled_nets: sums.toggles[l],
             };
         }
     }
@@ -676,12 +911,20 @@ impl<'a> BatchSimulator<'a> {
     pub fn domain_activity(&self, lane: usize) -> Vec<f64> {
         assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
         assert!(
-            self.dom_caps.len() >= self.netlist.domains().len() * 64,
+            self.sums.dom_caps.len() >= self.netlist.domains().len() * 64,
             "domain tracking is disabled for this batch"
         );
         (0..self.netlist.domains().len())
-            .map(|d| self.dom_caps[d * 64 + lane])
+            .map(|d| self.sums.dom_caps[d * 64 + lane])
             .collect()
+    }
+
+    /// ORs lane `lane`'s value of every net in `nets` into `words`, bit `i`
+    /// of the port at bit `i % 64` of word `i / 64`. `words` must be zero.
+    fn gather(&self, lane: usize, nets: &[u32], words: &mut [u64]) {
+        for (i, &net) in nets.iter().enumerate() {
+            words[i / 64] |= (self.values[net as usize] >> lane & 1) << (i % 64);
+        }
     }
 
     /// Reads the settled value of a port on one lane for the current
@@ -692,8 +935,7 @@ impl<'a> BatchSimulator<'a> {
     /// Panics when `lane` is out of range.
     pub fn output_by_handle(&self, lane: usize, h: PortHandle) -> Bits {
         assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
-        let port = &self.netlist.ports()[h.index()];
-        let nets = port.nets();
+        let nets = self.compiled.port(h.index());
         let mut words = [0u64; 4];
         let mut spill: Vec<u64>;
         let words: &mut [u64] = if nets.len() <= 256 {
@@ -702,9 +944,7 @@ impl<'a> BatchSimulator<'a> {
             spill = vec![0; nets.len().div_ceil(64)];
             &mut spill
         };
-        for (i, net) in nets.iter().enumerate() {
-            words[i / 64] |= (self.values[net.index()] >> lane & 1) << (i % 64);
-        }
+        self.gather(lane, nets, words);
         Bits::from_words(words, nets.len())
     }
 
@@ -715,6 +955,20 @@ impl<'a> BatchSimulator<'a> {
         (0..self.netlist.ports().len())
             .map(|i| self.output_by_handle(lane, PortHandle::from_index(i)))
             .collect()
+    }
+
+    /// Writes every port of one lane into `row`, laid out as one row of a
+    /// [`FunctionalTrace`] over [`Netlist::signal_set`]: ports in
+    /// declaration order, each in its own `width.div_ceil(64)` words.
+    fn sample_row(&self, lane: usize, row: &mut [u64]) {
+        row.fill(0);
+        let mut word = 0;
+        for p in 0..self.netlist.ports().len() {
+            let nets = self.compiled.port(p);
+            let end = word + nets.len().div_ceil(64);
+            self.gather(lane, nets, &mut row[word..end]);
+            word = end;
+        }
     }
 }
 
@@ -777,7 +1031,7 @@ pub fn capture_traces_batch(
         .zip(seeds.chunks(BatchSimulator::MAX_LANES))
     {
         // Total-only capture: skip the per-domain accounting entirely —
-        // the per-lane total is unaffected (see `scatter`).
+        // the per-lane total is unaffected (see `LaneSums`).
         capture_group(netlist, model, chunk, chunk_seeds, false, &mut out)?;
     }
     Ok(out
@@ -869,9 +1123,11 @@ fn capture_group(
 
     let input_handles = sim.input_handles();
     let rows: Vec<Vec<&[Bits]>> = stimuli.iter().map(|s| s.iter().collect()).collect();
+    let signals = netlist.signal_set();
+    let mut row = vec![0u64; signals.words_per_cycle()];
     let mut functional: Vec<FunctionalTrace> = stimuli
         .iter()
-        .map(|s| FunctionalTrace::with_capacity(netlist.signal_set(), s.len()))
+        .map(|s| FunctionalTrace::with_capacity(signals.clone(), s.len()))
         .collect();
     let mut total: Vec<PowerTrace> = stimuli
         .iter()
@@ -914,7 +1170,8 @@ fn capture_group(
                 continue;
             }
             let activity = sim.activities()[l];
-            functional[l].push_cycle(sim.sample_ports(l))?;
+            sim.sample_row(l, &mut row);
+            functional[l].push_words(&row)?;
             total[l].push(estimators[l].next_sample(&activity));
             if track_domains {
                 let lane_domains = sim.domain_activity(l);

@@ -98,6 +98,11 @@ pub struct HierarchicalCapture {
 /// `seed` drives the power estimator's measurement noise only; the
 /// functional behaviour is fully deterministic.
 ///
+/// This is the scalar reference capture, one [`Simulator`] run per
+/// stimulus. Every production path captures through
+/// [`capture_traces_batch`](crate::capture_traces_batch), whose results it
+/// reproduces byte for byte; this one is the oracle that pins them.
+///
 /// # Errors
 ///
 /// * [`RtlError::CombinationalLoop`] if the netlist cannot be levelized;

@@ -1,6 +1,8 @@
 //! Student's t distribution.
 
-use crate::special::regularized_incomplete_beta;
+use crate::special::{
+    incomplete_beta_half_large_a, regularized_incomplete_beta, HALF_SERIES_MIN_A,
+};
 use crate::StatsError;
 
 /// Student's t distribution with (possibly fractional) degrees of freedom.
@@ -53,8 +55,7 @@ impl StudentsT {
         if t.is_infinite() {
             return if t > 0.0 { 1.0 } else { 0.0 };
         }
-        let x = self.df / (self.df + t * t);
-        let p = 0.5 * regularized_incomplete_beta(0.5 * self.df, 0.5, x);
+        let p = 0.5 * self.two_sided_p_value(t);
         if t > 0.0 {
             1.0 - p
         } else {
@@ -71,9 +72,19 @@ impl StudentsT {
     ///
     /// This is the quantity the paper's mergeability tests compare against
     /// the designer-chosen significance level.
+    ///
+    /// From `df = 2¹⁸` up it is computed from `t² / df` directly rather
+    /// than through `x = df / (df + t²)`, whose rounding alone would move
+    /// the p-value by more than it changes between nearby `df`.
     pub fn two_sided_p_value(&self, t: f64) -> f64 {
+        let a = 0.5 * self.df;
+        let r = t * t / self.df;
+        if a >= HALF_SERIES_MIN_A && r.is_finite() {
+            // y = 1 − x = t² / (df + t²) and ln x = −ln(1 + t² / df).
+            return incomplete_beta_half_large_a(a, r / (1.0 + r), -r.ln_1p());
+        }
         let x = self.df / (self.df + t * t);
-        regularized_incomplete_beta(0.5 * self.df, 0.5, x)
+        regularized_incomplete_beta(a, 0.5, x)
     }
 
     /// Two-sided critical value: the `|t|` at which
@@ -256,6 +267,35 @@ mod tests {
                 assert!(crit <= last, "alpha {alpha}, df {df}: {crit} > {last}");
                 last = crit;
             }
+        }
+    }
+
+    #[test]
+    fn critical_value_stays_monotone_at_huge_df() {
+        // 16 points per octave from 2^17 to 2^33: the incomplete beta's
+        // prefactor comes from the ln Γ(a + ½) − ln Γ(a) series there, so
+        // the p-value keeps its absolute precision and the critical value
+        // keeps falling towards the normal quantile.
+        let ladder = (17 * 16..=33 * 16)
+            .map(|k: u64| (16 + k % 16) as f64 / 16.0 * (1u64 << (k / 16)) as f64);
+        // Two-sided normal quantiles z(1 − α/2).
+        for (alpha, z) in [
+            (0.01, 2.575_829_303_548_901),
+            (0.05, 1.959_963_984_540_054),
+            (0.3, 1.036_433_389_493_789_8),
+        ] {
+            let mut last = f64::INFINITY;
+            for df in ladder.clone() {
+                let crit = StudentsT::new(df).unwrap().critical_value(alpha).unwrap();
+                assert!(crit <= last, "alpha {alpha}, df {df}: {crit} > {last}");
+                assert!(
+                    crit >= z * (1.0 - 1e-12),
+                    "alpha {alpha}, df {df}: {crit} < {z}"
+                );
+                last = crit;
+            }
+            // t_crit ≈ z·(1 + (z² + 1)/(4·df)): at df = 2^33 within 1e-9.
+            assert!((last - z).abs() < 1e-9 * z, "alpha {alpha}: {last} vs {z}");
         }
     }
 

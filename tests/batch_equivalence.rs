@@ -11,8 +11,9 @@
 use psm_prng::Prng;
 use psmgen::ips::{ip_by_name, testbench};
 use psmgen::rtl::{
-    capture_traces_by_domain, capture_traces_by_domain_batch, BatchSimulator, Netlist,
-    NetlistBuilder, PowerModel, Simulator, Stimulus,
+    capture_traces, capture_traces_batch, capture_traces_by_domain, capture_traces_by_domain_batch,
+    parse_verilog, write_verilog, BatchSimulator, Netlist, NetlistBuilder, PowerModel, Simulator,
+    Stimulus, Word,
 };
 use psmgen::trace::Bits;
 
@@ -76,10 +77,24 @@ fn assert_lockstep_identical(name: &str, netlist: &Netlist, stimuli: &[Stimulus]
 }
 
 /// Captures the same stimuli through both engines and compares the full
-/// hierarchical results (functional trace, total power, per-domain power).
+/// hierarchical results (functional trace, total power, per-domain power)
+/// and the total-only batch capture.
 fn assert_captures_identical(name: &str, netlist: &Netlist, stimuli: &[Stimulus], seed: u64) {
     let model = PowerModel::default();
     let seeds: Vec<u64> = (0..stimuli.len() as u64).map(|i| seed + i).collect();
+    let totals = capture_traces_batch(netlist, &model, stimuli, &seeds).expect("batch captures");
+    assert_eq!(totals.len(), stimuli.len());
+    for (k, got) in totals.iter().enumerate() {
+        let want = capture_traces(netlist, &model, &stimuli[k], seeds[k]).expect("captures");
+        assert_eq!(
+            got.functional, want.functional,
+            "{name}: total-only functional trace {k} diverges"
+        );
+        assert_eq!(
+            got.power, want.power,
+            "{name}: total-only power trace {k} diverges"
+        );
+    }
     let batch =
         capture_traces_by_domain_batch(netlist, &model, stimuli, &seeds).expect("batch captures");
     assert_eq!(batch.len(), stimuli.len());
@@ -140,9 +155,35 @@ fn batch_engine_matches_scalar_on_all_paper_benches() {
 }
 
 /// A randomized-but-valid netlist: two clock domains, registers, a feedback
-/// accumulator, a random DAG of word ops, an S-box LUT and an SRAM macro —
-/// every cell kind and accounting path the engines implement.
+/// accumulator, a random DAG of word ops (NAND/NOR and constant operands
+/// among them), an S-box LUT and an SRAM macro, round-tripped through
+/// Verilog with every other inverter turned into a buffer — every cell
+/// kind and accounting path the engines implement.
 fn random_netlist(seed: u64) -> Netlist {
+    let built = random_builder_netlist(seed);
+    let mut text = Vec::new();
+    write_verilog(&built, &mut text).expect("writes to memory");
+    let text = String::from_utf8(text).expect("writer emits utf-8");
+    let mut inverters = 0usize;
+    let with_buffers: Vec<String> = text
+        .lines()
+        .map(|line| {
+            if line.contains(" not  g") {
+                inverters += 1;
+                if inverters % 2 == 1 {
+                    return line.replacen(" not  g", " buf  g", 1);
+                }
+            }
+            line.to_owned()
+        })
+        .collect();
+    assert!(inverters > 0, "the generator always emits inverters");
+    let netlist = parse_verilog(&with_buffers.join("\n")).expect("round trip parses");
+    netlist.validate().expect("buffers keep one driver per net");
+    netlist
+}
+
+fn random_builder_netlist(seed: u64) -> Netlist {
     let mut rng = Prng::seed_from_u64(seed);
     let mut b = NetlistBuilder::new("fuzz");
     let in_a = b.input("a", 8);
@@ -161,16 +202,44 @@ fn random_netlist(seed: u64) -> Netlist {
         }
         let x = words[rng.range_usize(0..words.len())].clone();
         let y = words[rng.range_usize(0..words.len())].clone();
-        let w = match rng.range_usize(0..6) {
+        let w = match rng.range_usize(0..9) {
             0 => b.and_word(&x, &y),
             1 => b.or_word(&x, &y),
             2 => b.xor_word(&x, &y),
             3 => b.not_word(&x),
             4 => b.mux_word(ctl.bit(k % 4), &x, &y),
+            5 => Word::from_nets((0..8).map(|i| b.nand(x.bit(i), y.bit(i))).collect()),
+            6 => Word::from_nets((0..8).map(|i| b.nor(x.bit(i), y.bit(i))).collect()),
+            7 => {
+                // One constant operand per bit, in either pin.
+                let nets = (0..8)
+                    .map(|i| {
+                        let k = if rng.chance(0.5) {
+                            b.const1()
+                        } else {
+                            b.const0()
+                        };
+                        match rng.range_usize(0..7) {
+                            0 => b.and(x.bit(i), k),
+                            1 => b.or(k, x.bit(i)),
+                            2 => b.xor(x.bit(i), k),
+                            3 => b.nand(k, x.bit(i)),
+                            4 => b.nor(x.bit(i), k),
+                            5 => b.mux(k, x.bit(i), y.bit(i)),
+                            _ => b.mux(x.bit(i), k, y.bit(i)),
+                        }
+                    })
+                    .collect();
+                Word::from_nets(nets)
+            }
             _ => b.add(&x, &y).sum,
         };
         words.push(w);
     }
+    // Inverters the Verilog round trip turns partly into buffers.
+    let inv_in = words[rng.range_usize(0..words.len())].clone();
+    let inv = b.not_word(&inv_in);
+    words.push(inv);
 
     // LUT macro path: a deterministic pseudo S-box.
     let mut table = [0u8; 256];
@@ -253,4 +322,62 @@ fn batch_capture_is_group_invariant_beyond_64_lanes() {
     let scalar = capture_traces_by_domain(&netlist, &model, &stimuli[64], seeds[64])
         .expect("scalar captures");
     assert_eq!(whole[64].total, scalar.total, "second-group lane diverges");
+}
+
+#[test]
+fn batch_engine_matches_scalar_at_every_lane_width() {
+    // Both sides of the narrow/wide accumulation split, and partial and
+    // full lane words, with ragged stimulus lengths in every group.
+    for (netlist_seed, lanes) in [
+        (11u64, 1usize),
+        (12, 3),
+        (13, 8),
+        (14, 9),
+        (15, 63),
+        (16, 64),
+    ] {
+        let netlist = random_netlist(netlist_seed);
+        let mut rng = Prng::seed_from_u64(0xBEEF ^ netlist_seed);
+        let stimuli: Vec<Stimulus> = (0..lanes)
+            .map(|_| {
+                let cycles = rng.range_usize(12..40);
+                random_stimulus(&mut rng, cycles)
+            })
+            .collect();
+        let name = format!("fuzz#{netlist_seed} at {lanes} lanes");
+        assert_lockstep_identical(&name, &netlist, &stimuli);
+        assert_captures_identical(&name, &netlist, &stimuli, netlist_seed * 7);
+    }
+}
+
+#[test]
+fn batch_engine_matches_scalar_on_multiply_driven_nets() {
+    // A netlist that fails validation — two cells drive one net — still
+    // simulates (lenient training captures it). Both engines must agree on
+    // what it does: every driver writes the net in tape order.
+    for netlist_seed in [21u64, 22] {
+        let clean = random_netlist(netlist_seed);
+        let target = clean.gates()[clean.gates().len() / 2].output;
+        let source = clean.gates()[0].output;
+        let mut text = Vec::new();
+        write_verilog(&clean, &mut text).expect("writes to memory");
+        let text = String::from_utf8(text)
+            .expect("writer emits utf-8")
+            .replace(
+                "endmodule",
+                &format!(
+                    "  buf  g9998 (n{}, n{});\n  not  g9999 (n{}, 1'b0);\nendmodule",
+                    target.index(),
+                    source.index(),
+                    source.index()
+                ),
+            );
+        let netlist = parse_verilog(&text).expect("defective netlist still parses");
+        assert!(netlist.validate().is_err(), "the splice must add drivers");
+        let mut rng = Prng::seed_from_u64(0xD0D0 ^ netlist_seed);
+        let stimuli: Vec<Stimulus> = (0..5).map(|_| random_stimulus(&mut rng, 60)).collect();
+        let name = format!("multi-driver#{netlist_seed}");
+        assert_lockstep_identical(&name, &netlist, &stimuli);
+        assert_captures_identical(&name, &netlist, &stimuli, netlist_seed);
+    }
 }
