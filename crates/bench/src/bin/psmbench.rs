@@ -376,7 +376,6 @@ fn main() -> ExitCode {
         for t in &cfg.threads {
             println!("serve_estimate_t{t}");
         }
-        println!("serve_oneshot_json");
         println!("serve_oneshot_bin");
         for t in &cfg.threads {
             println!("serve_stream_t{t}");

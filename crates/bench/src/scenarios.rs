@@ -574,10 +574,9 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
         ));
     }
 
-    // -- one-shot wire-format comparison: JSON vs binary payloads ------
-    // One client, one persistent connection, the same long workload.
-    // The estimation work is identical, so the pair isolates the wire
-    // cost (serialise, transfer, decode) of the two trace dialects.
+    // -- one-shot binary estimate over one persistent connection --------
+    // One client, the same long workload: the wire cost (serialise,
+    // transfer, decode) plus one forward pass.
     {
         let running = Server::bind(ServerConfig::new(&registry))
             .expect("daemon binds")
@@ -585,12 +584,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
         let addr = running.addr();
         let mut client = Client::connect(addr).expect("connect");
         let rows = fx.workload_trace.len();
-        let m = bench_iters("serve_oneshot_json", cfg.iters, &mut || {
-            client
-                .estimate_json("multsum", None, &fx.workload_trace)
-                .expect("estimate succeeds")
-        });
-        out.push(("serve_oneshot_json".into(), ScenarioResult::plain(m, rows)));
         let m = bench_iters("serve_oneshot_bin", cfg.iters, &mut || {
             client
                 .estimate_binary("multsum", None, &fx.workload_trace)

@@ -7,12 +7,10 @@
 //! more clients — each daemon connection multiplexes through the
 //! daemon's readiness loop and submits into the shared pool.
 //!
-//! The client speaks protocol v2 by default: one-shot estimates travel
-//! as binary trace frames ([`Client::estimate_binary`]) and chunked
-//! traces stream through [`Client::open_stream`]. [`Client::negotiate`]
-//! drops to the JSON-only v1 dialect when the daemon is older;
-//! [`Client::estimate_json`] speaks v1's `ESTIMATE` explicitly. The
-//! bench harness bypasses the one-in-flight discipline via
+//! The client speaks protocol v2, the only version there is: one-shot
+//! estimates travel as binary trace frames ([`Client::estimate_binary`])
+//! and chunked traces stream through [`Client::open_stream`]. The bench
+//! harness bypasses the one-in-flight discipline via
 //! [`Client::pipeline_request`]/[`Client::pipeline_response`].
 
 use crate::protocol::{self, Frame, Opcode, ProtocolError, Status, PROTOCOL_VERSION};
@@ -82,7 +80,7 @@ impl From<PersistError> for ClientError {
     }
 }
 
-/// A successful `ESTIMATE`/`ESTIMATE_BIN` response.
+/// A successful `ESTIMATE_BIN` response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimateReply {
     /// The model that served the estimate.
@@ -149,20 +147,16 @@ pub struct ModelInfo {
     pub propositions: usize,
 }
 
-/// A blocking `psmd` client over one TCP connection (v2 by default,
-/// v1-compatible after [`Client::negotiate`]).
+/// A blocking `psmd` client over one TCP connection.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
     next_stream: u32,
-    protocol: u8,
 }
 
 impl Client {
-    /// Connects to a daemon, assuming protocol v2 (every daemon built
-    /// from this workspace). Call [`Client::negotiate`] when the peer
-    /// might be an older v1 daemon.
+    /// Connects to a daemon.
     ///
     /// # Errors
     ///
@@ -174,24 +168,12 @@ impl Client {
             stream,
             next_id: 1,
             next_stream: 1,
-            protocol: PROTOCOL_VERSION,
         })
     }
 
-    /// The protocol version this connection speaks (2 until a
-    /// negotiation says otherwise).
-    pub fn protocol(&self) -> u8 {
-        self.protocol
-    }
-
-    /// One request/response exchange at an explicit protocol version.
-    fn call_v(&mut self, version: u8, op: Opcode, payload: Vec<u8>) -> Result<Frame, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        protocol::write_frame(
-            &mut self.stream,
-            &Frame::request_v(version, op, id, payload),
-        )?;
+    /// One request/response exchange.
+    fn call(&mut self, op: Opcode, payload: Vec<u8>) -> Result<Frame, ClientError> {
+        let id = self.pipeline_request(op, payload)?;
         let frame = protocol::read_frame(&mut self.stream)?.ok_or(ClientError::Disconnected)?;
         if frame.request_id != id {
             return Err(ClientError::Server(format!(
@@ -209,56 +191,16 @@ impl Client {
         }
     }
 
-    /// One request/response exchange at the negotiated version.
-    fn call(&mut self, op: Opcode, payload: Vec<u8>) -> Result<Frame, ClientError> {
-        self.call_v(self.protocol, op, payload)
-    }
-
-    /// Fails fast when the connection negotiated down to v1.
-    fn require_v2(&self) -> Result<(), ClientError> {
-        if self.protocol < 2 {
-            return Err(ClientError::Server(
-                "peer speaks psmd/v1 only — binary and streaming requests need v2".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Probes the daemon with a v1 `PING` — the one frame every daemon
-    /// generation accepts — and adopts the highest protocol version both
-    /// sides support. Returns the adopted version.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ClientError`]; in particular [`ClientError::Server`] when
-    /// the peer does not identify as a psmd daemon at all.
-    pub fn negotiate(&mut self) -> Result<u8, ClientError> {
-        let frame = self.call_v(1, Opcode::Ping, Vec::new())?;
-        let (tag, versions) = protocol::parse_ping_reply(&frame)?;
-        if !tag.starts_with("psmd/v") {
-            return Err(ClientError::Server(format!(
-                "peer identifies as {tag:?}, not a psmd daemon"
-            )));
-        }
-        let best = versions
-            .into_iter()
-            .filter(|v| *v >= 1 && *v <= PROTOCOL_VERSION)
-            .max()
-            .unwrap_or(1);
-        self.protocol = best;
-        Ok(best)
-    }
-
     /// Liveness probe.
     ///
     /// # Errors
     ///
-    /// Any [`ClientError`]; also checks the daemon names the protocol
-    /// version this connection is speaking.
+    /// Any [`ClientError`]; also checks the daemon names this build's
+    /// protocol version.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         let frame = self.call(Opcode::Ping, Vec::new())?;
-        let (tag, _) = protocol::parse_ping_reply(&frame)?;
-        let expected = format!("psmd/v{}", self.protocol);
+        let tag = protocol::parse_ping_reply(&frame)?;
+        let expected = format!("psmd/v{PROTOCOL_VERSION}");
         if tag != expected {
             return Err(ClientError::Server(format!(
                 "peer answers {tag:?} where {expected:?} was expected"
@@ -274,14 +216,13 @@ impl Client {
     ///
     /// [`ClientError::Busy`] under backpressure — the request was *not*
     /// queued and can safely be retried; [`ClientError::Server`] for an
-    /// unknown model, a draining daemon, or a v1-only peer.
+    /// unknown model or a draining daemon.
     pub fn estimate_binary(
         &mut self,
         model: &str,
         version: Option<u64>,
         trace: &FunctionalTrace,
     ) -> Result<EstimateReply, ClientError> {
-        self.require_v2()?;
         protocol::validate_model_name(model)?;
         let payload = protocol::estimate_bin_request(model, version, trace);
         let frame = self.call(Opcode::EstimateBin, payload)?;
@@ -295,34 +236,6 @@ impl Client {
         })
     }
 
-    /// Estimates `trace` against `model` over the v1 JSON `ESTIMATE`
-    /// opcode — the dialect every daemon generation accepts.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::estimate_binary`], minus the v2 requirement.
-    pub fn estimate_json(
-        &mut self,
-        model: &str,
-        version: Option<u64>,
-        trace: &FunctionalTrace,
-    ) -> Result<EstimateReply, ClientError> {
-        let payload = protocol::estimate_request(model, version, trace);
-        let frame = self.call(Opcode::Estimate, payload)?;
-        let doc = frame.json()?;
-        Ok(EstimateReply {
-            model: doc.str_field("model")?.to_owned(),
-            version: doc.u64_field("version")?,
-            estimate: doc
-                .arr_field("estimate")?
-                .iter()
-                .map(JsonValue::as_f64)
-                .collect::<Result<_, _>>()?,
-            wrong_state_predictions: doc.usize_field("wrong_state_predictions")?,
-            unknown_instants: doc.usize_field("unknown_instants")?,
-        })
-    }
-
     /// Opens a streaming estimation session: the daemon pins the model
     /// and interns `signals` once; chunks are cycles-only afterwards.
     /// The concatenated chunk estimates are bit-identical to a one-shot
@@ -330,15 +243,14 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] for an unknown model, a draining daemon,
-    /// or a v1-only peer.
+    /// [`ClientError::Server`] for an unknown model or a draining
+    /// daemon.
     pub fn open_stream(
         &mut self,
         model: &str,
         version: Option<u64>,
         signals: &SignalSet,
     ) -> Result<EstimateStream<'_>, ClientError> {
-        self.require_v2()?;
         protocol::validate_model_name(model)?;
         let stream = self.next_stream;
         self.next_stream += 1;
@@ -425,10 +337,7 @@ impl Client {
     pub fn pipeline_request(&mut self, op: Opcode, payload: Vec<u8>) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        protocol::write_frame(
-            &mut self.stream,
-            &Frame::request_v(self.protocol, op, id, payload),
-        )?;
+        protocol::write_frame(&mut self.stream, &Frame::request(op, id, payload))?;
         Ok(id)
     }
 
@@ -564,7 +473,6 @@ mod tests {
         let running = server.spawn();
         let mut client = Client::connect(running.addr()).unwrap();
 
-        assert_eq!(client.negotiate().unwrap(), 2);
         client.ping().unwrap();
 
         let models = client.list().unwrap();
@@ -573,7 +481,7 @@ mod tests {
         assert!(models[0].states > 0);
 
         // The daemon's estimate is bit-identical to estimating directly
-        // against the same artifact — over both payload codecs.
+        // against the same artifact.
         let local = Registry::open(&dir)
             .unwrap()
             .snapshot()
@@ -582,7 +490,7 @@ mod tests {
         let trace = toy_trace();
         let expected = local.estimate(&trace);
         let expected_bits: Vec<u64> = expected.estimate.iter().map(f64::to_bits).collect();
-        let reply = client.estimate_json("toy", None, &trace).unwrap();
+        let reply = client.estimate_binary("toy", None, &trace).unwrap();
         assert_eq!(reply.model, "toy");
         assert_eq!(reply.version, 1);
         assert_eq!(reply.estimate.len(), trace.len());
@@ -596,21 +504,14 @@ mod tests {
             expected.wrong_state_predictions
         );
         assert!(reply.mean_power() > 0.0);
-        let bin = client.estimate_binary("toy", None, &trace).unwrap();
-        let bin_bits: Vec<u64> = bin.estimate.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bin_bits, expected_bits, "binary codec is bit-exact too");
-        assert_eq!(
-            bin.wrong_state_predictions,
-            expected.wrong_state_predictions
-        );
 
         // Unknown models are structured errors, not hangs.
-        let err = client.estimate_json("fft", None, &trace).unwrap_err();
+        let err = client.estimate_binary("fft", None, &trace).unwrap_err();
         assert!(
             matches!(&err, ClientError::Server(msg) if msg.contains("fft")),
             "{err}"
         );
-        let err = client.estimate_json("toy", Some(9), &trace).unwrap_err();
+        let err = client.estimate_binary("toy", Some(9), &trace).unwrap_err();
         assert!(
             matches!(&err, ClientError::Server(msg) if msg.contains("toy@9")),
             "{err}"
@@ -618,8 +519,8 @@ mod tests {
 
         // Stats see the traffic, in both formats.
         let text = client.stats_text().unwrap();
-        assert!(text.contains("serve.op.estimate=3"), "{text}");
-        assert!(text.contains("serve.op.estimate_bin=1"), "{text}");
+        assert!(text.contains("serve.op.estimate_bin=3"), "{text}");
+        assert!(!text.contains("serve.op.estimate="), "{text}");
         assert!(text.contains("serve.op.list=1"), "{text}");
         let stats = client.stats_json().unwrap();
         let named = stats.arr_field("named_counters").unwrap();
@@ -633,7 +534,7 @@ mod tests {
         .unwrap();
         let models = client.reload().unwrap();
         assert_eq!(models.len(), 2);
-        let reply = client.estimate_json("toy", None, &trace).unwrap();
+        let reply = client.estimate_binary("toy", None, &trace).unwrap();
         assert_eq!(reply.version, 2);
 
         // A corrupt artifact fails the reload but keeps serving.
@@ -643,13 +544,12 @@ mod tests {
             matches!(&err, ClientError::Server(msg) if msg.contains("bad@1.json")),
             "{err}"
         );
-        client.estimate_json("toy", None, &trace).unwrap();
+        client.estimate_binary("toy", None, &trace).unwrap();
 
         client.shutdown().unwrap();
         let report = running.join().unwrap();
         assert_eq!(report.named_counter("serve.op.shutdown"), 1);
-        assert_eq!(report.named_counter("serve.op.estimate"), 5);
-        assert_eq!(report.named_counter("serve.op.estimate_bin"), 1);
+        assert_eq!(report.named_counter("serve.op.estimate_bin"), 5);
         assert_eq!(report.named_counter("serve.unknown_model"), 2);
         assert_eq!(report.named_counter("serve.reload_failures"), 1);
         assert!(report.named_counter("serve.connections") >= 1);
@@ -675,18 +575,18 @@ mod tests {
         let a = std::thread::spawn(move || {
             Client::connect(addr)
                 .unwrap()
-                .estimate_json("toy", None, &t)
+                .estimate_binary("toy", None, &t)
         });
         std::thread::sleep(Duration::from_millis(150));
         let t = trace.clone();
         let b = std::thread::spawn(move || {
             Client::connect(addr)
                 .unwrap()
-                .estimate_json("toy", None, &t)
+                .estimate_binary("toy", None, &t)
         });
         std::thread::sleep(Duration::from_millis(100));
         let mut c = Client::connect(addr).unwrap();
-        let err = c.estimate_json("toy", None, &trace).unwrap_err();
+        let err = c.estimate_binary("toy", None, &trace).unwrap_err();
         assert!(matches!(err, ClientError::Busy), "{err}");
 
         // The accepted requests still complete.
@@ -719,7 +619,7 @@ mod tests {
             workers.push(std::thread::spawn(move || {
                 Client::connect(addr)
                     .unwrap()
-                    .estimate_json("toy", None, &t)
+                    .estimate_binary("toy", None, &t)
             }));
         }
         std::thread::sleep(Duration::from_millis(100));
@@ -730,7 +630,7 @@ mod tests {
             assert_eq!(reply.estimate.len(), trace.len(), "drained, not dropped");
         }
         let report = running.join().unwrap();
-        assert_eq!(report.named_counter("serve.op.estimate"), 2);
+        assert_eq!(report.named_counter("serve.op.estimate_bin"), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

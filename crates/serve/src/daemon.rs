@@ -13,9 +13,12 @@
 //! job per worker turn, per-stream session turns); everything else is
 //! answered inline. Each opcode's dispatcher returns either an inline
 //! answer, which `dispatch` sends once, or hands the request to the pool,
-//! whose callback sends the reply. Responses echo the request frame's
-//! protocol version, so v1 clients interoperate with this v2 daemon
-//! untouched.
+//! whose callback sends the reply.
+//!
+//! The daemon speaks protocol v2 only. A frame whose header fails
+//! validation — a v1 frame, the retired `ESTIMATE` kind 0x01, bad magic,
+//! an oversize length — gets one `ERROR`
+//! ([`protocol::header_error_reply`]), then the connection closes.
 //!
 //! Shutdown — the `SHUTDOWN` opcode or SIGTERM via
 //! [`signals::on_sigterm`](crate::signals::on_sigterm) — is graceful by
@@ -24,13 +27,12 @@
 //! land in the final [`TelemetryReport`], and [`Server::run`] returns it.
 
 use crate::poll::Waker;
-use crate::pool::{EstimateJob, Pool, PoolConfig, Refused, SessionEntry, StreamJob};
-use crate::protocol::{self, Frame, Opcode, Status, MIN_PROTOCOL_VERSION};
+use crate::pool::{EstimateJob, JobError, Pool, PoolConfig, Refused, SessionEntry, StreamJob};
+use crate::protocol::{self, Frame, Opcode, Status};
 use crate::registry::{Registry, RegistryError, ServedModel, Snapshot};
-use psm_hmm::HmmOutcome;
 use psm_persist::JsonValue;
 use psm_telemetry::{Stage, Telemetry, TelemetryReport};
-use psm_trace::{FunctionalTrace, PowerTrace, SignalSet};
+use psm_trace::{PowerTrace, SignalSet};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -493,13 +495,8 @@ impl Conn {
                     // A malformed frame desynchronises the stream:
                     // answer once, then hang up (after the flush).
                     ctx.telemetry.add_named("serve.protocol_errors", 1);
-                    respond(
-                        &self.sink,
-                        MIN_PROTOCOL_VERSION,
-                        Status::Error,
-                        0,
-                        protocol::error_payload(&e.to_string()),
-                    );
+                    let reply = protocol::header_error_reply(&e, &self.rbuf[consumed..]);
+                    self.sink.push(reply);
                     self.closing = true;
                     break;
                 }
@@ -555,6 +552,12 @@ struct ResponseSink {
 }
 
 impl ResponseSink {
+    /// Queues encoded frames and wakes the event loop to flush them.
+    fn push(&self, bytes: Vec<u8>) {
+        self.outbox.lock().expect("outbox poisoned").push(bytes);
+        self.waker.wake();
+    }
+
     /// The reply half of a request handed to the pool. It registers one
     /// job against this connection, so the event loop will not retire a
     /// half-closed peer before the job's response lands in the outbox.
@@ -562,7 +565,6 @@ impl ResponseSink {
         self.inflight.fetch_add(1, Ordering::SeqCst);
         Deferred {
             sink: self.clone(),
-            version: frame.version,
             request_id: frame.request_id,
         }
     }
@@ -574,13 +576,16 @@ impl ResponseSink {
 /// re-evaluates the connection.
 struct Deferred {
     sink: ResponseSink,
-    version: u8,
     request_id: u64,
 }
 
 impl Deferred {
     fn send(self, status: Status, payload: Vec<u8>) {
-        respond(&self.sink, self.version, status, self.request_id, payload);
+        respond(&self.sink, status, self.request_id, payload);
+    }
+
+    fn send_error(self, message: &str) {
+        self.send(Status::Error, protocol::error_payload(message));
     }
 }
 
@@ -591,28 +596,22 @@ impl Drop for Deferred {
     }
 }
 
-/// Delivers one response frame, echoing the request's protocol version.
-/// A payload over the frame cap is replaced by one `ERROR` reply that
-/// names its size, so the request still gets exactly one answer.
-fn respond(sink: &ResponseSink, version: u8, status: Status, request_id: u64, payload: Vec<u8>) {
-    let mut frame = Frame::response_v(version, status, request_id, payload);
+/// Delivers one response frame. A payload over the frame cap is replaced
+/// by one `ERROR` reply that names its size, so the request still gets
+/// exactly one answer.
+fn respond(sink: &ResponseSink, status: Status, request_id: u64, payload: Vec<u8>) {
+    let mut frame = Frame::response(status, request_id, payload);
     if frame.payload.len() > protocol::MAX_PAYLOAD as usize {
         let message = format!(
             "reply of {} bytes exceeds the {}-byte frame cap",
             frame.payload.len(),
             protocol::MAX_PAYLOAD
         );
-        frame = Frame::response_v(
-            version,
-            Status::Error,
-            request_id,
-            protocol::error_payload(&message),
-        );
+        frame = Frame::response(Status::Error, request_id, protocol::error_payload(&message));
     }
     let mut buf = Vec::with_capacity(protocol::HEADER_LEN + frame.payload.len());
     protocol::write_frame(&mut buf, &frame).expect("vec write of a capped frame cannot fail");
-    sink.outbox.lock().expect("outbox poisoned").push(buf);
-    sink.waker.wake();
+    sink.push(buf);
 }
 
 /// A request answered inline with a status other than `OK`.
@@ -663,16 +662,7 @@ fn dispatch(
         )),
         Some(op) => {
             ctx.telemetry.add_named(op.counter_name(), 1);
-            if frame.version < op.min_version() {
-                Err(InlineError::Error(format!(
-                    "opcode {} requires protocol v{} (frame is v{})",
-                    op.name(),
-                    op.min_version(),
-                    frame.version
-                )))
-            } else {
-                dispatch_op(ctx, sink, sessions, op, &frame)
-            }
+            dispatch_op(ctx, sink, sessions, op, &frame)
         }
     };
     let (status, payload) = match answer {
@@ -681,7 +671,7 @@ fn dispatch(
         Err(InlineError::Busy) => (Status::Busy, Vec::new()),
         Err(InlineError::Error(message)) => (Status::Error, protocol::error_payload(&message)),
     };
-    respond(sink, frame.version, status, frame.request_id, payload);
+    respond(sink, status, frame.request_id, payload);
     !matches!(op, None | Some(Opcode::Shutdown))
 }
 
@@ -693,27 +683,7 @@ fn dispatch_op(
     frame: &Frame,
 ) -> Answer {
     match op {
-        Opcode::Estimate => dispatch_estimate(
-            ctx,
-            sink,
-            frame,
-            protocol::parse_estimate_request,
-            |model, outcome| protocol::estimate_reply(&model.name, model.version, outcome),
-        ),
-        Opcode::EstimateBin => dispatch_estimate(
-            ctx,
-            sink,
-            frame,
-            protocol::parse_estimate_bin_request,
-            |model, outcome| {
-                bin_reply(
-                    model,
-                    &outcome.estimate,
-                    outcome.wrong_state_predictions,
-                    outcome.unknown_instants,
-                )
-            },
-        ),
+        Opcode::EstimateBin => dispatch_estimate(ctx, sink, frame),
         Opcode::StreamOpen => dispatch_stream_open(ctx, sessions, frame),
         Opcode::StreamChunk => dispatch_stream_chunk(ctx, sink, sessions, frame),
         Opcode::StreamClose => dispatch_stream_close(ctx, sink, sessions, frame),
@@ -747,7 +717,7 @@ fn dispatch_op(
             Ok(Some(models_payload(&snapshot)))
         }
         Opcode::List => Ok(Some(models_payload(&ctx.registry.snapshot()))),
-        Opcode::Ping => Ok(Some(protocol::ping_reply(frame.version))),
+        Opcode::Ping => Ok(Some(protocol::ping_reply())),
         Opcode::Shutdown => {
             ctx.trigger_shutdown();
             Ok(Some(Vec::new()))
@@ -790,27 +760,33 @@ fn bin_reply(model: &ServedModel, estimate: &PowerTrace, wrong: usize, unknown: 
     )
 }
 
-/// A parsed one-shot estimate request: model name, pinned version and
-/// workload.
-type EstimateRequest = (String, Option<u64>, FunctionalTrace);
+/// The message answering a chunk or close of a stream that is not open
+/// on this connection, or that a panicking chunk closed.
+fn not_open(stream: u32) -> String {
+    format!("stream {stream} is not open")
+}
 
-/// `ESTIMATE` and `ESTIMATE_BIN`: the same job, read by `parse` and
-/// answered through `encode`.
-fn dispatch_estimate(
-    ctx: &Arc<Ctx>,
-    sink: &ResponseSink,
-    frame: &Frame,
-    parse: fn(&Frame) -> Result<EstimateRequest, protocol::ProtocolError>,
-    encode: fn(&ServedModel, &HmmOutcome) -> Vec<u8>,
-) -> Answer {
-    let (name, version, trace) = parse(frame)?;
+/// `ESTIMATE_BIN`: decoded here, estimated in the pool.
+fn dispatch_estimate(ctx: &Arc<Ctx>, sink: &ResponseSink, frame: &Frame) -> Answer {
+    let (name, version, trace) = protocol::parse_estimate_bin_request(frame)?;
     let model = resolve_model(ctx, &name, version, trace.signals())?;
     let reply = sink.defer(frame);
     let reply_model = model.clone();
     ctx.pool.submit(EstimateJob {
         model,
         trace,
-        respond: Box::new(move |outcome| reply.send(Status::Ok, encode(&reply_model, &outcome))),
+        respond: Box::new(move |outcome| match outcome {
+            Ok(out) => reply.send(
+                Status::Ok,
+                bin_reply(
+                    &reply_model,
+                    &out.estimate,
+                    out.wrong_state_predictions,
+                    out.unknown_instants,
+                ),
+            ),
+            Err(e) => reply.send_error(&e.to_string()),
+        }),
     })?;
     Ok(None)
 }
@@ -838,9 +814,7 @@ fn dispatch_stream_chunk(
     frame: &Frame,
 ) -> Answer {
     let stream = protocol::parse_stream_id(frame)?;
-    let cs = sessions
-        .get(&stream)
-        .ok_or_else(|| format!("stream {stream} is not open"))?;
+    let cs = sessions.get(&stream).ok_or_else(|| not_open(stream))?;
     let chunk = protocol::parse_stream_chunk_cycles(frame, &cs.signals)?;
     let model = cs.entry.model().clone();
     let reply = sink.defer(frame);
@@ -858,7 +832,8 @@ fn dispatch_stream_chunk(
                         out.unknown_instants,
                     ),
                 ),
-                Err(e) => reply.send(Status::Error, protocol::error_payload(&e.to_string())),
+                Err(JobError::StreamClosed) => reply.send_error(&not_open(stream)),
+                Err(e) => reply.send_error(&e.to_string()),
             }),
         },
     )?;
@@ -872,16 +847,14 @@ fn dispatch_stream_close(
     frame: &Frame,
 ) -> Answer {
     let stream = protocol::parse_stream_id(frame)?;
-    let cs = sessions
-        .remove(&stream)
-        .ok_or_else(|| format!("stream {stream} is not open"))?;
+    let cs = sessions.remove(&stream).ok_or_else(|| not_open(stream))?;
     let model = cs.entry.model().clone();
     let reply = sink.defer(frame);
     ctx.pool.submit_stream(
         &cs.entry,
         StreamJob::Close {
-            respond: Box::new(move |totals| {
-                reply.send(
+            respond: Box::new(move |totals| match totals {
+                Ok(totals) => reply.send(
                     Status::Ok,
                     protocol::stream_close_reply(
                         stream,
@@ -891,7 +864,8 @@ fn dispatch_stream_close(
                         totals.wrong_state_predictions as u64,
                         totals.unknown_instants as u64,
                     ),
-                )
+                ),
+                Err(_) => reply.send_error(&not_open(stream)),
             }),
         },
     )?;
@@ -937,13 +911,13 @@ mod tests {
             waker: wake.waker(),
         };
         let cap = protocol::MAX_PAYLOAD as usize;
-        respond(&sink, 2, Status::Ok, 42, vec![0u8; cap + 1]);
+        respond(&sink, Status::Ok, 42, vec![0u8; cap + 1]);
         let outbox = sink.outbox.lock().unwrap();
         assert_eq!(outbox.queue.len(), 1, "exactly one reply");
         let bytes = &outbox.queue[0];
         let (frame, used) = protocol::parse_frame_bytes(bytes).unwrap().unwrap();
         assert_eq!(used, bytes.len());
-        assert_eq!(frame.version, 2);
+        assert_eq!(bytes[4], 2);
         assert_eq!(frame.request_id, 42);
         assert_eq!(frame.status(), Some(Status::Error));
         assert_eq!(

@@ -5,17 +5,19 @@
 //! simulation — fast enough to sit behind an interactive service. This
 //! crate is that service:
 //!
-//! * [`protocol`] — the `psmd` framed wire protocol (magic, version,
-//!   request id, opcode, payload) spoken over `std::net` TCP. v1 carries
-//!   JSON payloads; v2 adds binary trace frames ([`psm_trace::binary`])
-//!   and streaming opcodes, negotiated per connection via `PING`;
+//! * [`protocol`] — the `psmd/v2` framed wire protocol (magic, version,
+//!   request id, opcode, payload) spoken over `std::net` TCP: JSON
+//!   control payloads, binary trace frames ([`psm_trace::binary`]) for
+//!   one-shot and streamed estimates. v2 is the only version; the v1
+//!   JSON `ESTIMATE` dialect is retired and a v1 frame gets one `ERROR`;
 //! * [`registry`] — a directory of `psm-persist` artifacts
 //!   (`<model>@<version>.json`) loaded into an immutable snapshot that
 //!   the `RELOAD` opcode swaps atomically, never failing in-flight
 //!   requests;
 //! * [`pool`] — a fixed worker pool with a bounded queue and explicit
 //!   backpressure (`BUSY`), answering one job per worker turn and
-//!   running per-stream session turns for the v2 streaming opcodes;
+//!   running per-stream session turns for the streaming opcodes; a job
+//!   that panics is answered with an error and its worker serves on;
 //! * [`session`] — resumable per-stream forward state: chunked
 //!   estimation bit-identical to the one-shot path;
 //! * [`daemon`] — the connection engine: a readiness-driven `poll(2)`

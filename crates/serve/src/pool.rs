@@ -17,6 +17,9 @@
 //! named counter ([`COUNTER_ESTIMATE_NS`], [`COUNTER_CHUNK_NS`]), so the
 //! pool's telemetry stays the same size however many requests it serves.
 //!
+//! A job that panics is answered [`JobError::Panicked`] and its worker
+//! goes on serving, so a panic never hangs a client or [`Pool::drain`].
+//!
 //! # Streams
 //!
 //! Alongside one-shot estimates the queue carries *session turns*. A
@@ -29,14 +32,18 @@
 //! jobs one at a time (re-locking between jobs, so the I/O loop never
 //! blocks behind an in-flight chunk), and puts it back. Because pending
 //! jobs are only reachable through scheduled turns, [`Pool::drain`]'s
-//! queue-dry wait already covers sessions.
+//! queue-dry wait already covers sessions. A chunk that panics closes its
+//! stream: the session is dropped, and every job of that stream from
+//! then on is answered [`JobError::StreamClosed`].
 
 use crate::registry::ServedModel;
 use crate::session::{ChunkOutcome, StreamSession};
 use psm_hmm::HmmOutcome;
 use psm_telemetry::Telemetry;
 use psm_trace::{FunctionalTrace, TraceError};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -92,8 +99,46 @@ pub struct EstimateJob {
     /// The functional trace to estimate.
     pub trace: FunctionalTrace,
     /// Receives the outcome, exactly once.
-    pub respond: Box<dyn FnOnce(HmmOutcome) + Send>,
+    pub respond: Box<dyn FnOnce(Result<HmmOutcome, JobError>) + Send>,
 }
+
+/// Why a job was answered without an outcome.
+#[derive(Debug)]
+pub enum JobError {
+    /// The chunk does not continue the stream's interface; the stream
+    /// stays open.
+    Trace(TraceError),
+    /// Estimating the job panicked, with this message. A stream whose
+    /// chunk panicked is closed.
+    Panicked(String),
+    /// An earlier chunk of the stream panicked and closed it.
+    StreamClosed,
+}
+
+impl JobError {
+    fn panicked(payload: Box<dyn Any + Send>) -> JobError {
+        let message = match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or("unknown panic payload", |s| s)
+                .to_owned(),
+        };
+        JobError::Panicked(message)
+    }
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::Trace(e) => write!(f, "{e}"),
+            JobError::Panicked(message) => write!(f, "estimation panicked: {message}"),
+            JobError::StreamClosed => write!(f, "stream was closed by a failed chunk"),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
 
 /// Why the pool refused a submission. The job is dropped unrun, so its
 /// callback never fires.
@@ -109,19 +154,29 @@ pub enum Refused {
 /// receives its answer exactly once.
 pub enum StreamJob {
     /// Estimate the next chunk of the stream. The callback gets the
-    /// chunk's outcome, or the error that leaves the stream open (e.g.
-    /// interface drift).
+    /// chunk's outcome or a [`JobError`].
     Chunk {
         /// The chunk's cycles.
         chunk: FunctionalTrace,
         /// Receives the chunk's outcome.
-        respond: Box<dyn FnOnce(Result<ChunkOutcome, TraceError>) + Send>,
+        respond: Box<dyn FnOnce(Result<ChunkOutcome, JobError>) + Send>,
     },
-    /// Finish the stream; the callback gets its totals.
+    /// Finish the stream; the callback gets its totals, or
+    /// [`JobError::StreamClosed`] when a panic closed it first.
     Close {
         /// Receives the stream's totals.
-        respond: Box<dyn FnOnce(StreamTotals) + Send>,
+        respond: Box<dyn FnOnce(Result<StreamTotals, JobError>) + Send>,
     },
+}
+
+impl StreamJob {
+    /// Answers the job of a stream a panic closed.
+    fn refuse(self) {
+        match self {
+            StreamJob::Chunk { respond, .. } => respond(Err(JobError::StreamClosed)),
+            StreamJob::Close { respond } => respond(Err(JobError::StreamClosed)),
+        }
+    }
 }
 
 /// Cumulative counters of a finished stream.
@@ -159,7 +214,8 @@ impl SessionEntry {
 }
 
 struct SessionInner {
-    /// `None` while a worker has lifted the session out for a turn.
+    /// `None` while a worker has lifted the session out for a turn, and
+    /// for good once a panicking chunk closed the stream.
     session: Option<StreamSession>,
     pending: VecDeque<StreamJob>,
     scheduled: bool,
@@ -378,9 +434,12 @@ fn worker_loop(shared: &Shared) {
 
         match work {
             Work::Estimate(job) => {
-                let outcome = shared
-                    .telemetry
-                    .time_named(COUNTER_ESTIMATE_NS, || job.model.estimate(&job.trace));
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    shared
+                        .telemetry
+                        .time_named(COUNTER_ESTIMATE_NS, || job.model.estimate(&job.trace))
+                }))
+                .map_err(JobError::panicked);
                 shared.telemetry.add_named(COUNTER_BATCHES, 1);
                 (job.respond)(outcome);
             }
@@ -400,45 +459,53 @@ fn worker_loop(shared: &Shared) {
 /// appending without blocking behind an in-flight chunk; the
 /// `scheduled` flag (flipped only under the entry lock, with the
 /// pending queue known empty) guarantees at most one concurrent turn
-/// per session.
+/// per session, so a turn finds the session missing only when a
+/// panicking chunk closed the stream.
 fn run_session_turn(shared: &Shared, entry: &Arc<SessionEntry>) {
-    let mut session = {
-        let mut inner = entry.inner.lock().expect("session lock poisoned");
-        match inner.session.take() {
-            Some(s) => s,
-            None => {
-                // Unreachable by construction; fail safe by yielding
-                // the turn rather than poisoning the worker.
-                inner.scheduled = false;
-                return;
-            }
-        }
-    };
+    let mut session = entry
+        .inner
+        .lock()
+        .expect("session lock poisoned")
+        .session
+        .take();
     loop {
         let job = {
             let mut inner = entry.inner.lock().expect("session lock poisoned");
             match inner.pending.pop_front() {
                 Some(job) => job,
                 None => {
-                    inner.session = Some(session);
+                    inner.session = session;
                     inner.scheduled = false;
                     return;
                 }
             }
         };
+        let Some(live) = session.as_mut() else {
+            job.refuse();
+            continue;
+        };
         match job {
             StreamJob::Chunk { chunk, respond } => {
-                let fed = shared
-                    .telemetry
-                    .time_named(COUNTER_CHUNK_NS, || session.feed(&chunk));
+                let fed = catch_unwind(AssertUnwindSafe(|| {
+                    shared
+                        .telemetry
+                        .time_named(COUNTER_CHUNK_NS, || live.feed(&chunk))
+                }));
                 shared.telemetry.add_named(COUNTER_STREAM_CHUNKS, 1);
-                respond(fed);
+                match fed {
+                    Ok(fed) => respond(fed.map_err(JobError::Trace)),
+                    Err(panic) => {
+                        // The forward state may be half-updated: drop it.
+                        session = None;
+                        respond(Err(JobError::panicked(panic)));
+                    }
+                }
             }
-            StreamJob::Close { respond } => respond(StreamTotals {
-                instants: session.instants(),
-                wrong_state_predictions: session.wrong_state_predictions(),
-                unknown_instants: session.unknown_instants(),
-            }),
+            StreamJob::Close { respond } => respond(Ok(StreamTotals {
+                instants: live.instants(),
+                wrong_state_predictions: live.wrong_state_predictions(),
+                unknown_instants: live.unknown_instants(),
+            })),
         }
     }
 }
@@ -473,15 +540,49 @@ mod tests {
         model
     }
 
-    fn job(id: u64, model: &Arc<ServedModel>, tx: &mpsc::Sender<(u64, HmmOutcome)>) -> EstimateJob {
+    type Answered = (u64, Result<HmmOutcome, JobError>);
+
+    fn job(id: u64, model: &Arc<ServedModel>, tx: &mpsc::Sender<Answered>) -> EstimateJob {
+        job_over(id, model, toy_trace(), tx)
+    }
+
+    fn job_over(
+        id: u64,
+        model: &Arc<ServedModel>,
+        trace: FunctionalTrace,
+        tx: &mpsc::Sender<Answered>,
+    ) -> EstimateJob {
         let tx = tx.clone();
         EstimateJob {
             model: model.clone(),
-            trace: toy_trace(),
+            trace,
             respond: Box::new(move |out| {
                 let _ = tx.send((id, out));
             }),
         }
+    }
+
+    /// A trace over no signals at all. The daemon's interface check
+    /// refuses it before it reaches the pool; submitted straight to the
+    /// pool, classifying it against the toy model's one-signal vocabulary
+    /// panics.
+    fn foreign_trace() -> FunctionalTrace {
+        let mut trace = FunctionalTrace::new(psm_trace::SignalSet::new());
+        for _ in 0..4 {
+            trace.push_cycle(Vec::new()).unwrap();
+        }
+        trace
+    }
+
+    /// Drains the pool on another thread, failing the test instead of
+    /// hanging it when drain never returns.
+    fn drain_within(pool: Pool, limit: Duration) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            pool.drain();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(limit).expect("drain returns");
     }
 
     fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) {
@@ -516,7 +617,7 @@ mod tests {
         got.sort_by_key(|(id, _)| *id);
         assert_eq!(got.len(), 16);
         for (id, out) in got {
-            assert_eq!(out, expected, "request {id} diverged");
+            assert_eq!(out.unwrap(), expected, "request {id} diverged");
         }
         pool.drain();
         let report = telemetry.report();
@@ -585,8 +686,8 @@ mod tests {
     /// What a stream job's callback received, tagged by job kind.
     #[derive(Debug)]
     enum Answer {
-        Chunk(Result<ChunkOutcome, TraceError>),
-        Closed(StreamTotals),
+        Chunk(Result<ChunkOutcome, JobError>),
+        Closed(Result<StreamTotals, JobError>),
     }
 
     fn chunk_job(id: u64, chunk: FunctionalTrace, tx: &mpsc::Sender<(u64, Answer)>) -> StreamJob {
@@ -642,7 +743,7 @@ mod tests {
             }
         }
         let (_, last) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        let Answer::Closed(totals) = last else {
+        let Answer::Closed(Ok(totals)) = last else {
             panic!("expected close reply, got {last:?}");
         };
         assert_eq!(totals.instants, expected.estimate.len());
@@ -757,7 +858,7 @@ mod tests {
                 );
             }
             for _ in ids {
-                rx.recv_timeout(Duration::from_secs(30)).unwrap();
+                rx.recv_timeout(Duration::from_secs(30)).unwrap().1.unwrap();
                 let (_, answer) = stream_rx.recv_timeout(Duration::from_secs(30)).unwrap();
                 assert!(matches!(answer, Answer::Chunk(Ok(_))), "{answer:?}");
             }
@@ -776,5 +877,96 @@ mod tests {
         assert_eq!(late.named_counter(COUNTER_STREAM_CHUNKS), 2000);
         assert!(late.named_counter(COUNTER_ESTIMATE_NS) > 0);
         assert!(late.named_counter(COUNTER_CHUNK_NS) > 0);
+    }
+
+    #[test]
+    fn panicking_estimate_is_one_error_and_the_worker_serves_on() {
+        let pool = Pool::new(
+            PoolConfig {
+                workers: 1,
+                queue_capacity: 8,
+                stall: Duration::ZERO,
+            },
+            Arc::new(Telemetry::new()),
+        );
+        let model = toy_model();
+        let (tx, rx) = mpsc::channel();
+        assert_eq!(
+            pool.submit(job_over(1, &model, foreign_trace(), &tx)),
+            Ok(())
+        );
+        let (id, out) = rx.recv_timeout(Duration::from_secs(30)).expect("an answer");
+        assert_eq!(id, 1);
+        assert!(matches!(out, Err(JobError::Panicked(_))), "{out:?}");
+        assert!(out
+            .unwrap_err()
+            .to_string()
+            .starts_with("estimation panicked: "));
+
+        // The one worker survived: the next job is answered in full.
+        assert_eq!(pool.submit(job(2, &model, &tx)), Ok(()));
+        let (id, out) = rx.recv_timeout(Duration::from_secs(30)).expect("an answer");
+        assert_eq!(id, 2);
+        assert_eq!(out.unwrap(), model.estimate(&toy_trace()));
+        assert!(rx.try_recv().is_err(), "one answer per job");
+        drain_within(pool, Duration::from_secs(30));
+    }
+
+    #[test]
+    fn panicking_chunk_closes_its_stream_only() {
+        let pool = Pool::new(
+            PoolConfig {
+                workers: 1,
+                queue_capacity: 8,
+                stall: Duration::ZERO,
+            },
+            Arc::new(Telemetry::new()),
+        );
+        let model = toy_model();
+        let doomed = pool.open_session(model.clone()).unwrap();
+        let healthy = pool.open_session(model.clone()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let next = || rx.recv_timeout(Duration::from_secs(30)).expect("an answer");
+
+        let submit = |entry, job| assert_eq!(pool.submit_stream(entry, job), Ok(()));
+        submit(&doomed, chunk_job(1, foreign_trace(), &tx));
+        let (id, answer) = next();
+        assert_eq!(id, 1);
+        assert!(
+            matches!(answer, Answer::Chunk(Err(JobError::Panicked(_)))),
+            "{answer:?}"
+        );
+        // Later chunks and the close of the same stream find it closed.
+        submit(&doomed, chunk_job(2, toy_trace(), &tx));
+        submit(&doomed, close_job(3, &tx));
+        let (id, answer) = next();
+        assert_eq!(id, 2);
+        assert!(
+            matches!(answer, Answer::Chunk(Err(JobError::StreamClosed))),
+            "{answer:?}"
+        );
+        let (id, answer) = next();
+        assert_eq!(id, 3);
+        assert!(
+            matches!(answer, Answer::Closed(Err(JobError::StreamClosed))),
+            "{answer:?}"
+        );
+
+        // Another stream and a one-shot on the same worker still estimate.
+        let expected = model.estimate(&toy_trace());
+        submit(&healthy, chunk_job(4, toy_trace(), &tx));
+        let (id, answer) = next();
+        assert_eq!(id, 4);
+        let Answer::Chunk(Ok(out)) = answer else {
+            panic!("expected a chunk outcome, got {answer:?}");
+        };
+        assert_eq!(out.estimate, expected.estimate);
+        let (otx, orx) = mpsc::channel();
+        assert_eq!(pool.submit(job(5, &model, &otx)), Ok(()));
+        let (_, out) = orx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("an answer");
+        assert_eq!(out.unwrap(), expected);
+        drain_within(pool, Duration::from_secs(30));
     }
 }

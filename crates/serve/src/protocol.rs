@@ -1,13 +1,12 @@
-//! The `psmd` framed wire protocol, versions 1 (`psmd/v1`) and 2
-//! (`psmd/v2`).
+//! The `psmd` framed wire protocol, `psmd/v2`.
 //!
 //! Every message — request or response — is one frame:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic `PSMD`
-//! 4       1     protocol version (1 or 2)
-//! 5       1     kind: request opcode (0x01..) or response status (0x80..)
+//! 4       1     protocol version (always 2)
+//! 5       1     kind: request opcode (0x02..) or response status (0x80..)
 //! 6       8     request id, u64 little-endian (echoed in the response)
 //! 14      4     payload length, u32 little-endian (≤ 64 MiB)
 //! 18      n     payload: a UTF-8 JSON document or a binary blob
@@ -19,24 +18,21 @@
 //! bounds what one malicious or confused peer can make the daemon
 //! allocate.
 //!
-//! **v1** payloads are JSON via [`psm_persist::JsonValue`] — the same
-//! dependency-free document model the artifact files use — so an
-//! estimate travels the wire through the identical shortest-round-trip
-//! float writer that persisted the model, and survives bit-exactly.
-//!
-//! **v2** keeps JSON for control opcodes but moves bulk numeric data to
-//! the compact binary codec of [`psm_trace::binary`]: the
-//! [`Opcode::EstimateBin`] one-shot and the
+//! Control opcodes carry JSON via [`psm_persist::JsonValue`], the same
+//! dependency-free document model the artifact files use. Bulk numeric
+//! data travels in the compact binary codec of [`psm_trace::binary`]:
+//! the [`Opcode::EstimateBin`] one-shot and the
 //! [`Opcode::StreamOpen`]/[`Opcode::StreamChunk`]/[`Opcode::StreamClose`]
 //! session opcodes frame traces as an interned-signal dictionary plus raw
-//! little-endian cycle words, and estimates return as raw `f64` bits —
-//! still bit-exact, without the JSON tax. Responses echo the request
-//! frame's version byte, so a v1-built client never sees a version it
-//! would reject; negotiation rides on `PING` (see
-//! [`ping_reply`]/[`parse_ping_reply`]).
+//! little-endian cycle words, and estimates return as raw `f64` bits, so
+//! they survive the wire bit-exactly.
+//!
+//! Version 2 is the only version spoken. Kind byte 0x01, the retired v1
+//! JSON `ESTIMATE`, stays reserved and is never reassigned: a v1 frame,
+//! or a v2 frame of kind 0x01, fails header validation, and the daemon
+//! answers it with [`header_error_reply`] before hanging up.
 
-use psm_hmm::HmmOutcome;
-use psm_persist::{JsonValue, Persist, PersistError};
+use psm_persist::{JsonValue, PersistError};
 use psm_trace::binary::{self, BinCodecError, Reader};
 use psm_trace::{FunctionalTrace, SignalSet};
 use std::io::{self, Read, Write};
@@ -44,11 +40,8 @@ use std::io::{self, Read, Write};
 /// First bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"PSMD";
 
-/// The newest wire protocol version this build speaks.
+/// The wire protocol version: the only one this build reads or writes.
 pub const PROTOCOL_VERSION: u8 = 2;
-
-/// The oldest wire protocol version this build still accepts.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
 
 /// Upper bound on a frame payload, in bytes.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
@@ -59,8 +52,6 @@ pub const HEADER_LEN: usize = 18;
 /// A request kind (client → daemon).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Opcode {
-    /// Estimate power for a submitted functional trace.
-    Estimate,
     /// Fetch the daemon's telemetry report (text or JSON).
     Stats,
     /// Atomically reload the model registry from disk.
@@ -71,21 +62,21 @@ pub enum Opcode {
     Ping,
     /// Drain in-flight work, flush stats, exit.
     Shutdown,
-    /// Estimate power for a binary-encoded trace (v2).
+    /// Estimate power for a binary-encoded trace.
     EstimateBin,
-    /// Open a streaming estimation session (v2).
+    /// Open a streaming estimation session.
     StreamOpen,
-    /// Feed one chunk of cycles into an open session (v2).
+    /// Feed one chunk of cycles into an open session.
     StreamChunk,
-    /// Close a session, collecting its summary (v2).
+    /// Close a session, collecting its summary.
     StreamClose,
 }
 
 impl Opcode {
-    /// The wire byte of this opcode.
+    /// The wire byte of this opcode. 0x01 belonged to the retired v1
+    /// `ESTIMATE` and is never reassigned.
     pub fn as_u8(self) -> u8 {
         match self {
-            Opcode::Estimate => 0x01,
             Opcode::Stats => 0x02,
             Opcode::Reload => 0x03,
             Opcode::List => 0x04,
@@ -101,7 +92,6 @@ impl Opcode {
     /// Decodes a wire byte, `None` when it is not a request opcode.
     pub fn from_u8(b: u8) -> Option<Opcode> {
         match b {
-            0x01 => Some(Opcode::Estimate),
             0x02 => Some(Opcode::Stats),
             0x03 => Some(Opcode::Reload),
             0x04 => Some(Opcode::List),
@@ -118,7 +108,6 @@ impl Opcode {
     /// Lower-case opcode name, used for per-opcode telemetry counters.
     pub fn name(self) -> &'static str {
         match self {
-            Opcode::Estimate => "estimate",
             Opcode::Stats => "stats",
             Opcode::Reload => "reload",
             Opcode::List => "list",
@@ -135,7 +124,6 @@ impl Opcode {
     /// `serve.op.` followed by [`name`](Self::name).
     pub fn counter_name(self) -> &'static str {
         match self {
-            Opcode::Estimate => "serve.op.estimate",
             Opcode::Stats => "serve.op.stats",
             Opcode::Reload => "serve.op.reload",
             Opcode::List => "serve.op.list",
@@ -148,27 +136,8 @@ impl Opcode {
         }
     }
 
-    /// The lowest protocol version whose frames may carry this opcode.
-    /// The daemon rejects v2-only opcodes arriving in v1 frames with a
-    /// structured `ERROR` instead of guessing at the payload format.
-    pub fn min_version(self) -> u8 {
-        match self {
-            Opcode::Estimate
-            | Opcode::Stats
-            | Opcode::Reload
-            | Opcode::List
-            | Opcode::Ping
-            | Opcode::Shutdown => 1,
-            Opcode::EstimateBin
-            | Opcode::StreamOpen
-            | Opcode::StreamChunk
-            | Opcode::StreamClose => 2,
-        }
-    }
-
     /// Every opcode, in wire-byte order.
-    pub const ALL: [Opcode; 10] = [
-        Opcode::Estimate,
+    pub const ALL: [Opcode; 9] = [
         Opcode::Stats,
         Opcode::Reload,
         Opcode::List,
@@ -213,14 +182,10 @@ impl Status {
     }
 }
 
-/// One decoded frame: the version and kind bytes, the request id and the
-/// raw payload.
+/// One decoded frame: the kind byte, the request id and the raw
+/// payload. Its version byte is always [`PROTOCOL_VERSION`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The protocol version byte of this frame. Requests carry the
-    /// version the client chose; responses echo the request's version so
-    /// old clients never see a byte they would reject.
-    pub version: u8,
     /// The kind byte: a request [`Opcode`] or a response [`Status`].
     pub kind: u8,
     /// Correlates a response with its request. The daemon echoes it
@@ -232,31 +197,18 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Builds a request frame speaking the newest protocol version.
+    /// Builds a request frame.
     pub fn request(op: Opcode, request_id: u64, payload: Vec<u8>) -> Frame {
-        Frame::request_v(PROTOCOL_VERSION, op, request_id, payload)
-    }
-
-    /// Builds a request frame pinned to a specific protocol version.
-    pub fn request_v(version: u8, op: Opcode, request_id: u64, payload: Vec<u8>) -> Frame {
         Frame {
-            version,
             kind: op.as_u8(),
             request_id,
             payload,
         }
     }
 
-    /// Builds a response frame speaking the newest protocol version.
+    /// Builds a response frame.
     pub fn response(status: Status, request_id: u64, payload: Vec<u8>) -> Frame {
-        Frame::response_v(PROTOCOL_VERSION, status, request_id, payload)
-    }
-
-    /// Builds a response frame pinned to a specific protocol version —
-    /// the daemon answers every request with the request's own version.
-    pub fn response_v(version: u8, status: Status, request_id: u64, payload: Vec<u8>) -> Frame {
         Frame {
-            version,
             kind: status.as_u8(),
             request_id,
             payload,
@@ -292,11 +244,12 @@ pub enum ProtocolError {
     Io(io::Error),
     /// The peer did not send the `PSMD` magic — wrong port or protocol.
     BadMagic([u8; 4]),
-    /// The peer speaks a protocol version this build does not.
+    /// The frame's version byte is not [`PROTOCOL_VERSION`].
     UnsupportedVersion(u8),
     /// The declared payload length exceeds [`MAX_PAYLOAD`].
     Oversize(u32),
-    /// The kind byte is neither a known opcode nor a known status.
+    /// The kind byte is neither a known opcode nor a known status
+    /// (0x01, the retired v1 `ESTIMATE`, included).
     UnknownKind(u8),
     /// The payload is not the JSON document the opcode requires.
     Payload(PersistError),
@@ -321,6 +274,11 @@ impl std::fmt::Display for ProtocolError {
                     "frame payload of {n} bytes exceeds the {MAX_PAYLOAD} cap"
                 )
             }
+            ProtocolError::UnknownKind(0x01) => write!(
+                f,
+                "unknown frame kind byte 0x01 (the retired v1 JSON ESTIMATE; \
+                 psmd/v{PROTOCOL_VERSION} estimates with ESTIMATE_BIN)"
+            ),
             ProtocolError::UnknownKind(b) => write!(f, "unknown frame kind byte {b:#04x}"),
             ProtocolError::Payload(e) => write!(f, "malformed payload: {e}"),
         }
@@ -378,7 +336,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
         })?;
     let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&MAGIC);
-    header[4] = frame.version;
+    header[4] = PROTOCOL_VERSION;
     header[5] = frame.kind;
     header[6..14].copy_from_slice(&frame.request_id.to_le_bytes());
     header[14..18].copy_from_slice(&len.to_le_bytes());
@@ -408,27 +366,26 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ProtocolError> {
         }
     }
     r.read_exact(&mut header[1..])?;
-    let (version, kind, request_id, len) = validate_header(&header)?;
+    let (kind, request_id, len) = validate_header(&header)?;
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok(Some(Frame {
-        version,
         kind,
         request_id,
         payload,
     }))
 }
 
-/// Validates a complete frame header, returning `(version, kind,
-/// request_id, payload_len)`.
-fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u8, u64, u32), ProtocolError> {
+/// Validates a complete frame header, returning `(kind, request_id,
+/// payload_len)`.
+fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u64, u32), ProtocolError> {
     if header[..4] != MAGIC {
         return Err(ProtocolError::BadMagic([
             header[0], header[1], header[2], header[3],
         ]));
     }
     let version = header[4];
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(ProtocolError::UnsupportedVersion(version));
     }
     let kind = header[5];
@@ -440,7 +397,7 @@ fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(u8, u8, u64, u32), Prot
     if len > MAX_PAYLOAD {
         return Err(ProtocolError::Oversize(len));
     }
-    Ok((version, kind, request_id, len))
+    Ok((kind, request_id, len))
 }
 
 /// Extracts one complete frame from the front of an in-memory buffer —
@@ -461,14 +418,13 @@ pub fn parse_frame_bytes(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolE
         return Ok(None);
     }
     let header: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("18-byte slice");
-    let (version, kind, request_id, len) = validate_header(header)?;
+    let (kind, request_id, len) = validate_header(header)?;
     let total = HEADER_LEN + len as usize;
     if buf.len() < total {
         return Ok(None);
     }
     Ok(Some((
         Frame {
-            version,
             kind,
             request_id,
             payload: buf[HEADER_LEN..total].to_vec(),
@@ -481,64 +437,8 @@ pub fn parse_frame_bytes(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtocolE
 // Payload builders/parsers shared by the daemon and the client.
 // ---------------------------------------------------------------------
 
-/// Builds an `ESTIMATE` request payload: the target model (optionally
-/// pinned to a version) and the functional trace to estimate.
-pub fn estimate_request(model: &str, version: Option<u64>, trace: &FunctionalTrace) -> Vec<u8> {
-    let mut fields = vec![("model", JsonValue::from(model))];
-    if let Some(v) = version {
-        fields.push(("version", JsonValue::from(v)));
-    }
-    fields.push(("trace", trace.to_json()));
-    JsonValue::obj(fields).render().into_bytes()
-}
-
-/// Parses an `ESTIMATE` request payload.
-///
-/// # Errors
-///
-/// [`ProtocolError::Payload`] when the payload is not the documented
-/// shape or the embedded trace is malformed.
-pub fn parse_estimate_request(
-    payload: &Frame,
-) -> Result<(String, Option<u64>, FunctionalTrace), ProtocolError> {
-    let doc = payload.json()?;
-    let model = doc.str_field("model")?.to_owned();
-    let version = match doc.get("version") {
-        Some(v) => Some(v.as_u64()?),
-        None => None,
-    };
-    let trace = FunctionalTrace::from_json(doc.field("trace")?)?;
-    Ok((model, version, trace))
-}
-
-/// Builds the `OK` payload of an `ESTIMATE` response.
-///
-/// The per-instant estimate travels as a JSON array rendered through the
-/// shortest-round-trip float writer, so the client recovers the daemon's
-/// `f64`s bit-exactly.
-pub fn estimate_reply(model: &str, version: u64, outcome: &HmmOutcome) -> Vec<u8> {
-    JsonValue::obj([
-        ("model", JsonValue::from(model)),
-        ("version", JsonValue::from(version)),
-        (
-            "estimate",
-            JsonValue::arr(outcome.estimate.iter().map(JsonValue::from_f64)),
-        ),
-        (
-            "wrong_state_predictions",
-            JsonValue::from(outcome.wrong_state_predictions),
-        ),
-        (
-            "unknown_instants",
-            JsonValue::from(outcome.unknown_instants),
-        ),
-    ])
-    .render()
-    .into_bytes()
-}
-
 // ---------------------------------------------------------------------
-// v2 binary payloads: one-shot and streaming estimation.
+// Binary payloads: one-shot and streaming estimation.
 // ---------------------------------------------------------------------
 
 /// Magic bytes opening a binary estimate *reply* payload.
@@ -725,8 +625,7 @@ pub fn parse_stream_chunk_cycles(
     Ok(chunk)
 }
 
-/// A parsed binary estimate reply — the v2 counterpart of the JSON
-/// `ESTIMATE` response body.
+/// A parsed binary estimate reply.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinEstimate {
     /// Name of the model that produced the estimate.
@@ -847,52 +746,19 @@ pub fn stream_close_reply(
     .into_bytes()
 }
 
-// ---------------------------------------------------------------------
-// Version negotiation over PING.
-// ---------------------------------------------------------------------
-
-/// Builds the `OK` payload of a `PING` response for a request that
-/// arrived with protocol version `version`.
-///
-/// The `protocol` field names the version the conversation is using —
-/// v1-built clients assert it is exactly `"psmd/v1"` — while the
-/// `versions` array advertises everything this daemon accepts, which is
-/// what lets a v2-capable client upgrade after a v1 probe. v1 clients
-/// ignore unknown fields, so the advertisement is fully backward
-/// compatible.
-pub fn ping_reply(version: u8) -> Vec<u8> {
-    JsonValue::obj([
-        ("protocol", JsonValue::from(format!("psmd/v{version}"))),
-        (
-            "versions",
-            JsonValue::arr(
-                (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).map(|v| JsonValue::from(v as u64)),
-            ),
-        ),
-    ])
+/// Builds the `OK` payload of a `PING` response: `{"protocol":"psmd/v2"}`.
+pub fn ping_reply() -> Vec<u8> {
+    JsonValue::obj([(
+        "protocol",
+        JsonValue::from(format!("psmd/v{PROTOCOL_VERSION}")),
+    )])
     .render()
     .into_bytes()
 }
 
-/// Parses a `PING` response: the protocol tag plus the peer's supported
-/// versions. A v1 daemon predates the `versions` field; its absence
-/// means "v1 only".
-pub fn parse_ping_reply(frame: &Frame) -> Result<(String, Vec<u8>), ProtocolError> {
-    let doc = frame.json()?;
-    let protocol = doc.str_field("protocol")?.to_owned();
-    let versions = match doc.get("versions") {
-        Some(JsonValue::Arr(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for v in items {
-                out.push(u8::try_from(v.as_u64()?).map_err(|_| {
-                    ProtocolError::Payload(PersistError::schema("protocol version exceeds u8"))
-                })?);
-            }
-            out
-        }
-        _ => vec![1],
-    };
-    Ok((protocol, versions))
+/// Parses a `PING` response, returning its protocol tag.
+pub fn parse_ping_reply(frame: &Frame) -> Result<String, ProtocolError> {
+    Ok(frame.json()?.str_field("protocol")?.to_owned())
 }
 
 /// Builds an `ERROR` response payload.
@@ -912,6 +778,32 @@ pub fn parse_error(frame: &Frame) -> String {
         .unwrap_or_else(|| "unspecified server error".to_owned())
 }
 
+/// Encodes the one `ERROR` frame that answers a header
+/// [`parse_frame_bytes`] rejected; `header` is the start of the rejected
+/// frame. The daemon sends the reply, then hangs up: it cannot
+/// resynchronise inside a stream it failed to frame.
+///
+/// When the header carries the `PSMD` magic, the reply echoes its request
+/// id, and it is stamped v1 when the header said v1. A client built for
+/// the retired dialect then matches the reply to its request and reads
+/// the message, which names v2. Every other frame this build writes
+/// carries [`PROTOCOL_VERSION`].
+pub fn header_error_reply(err: &ProtocolError, header: &[u8]) -> Vec<u8> {
+    let framed = header.len() >= HEADER_LEN && header[..4] == MAGIC;
+    let request_id = if framed {
+        u64::from_le_bytes(header[6..14].try_into().expect("8-byte slice"))
+    } else {
+        0
+    };
+    let mut buf = Vec::new();
+    let frame = Frame::response(Status::Error, request_id, error_payload(&err.to_string()));
+    write_frame(&mut buf, &frame).expect("vec write of a small frame cannot fail");
+    if framed && header[4] == 1 {
+        buf[4] = 1;
+    }
+    buf
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,7 +820,11 @@ mod tests {
     #[test]
     fn frames_round_trip() {
         round_trip(&Frame::request(Opcode::Ping, 7, Vec::new()));
-        round_trip(&Frame::request(Opcode::Estimate, u64::MAX, b"{}".to_vec()));
+        round_trip(&Frame::request(
+            Opcode::EstimateBin,
+            u64::MAX,
+            b"{}".to_vec(),
+        ));
         for status in [Status::Ok, Status::Error, Status::Busy] {
             round_trip(&Frame::response(status, 42, b"{\"a\":1}".to_vec()));
         }
@@ -983,33 +879,12 @@ mod tests {
         // Fake the length without allocating 64 MiB: write_frame checks the
         // declared length before touching the wire.
         let frame = Frame {
-            version: PROTOCOL_VERSION,
-            kind: Opcode::Estimate.as_u8(),
+            kind: Opcode::EstimateBin.as_u8(),
             request_id: 1,
             payload: vec![0u8; (MAX_PAYLOAD as usize) + 1],
         };
         let err = write_frame(&mut Vec::new(), &frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn estimate_request_round_trips() {
-        let mut signals = SignalSet::new();
-        signals.push("en", 1, Direction::Input).unwrap();
-        let mut trace = FunctionalTrace::new(signals);
-        trace.push_cycle(vec![Bits::from_bool(true)]).unwrap();
-
-        let payload = estimate_request("ram1k", Some(3), &trace);
-        let frame = Frame::request(Opcode::Estimate, 5, payload);
-        let (model, version, back) = parse_estimate_request(&frame).unwrap();
-        assert_eq!(model, "ram1k");
-        assert_eq!(version, Some(3));
-        assert_eq!(back, trace);
-
-        let payload = estimate_request("ram1k", None, &trace);
-        let frame = Frame::request(Opcode::Estimate, 6, payload);
-        let (_, version, _) = parse_estimate_request(&frame).unwrap();
-        assert_eq!(version, None);
     }
 
     #[test]
@@ -1028,25 +903,105 @@ mod tests {
             assert!(!op.name().is_empty());
             // STATS reports counters under these names; they must not move.
             assert_eq!(op.counter_name(), format!("serve.op.{}", op.name()));
-            assert!(op.min_version() >= 1 && op.min_version() <= PROTOCOL_VERSION);
         }
         assert!(Opcode::from_u8(0x80).is_none());
-        // The v1 wire bytes must never move.
-        assert_eq!(Opcode::Estimate.as_u8(), 0x01);
+        // The wire bytes must never move, and 0x01 (the retired v1
+        // `ESTIMATE`) is never reassigned.
+        assert!(Opcode::from_u8(0x01).is_none());
+        assert_eq!(Opcode::Stats.as_u8(), 0x02);
         assert_eq!(Opcode::Shutdown.as_u8(), 0x06);
         assert_eq!(Opcode::EstimateBin.as_u8(), 0x07);
         assert_eq!(Opcode::StreamClose.as_u8(), 0x0a);
     }
 
     #[test]
-    fn both_protocol_versions_round_trip_and_are_preserved() {
-        for version in [1u8, 2] {
-            let frame = Frame::request_v(version, Opcode::Ping, 9, Vec::new());
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &frame).unwrap();
-            assert_eq!(buf[4], version, "header carries the frame's version");
-            let got = read_frame(&mut buf.as_slice()).unwrap().unwrap();
-            assert_eq!(got.version, version);
+    fn frames_carry_the_one_protocol_version() {
+        let frame = Frame::request(Opcode::Ping, 9, Vec::new());
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &frame).unwrap();
+        assert_eq!(buf[4], PROTOCOL_VERSION, "header carries the version byte");
+        assert_eq!(read_frame(&mut buf.as_slice()).unwrap().unwrap(), frame);
+        buf[4] = 1;
+        assert!(matches!(
+            read_frame(&mut buf.as_slice()),
+            Err(ProtocolError::UnsupportedVersion(1))
+        ));
+    }
+
+    /// What one read of a byte buffer came to, for comparing
+    /// [`parse_frame_bytes`] with [`read_frame`]: a frame with the bytes
+    /// it used, "needs more bytes", or the variant of a structural error.
+    #[derive(Debug, PartialEq)]
+    enum Parsed {
+        Frame(Frame, usize),
+        Incomplete,
+        Error(std::mem::Discriminant<ProtocolError>),
+    }
+
+    fn parse_bytes(buf: &[u8]) -> Parsed {
+        match parse_frame_bytes(buf) {
+            Ok(Some((frame, used))) => Parsed::Frame(frame, used),
+            Ok(None) => Parsed::Incomplete,
+            Err(e) => Parsed::Error(std::mem::discriminant(&e)),
+        }
+    }
+
+    /// `read_frame` over the buffer. EOF inside the frame is "needs more
+    /// bytes"; EOF before its first byte is a clean close, which only an
+    /// empty buffer gives.
+    fn read_bytes(buf: &[u8]) -> Parsed {
+        let mut rest = buf;
+        match read_frame(&mut rest) {
+            Ok(Some(frame)) => Parsed::Frame(frame, buf.len() - rest.len()),
+            Ok(None) => {
+                assert!(buf.is_empty(), "clean EOF from {} bytes", buf.len());
+                Parsed::Incomplete
+            }
+            Err(ProtocolError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                Parsed::Incomplete
+            }
+            Err(e) => Parsed::Error(std::mem::discriminant(&e)),
+        }
+    }
+
+    #[test]
+    fn every_single_byte_header_mutation_parses_alike_both_ways() {
+        let payload = estimate_bin_request("multsum", Some(3), &two_cycle_trace());
+        let mut good = Vec::new();
+        write_frame(
+            &mut good,
+            &Frame::request(Opcode::EstimateBin, 0x0123_4567, payload),
+        )
+        .unwrap();
+
+        let mut accepted = 0;
+        for at in 0..HEADER_LEN {
+            for byte in 0..=u8::MAX {
+                let mut bytes = good.clone();
+                bytes[at] = byte;
+                let parsed = parse_bytes(&bytes);
+                assert_eq!(parsed, read_bytes(&bytes), "byte {at} = {byte:#04x}");
+                if let Parsed::Frame(frame, used) = parsed {
+                    accepted += 1;
+                    let kind = bytes[5];
+                    assert_eq!(bytes[4], PROTOCOL_VERSION, "byte {at} = {byte:#04x}");
+                    assert_ne!(kind, 0x01, "the retired ESTIMATE byte is never accepted");
+                    assert!(Opcode::from_u8(kind).is_some() || Status::from_u8(kind).is_some());
+                    assert_eq!(frame.kind, kind);
+                    assert_eq!(used, HEADER_LEN + frame.payload.len());
+                }
+            }
+        }
+        // Every mutation of the id and length bytes that keeps the length
+        // within the buffer, plus the known kinds, is still a frame.
+        assert!(
+            accepted > 8 * 256,
+            "only {accepted} mutated headers accepted"
+        );
+
+        for cut in 0..good.len() {
+            assert_eq!(parse_bytes(&good[..cut]), Parsed::Incomplete, "cut {cut}");
+            assert_eq!(read_bytes(&good[..cut]), Parsed::Incomplete, "cut {cut}");
         }
     }
 
@@ -1255,32 +1210,6 @@ mod tests {
             parse_estimate_bin_reply(&frame),
             Err(ProtocolError::Payload(_))
         ));
-    }
-
-    #[test]
-    fn ping_negotiation_is_backward_compatible() {
-        // The v1 conversation still reads exactly "psmd/v1" …
-        let v1 = Frame::response_v(1, Status::Ok, 1, ping_reply(1));
-        let (protocol, versions) = parse_ping_reply(&v1).unwrap();
-        assert_eq!(protocol, "psmd/v1");
-        // … while advertising the upgrade path.
-        assert_eq!(versions, vec![1, 2]);
-
-        let v2 = Frame::response(Status::Ok, 1, ping_reply(2));
-        let (protocol, _) = parse_ping_reply(&v2).unwrap();
-        assert_eq!(protocol, "psmd/v2");
-
-        // A legacy daemon's reply (no `versions` field) means v1-only.
-        let legacy = Frame::response_v(
-            1,
-            Status::Ok,
-            1,
-            JsonValue::obj([("protocol", JsonValue::from("psmd/v1"))])
-                .render()
-                .into_bytes(),
-        );
-        let (_, versions) = parse_ping_reply(&legacy).unwrap();
-        assert_eq!(versions, vec![1]);
     }
 
     #[test]

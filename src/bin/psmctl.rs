@@ -1,16 +1,15 @@
 //! `psmctl` — client CLI for the `psmd` estimation daemon.
 //!
 //! Submits functional traces for estimation (generated from the built-in
-//! IP testbenches or loaded from a trace artifact) as binary v2 frames —
-//! one-shot, streamed in chunks, or the v1 JSON dialect on request —
-//! benchmarks a daemon with pipelined streams, lists and hot-reloads the
+//! IP testbenches or loaded from a trace artifact) as binary frames —
+//! one-shot or streamed in chunks — benchmarks a daemon with pipelined streams, lists and hot-reloads the
 //! daemon's model registry, fetches its stats, and shuts it down.
 //! Results print as text or the machine-readable JSON the workspace's
 //! other tools emit on stdout; progress goes to stderr.
 
 use psm_persist::{decode_artifact, JsonValue, Persist};
 use psmgen::ips::{behavioural_trace, ip_by_name, testbench};
-use psmgen::serve::protocol::{self, Frame, Opcode, Status};
+use psmgen::serve::protocol::{self, Frame, Opcode, Status, PROTOCOL_VERSION};
 use psmgen::serve::{Client, ClientError, EstimateReply, ModelInfo, DEFAULT_ADDR};
 use psmgen::trace::FunctionalTrace;
 use std::collections::HashMap;
@@ -23,7 +22,7 @@ const USAGE: &str = "\
 usage: psmctl [--addr <ip:port>] <command> [options]
 
 Commands:
-  ping                        liveness probe and protocol negotiation
+  ping                        liveness probe (the daemon must speak psmd/v2)
   list                        models in the daemon's registry snapshot
   estimate <model>            estimate a workload against <model>
       --version <n>           pin a registry version (default: latest)
@@ -31,8 +30,6 @@ Commands:
                               testbench (IP: RAM, MultSum, AES, Camellia)
       --trace <path>          load the workload from a trace artifact
                               (FunctionalTrace JSON)
-      --json-payload          send the trace as v1 JSON instead of the
-                              default v2 binary frames
       --stream                stream the workload through a session
       --chunks <k>            cycles per streamed chunk (default 256)
       --slow-write-ms <ms>    write the request in two halves with a
@@ -178,10 +175,7 @@ fn slow_estimate(
     let _ = sock.set_nodelay(true);
     let payload = protocol::estimate_bin_request(model, version, workload);
     let mut bytes = Vec::new();
-    protocol::write_frame(
-        &mut bytes,
-        &Frame::request_v(2, Opcode::EstimateBin, 1, payload),
-    )?;
+    protocol::write_frame(&mut bytes, &Frame::request(Opcode::EstimateBin, 1, payload))?;
     let half = bytes.len() / 2;
     sock.write_all(&bytes[..half])?;
     std::thread::sleep(pause);
@@ -420,7 +414,6 @@ fn main() -> ExitCode {
     let mut command: Option<String> = None;
     let mut model: Option<String> = None;
     let mut second: Option<String> = None;
-    let mut json_payload = false;
     let mut stream_mode = false;
     let mut chunk_cycles = 256usize;
     let mut slow_write: Option<Duration> = None;
@@ -457,7 +450,6 @@ fn main() -> ExitCode {
                 Some(path) => trace_path = Some(path.clone()),
                 None => return fail("--trace needs a path"),
             },
-            "--json-payload" => json_payload = true,
             "--stream" => stream_mode = true,
             "--chunks" => match parse_pos(it.next(), "--chunks") {
                 Ok(n) => chunk_cycles = n,
@@ -541,12 +533,9 @@ fn main() -> ExitCode {
     };
 
     match command.as_str() {
-        "ping" => match client.negotiate().and_then(|v| {
-            client.ping()?;
-            Ok(v)
-        }) {
-            Ok(v) => {
-                println!("psmd at {addr} is alive (psmd/v{v})");
+        "ping" => match client.ping() {
+            Ok(()) => {
+                println!("psmd at {addr} is alive (psmd/v{PROTOCOL_VERSION})");
                 ExitCode::SUCCESS
             }
             Err(e) => client_exit(&e),
@@ -570,10 +559,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let payload_kind = match (stream_mode, json_payload) {
-                (true, _) => "streamed binary",
-                (false, true) => "JSON",
-                (false, false) => "binary",
+            let payload_kind = if stream_mode {
+                "streamed binary"
+            } else {
+                "binary"
             };
             eprintln!(
                 "psmctl: submitting {} cycle(s) to {model} at {addr} ({payload_kind} payload)",
@@ -583,8 +572,6 @@ fn main() -> ExitCode {
                 slow_estimate(&addr, &model, version, &workload, pause)
             } else if stream_mode {
                 stream_estimate(&mut client, &model, version, &workload, chunk_cycles)
-            } else if json_payload {
-                client.estimate_json(&model, version, &workload)
             } else {
                 client.estimate_binary(&model, version, &workload)
             };

@@ -1,10 +1,9 @@
 //! `psmd` — the power-estimation daemon.
 //!
 //! Serves a registry of trained models (`psm-persist` artifacts named
-//! `<model>@<version>.json`) over the `psmd/v2` framed TCP protocol
-//! (v1 clients keep working): clients submit functional traces as JSON
-//! or binary frames — one-shot or chunked over a streaming session —
-//! and the daemon classifies and HMM-simulates them on a bounded worker
+//! `<model>@<version>.json`) over the `psmd/v2` framed TCP protocol:
+//! clients submit functional traces as binary frames — one-shot or
+//! chunked over a streaming session — and the daemon classifies and HMM-simulates them on a bounded worker
 //! pool, one request per worker turn, answering per-instant estimates
 //! incrementally. One readiness-driven event loop serves every
 //! connection. `RELOAD` hot-swaps the registry atomically; `SHUTDOWN`
@@ -27,6 +26,10 @@ Options:
   --queue <n>        queue slots before requests bounce BUSY (default 64)
   --port-file <path> write the bound address to <path> once listening
   -h, --help         show this help
+
+Protocol: psmd/v2 only. A frame of another version, or of the retired
+v1 JSON ESTIMATE opcode, gets one ERROR naming v2, then the connection
+closes.
 
 Shutdown: the SHUTDOWN opcode (psmctl shutdown) or SIGTERM. Both drain
 queued estimates, flush the stats report to stderr and exit 0.";

@@ -7,7 +7,8 @@
 //! count must equal the reference result — one-shot, under any chunking
 //! of the same inputs, and for models the compiler was never tuned on.
 //! These tests pin that contract on all four paper benchmarks (directly
-//! and through `PsmFlow`'s flat and hierarchical estimation), on
+//! and through `PsmFlow`'s flat and hierarchical estimation), on a
+//! long-TS model whose states hold many copies of each chain, on
 //! randomised PRNG-built models (including unknown and out-of-range
 //! observations), and through the `psmgen-artifact/v3` round trip into
 //! the serving registry.
@@ -21,6 +22,7 @@ use psmgen::mining::{PropositionId, PropositionTrace};
 use psmgen::psm::{classify_trace, generate_psm, join, MergePolicy};
 use psmgen::serve::Registry;
 use psmgen::trace::{FunctionalTrace, PowerTrace};
+use std::collections::HashSet;
 use std::process::Command;
 
 const BENCHES: [&str; 4] = ["RAM", "MultSum", "AES", "Camellia"];
@@ -120,6 +122,47 @@ fn flow_estimation_is_bit_identical_to_the_reference_simulator() {
     }
 }
 
+/// Feeds `obs` to `compiled` in windows of 1, 3, 7, 64 and all instants,
+/// asserting each chunked run equals the one-shot run bit for bit.
+fn assert_chunked_resume_matches_one_shot(
+    compiled: &CompiledModel,
+    obs: &[Option<PropositionId>],
+    hamming: &[u32],
+    name: &str,
+) {
+    let oneshot = compiled.run(obs, hamming);
+    for window in [1usize, 3, 7, 64, obs.len()] {
+        let mut state = compiled.begin();
+        let mut estimate = PowerTrace::with_capacity(obs.len());
+        let mut start = 0;
+        while start < obs.len() {
+            let end = (start + window).min(obs.len());
+            compiled.resume(
+                &mut state,
+                &obs[start..end],
+                &hamming[start..end],
+                &mut estimate,
+            );
+            start = end;
+        }
+        assert_eq!(
+            state.wrong_state_predictions(),
+            oneshot.wrong_state_predictions,
+            "{name} window {window}"
+        );
+        assert_eq!(
+            state.unknown_instants(),
+            oneshot.unknown_instants,
+            "{name} window {window}"
+        );
+        assert_eq!(state.instants(), obs.len(), "{name} window {window}");
+        assert_eq!(estimate.len(), oneshot.estimate.len());
+        for (a, b) in estimate.iter().zip(oneshot.estimate.iter()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{name} window {window}");
+        }
+    }
+}
+
 #[test]
 fn streamed_chunk_resume_is_bit_identical_for_every_window() {
     for name in BENCHES {
@@ -127,38 +170,46 @@ fn streamed_chunk_resume_is_bit_identical_for_every_window() {
         let compiled = model.compile().expect("model compiles");
         let obs = classify_trace(&model.table, &workload);
         let hamming = workload.input_hamming_series();
-        let oneshot = compiled.run(&obs, &hamming);
-        for window in [1usize, 3, 7, 64, obs.len()] {
-            let mut state = compiled.begin();
-            let mut estimate = PowerTrace::with_capacity(obs.len());
-            let mut start = 0;
-            while start < obs.len() {
-                let end = (start + window).min(obs.len());
-                compiled.resume(
-                    &mut state,
-                    &obs[start..end],
-                    &hamming[start..end],
-                    &mut estimate,
-                );
-                start = end;
-            }
-            assert_eq!(
-                state.wrong_state_predictions(),
-                oneshot.wrong_state_predictions,
-                "{name} window {window}"
-            );
-            assert_eq!(
-                state.unknown_instants(),
-                oneshot.unknown_instants,
-                "{name} window {window}"
-            );
-            assert_eq!(state.instants(), obs.len(), "{name} window {window}");
-            assert_eq!(estimate.len(), oneshot.estimate.len());
-            for (a, b) in estimate.iter().zip(oneshot.estimate.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{name} window {window}");
-            }
-        }
+        assert_chunked_resume_matches_one_shot(&compiled, &obs, &hamming, name);
     }
+}
+
+/// A model trained on long traces: joining absorbs many identical chains
+/// into each state, so the compiled walk meets the same chain several
+/// times per instant. Removing those duplicates from the walk must not
+/// move a single estimate bit.
+#[test]
+fn long_ts_model_with_duplicate_chains_is_bit_identical() {
+    let name = "MultSum";
+    let flow = flow_for(name);
+    let mut ip = ip_by_name(name).expect("paper benchmark");
+    let stimuli: Vec<_> = (7..=10)
+        .map(|seed| testbench::long_ts(name, seed, 5_000).expect("paper benchmark"))
+        .collect();
+    let model = flow
+        .train(ip.as_mut(), &stimuli)
+        .expect("training succeeds");
+    let (total, distinct) = model
+        .psm
+        .states()
+        .fold((0, 0), |(total, distinct), (_, s)| {
+            let unique: HashSet<_> = s.chains().iter().collect();
+            (total + s.chains().len(), distinct + unique.len())
+        });
+    assert!(
+        total > distinct,
+        "long-TS states hold duplicate chains ({total} chains, {distinct} distinct)"
+    );
+
+    let stim = testbench::long_ts(name, 11, 1_000).expect("paper benchmark");
+    let workload = behavioural_trace(ip.as_mut(), &stim).expect("workload fits");
+    let compiled = model.compile().expect("model compiles");
+    let obs = classify_trace(&model.table, &workload);
+    let hamming = workload.input_hamming_series();
+    let interp = oracle(&model, &workload);
+    assert!(!interp.estimate.is_empty(), "{name}: empty workload");
+    assert_bit_identical(&compiled.run(&obs, &hamming), &interp, "MultSum long-TS");
+    assert_chunked_resume_matches_one_shot(&compiled, &obs, &hamming, "MultSum long-TS");
 }
 
 #[test]

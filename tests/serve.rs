@@ -1,12 +1,13 @@
 //! End-to-end contracts of the `psmd` estimation service: wire-level
-//! estimates (JSON, binary and streamed) are byte-identical to
-//! in-process `PsmFlow` estimation, v1 clients interoperate with the v2
-//! daemon, malformed binary frames get structured errors, backpressure
+//! estimates (one-shot and streamed) are byte-identical to in-process
+//! `PsmFlow` estimation, a v1 client gets one clean error, malformed
+//! binary frames get structured errors, backpressure
 //! is explicit (`BUSY`), registry hot-reload is atomic towards
 //! in-flight requests, slow writers cannot stall other connections,
 //! shutdown drains before exiting, and `psmgen-artifact/v3` files written
 //! by earlier builds still serve.
 
+use psm_persist::{JsonValue, Persist};
 use psm_prng::Prng;
 use psmgen::flow::{IpPreset, PsmFlow, TrainedModel};
 use psmgen::hmm::HmmSimulator;
@@ -15,7 +16,7 @@ use psmgen::psm::classify_trace;
 use psmgen::serve::protocol::{self, Frame, Opcode, Status};
 use psmgen::serve::{Client, ClientError, PoolConfig, Registry, Server, ServerConfig};
 use psmgen::trace::{Bits, Direction, FunctionalTrace, SignalSet};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -71,7 +72,7 @@ fn eight_parallel_clients_get_byte_identical_estimates() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 let reply = client
-                    .estimate_json("multsum", None, &trace)
+                    .estimate_binary("multsum", None, &trace)
                     .expect("estimate");
                 let expected_bits: Vec<u64> = expected.estimate.iter().map(f64::to_bits).collect();
                 let got_bits: Vec<u64> = reply.estimate.iter().map(|v| v.to_bits()).collect();
@@ -93,7 +94,7 @@ fn eight_parallel_clients_get_byte_identical_estimates() {
 
     Client::connect(addr).unwrap().shutdown().unwrap();
     let report = running.join().expect("clean exit");
-    assert_eq!(report.named_counter("serve.op.estimate"), 8);
+    assert_eq!(report.named_counter("serve.op.estimate_bin"), 8);
     assert!(report.named_counter("serve.connections") >= 8);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -118,7 +119,7 @@ fn full_queue_answers_busy_without_losing_accepted_work() {
             let trace = workload(seed, 300);
             Client::connect(addr)
                 .unwrap()
-                .estimate_json("multsum", None, &trace)
+                .estimate_binary("multsum", None, &trace)
         })
     };
     let a = spawn_estimate(1);
@@ -127,7 +128,7 @@ fn full_queue_answers_busy_without_losing_accepted_work() {
     std::thread::sleep(Duration::from_millis(150));
     let trace = workload(3, 300);
     let mut c = Client::connect(addr).unwrap();
-    let err = c.estimate_json("multsum", None, &trace).unwrap_err();
+    let err = c.estimate_binary("multsum", None, &trace).unwrap_err();
     assert!(matches!(err, ClientError::Busy), "expected BUSY, got {err}");
 
     // Backpressure never cancels accepted work.
@@ -137,7 +138,7 @@ fn full_queue_answers_busy_without_losing_accepted_work() {
     c.shutdown().unwrap();
     let report = running.join().expect("clean exit");
     assert!(report.named_counter("serve.busy") >= 1);
-    assert_eq!(report.named_counter("serve.op.estimate"), 3);
+    assert_eq!(report.named_counter("serve.op.estimate_bin"), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -158,7 +159,7 @@ fn hot_reload_is_atomic_towards_a_live_request_stream() {
             let mut versions = Vec::new();
             while !stop.load(Ordering::SeqCst) {
                 let reply = client
-                    .estimate_json("multsum", None, &trace)
+                    .estimate_binary("multsum", None, &trace)
                     .expect("no estimate may fail across the reload");
                 assert_eq!(reply.estimate.len(), trace.len());
                 versions.push(reply.version);
@@ -209,7 +210,7 @@ fn shutdown_drains_queued_estimates_and_flushes_stats() {
                 let trace = workload(seed, 250);
                 let reply = Client::connect(addr)
                     .unwrap()
-                    .estimate_json("multsum", None, &trace)
+                    .estimate_binary("multsum", None, &trace)
                     .expect("accepted estimate must be answered before exit");
                 (reply.estimate.len(), trace.len())
             })
@@ -224,7 +225,7 @@ fn shutdown_drains_queued_estimates_and_flushes_stats() {
         assert_eq!(got, want, "drained estimate is complete, not truncated");
     }
     let report = running.join().expect("exit 0 equivalent: a clean Ok join");
-    assert_eq!(report.named_counter("serve.op.estimate"), 3);
+    assert_eq!(report.named_counter("serve.op.estimate_bin"), 3);
     assert_eq!(report.named_counter("serve.op.shutdown"), 1);
     assert!(
         report.gauge("serve.queue_depth").is_some(),
@@ -233,74 +234,93 @@ fn shutdown_drains_queued_estimates_and_flushes_stats() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Everything the daemon sends on `sock` until it hangs up.
+fn read_until_hang_up(sock: &mut TcpStream) -> Vec<u8> {
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut bytes = Vec::new();
+    sock.read_to_end(&mut bytes)
+        .expect("the daemon hangs up before the deadline");
+    bytes
+}
+
 #[test]
-fn v1_client_interops_with_the_v2_daemon() {
-    let dir = temp_registry("v1compat");
+fn v1_client_gets_one_clean_error() {
+    let dir = temp_registry("v1-refused");
     train_into(&dir, "multsum@1.json", &[1]);
     let flow = PsmFlow::builder().preset(IpPreset::MultSum).build();
     let loaded = TrainedModel::load(dir.join("multsum@1.json")).unwrap();
     let running = Server::bind(ServerConfig::new(&dir)).unwrap().spawn();
     let addr = running.addr();
     let trace = workload(5, 120);
+
+    // Raw frames as a client built for the retired v1 dialect wrote them:
+    // a v1 PING and a v1 JSON ESTIMATE (kind 0x01).
+    let frame = |version: u8, kind: u8, id: u64, payload: &[u8]| {
+        let mut bytes = b"PSMD".to_vec();
+        bytes.push(version);
+        bytes.push(kind);
+        bytes.extend_from_slice(&id.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    };
+    let estimate_json = JsonValue::obj([
+        ("model", JsonValue::from("multsum")),
+        ("trace", trace.to_json()),
+    ])
+    .render()
+    .into_bytes();
+    let cases = [
+        (frame(1, 0x05, 1, &[]), 1, "unsupported protocol version 1"),
+        (
+            frame(1, 0x01, 2, &estimate_json),
+            1,
+            "unsupported protocol version 1",
+        ),
+        // The retired opcode inside a current frame fails on its kind.
+        (
+            frame(2, 0x01, 3, &estimate_json),
+            2,
+            "unknown frame kind byte 0x01",
+        ),
+    ];
+    for (i, (request, stamp, reason)) in cases.into_iter().enumerate() {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&request).unwrap();
+        let bytes = read_until_hang_up(&mut sock);
+        assert!(bytes.len() > protocol::HEADER_LEN, "case {i}: {bytes:?}");
+        assert_eq!(&bytes[..4], b"PSMD", "case {i}");
+        assert_eq!(
+            bytes[4], stamp,
+            "case {i}: the reply speaks the peer's version"
+        );
+        // Read the body through today's parser, whatever the stamp.
+        let mut as_v2 = bytes.clone();
+        as_v2[4] = protocol::PROTOCOL_VERSION;
+        let (reply, used) = protocol::parse_frame_bytes(&as_v2)
+            .unwrap()
+            .expect("one whole frame");
+        assert_eq!(used, bytes.len(), "case {i}: exactly one frame, then EOF");
+        assert_eq!(reply.request_id, i as u64 + 1, "case {i}: the id is echoed");
+        assert_eq!(reply.status(), Some(Status::Error), "case {i}");
+        let message = protocol::parse_error(&reply);
+        assert!(message.contains(reason), "case {i}: {message}");
+        assert!(message.contains("v2"), "case {i}: {message}");
+    }
+
+    // A current client on a new connection is served bit-exactly.
     let expected = flow.estimate_from_trace(&loaded, &trace);
-
-    // Speak raw v1 frames — exactly what a client built before the v2
-    // protocol existed sends.
-    let mut sock = TcpStream::connect(addr).unwrap();
-    protocol::write_frame(&mut sock, &Frame::request_v(1, Opcode::Ping, 1, Vec::new())).unwrap();
-    let reply = protocol::read_frame(&mut sock)
-        .unwrap()
-        .expect("ping reply");
-    assert_eq!(reply.version, 1, "responses echo the request's version");
-    assert_eq!(reply.status(), Some(Status::Ok));
-    let (tag, versions) = protocol::parse_ping_reply(&reply).unwrap();
-    assert_eq!(tag, "psmd/v1", "a v1 conversation stays psmd/v1");
-    assert!(
-        versions.contains(&2),
-        "the daemon still advertises v2 for upgraders: {versions:?}"
-    );
-
-    let payload = protocol::estimate_request("multsum", None, &trace);
-    protocol::write_frame(
-        &mut sock,
-        &Frame::request_v(1, Opcode::Estimate, 2, payload),
-    )
-    .unwrap();
-    let reply = protocol::read_frame(&mut sock)
-        .unwrap()
-        .expect("estimate reply");
-    assert_eq!(reply.version, 1);
-    assert_eq!(reply.status(), Some(Status::Ok));
-    let doc = reply.json().unwrap();
-    let got_bits: Vec<u64> = doc
-        .arr_field("estimate")
-        .unwrap()
-        .iter()
-        .map(|v| v.as_f64().unwrap().to_bits())
-        .collect();
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client.estimate_binary("multsum", None, &trace).unwrap();
+    let got_bits: Vec<u64> = reply.estimate.iter().map(|v| v.to_bits()).collect();
     let expected_bits: Vec<u64> = expected.estimate.iter().map(f64::to_bits).collect();
-    assert_eq!(got_bits, expected_bits, "v1 estimates stay bit-exact");
+    assert_eq!(got_bits, expected_bits);
 
-    // v2-only opcodes inside a v1 frame are structured errors, not hangs.
-    let payload = protocol::stream_close_request(1);
-    protocol::write_frame(
-        &mut sock,
-        &Frame::request_v(1, Opcode::StreamClose, 3, payload),
-    )
-    .unwrap();
-    let reply = protocol::read_frame(&mut sock)
-        .unwrap()
-        .expect("gate reply");
-    assert_eq!(reply.version, 1);
-    assert_eq!(reply.status(), Some(Status::Error));
-    assert!(
-        protocol::parse_error(&reply).contains("requires protocol v2"),
-        "{}",
-        protocol::parse_error(&reply)
-    );
-
-    Client::connect(addr).unwrap().shutdown().unwrap();
-    running.join().expect("clean exit");
+    client.shutdown().unwrap();
+    let report = running.join().expect("clean exit");
+    assert_eq!(report.named_counter("serve.protocol_errors"), 3);
+    assert_eq!(report.named_counter("serve.op.ping"), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -407,9 +427,9 @@ fn interface_mismatch_is_an_error_reply_not_a_dead_worker() {
     assert_eq!(reply.request_id, 7);
     assert_eq!(reply.status(), Some(Status::Error));
     drop(sock);
-    // The JSON estimate and the stream opener refuse it the same way.
+    // The client's estimate and the stream opener refuse it the same way.
     assert!(matches!(
-        client.estimate_json("multsum", None, &narrow),
+        client.estimate_binary("multsum", None, &narrow),
         Err(ClientError::Server(msg)) if msg.contains("interface mismatch")
     ));
     assert!(matches!(
@@ -499,8 +519,7 @@ fn slow_partial_writer_does_not_stall_other_clients() {
     let mut bytes = Vec::new();
     protocol::write_frame(
         &mut bytes,
-        &Frame::request_v(
-            2,
+        &Frame::request(
             Opcode::EstimateBin,
             77,
             protocol::estimate_bin_request("multsum", None, &trace),
@@ -554,8 +573,7 @@ fn half_closing_client_still_gets_its_responses() {
     for id in [11u64, 12] {
         protocol::write_frame(
             &mut bytes,
-            &Frame::request_v(
-                2,
+            &Frame::request(
                 Opcode::EstimateBin,
                 id,
                 protocol::estimate_bin_request("multsum", None, &trace),
@@ -596,8 +614,8 @@ fn inline_errors_are_one_error_reply_each() {
     let mut sock = TcpStream::connect(running.addr()).unwrap();
     sock.set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let mut call = |version: u8, op: Opcode, id: u64, payload: Vec<u8>| {
-        protocol::write_frame(&mut sock, &Frame::request_v(version, op, id, payload)).unwrap();
+    let mut call = |op: Opcode, id: u64, payload: Vec<u8>| {
+        protocol::write_frame(&mut sock, &Frame::request(op, id, payload)).unwrap();
         let reply = protocol::read_frame(&mut sock)
             .expect("a reply before the deadline")
             .expect("an open connection");
@@ -606,7 +624,6 @@ fn inline_errors_are_one_error_reply_each() {
     };
 
     let opened = call(
-        2,
         Opcode::StreamOpen,
         1,
         protocol::stream_open_request(1, "multsum", None, trace.signals()),
@@ -614,57 +631,43 @@ fn inline_errors_are_one_error_reply_each() {
     assert_eq!(opened.status(), Some(Status::Ok));
     let mut bad_chunk = protocol::stream_chunk_request(1, &trace);
     bad_chunk.pop();
-    let cases: Vec<(u8, Opcode, Vec<u8>)> = vec![
-        (2, Opcode::Estimate, b"{\"model\": ".to_vec()),
+    let cases: Vec<(Opcode, Vec<u8>)> = vec![
         (
-            2,
             Opcode::EstimateBin,
             protocol::estimate_bin_request("nosuch", None, &trace),
         ),
         (
-            2,
             Opcode::EstimateBin,
             protocol::estimate_bin_request("multsum", Some(9), &trace),
         ),
         (
-            1,
-            Opcode::StreamChunk,
-            protocol::stream_chunk_request(1, &trace),
-        ),
-        (
-            2,
             Opcode::StreamOpen,
             protocol::stream_open_request(1, "multsum", None, trace.signals()),
         ),
         (
-            2,
             Opcode::StreamChunk,
             protocol::stream_chunk_request(5, &trace),
         ),
-        (2, Opcode::StreamClose, protocol::stream_close_request(6)),
-        (2, Opcode::StreamChunk, bad_chunk),
+        (Opcode::StreamClose, protocol::stream_close_request(6)),
+        (Opcode::StreamChunk, bad_chunk),
     ];
     let expected = [
-        "malformed payload: JSON syntax error at byte 10: unexpected end of input",
         "unknown model nosuch",
         "unknown model multsum@9",
-        "opcode stream_chunk requires protocol v2 (frame is v1)",
         "stream 1 is already open",
         "stream 5 is not open",
         "stream 6 is not open",
         "malformed payload: JSON schema error: binary trace payload truncated at byte 14: need 7720 more byte(s), have 7719",
     ];
-    for (i, ((version, op, payload), want)) in cases.into_iter().zip(expected).enumerate() {
+    for (i, ((op, payload), want)) in cases.into_iter().zip(expected).enumerate() {
         let id = 10 + i as u64;
-        let reply = call(version, op, id, payload);
-        assert_eq!(reply.version, version, "case {i}");
+        let reply = call(op, id, payload);
         assert_eq!(reply.status(), Some(Status::Error), "case {i}");
         assert_eq!(protocol::parse_error(&reply), want, "case {i}");
     }
 
     // The connection still serves a good estimate afterwards.
     let reply = call(
-        2,
         Opcode::EstimateBin,
         99,
         protocol::estimate_bin_request("multsum", None, &trace),
