@@ -131,21 +131,17 @@ grep -q serve.estimate_ns target/psmd-smoke/stats.json
 ./target/release/psmctl --addr "$PSMD_ADDR" shutdown
 wait "$PSMD_PID"   # psmd must drain and exit 0
 
-echo "==> psmd: v3 artifact (psmctl compile) serves the v2 answer bit for bit"
-# Rewrite the smoke artifact as a psmgen-artifact/v3 with the flat-table
-# serving form precomputed, serve it from a second registry, and require
-# the same workload to estimate to the same bytes as the v2 run above.
+echo "==> psmd: v3 artifacts serve the v2 answer bit for bit"
+# psmd compiles every model at load and ignores a v3 file's compiled
+# section. Serve the legacy fixture an earlier build wrote and a v3 copy
+# of the smoke artifact (its header rewritten), check that both list at
+# format 3, and require the copy to estimate the workload to the same
+# bytes as the v2 run above.
 rm -rf target/psmd-smoke-v3 && mkdir -p target/psmd-smoke-v3
-./target/release/psmctl compile \
-    target/psmd-smoke/demo@1.json target/psmd-smoke-v3/demo@1.json
-# A v3 file an earlier build wrote (its compiled section still holds
-# tables since dropped) must compile, and compiling the output again must
-# reproduce it byte for byte. psmd below serves both outputs too.
-./target/release/psmctl compile \
-    examples/artifacts/verify_defect_legacy_v3.json target/psmd-smoke-v3/legacy@1.json
-./target/release/psmctl compile \
-    target/psmd-smoke-v3/legacy@1.json target/psmd-smoke-v3/legacy@2.json
-cmp target/psmd-smoke-v3/legacy@1.json target/psmd-smoke-v3/legacy@2.json
+cp examples/artifacts/verify_defect_legacy_v3.json target/psmd-smoke-v3/legacy@1.json
+sed '1s|^psmgen-artifact/v2$|psmgen-artifact/v3|' \
+    target/psmd-smoke/demo@1.json > target/psmd-smoke-v3/demo@1.json
+head -n 1 target/psmd-smoke-v3/demo@1.json | grep -qx 'psmgen-artifact/v3'
 ./target/release/psmd --registry target/psmd-smoke-v3 \
     --addr 127.0.0.1:0 --port-file target/psmd-smoke/v3-port &
 PSMD_PID=$!
@@ -154,6 +150,9 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 PSMD_ADDR="$(cat target/psmd-smoke/v3-port)"
+./target/release/psmctl --addr "$PSMD_ADDR" list > target/psmd-smoke/v3-list.txt
+grep -q 'legacy@1  format v3' target/psmd-smoke/v3-list.txt
+grep -q 'demo@1  format v3' target/psmd-smoke/v3-list.txt
 ./target/release/psmctl --addr "$PSMD_ADDR" estimate demo \
     --gen MultSum:7:500 --format json > target/psmd-smoke/v3-estimate.json
 cmp target/psmd-smoke/estimate.json target/psmd-smoke/v3-estimate.json

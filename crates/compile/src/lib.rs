@@ -16,6 +16,11 @@
 //! decoding, π and the per-state power attributes stay with the source
 //! `Hmm` and `Psm`.
 //!
+//! A compiled model is never written to disk. Compiling takes tens of
+//! microseconds, so every consumer — the flow's estimation and `psmd`'s
+//! registry alike — calls [`CompiledModel::compile`] on the PSM and HMM
+//! it loaded, and a model artifact carries only the trained model.
+//!
 //! The compiled form is behaviour-preserving to the bit: every estimate,
 //! wrong-state-prediction count and unknown-instant count equals the
 //! reference `HmmSimulator::run` result exactly, one-shot and under any
@@ -58,7 +63,6 @@
 
 mod model;
 mod pass;
-mod persist;
 
 pub use model::{CompileError, CompiledModel};
 pub use pass::CompiledForwardState;

@@ -127,13 +127,11 @@ pub(crate) struct EntryTable {
 }
 
 impl EntryTable {
-    /// Derives the table from a chain table whose offsets have been
-    /// checked: `chain_off` and `part_off` start at 0, increase strictly
-    /// and end inside the next table. Walking chains in global order
-    /// (states ascending, chains ascending) and bucketing them by entry
-    /// proposition keeps each symbol's slots in the interpreter's scan
-    /// order.
-    pub(crate) fn derive(chain_off: &[u32], part_off: &[u32], part_left: &[u32]) -> EntryTable {
+    /// Buckets the chains of a compiled chain table by their entry
+    /// proposition. Walking chains in global order (states ascending,
+    /// chains ascending) keeps each symbol's slots in the interpreter's
+    /// scan order.
+    fn derive(chain_off: &[u32], part_off: &[u32], part_left: &[u32]) -> EntryTable {
         let entry = |c: u32| part_left[part_off[c as usize] as usize] as usize;
         let chains = *chain_off.last().expect("one offset per state plus one");
         let props = (0..chains).map(|c| entry(c) + 1).max().unwrap_or(0);
@@ -297,30 +295,5 @@ impl CompiledModel {
     /// Number of emission symbols.
     pub fn num_symbols(&self) -> usize {
         self.k
-    }
-
-    /// Total bytes held by the compiled tables (diagnostic; excludes the
-    /// struct header).
-    pub fn footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.at.len()
-            + self.bt.len()
-            + self.emission.len()
-            + self.out_slope.len()
-            + self.out_offset.len())
-            * size_of::<f64>()
-            + (self.chain_off.len()
-                + self.part_off.len()
-                + self.part_left.len()
-                + self.part_right.len()
-                + self.entries.off.len()
-                + self.entries.state.len()
-                + self.trans_off.len()
-                + self.trans_to.len()
-                + self.trans_guard.len())
-                * size_of::<u32>()
-            + self.part_next.len()
-            + self.emission_ok.len()
-            + self.out_kind.len()
     }
 }

@@ -19,16 +19,12 @@
 //!   parsing — and possibly downloading — the whole body, and lets future
 //!   format changes fail with a *structured* "unsupported version" error
 //!   instead of a JSON parse error deep inside the body.
-//! * **v3** (PR 10): the v2 body plus a `"compiled"` field holding the
-//!   flat-table serving form of the model (`psm-compile`'s
-//!   `CompiledModel`). Written by `TrainedModel::save_compiled` /
-//!   `psmctl compile` via [`encode_artifact_versioned`]; the registry
-//!   serves this section after checking it against a fresh compile. A v3
-//!   body minus `"compiled"` is exactly a v2 body, so v2 readers of the
-//!   future could downgrade by stripping the field. The section's own keys
-//!   are `psm-compile`'s to define: sections written by earlier builds
-//!   carry keys this one ignores, and a reader older than a section's
-//!   keys fails with a schema error naming the first missing one.
+//! * **v3** (read-only legacy): the v2 body plus a `"compiled"` field in
+//!   which earlier builds shipped the flat-table serving form of the model
+//!   (`psm-compile`'s `CompiledModel`). This build writes v2
+//!   only and still reads v3, ignoring the `"compiled"` field whatever it
+//!   holds: every consumer compiles the model from its `psm` and `hmm` at
+//!   load, so a v3 file serves exactly what its v2 body serves.
 //!
 //! Truncated, empty or wrong-magic files always surface as
 //! [`PersistError`] values, never as panics; the facade wraps them in
@@ -47,41 +43,22 @@ use std::path::{Path, PathBuf};
 /// The artifact magic, first bytes of every headered model file.
 pub const ARTIFACT_MAGIC: &str = "psmgen-artifact";
 
-/// The artifact format version written for plain (training-side) models.
+/// The artifact format version this build writes.
 pub const ARTIFACT_VERSION: u32 = 2;
 
-/// The artifact format version written when the body also carries the
-/// compiled serving form (a `"compiled"` top-level field).
-pub const ARTIFACT_VERSION_COMPILED: u32 = 3;
-
-/// The newest artifact format version this build reads.
-pub const ARTIFACT_VERSION_MAX: u32 = ARTIFACT_VERSION_COMPILED;
+/// The newest artifact format version this build reads. Version 3 is a
+/// v2 body plus a `"compiled"` field, which readers ignore; nothing
+/// writes it any more.
+pub const ARTIFACT_VERSION_MAX: u32 = 3;
 
 /// How many bytes of a file [`probe_file_version`] reads: enough for the
 /// longest valid header line.
 const PROBE_BYTES: usize = 64;
 
-/// Wraps a rendered JSON body in the current plain artifact container:
+/// Wraps a rendered JSON body in the artifact container:
 /// `psmgen-artifact/v2\n` + body + trailing newline.
 pub fn encode_artifact(body: &JsonValue) -> String {
-    encode_artifact_versioned(body, ARTIFACT_VERSION)
-}
-
-/// Wraps a rendered JSON body in an explicit-version artifact container —
-/// `psmgen-artifact/v<N>\n` + body + trailing newline. Use
-/// [`ARTIFACT_VERSION`] for plain bodies and [`ARTIFACT_VERSION_COMPILED`]
-/// for bodies carrying a `"compiled"` serving section.
-///
-/// # Panics
-///
-/// Panics on versions this build could not read back
-/// (`0` or beyond [`ARTIFACT_VERSION_MAX`]).
-pub fn encode_artifact_versioned(body: &JsonValue, version: u32) -> String {
-    assert!(
-        (1..=ARTIFACT_VERSION_MAX).contains(&version),
-        "cannot write artifact format version {version} (this build reads v1..=v{ARTIFACT_VERSION_MAX})"
-    );
-    format!("{ARTIFACT_MAGIC}/v{version}\n{}\n", body.render())
+    format!("{ARTIFACT_MAGIC}/v{ARTIFACT_VERSION}\n{}\n", body.render())
 }
 
 /// Splits an artifact into its format version and JSON body text.
@@ -271,20 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn compiled_round_trip_through_the_container() {
+    fn v3_header_decodes_to_its_body() {
         let body = JsonValue::obj([("x", JsonValue::from(1u64))]);
-        let text = encode_artifact_versioned(&body, ARTIFACT_VERSION_COMPILED);
-        assert!(text.starts_with("psmgen-artifact/v3\n"));
+        let text = format!("psmgen-artifact/v3\n{}\n", body.render());
         let (version, back) = decode_artifact(&text).unwrap();
-        assert_eq!(version, ARTIFACT_VERSION_COMPILED);
+        assert_eq!(version, 3);
         assert_eq!(back, body);
-        assert_eq!(probe_version(&text).unwrap(), ARTIFACT_VERSION_COMPILED);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot write artifact format version")]
-    fn unwritable_versions_panic_at_encode_time() {
-        encode_artifact_versioned(&JsonValue::Null, ARTIFACT_VERSION_MAX + 1);
+        assert_eq!(probe_version(&text).unwrap(), 3);
     }
 
     #[test]

@@ -38,9 +38,8 @@ mod parse;
 mod render;
 
 pub use artifact::{
-    decode_artifact, encode_artifact, encode_artifact_versioned, list_artifacts,
-    probe_file_version, probe_version, split_artifact, ArtifactEntry, ARTIFACT_MAGIC,
-    ARTIFACT_VERSION, ARTIFACT_VERSION_COMPILED, ARTIFACT_VERSION_MAX,
+    decode_artifact, encode_artifact, list_artifacts, probe_file_version, probe_version,
+    split_artifact, ArtifactEntry, ARTIFACT_MAGIC, ARTIFACT_VERSION, ARTIFACT_VERSION_MAX,
 };
 pub use parse::parse_document;
 

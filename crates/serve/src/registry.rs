@@ -17,11 +17,11 @@
 //! # Artifact formats
 //!
 //! Every loaded model answers through the flat-table [`CompiledModel`] of
-//! `psm-compile`. A `psmgen-artifact/v3` file ships that compiled section
-//! pre-built (`psmctl compile` writes these); the registry *verifies* it
-//! against a fresh compilation of the table/PSM/HMM it rides with and
-//! refuses artifacts where the two disagree — a v3 file can never smuggle
-//! in divergent serving tables. v1/v2 artifacts are compiled at load time.
+//! `psm-compile`, compiled here from the artifact's PSM and HMM. v1, v2
+//! and v3 artifacts load the same way. A `psmgen-artifact/v3` file is a
+//! v2 body plus a `"compiled"` section that earlier builds wrote; the
+//! registry never reads that section, so a v3 file serves exactly what
+//! its v2 body serves.
 
 use psm_compile::CompiledModel;
 use psm_core::{classify_trace, Psm};
@@ -86,54 +86,28 @@ pub struct ServedModel {
 }
 
 impl ServedModel {
-    /// Loads one registry artifact.
-    ///
-    /// A v3 artifact must carry a `compiled` section, which is verified
-    /// against a fresh compilation of the `table`/`psm`/`hmm` it ships
-    /// with; v1/v2 artifacts are compiled on the fly.
+    /// Loads one registry artifact and compiles its PSM and HMM.
     ///
     /// # Errors
     ///
     /// [`RegistryError`] naming the artifact when the file cannot be
     /// read, is truncated/wrong-magic, its body does not hold the
     /// `table`/`psm`/`hmm` fields of a flat trained model (hierarchical
-    /// artifacts are not servable), or its compiled section is missing,
-    /// malformed, or disagrees with the model it ships with.
+    /// artifacts are not servable), or the PSM and HMM do not compile.
     pub fn load(entry: &ArtifactEntry) -> Result<ServedModel, RegistryError> {
         let text = std::fs::read_to_string(&entry.path)
             .map_err(|e| RegistryError::of(&entry.path, PersistError::Io(e)))?;
         let (format_version, doc) =
             decode_artifact(&text).map_err(|e| RegistryError::of(&entry.path, e))?;
-        let parse = || -> Result<(PropositionTable, Psm, Hmm), PersistError> {
-            Ok((
-                Persist::from_json(doc.field("table")?)?,
-                Persist::from_json(doc.field("psm")?)?,
-                Persist::from_json(doc.field("hmm")?)?,
-            ))
+        let parse = || -> Result<(PropositionTable, CompiledModel), PersistError> {
+            let table = Persist::from_json(doc.field("table")?)?;
+            let psm: Psm = Persist::from_json(doc.field("psm")?)?;
+            let hmm: Hmm = Persist::from_json(doc.field("hmm")?)?;
+            let compiled = CompiledModel::compile(&psm, &hmm)
+                .map_err(|e| PersistError::schema(e.to_string()))?;
+            Ok((table, compiled))
         };
-        let (table, psm, hmm) = parse().map_err(|e| RegistryError::of(&entry.path, e))?;
-        let compile_fresh =
-            || CompiledModel::compile(&psm, &hmm).map_err(|e| PersistError::schema(e.to_string()));
-        let compiled = if format_version >= psm_persist::ARTIFACT_VERSION_COMPILED {
-            // The shipped section must be the *exact* compilation of the
-            // model beside it — compared on the canonical render, which
-            // distinguishes even -0.0 from 0.0. Parsing keeps only the
-            // tables the forward pass reads, so a section written by an
-            // earlier build, with keys since dropped, still compares.
-            let verify = || -> Result<CompiledModel, PersistError> {
-                let shipped: CompiledModel = Persist::from_json(doc.field("compiled")?)?;
-                if shipped.to_json().render() != compile_fresh()?.to_json().render() {
-                    return Err(PersistError::schema(
-                        "compiled section disagrees with the model it ships with",
-                    ));
-                }
-                Ok(shipped)
-            };
-            verify()
-        } else {
-            compile_fresh()
-        }
-        .map_err(|e| RegistryError::of(&entry.path, e))?;
+        let (table, compiled) = parse().map_err(|e| RegistryError::of(&entry.path, e))?;
         Ok(ServedModel {
             name: entry.name.clone(),
             version: entry.version,
@@ -153,8 +127,7 @@ impl ServedModel {
         self.table.len()
     }
 
-    /// The compiled runtime (shipped by v3 artifacts, compiled at load
-    /// time from v1/v2).
+    /// The compiled runtime, built when the artifact loaded.
     pub fn compiled(&self) -> &CompiledModel {
         &self.compiled
     }
@@ -364,97 +337,58 @@ mod tests {
         )
     }
 
-    /// Renders `body` plus a `compiled` section as a v3 artifact.
-    fn v3_text(body: JsonValue, compiled: JsonValue) -> String {
-        let JsonValue::Obj(mut fields) = body else {
+    /// Renders `body`, plus `compiled` when given, under a v3 header.
+    fn v3_text(body: &JsonValue, compiled: Option<&str>) -> String {
+        let JsonValue::Obj(mut fields) = body.clone() else {
             unreachable!("model bodies are objects")
         };
-        fields.push(("compiled".to_owned(), compiled));
-        psm_persist::encode_artifact_versioned(
-            &JsonValue::Obj(fields),
-            psm_persist::ARTIFACT_VERSION_COMPILED,
-        )
+        if let Some(section) = compiled {
+            fields.push(("compiled".to_owned(), JsonValue::parse(section).unwrap()));
+        }
+        format!("psmgen-artifact/v3\n{}\n", JsonValue::Obj(fields).render())
     }
 
     #[test]
-    fn v3_artifacts_serve_identically_to_v2() {
+    fn v3_artifacts_serve_their_v2_body_whatever_their_compiled_section() {
         let dir = temp_registry("v3");
         let body = toy_model_json();
         write_artifact(&dir, "toy@1.json", &body);
-        let (table, psm, hmm) = substrate(&body);
-        let compiled = CompiledModel::compile(&psm, &hmm).unwrap();
-        std::fs::write(dir.join("toy@2.json"), v3_text(body, compiled.to_json())).unwrap();
+        // A section in the layout earlier builds wrote, but for a one-state
+        // model whose only state outputs 1 W: it disagrees with the body.
+        let divergent = r#"{"states":1,"symbols":1,"props":1,"at":[1.0],"bt":[1.0],
+            "emission":[1.0],"emission_ok":[true],"chain_off":[0,1],"part_off":[0,1],
+            "part_left":[0],"part_right":[0],"part_next":[false],"entry_off":[0,1],
+            "entry_state":[0],"trans_off":[0,0],"trans_to":[],"trans_guard":[],
+            "out_kind":[0],"out_slope":[0.0],"out_offset":[1000.0],"initial":0}"#;
+        let sections = [None, Some(divergent), Some(r#"{"at":[1e308]}"#), Some("5")];
+        for (i, section) in sections.iter().enumerate() {
+            let file = format!("toy@{}.json", i + 2);
+            std::fs::write(dir.join(file), v3_text(&body, *section)).unwrap();
+        }
 
         let registry = Registry::open(&dir).unwrap();
-        let v2 = registry.snapshot().lookup("toy", Some(1)).unwrap();
-        let v3 = registry.snapshot().lookup("toy", Some(2)).unwrap();
+        let snap = registry.snapshot();
+        let v2 = snap.lookup("toy", Some(1)).unwrap();
         assert_eq!(v2.format_version, 2);
-        assert_eq!(v3.format_version, 3);
-        assert_eq!(v3.compiled().num_states(), v3.state_count());
-
-        // Compiled on the fly and shipped pre-compiled agree to the bit,
-        // and both match the reference simulator.
         let trace = toy_trace();
-        let a = v2.estimate(&trace);
-        let b = v3.estimate(&trace);
+        let want = v2.estimate(&trace);
+        let (table, psm, hmm) = substrate(&body);
         let observations = classify_trace(&table, &trace);
-        let want =
+        let oracle =
             psm_hmm::HmmSimulator::new(&psm, hmm).run(&observations, &trace.input_hamming_series());
-        assert_eq!(a, want);
-        assert_eq!(a.estimate.len(), trace.len());
-        for (x, y) in a.estimate.iter().zip(b.estimate.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v3_artifact_with_divergent_compiled_section_is_rejected() {
-        let dir = temp_registry("v3-divergent");
-        let body = toy_model_json();
-        let (_, psm, hmm) = substrate(&body);
-        // Structurally valid, but state 0 outputs 1 mW more than the
-        // model beside it says.
-        let mut divergent = CompiledModel::compile(&psm, &hmm).unwrap().to_json();
-        let JsonValue::Obj(fields) = &mut divergent else {
-            unreachable!("compiled sections are objects")
-        };
-        for (name, value) in fields.iter_mut() {
-            if name == "out_offset" {
-                let JsonValue::Arr(offsets) = value else {
-                    unreachable!("out_offset is an array")
-                };
-                offsets[0] = JsonValue::from_f64(offsets[0].as_f64().unwrap() + 1.0);
+        assert_eq!(want, oracle);
+        assert_eq!(want.estimate.len(), trace.len());
+        for (i, section) in sections.iter().enumerate() {
+            let v3 = snap.lookup("toy", Some(i as u64 + 2)).unwrap();
+            assert_eq!(v3.format_version, 3, "{section:?}");
+            assert_eq!(v3.compiled().num_states(), v2.state_count());
+            let got = v3.estimate(&trace);
+            assert_eq!(got.wrong_state_predictions, want.wrong_state_predictions);
+            assert_eq!(got.unknown_instants, want.unknown_instants);
+            for (x, y) in got.estimate.iter().zip(want.estimate.iter()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{section:?}");
             }
         }
-        assert!(CompiledModel::from_json(&divergent).is_ok());
-        std::fs::write(dir.join("toy@1.json"), v3_text(body, divergent)).unwrap();
-        let err = Registry::open(&dir).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("toy@1.json") && msg.contains("disagrees"),
-            "{msg}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v3_artifact_missing_its_compiled_section_is_rejected() {
-        let dir = temp_registry("v3-missing");
-        std::fs::write(
-            dir.join("toy@1.json"),
-            psm_persist::encode_artifact_versioned(
-                &toy_model_json(),
-                psm_persist::ARTIFACT_VERSION_COMPILED,
-            ),
-        )
-        .unwrap();
-        let err = Registry::open(&dir).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("toy@1.json") && msg.contains("compiled"),
-            "{msg}"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,10 +45,6 @@ Commands:
   stats [--format text|json]  the daemon's telemetry report
   reload                      atomically reload the model registry
   shutdown                    drain in-flight work and stop the daemon
-  compile <in> <out>          offline: rewrite a trained-model artifact
-                              (v1/v2) as a psmgen-artifact/v3 with the
-                              flat-table serving form precomputed; psmd
-                              verifies and serves it without compiling
 
 Options:
   --addr <ip:port>  daemon address (default 127.0.0.1:7411)
@@ -56,6 +52,12 @@ Options:
 
 Exit status: 0 on success, 1 on errors, 2 on usage errors, 3 when the
 daemon answered BUSY (queue full — safe to retry).";
+
+/// Every command `USAGE` lists; anything else is a usage error before
+/// any connection is made.
+const COMMANDS: [&str; 7] = [
+    "ping", "list", "estimate", "bench", "stats", "reload", "shutdown",
+];
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("psmctl: {message}");
@@ -380,30 +382,6 @@ fn run_bench(
     ExitCode::SUCCESS
 }
 
-/// The offline `compile` command: trained artifact in (any readable
-/// format version), `psmgen-artifact/v3` with a verified-identical
-/// compiled section out. No daemon involved.
-fn run_compile(input: &str, output: &str) -> ExitCode {
-    let model = match psmgen::flow::TrainedModel::load(input) {
-        Ok(model) => model,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let compiled = match model.compile() {
-        Ok(compiled) => compiled,
-        Err(e) => return fail(&format!("{input}: {e}")),
-    };
-    if let Err(e) = model.save_compiled(output) {
-        return fail(&e.to_string());
-    }
-    println!(
-        "compiled {input} -> {output}: {} state(s), {} symbol(s), {} byte(s) of tables",
-        compiled.num_states(),
-        compiled.num_symbols(),
-        compiled.footprint_bytes()
-    );
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = DEFAULT_ADDR.to_owned();
@@ -413,7 +391,6 @@ fn main() -> ExitCode {
     let mut trace_path: Option<String> = None;
     let mut command: Option<String> = None;
     let mut model: Option<String> = None;
-    let mut second: Option<String> = None;
     let mut stream_mode = false;
     let mut chunk_cycles = 256usize;
     let mut slow_write: Option<Duration> = None;
@@ -479,16 +456,17 @@ fn main() -> ExitCode {
                 eprintln!("psmctl: unknown option `{other}`\n{USAGE}");
                 return ExitCode::from(2);
             }
-            word if command.is_none() => command = Some(word.to_owned()),
-            word if matches!(
-                command.as_deref(),
-                Some("estimate") | Some("bench") | Some("compile")
-            ) && model.is_none() =>
+            word if command.is_none() => {
+                if !COMMANDS.contains(&word) {
+                    eprintln!("psmctl: unknown command `{word}`\n{USAGE}");
+                    return ExitCode::from(2);
+                }
+                command = Some(word.to_owned());
+            }
+            word if matches!(command.as_deref(), Some("estimate") | Some("bench"))
+                && model.is_none() =>
             {
                 model = Some(word.to_owned());
-            }
-            word if matches!(command.as_deref(), Some("compile")) && second.is_none() => {
-                second = Some(word.to_owned());
             }
             word => {
                 eprintln!("psmctl: unexpected argument `{word}`\n{USAGE}");
@@ -517,14 +495,6 @@ fn main() -> ExitCode {
         return run_bench(
             &addr, &model, version, workload, clients, streams, rounds, &format,
         );
-    }
-
-    if command == "compile" {
-        let (Some(input), Some(output)) = (model.as_deref(), second.as_deref()) else {
-            eprintln!("psmctl: compile needs <in> and <out> artifact paths\n{USAGE}");
-            return ExitCode::from(2);
-        };
-        return run_compile(input, output);
     }
 
     let mut client = match Client::connect(addr.as_str()) {
@@ -611,9 +581,6 @@ fn main() -> ExitCode {
             }
             Err(e) => client_exit(&e),
         },
-        other => {
-            eprintln!("psmctl: unknown command `{other}`\n{USAGE}");
-            ExitCode::from(2)
-        }
+        other => unreachable!("`{other}` was checked against COMMANDS when parsed"),
     }
 }

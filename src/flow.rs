@@ -282,19 +282,21 @@ impl TrainedModel {
         CompiledModel::compile(&self.psm, &self.hmm)
     }
 
-    /// Saves the model as a `psmgen-artifact/v3`: the
-    /// [`save`](TrainedModel::save) body plus a `"compiled"` section
-    /// holding the serving form, so `psmd` can load the flat tables
-    /// directly instead of compiling at registry-load time. The file still
-    /// loads through [`TrainedModel::load`] (the extra section is ignored
-    /// by the training-side reader).
+    /// Checks that the model compiles, then writes exactly what
+    /// [`save`](TrainedModel::save) writes. Kept for existing callers;
+    /// there is no compiled artifact to write, because `psmd` compiles
+    /// every artifact when it loads it.
     ///
     /// # Errors
     ///
     /// Returns [`FlowError::Persistence`] on compilation, serialisation or
     /// I/O failure.
     pub fn save_compiled(&self, path: impl AsRef<std::path::Path>) -> Result<(), FlowError> {
-        crate::persist::save_compiled_to_path(self, path.as_ref())
+        let path = path.as_ref();
+        self.compile().map_err(|e| {
+            FlowError::persistence_format(path, psm_persist::PersistError::schema(e.to_string()))
+        })?;
+        self.save(path)
     }
 }
 

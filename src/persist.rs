@@ -100,29 +100,11 @@ pub(crate) fn save_to_path<T: Persist>(value: &T, path: &Path) -> Result<(), Flo
         .map_err(|e| FlowError::persistence_io(path, e))
 }
 
-/// Writes `model` as a `psmgen-artifact/v3`: the canonical v2 body plus a
-/// `"compiled"` field carrying the flat-table serving form. Backs
-/// [`TrainedModel::save_compiled`] and `psmctl compile`.
-pub(crate) fn save_compiled_to_path(model: &TrainedModel, path: &Path) -> Result<(), FlowError> {
-    let compiled = model
-        .compile()
-        .map_err(|e| FlowError::persistence_format(path, PersistError::schema(e.to_string())))?;
-    let mut body = model.to_json();
-    let JsonValue::Obj(fields) = &mut body else {
-        unreachable!("TrainedModel::to_json returns an object");
-    };
-    fields.push(("compiled".to_owned(), compiled.to_json()));
-    std::fs::write(
-        path,
-        psm_persist::encode_artifact_versioned(&body, psm_persist::ARTIFACT_VERSION_COMPILED),
-    )
-    .map_err(|e| FlowError::persistence_io(path, e))
-}
-
 pub(crate) fn load_from_path<T: Persist>(path: &Path) -> Result<T, FlowError> {
     let text = std::fs::read_to_string(path).map_err(|e| FlowError::persistence_io(path, e))?;
-    // Both container versions load: v2 (headered) and the PR 1-era bare
-    // JSON (v1). Truncated or wrong-magic files fail structurally here.
+    // Every container version loads: v2, v3 (its `compiled` section is
+    // ignored) and the bare JSON of v1. Truncated or wrong-magic files
+    // fail structurally here.
     let (_, doc) =
         psm_persist::decode_artifact(&text).map_err(|e| FlowError::persistence_format(path, e))?;
     T::from_json(&doc).map_err(|e| FlowError::persistence_format(path, e))

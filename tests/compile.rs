@@ -10,8 +10,8 @@
 //! and through `PsmFlow`'s flat and hierarchical estimation), on a
 //! long-TS model whose states hold many copies of each chain, on
 //! randomised PRNG-built models (including unknown and out-of-range
-//! observations), and through the `psmgen-artifact/v3` round trip into
-//! the serving registry.
+//! observations), and through every artifact format version into the
+//! serving registry.
 
 use psm_prng::Prng;
 use psmgen::compile::CompiledModel;
@@ -23,7 +23,6 @@ use psmgen::psm::{classify_trace, generate_psm, join, MergePolicy};
 use psmgen::serve::Registry;
 use psmgen::trace::{FunctionalTrace, PowerTrace};
 use std::collections::HashSet;
-use std::process::Command;
 
 const BENCHES: [&str; 4] = ["RAM", "MultSum", "AES", "Camellia"];
 
@@ -261,37 +260,60 @@ fn randomised_models_agree_between_engines() {
     }
 }
 
+/// The north-star artifact invariant: one trained model written as v1
+/// (bare JSON), v2 (`save`), v3 without a `compiled` section and v3 with a
+/// garbage one loads to the same model and serves the same estimates.
 #[test]
 fn v3_artifact_round_trip_serves_bit_identically() {
     let (model, workload) = trained("RAM", 1_500);
     let dir = std::env::temp_dir().join(format!("psmgen-compile-v3-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    model.save(dir.join("ram@1.json")).expect("v2 saves");
-    // The v3 twin comes from the offline compiler, as deployed.
-    let status = Command::new(env!("CARGO_BIN_EXE_psmctl"))
-        .arg("compile")
-        .arg(dir.join("ram@1.json"))
-        .arg(dir.join("ram@2.json"))
-        .status()
-        .expect("psmctl runs");
-    assert!(status.success(), "psmctl compile failed: {status}");
+    model.save(dir.join("ram@2.json")).expect("v2 saves");
+    let v2 = std::fs::read_to_string(dir.join("ram@2.json")).unwrap();
+    let body = v2
+        .strip_prefix("psmgen-artifact/v2\n")
+        .expect("save writes a v2 header");
+    assert_eq!(body, format!("{}\n", model.to_json_string()));
+    std::fs::write(dir.join("ram@1.json"), model.to_json_string()).unwrap();
+    std::fs::write(
+        dir.join("ram@3.json"),
+        format!("psmgen-artifact/v3\n{body}"),
+    )
+    .unwrap();
+    let garbage = format!(
+        "psmgen-artifact/v3\n{},\"compiled\":{{\"at\":[1e308]}}}}\n",
+        model.to_json_string().strip_suffix('}').unwrap()
+    );
+    std::fs::write(dir.join("ram@4.json"), garbage).unwrap();
+
+    // `save_compiled` is `save` after a compile check: the same bytes.
+    model
+        .save_compiled(dir.join("twin.out"))
+        .expect("compiles and saves");
+    assert_eq!(std::fs::read_to_string(dir.join("twin.out")).unwrap(), v2);
+    std::fs::remove_file(dir.join("twin.out")).unwrap();
 
     let want = oracle(&model, &workload);
     let registry = Registry::open(&dir).expect("registry opens");
-    for version in [1, 2] {
+    for (version, format) in [(1, 1), (2, 2), (3, 3), (4, 3)] {
         let served = registry
             .snapshot()
             .lookup("ram", Some(version))
             .expect("model served");
-        assert_eq!(served.format_version, version as u32 + 1);
+        assert_eq!(served.format_version, format, "ram@{version}");
         let got = served.estimate(&workload);
-        assert_bit_identical(&got, &want, &format!("v{version}"));
-    }
+        assert_bit_identical(&got, &want, &format!("ram@{version}"));
 
-    // The v3 file also still loads as a training-side model: the
-    // compiled section is additive, not a fork of the schema.
-    let back = TrainedModel::load(dir.join("ram@2.json")).expect("v3 loads as TrainedModel");
-    assert_eq!(back.to_json_string(), model.to_json_string());
+        // Every format also loads as a training-side model, to the same
+        // canonical body.
+        let back = TrainedModel::load(dir.join(format!("ram@{version}.json")))
+            .expect("artifact loads as TrainedModel");
+        assert_eq!(
+            back.to_json_string(),
+            model.to_json_string(),
+            "ram@{version}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,8 +4,9 @@
 //! binary frames get structured errors, backpressure
 //! is explicit (`BUSY`), registry hot-reload is atomic towards
 //! in-flight requests, slow writers cannot stall other connections,
-//! shutdown drains before exiting, and `psmgen-artifact/v3` files written
-//! by earlier builds still serve.
+//! shutdown drains before exiting, `psmgen-artifact/v3` files written
+//! by earlier builds still serve, and `psmctl` rejects unknown commands
+//! without dialing the daemon.
 
 use psm_persist::{JsonValue, Persist};
 use psm_prng::Prng;
@@ -682,12 +683,11 @@ fn inline_errors_are_one_error_reply_each() {
 }
 
 /// `examples/artifacts/verify_defect_legacy_v3.json` is
-/// `verify_defect.json` as `psmctl compile` wrote it before the compiled
-/// section dropped the tables the forward pass never read (the sorted
-/// observation dictionary, π, the entry chain ids, the state attributes).
-/// It still loads through the registry and serves its v2 source's
-/// estimates bit for bit, and `psmctl compile` rewrites it to the current
-/// section, which serves the same.
+/// `verify_defect.json` as an earlier build wrote it with a compiled
+/// section, in a layout that still held tables the forward pass never
+/// read (the sorted observation dictionary, π, the entry chain ids, the
+/// state attributes). The registry ignores that section, so the file
+/// serves its v2 source's estimates bit for bit.
 #[test]
 fn legacy_v3_artifact_serves_like_its_v2_source() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/artifacts");
@@ -706,19 +706,6 @@ fn legacy_v3_artifact_serves_like_its_v2_source() {
     )
     .unwrap();
     std::fs::copy(&legacy, dir.join("defect@2.json")).unwrap();
-    let status = Command::new(env!("CARGO_BIN_EXE_psmctl"))
-        .arg("compile")
-        .arg(&legacy)
-        .arg(dir.join("defect@3.json"))
-        .status()
-        .expect("psmctl runs");
-    assert!(status.success(), "psmctl compile failed: {status}");
-    let upgraded = std::fs::read_to_string(dir.join("defect@3.json")).unwrap();
-    assert!(upgraded.starts_with("psmgen-artifact/v3\n"));
-    assert!(
-        !upgraded.contains("\"dict_rows\""),
-        "compile drops legacy keys"
-    );
 
     let model = TrainedModel::load(dir.join("defect@1.json")).unwrap();
     let mut rng = Prng::seed_from_u64(19);
@@ -733,7 +720,7 @@ fn legacy_v3_artifact_serves_like_its_v2_source() {
     );
 
     let registry = Registry::open(&dir).expect("registry opens");
-    for (version, format) in [(1, 2), (2, 3), (3, 3)] {
+    for (version, format) in [(1, 2), (2, 3)] {
         let served = registry.snapshot().lookup("defect", Some(version)).unwrap();
         assert_eq!(served.format_version, format, "defect@{version}");
         let got = served.estimate(&trace);
@@ -745,4 +732,33 @@ fn legacy_v3_artifact_serves_like_its_v2_source() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `psmctl` rejects a command it does not know as a usage error (exit 2)
+/// before it dials the daemon; the retired offline `compile` command is
+/// one of them.
+#[test]
+fn psmctl_rejects_unknown_commands_before_connecting() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    for args in [&["frobnicate"][..], &["compile", "a.json", "b.json"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_psmctl"))
+            .arg("--addr")
+            .arg(&addr)
+            .args(args)
+            .output()
+            .expect("psmctl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown command `{}`", args[0])),
+            "{args:?}: {stderr}"
+        );
+        let accepted = listener.accept();
+        assert!(
+            matches!(&accepted, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "{args:?}: psmctl connected before rejecting the command"
+        );
+    }
 }
