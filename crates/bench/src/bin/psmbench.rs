@@ -363,6 +363,7 @@ fn main() -> ExitCode {
             "compiled_forward_multsum",
             "compiled_forward_aes",
             "compiled_forward_camellia",
+            "compiled_forward_long_ts",
             "lint_suite",
             "verify_suite",
             "powerintent_suite",

@@ -214,6 +214,58 @@ fn long_chain_psms(flow: &PsmFlow, seed: u64) -> (Vec<Psm>, usize) {
     (chains, functional.iter().map(FunctionalTrace::len).sum())
 }
 
+/// Cycles of each of the four long-TS captures `compiled_forward_long_ts`
+/// trains on, whatever the suite's budget: the model must be the
+/// duplicate-heavy one the paper's long-TS rows produce.
+const LONG_TS_MODEL_CYCLES: usize = 25_000;
+
+/// Compiles `model`, checks the compiled pass bit-agrees with the
+/// reference `HmmSimulator` on `workload`, then times both passes over
+/// the same classified observations. The measured figure is the compiled
+/// pass; the reference median, the speedup (×100, so 250 = 2.5×) and the
+/// one-off compilation cost ride in the extras.
+fn compiled_forward(
+    scen: String,
+    model: &TrainedModel,
+    workload: &FunctionalTrace,
+    iters: u32,
+) -> (String, ScenarioResult) {
+    let obs = classify_trace(&model.table, workload);
+    let hamming = workload.input_hamming_series();
+    let rows = obs.len();
+
+    let t0 = std::time::Instant::now();
+    let compiled = model.compile().expect("model compiles");
+    let compile_ns = t0.elapsed().as_nanos() as u64;
+    let interp_out = HmmSimulator::new(&model.psm, model.hmm.clone()).run(&obs, &hamming);
+    assert_eq!(
+        compiled.run(&obs, &hamming),
+        interp_out,
+        "{scen}: compiled pass diverges from the reference simulator"
+    );
+
+    let interp = bench_iters(&format!("{scen}:interpreted"), iters, &mut || {
+        let sim = HmmSimulator::new(&model.psm, model.hmm.clone());
+        sim.run(&obs, &hamming)
+    });
+    let m = bench_iters(&scen, iters, &mut || compiled.run(&obs, &hamming));
+    let speedup_x100 =
+        (interp.median.as_secs_f64() / m.median.as_secs_f64() * 100.0).round() as u64;
+    let result = ScenarioResult {
+        m,
+        rows,
+        threads: None,
+        speedup_vs_1_thread: None,
+        stages: Vec::new(),
+        extras: vec![
+            ("interp_median_ns".into(), interp.median.as_nanos() as u64),
+            ("speedup_x100".into(), speedup_x100),
+            ("compile_ns".into(), compile_ns),
+        ],
+    };
+    (scen, result)
+}
+
 /// Runs the whole suite, printing one harness line per scenario, and
 /// returns the results in run order as `(name, result)` pairs.
 pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
@@ -342,17 +394,12 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
     out.push(("hmm_forward_sim".into(), ScenarioResult::plain(m, rows)));
 
     // -- compiled flat-table forward vs the reference walker ------------
-    // One scenario per paper bench: train, compile once, check the
-    // compiled pass bit-agrees with the reference `HmmSimulator` on the
-    // workload, then time both passes over the same classified
-    // observations. The measured figure is the compiled pass; the
-    // reference median, the speedup (×100, so 250 = 2.5×) and the
-    // one-off compilation cost ride in the extras.
+    // One scenario per paper bench, trained on its short-TS testbench,
+    // and one on the MultSum model trained on four long-TS captures,
+    // whose states hold thousands of copies of a few distinct chains.
     for name in ["RAM", "MultSum", "AES", "Camellia"] {
-        let scen = format!("compiled_forward_{}", name.to_lowercase());
-        let ip_flow = crate::flow(name);
         let mut ip = crate::ip(name);
-        let model = ip_flow
+        let model = crate::flow(name)
             .train(
                 ip.as_mut(),
                 &[testbench::short_ts(name, 1).expect("known IP")],
@@ -360,43 +407,25 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
             .expect("training succeeds");
         let stim = testbench::long_ts(name, cfg.seed + 21, cfg.cycles).expect("known IP");
         let workload = behavioural_trace(ip.as_mut(), &stim).expect("workload fits");
-        let obs = classify_trace(&model.table, &workload);
-        let hamming = workload.input_hamming_series();
-        let rows = obs.len();
-
-        let t0 = std::time::Instant::now();
-        let compiled = model.compile().expect("model compiles");
-        let compile_ns = t0.elapsed().as_nanos() as u64;
-        let interp_out = HmmSimulator::new(&model.psm, model.hmm.clone()).run(&obs, &hamming);
-        assert_eq!(
-            compiled.run(&obs, &hamming),
-            interp_out,
-            "{scen}: compiled pass diverges from the reference simulator"
-        );
-
-        let interp = bench_iters(&format!("{scen}:interpreted"), cfg.iters, &mut || {
-            let sim = HmmSimulator::new(&model.psm, model.hmm.clone());
-            sim.run(&obs, &hamming)
-        });
-        let m = bench_iters(&scen, cfg.iters, &mut || compiled.run(&obs, &hamming));
-        let speedup_x100 =
-            (interp.median.as_secs_f64() / m.median.as_secs_f64() * 100.0).round() as u64;
-        out.push((
-            scen,
-            ScenarioResult {
-                m,
-                rows,
-                threads: None,
-                speedup_vs_1_thread: None,
-                stages: Vec::new(),
-                extras: vec![
-                    ("interp_median_ns".into(), interp.median.as_nanos() as u64),
-                    ("speedup_x100".into(), speedup_x100),
-                    ("compile_ns".into(), compile_ns),
-                ],
-            },
-        ));
+        let scen = format!("compiled_forward_{}", name.to_lowercase());
+        out.push(compiled_forward(scen, &model, &workload, cfg.iters));
     }
+    let mut ip = crate::ip("MultSum");
+    let stimuli: Vec<Stimulus> = (0..4)
+        .map(|k| testbench::multsum_long_ts(cfg.seed + k, LONG_TS_MODEL_CYCLES))
+        .collect();
+    let model = fx
+        .flow
+        .train(ip.as_mut(), &stimuli)
+        .expect("training succeeds");
+    let stim = testbench::multsum_long_ts(cfg.seed + 21, cfg.cycles);
+    let workload = behavioural_trace(ip.as_mut(), &stim).expect("workload fits");
+    out.push(compiled_forward(
+        "compiled_forward_long_ts".into(),
+        &model,
+        &workload,
+        cfg.iters,
+    ));
 
     // -- full static-analysis pass: netlist + interface + model lints --
     let lint_ip = crate::ip("MultSum");

@@ -8,6 +8,8 @@ use psm_core::{OutputFunction, Psm, StateId};
 use psm_hmm::Hmm;
 use psm_mining::TemporalPattern;
 
+use crate::filter::ForwardFilter;
+
 /// Failures while compiling a model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
@@ -54,25 +56,12 @@ impl Error for CompileError {}
 /// and the state attributes, π and Viterbi stay with the source model.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
-    // ---- HMM tables (transposed, values copied verbatim) ----
-    /// Number of states.
-    pub(crate) m: usize,
-    /// Number of emission symbols.
-    pub(crate) k: usize,
-    /// Transposed transition matrix: `at[j*m + i] = A[i][j]` (column-major,
-    /// so the forward inner product walks one contiguous column).
-    pub(crate) at: Vec<f64>,
-    /// Transposed emission matrix: `bt[s*m + j] = B[j][s]` (symbol-major).
-    pub(crate) bt: Vec<f64>,
-    /// Resynchronisation fallback beliefs: row `s` (length `m`, at offset
-    /// `s*m`) is `Hmm::emission_belief(s)`, or all zeros when that symbol
-    /// has no normalisable emission column.
-    pub(crate) emission: Vec<f64>,
-    /// Whether `emission` row `s` is a valid distribution.
-    pub(crate) emission_ok: Vec<bool>,
+    /// The HMM side: sparse A and B and the emission fallback beliefs.
+    pub(crate) filter: ForwardFilter,
     // ---- PSM structure ----
     /// CSR offsets into the global chain id space: state `s` owns chains
-    /// `chain_off[s]..chain_off[s+1]`, in the source enumeration order.
+    /// `chain_off[s]..chain_off[s+1]`, its distinct chains in the source
+    /// enumeration order (each at its first occurrence).
     pub(crate) chain_off: Vec<u32>,
     /// CSR offsets into the part arrays: chain `c` spans parts
     /// `part_off[c]..part_off[c+1]` (chains are never empty).
@@ -107,8 +96,8 @@ pub struct CompiledModel {
     pub(crate) initial_state: u32,
 }
 
-/// The chains each observation code opens, bucketed for the resync scan,
-/// and the widest state's chain count.
+/// The states each observation code can enter, bucketed for the resync
+/// scan, and the widest state's distinct-chain count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct EntryTable {
     /// Width of the table: one past the largest proposition id that opens
@@ -117,20 +106,21 @@ pub(crate) struct EntryTable {
     /// CSR offsets per observation code: symbol `o` opens chains of the
     /// states listed at `state[off[o]..off[o+1]]`.
     pub(crate) off: Vec<u32>,
-    /// Owning state of each slot, ascending per symbol — the
-    /// resynchronisation scan order of the interpreter. A state with two
-    /// chains entered by one symbol appears twice.
+    /// States with a chain entered by the symbol, ascending per symbol —
+    /// the resynchronisation scan order of the interpreter. A state with
+    /// several such chains holds one slot: its extra slots would carry an
+    /// equal score, which never wins under strict `>`.
     pub(crate) state: Vec<u32>,
-    /// Largest per-state chain count — the alternative-buffer capacity
-    /// that makes the compiled resume allocation-free.
+    /// Largest per-state count of distinct chains — the alternative-buffer
+    /// capacity that makes the compiled resume allocation-free.
     pub(crate) max_chains: usize,
 }
 
 impl EntryTable {
-    /// Buckets the chains of a compiled chain table by their entry
-    /// proposition. Walking chains in global order (states ascending,
-    /// chains ascending) keeps each symbol's slots in the interpreter's
-    /// scan order.
+    /// Buckets the states of a compiled chain table by the entry
+    /// propositions of their chains. Walking chains in global order
+    /// (states ascending, chains ascending) keeps each symbol's slots in
+    /// the interpreter's scan order.
     fn derive(chain_off: &[u32], part_off: &[u32], part_left: &[u32]) -> EntryTable {
         let entry = |c: u32| part_left[part_off[c as usize] as usize] as usize;
         let chains = *chain_off.last().expect("one offset per state plus one");
@@ -138,7 +128,10 @@ impl EntryTable {
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); props];
         for (s, span) in chain_off.windows(2).enumerate() {
             for c in span[0]..span[1] {
-                buckets[entry(c)].push(s as u32);
+                let bucket = &mut buckets[entry(c)];
+                if bucket.last() != Some(&(s as u32)) {
+                    bucket.push(s as u32);
+                }
             }
         }
         let mut off = Vec::with_capacity(props + 1);
@@ -181,37 +174,12 @@ impl CompiledModel {
         if m == 0 {
             return Err(CompileError::EmptyModel);
         }
-        let k = hmm.num_symbols();
-
-        // HMM tables, transposed so the forward inner product walks one
-        // contiguous column; the values are the interpreter's, bit for bit.
-        let mut at = vec![0.0f64; m * m];
-        for (i, row) in hmm.a().iter().enumerate() {
-            for (j, &aij) in row.iter().enumerate() {
-                at[j * m + i] = aij;
-            }
-        }
-        let mut bt = vec![0.0f64; k * m];
-        for (j, row) in hmm.b().iter().enumerate() {
-            for (s, &bjs) in row.iter().enumerate() {
-                bt[s * m + j] = bjs;
-            }
-        }
-
-        // Resync fallback beliefs, computed by the interpreter's own
-        // emission_belief (same sum order, same division).
-        let mut emission = vec![0.0f64; k * m];
-        let mut emission_ok = vec![false; k];
-        for s in 0..k {
-            if let Some(alpha) = hmm.emission_belief(s) {
-                emission[s * m..(s + 1) * m].copy_from_slice(&alpha);
-                emission_ok[s] = true;
-            }
-        }
-
         // PSM structure, flattened in source enumeration order (states
         // ascending, chains in declaration order) so every tie-break of the
-        // interpreted walker is reproduced.
+        // interpreted walker is reproduced. A chain equal to an earlier
+        // chain of the same state is left out: the walk's outcome depends
+        // only on whether some alternative survives and whether some wants
+        // to exit, and a copy changes neither (B still counts every copy).
         let mut chain_off: Vec<u32> = Vec::with_capacity(m + 1);
         chain_off.push(0);
         let mut part_off: Vec<u32> = vec![0];
@@ -221,8 +189,14 @@ impl CompiledModel {
         let mut out_kind: Vec<u8> = Vec::with_capacity(m);
         let mut out_slope: Vec<f64> = Vec::with_capacity(m);
         let mut out_offset: Vec<f64> = Vec::with_capacity(m);
+        let mut kept = Vec::new();
         for (_, state) in psm.states() {
+            kept.clear();
             for chain in state.chains() {
+                if kept.contains(&chain) {
+                    continue;
+                }
+                kept.push(chain);
                 for part in chain.parts() {
                     part_left.push(part.left().index() as u32);
                     part_right.push(part.right().index() as u32);
@@ -265,12 +239,7 @@ impl CompiledModel {
         let initial_state = psm.initials().first().map_or(0, |(s, _)| s.index()) as u32;
 
         Ok(CompiledModel {
-            m,
-            k,
-            at,
-            bt,
-            emission,
-            emission_ok,
+            filter: ForwardFilter::new(hmm),
             chain_off,
             part_off,
             part_left,
@@ -289,11 +258,11 @@ impl CompiledModel {
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.m
+        self.filter.m
     }
 
     /// Number of emission symbols.
     pub fn num_symbols(&self) -> usize {
-        self.k
+        self.filter.k
     }
 }

@@ -73,7 +73,7 @@ impl CompiledModel {
     /// with every scratch buffer pre-sized so subsequent
     /// [`resume`](CompiledModel::resume) calls never allocate.
     pub fn begin(&self) -> CompiledForwardState {
-        let m = self.m;
+        let m = self.filter.m;
         CompiledForwardState {
             belief: vec![1.0 / m as f64; m],
             scratch: vec![0.0; m],
@@ -109,7 +109,6 @@ impl CompiledModel {
             input_hamming.len(),
             "observations and hamming series must align"
         );
-        let m = self.m;
         for (t, obs) in observations.iter().enumerate() {
             match obs {
                 None => {
@@ -117,20 +116,13 @@ impl CompiledModel {
                     state.has_cursor = false;
                 }
                 Some(o) => {
-                    let sym = o.index();
-                    // Belief update: the exact filter_step_scratch loops,
-                    // with the emission fallback copied (not reallocated)
-                    // when the transition-constrained update collapses.
-                    if sym < self.k {
-                        let like = self.filter_step(&mut state.belief, sym, &mut state.scratch);
-                        if like <= 0.0 && self.emission_ok[sym] {
-                            state
-                                .belief
-                                .copy_from_slice(&self.emission[sym * m..(sym + 1) * m]);
-                        }
-                    }
+                    // Belief update: the filter step, with the emission
+                    // fallback copied (not reallocated) when the
+                    // transition-constrained update collapses.
+                    self.filter
+                        .update(&mut state.belief, o.index(), &mut state.scratch);
 
-                    let code = sym as u32;
+                    let code = o.index() as u32;
                     if state.has_cursor {
                         match self.advance_step(state, code) {
                             StepOutcome::Stay => {
@@ -191,30 +183,6 @@ impl CompiledModel {
             wrong_state_predictions: state.wrong,
             unknown_instants: state.unknown,
         }
-    }
-
-    /// The exact arithmetic of `Hmm::filter_step_scratch` (same i-order inner
-    /// product, same sum, same division), minus the error paths the walker
-    /// already rules out. Updates `belief` in place when the likelihood is
-    /// positive; returns the pre-normalisation likelihood.
-    fn filter_step(&self, belief: &mut [f64], symbol: usize, scratch: &mut [f64]) -> f64 {
-        let m = self.m;
-        let bcol = &self.bt[symbol * m..(symbol + 1) * m];
-        for (j, nj) in scratch.iter_mut().enumerate() {
-            let col = &self.at[j * m..(j + 1) * m];
-            let mut acc = 0.0;
-            for i in 0..m {
-                acc += belief[i] * col[i];
-            }
-            *nj = acc * bcol[j];
-        }
-        let likelihood: f64 = scratch.iter().sum();
-        if likelihood > 0.0 {
-            for (dst, src) in belief.iter_mut().zip(scratch.iter()) {
-                *dst = src / likelihood;
-            }
-        }
-        likelihood
     }
 
     /// Advances the live alternatives of `state.cur_state` on observation
@@ -316,8 +284,7 @@ impl CompiledModel {
     /// The best state accepting `o` as an entry, ranked by belief with
     /// strict-`>` ties — the compiled `resync` of the reference walker. Scans the
     /// per-symbol entry table, whose slots are state-ascending like the
-    /// interpreter's full state scan (duplicate slots of one state carry an
-    /// equal score and thus never change the winner).
+    /// interpreter's full state scan, one per state.
     fn resync_state(&self, o: u32, belief: &[f64]) -> Option<u32> {
         let entries = &self.entries;
         if o as usize >= entries.props {

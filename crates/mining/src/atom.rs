@@ -87,33 +87,43 @@ impl AtomicProposition {
     /// interface, or if a `VarCmpVar` was constructed over signals of
     /// different widths (the miner never does).
     pub fn eval(&self, cycle: Row<'_>) -> bool {
-        self.resolve(cycle.signals()).holds(cycle.as_words())
+        match self.resolve(cycle.signals()) {
+            Ok(test) => test.holds(cycle.as_words()),
+            Err(misfit) => panic!("the atom does not fit the row's interface: {misfit:?}"),
+        }
     }
 
-    /// Resolves the atom against the row layout of `signals`.
-    ///
-    /// # Panics
-    ///
-    /// As [`eval`](Self::eval).
-    pub(crate) fn resolve(&self, signals: &SignalSet) -> RowTest<'_> {
+    /// Resolves the atom against the row layout of `signals`, or says why
+    /// that layout cannot hold it.
+    pub(crate) fn resolve(&self, signals: &SignalSet) -> Result<RowTest<'_>, Misfit> {
+        let declared = |id: SignalId| {
+            if id.index() < signals.len() {
+                Ok(signals.decl(id).width())
+            } else {
+                Err(Misfit::Missing(id))
+            }
+        };
         match self {
             AtomicProposition::VarEqConst { signal, value } => {
+                let width = declared(*signal)?;
                 let range = signals.word_range(*signal);
-                if signals.decl(*signal).width() != value.width() {
+                Ok(if width != value.width() {
                     RowTest::Never
                 } else if range.len() == 1 {
                     RowTest::Word(range.start, value.as_words()[0])
                 } else {
                     RowTest::Words(range, value.as_words())
-                }
+                })
             }
             AtomicProposition::VarCmpVar { left, cmp, right } => {
-                assert_eq!(
-                    signals.decl(*left).width(),
-                    signals.decl(*right).width(),
-                    "mined relational atoms always compare equal widths"
-                );
-                RowTest::Cmp(signals.word_range(*left), *cmp, signals.word_range(*right))
+                if declared(*left)? != declared(*right)? {
+                    return Err(Misfit::Widths(*left, *right));
+                }
+                Ok(RowTest::Cmp(
+                    signals.word_range(*left),
+                    *cmp,
+                    signals.word_range(*right),
+                ))
             }
         }
     }
@@ -142,6 +152,15 @@ impl AtomicProposition {
             }
         }
     }
+}
+
+/// Why an atom cannot be resolved against a row layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Misfit {
+    /// The layout declares no signal with this id.
+    Missing(SignalId),
+    /// A relational atom's two signals have different widths there.
+    Widths(SignalId, SignalId),
 }
 
 /// An atom resolved against one row layout: the words it reads. A trace

@@ -78,7 +78,9 @@ mod trace;
 pub use atom::{AtomicProposition, Comparison};
 pub use config::MiningConfig;
 pub use miner::{MinedTraces, Miner};
-pub use proposition::{Proposition, PropositionId, PropositionTable, PropositionVocabulary};
+pub use proposition::{
+    ClassifyError, Proposition, PropositionId, PropositionTable, PropositionVocabulary,
+};
 pub use report::{AtomSupport, MiningReport};
 pub use temporal::{TemporalAssertion, TemporalPattern};
 pub use trace::PropositionTrace;

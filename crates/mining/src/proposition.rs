@@ -1,10 +1,10 @@
 //! Propositions: AND-compositions of atomic propositions, one per distinct
 //! truth-matrix row.
 
-use crate::atom::{AtomicProposition, RowTest};
+use crate::atom::{AtomicProposition, Misfit, RowTest};
 use crate::trace::PropositionTrace;
 use psm_trace::{FunctionalTrace, Row, SignalSet};
-use std::collections::HashMap;
+use std::error::Error;
 use std::fmt;
 
 /// Identifier of a proposition within one [`PropositionTable`].
@@ -72,14 +72,97 @@ impl PropositionVocabulary {
     }
 
     /// Every atom resolved against the row layout of `signals`, for a
-    /// walk over many rows of that layout.
-    fn resolve(&self, signals: &SignalSet) -> Vec<RowTest<'_>> {
+    /// walk over many rows of that layout, or the first atom that layout
+    /// cannot hold.
+    fn resolve(&self, signals: &SignalSet) -> Result<Vec<RowTest<'_>>, ClassifyError> {
+        // A loaded vocabulary's atoms are not checked against its own
+        // signals, so an id it does not declare is named by its index.
+        let name = |id: psm_trace::SignalId| {
+            if id.index() < self.signals.len() {
+                self.signals.decl(id).name().to_owned()
+            } else {
+                id.to_string()
+            }
+        };
         self.atoms
             .iter()
-            .map(|atom| atom.resolve(signals))
+            .map(|atom| {
+                atom.resolve(signals).map_err(|misfit| match misfit {
+                    Misfit::Missing(id) => ClassifyError::MissingSignal {
+                        signal: name(id),
+                        index: id.index(),
+                        declared: signals.len(),
+                    },
+                    Misfit::Widths(left, right) => ClassifyError::WidthMismatch {
+                        left: name(left),
+                        left_width: signals.decl(left).width(),
+                        right: name(right),
+                        right_width: signals.decl(right).width(),
+                    },
+                })
+            })
             .collect()
     }
 }
+
+/// Why a trace cannot be classified against a [`PropositionTable`]: its
+/// interface does not lay out a signal the table's atoms read.
+///
+/// Signal names are the table's own (the trace may name its signals
+/// differently); indices are declaration positions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClassifyError {
+    /// An atom reads the table's signal `signal`, at declaration index
+    /// `index`, but the trace declares only `declared` signals.
+    MissingSignal {
+        /// The table's name for the signal.
+        signal: String,
+        /// Its declaration index.
+        index: usize,
+        /// Signals the trace declares.
+        declared: usize,
+    },
+    /// A relational atom compares `left` with `right`, but the trace
+    /// declares them at different widths.
+    WidthMismatch {
+        /// The table's name for the left-hand signal.
+        left: String,
+        /// Its width in the trace.
+        left_width: usize,
+        /// The table's name for the right-hand signal.
+        right: String,
+        /// Its width in the trace.
+        right_width: usize,
+    },
+}
+
+impl fmt::Display for ClassifyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClassifyError::MissingSignal {
+                signal,
+                index,
+                declared,
+            } => write!(
+                f,
+                "the model reads signal `{signal}` (index {index}), but the trace declares \
+                 {declared} signal(s)"
+            ),
+            ClassifyError::WidthMismatch {
+                left,
+                left_width,
+                right,
+                right_width,
+            } => write!(
+                f,
+                "the model compares `{left}` with `{right}`, but the trace declares them \
+                 {left_width} and {right_width} bits wide"
+            ),
+        }
+    }
+}
+
+impl Error for ClassifyError {}
 
 /// Writes the packed truth row of `count` atoms (bit *i* = truth *i*).
 fn pack_truths(row: &mut Vec<u64>, count: usize, truths: impl Iterator<Item = bool>) {
@@ -141,7 +224,7 @@ impl Proposition {
 pub struct PropositionTable {
     vocabulary: PropositionVocabulary,
     props: Vec<Proposition>,
-    index: HashMap<Vec<u64>, PropositionId>,
+    index: RowIndex,
 }
 
 impl PropositionTable {
@@ -149,7 +232,7 @@ impl PropositionTable {
         PropositionTable {
             vocabulary,
             props: Vec::new(),
-            index: HashMap::new(),
+            index: RowIndex::with_capacity(0),
         }
     }
 
@@ -170,12 +253,8 @@ impl PropositionTable {
 
     /// Interns a truth row, returning the existing or a fresh id.
     pub fn intern(&mut self, row: Vec<u64>) -> PropositionId {
-        intern_row(
-            &mut self.props,
-            &mut self.index,
-            self.vocabulary.len(),
-            &row,
-        )
+        self.index
+            .intern(&mut self.props, self.vocabulary.len(), &row)
     }
 
     /// Evaluates one cycle and interns its row (mining path).
@@ -188,15 +267,23 @@ impl PropositionTable {
     /// proposition trace (mining path). The atoms are resolved against
     /// the trace's row layout once, so an instant costs a few word
     /// compares and one lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `trace`'s interface cannot hold the vocabulary's atoms
+    /// (the [`ClassifyError`] cases).
     pub fn intern_trace(&mut self, trace: &FunctionalTrace) -> PropositionTrace {
-        let tests = self.vocabulary.resolve(trace.signals());
+        let tests = self
+            .vocabulary
+            .resolve(trace.signals())
+            .unwrap_or_else(|e| panic!("cannot intern the trace: {e}"));
         let mut row = Vec::new();
         trace
             .iter()
             .map(|cycle| {
                 let words = cycle.as_words();
                 pack_truths(&mut row, tests.len(), tests.iter().map(|t| t.holds(words)));
-                intern_row(&mut self.props, &mut self.index, tests.len(), &row)
+                self.index.intern(&mut self.props, tests.len(), &row)
             })
             .collect()
     }
@@ -205,6 +292,12 @@ impl PropositionTable {
     /// path); `None` marks unknown behaviour. Equal, instant for instant,
     /// to [`classify`](Self::classify) on each row, with the atoms
     /// resolved against the trace's row layout once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `trace`'s interface cannot hold the table's atoms (see
+    /// [`try_classify_trace`](Self::try_classify_trace), which reports it
+    /// as an error instead).
     ///
     /// # Examples
     ///
@@ -228,23 +321,39 @@ impl PropositionTable {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn classify_trace(&self, trace: &FunctionalTrace) -> Vec<Option<PropositionId>> {
-        let tests = self.vocabulary.resolve(trace.signals());
+        self.try_classify_trace(trace)
+            .unwrap_or_else(|e| panic!("cannot classify the trace: {e}"))
+    }
+
+    /// [`classify_trace`](Self::classify_trace) for a trace whose
+    /// interface may not be the table's.
+    ///
+    /// # Errors
+    ///
+    /// [`ClassifyError`] naming the first signal an atom reads that the
+    /// trace does not declare, or two signals an atom compares that the
+    /// trace declares at different widths.
+    pub fn try_classify_trace(
+        &self,
+        trace: &FunctionalTrace,
+    ) -> Result<Vec<Option<PropositionId>>, ClassifyError> {
+        let tests = self.vocabulary.resolve(trace.signals())?;
         let mut row = Vec::new();
-        trace
+        Ok(trace
             .iter()
             .map(|cycle| {
                 let words = cycle.as_words();
                 pack_truths(&mut row, tests.len(), tests.iter().map(|t| t.holds(words)));
-                self.index.get(row.as_slice()).copied()
+                self.index.get(&self.props, &row)
             })
-            .collect()
+            .collect())
     }
 
     /// Evaluates one cycle *without* interning (simulation path); `None`
     /// means unknown behaviour.
     pub fn classify(&self, cycle: Row<'_>) -> Option<PropositionId> {
         let row = self.vocabulary.evaluate_row(cycle);
-        self.index.get(row.as_slice()).copied()
+        self.index.get(&self.props, &row)
     }
 
     /// The proposition behind an id.
@@ -331,24 +440,90 @@ impl psm_persist::Persist for Proposition {
     }
 }
 
-/// Returns the id of `row`, interning it as a fresh proposition over
-/// `atom_count` atoms when unseen (the row is cloned only then).
-fn intern_row(
-    props: &mut Vec<Proposition>,
-    index: &mut HashMap<Vec<u64>, PropositionId>,
-    atom_count: usize,
-    row: &[u64],
-) -> PropositionId {
-    if let Some(&id) = index.get(row) {
-        return id;
+/// The row → id lookup of a [`PropositionTable`]: an open-addressed hash
+/// table of ids, probed linearly, whose keys are the interned rows
+/// themselves. The hash is multiplicative over the row's words, so a
+/// one-word row (every paper IP's) costs one multiply and, on a hit, one
+/// word compare. Derived data: rebuilt on load and never iterated.
+///
+/// The hash is not keyed. Classifying never inserts, so a lookup probes
+/// at most one cluster of the interned rows, whatever rows the trace
+/// holds; only the table's own rows — training data or a model artifact,
+/// both chosen by whoever trains or deploys the model — could be crafted
+/// to collide.
+#[derive(Debug, Clone)]
+struct RowIndex {
+    /// One past the id each slot holds; 0 marks an empty slot. A power of
+    /// two, and at least twice the number of ids, so a probe always meets
+    /// an empty slot.
+    slots: Vec<u32>,
+}
+
+impl RowIndex {
+    /// An empty index with room for `ids` rows.
+    fn with_capacity(ids: usize) -> RowIndex {
+        RowIndex {
+            slots: vec![0; (2 * ids).next_power_of_two().max(16)],
+        }
     }
-    let id = PropositionId(props.len() as u32);
-    props.push(Proposition {
-        row: row.to_vec(),
-        atom_count,
-    });
-    index.insert(row.to_vec(), id);
-    id
+
+    /// Indexes `props`; `Err(i)` when row `i` repeats an earlier one.
+    fn build(props: &[Proposition]) -> Result<RowIndex, usize> {
+        let mut index = RowIndex::with_capacity(props.len());
+        for (i, p) in props.iter().enumerate() {
+            let slot = index.find(props, &p.row).err().ok_or(i)?;
+            index.slots[slot] = i as u32 + 1;
+        }
+        Ok(index)
+    }
+
+    /// The id of `row` among `props`, or `None` when it is not interned.
+    fn get(&self, props: &[Proposition], row: &[u64]) -> Option<PropositionId> {
+        self.find(props, row).ok()
+    }
+
+    /// The id of `row`, interning it into `props` as a fresh proposition
+    /// over `atom_count` atoms when unseen (the row is copied only then).
+    fn intern(
+        &mut self,
+        props: &mut Vec<Proposition>,
+        atom_count: usize,
+        row: &[u64],
+    ) -> PropositionId {
+        let slot = match self.find(props, row) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = PropositionId(props.len() as u32);
+        props.push(Proposition {
+            row: row.to_vec(),
+            atom_count,
+        });
+        if 2 * props.len() > self.slots.len() {
+            *self = RowIndex::build(props).expect("interned rows are distinct");
+        } else {
+            self.slots[slot] = id.0 + 1;
+        }
+        id
+    }
+
+    /// `Ok(id)` of `row`, or `Err(slot)`: the empty slot it would take.
+    fn find(&self, props: &[Proposition], row: &[u64]) -> Result<PropositionId, usize> {
+        let mask = self.slots.len() - 1;
+        // Fx-style: fold the words with a rotate, xor and odd multiply, and
+        // take the top bits, which every input bit reaches.
+        let hash = row.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let mut slot = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                n if props[n as usize - 1].row == row => return Ok(PropositionId(n - 1)),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
 }
 
 /// The serialised table stores only the vocabulary and the interned
@@ -375,16 +550,9 @@ impl psm_persist::Persist for PropositionTable {
                 )));
             }
         }
-        let index: HashMap<Vec<u64>, PropositionId> = props
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.row.clone(), PropositionId(i as u32)))
-            .collect();
-        if index.len() != props.len() {
-            return Err(psm_persist::PersistError::schema(
-                "duplicate proposition rows in table",
-            ));
-        }
+        let index = RowIndex::build(&props).map_err(|_| {
+            psm_persist::PersistError::schema("duplicate proposition rows in table")
+        })?;
         Ok(PropositionTable {
             vocabulary,
             props,
@@ -528,5 +696,177 @@ mod tests {
         let row = vocab.evaluate_row(trace.cycle(0));
         assert_eq!(row.len(), 2);
         assert_eq!(row[1], 1 << 5); // atom 69 in word 1, bit 5
+    }
+
+    /// A table over `atoms` one-bit `VarEqConst` atoms on one signal, so
+    /// its rows are `atoms.div_ceil(64)` words wide.
+    fn table_of_width(atoms: u64) -> PropositionTable {
+        let mut s = SignalSet::new();
+        let sig = s.push("x", 8, Direction::Input).unwrap();
+        let atoms = (0..atoms)
+            .map(|i| AtomicProposition::VarEqConst {
+                signal: sig,
+                value: Bits::from_u64(i % 256, 8),
+            })
+            .collect();
+        PropositionTable::new(PropositionVocabulary::new(s, atoms))
+    }
+
+    #[test]
+    fn row_index_maps_every_interned_row_and_nothing_else() {
+        use psm_prng::Prng;
+        let mut rng = Prng::seed_from_u64(23);
+        // One-word rows (every paper IP) and rows spanning two and three
+        // words; 300 rows force the index to grow several times.
+        for atoms in [12u64, 70, 130] {
+            let mut t = table_of_width(atoms);
+            let words = atoms.div_ceil(64) as usize;
+            let top_mask = match atoms % 64 {
+                0 => u64::MAX,
+                r => (1 << r) - 1,
+            };
+            // Wide rows share their first word with many others, so a
+            // lookup that compared fewer than all words would mix them up.
+            let random_row = |rng: &mut Prng| {
+                let mut row: Vec<u64> = (0..words).map(|_| rng.next_u64()).collect();
+                if words > 1 {
+                    row[0] %= 16;
+                }
+                row[words - 1] &= top_mask;
+                row
+            };
+            let mut rows = Vec::new();
+            while rows.len() < 300 {
+                let row = random_row(&mut rng);
+                if !rows.contains(&row) {
+                    rows.push(row);
+                }
+            }
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(t.intern(row.clone()), PropositionId(i as u32));
+            }
+            assert_eq!(t.len(), rows.len());
+            for (i, row) in rows.iter().enumerate() {
+                // Interning again finds the same id, and adds nothing.
+                assert_eq!(t.index.get(&t.props, row), Some(PropositionId(i as u32)));
+                assert_eq!(t.intern(row.clone()), PropositionId(i as u32));
+            }
+            assert_eq!(t.len(), rows.len());
+            let mut unseen = 0;
+            while unseen < 300 {
+                let row = random_row(&mut rng);
+                if !rows.contains(&row) {
+                    assert_eq!(t.index.get(&t.props, &row), None, "{atoms} atoms");
+                    unseen += 1;
+                }
+            }
+            // A row one bit away from an interned one, or of another
+            // width, is never a key.
+            for row in &rows {
+                let mut near = row.clone();
+                near[words - 1] ^= 1;
+                if !rows.contains(&near) {
+                    assert_eq!(t.index.get(&t.props, &near), None, "{atoms} atoms");
+                }
+            }
+            assert_eq!(
+                t.index.get(&t.props, &[rows[0].clone(), vec![0]].concat()),
+                None
+            );
+        }
+    }
+
+    #[test]
+    fn wide_rows_classify_through_the_index() {
+        // 130 atoms over one 8-bit signal: atom i holds when x == i % 256,
+        // so x = 5 sets bit 5 of word 0 and x = 129 bit 1 of word 2.
+        let mut t = table_of_width(130);
+        let mut trace = FunctionalTrace::new(t.vocabulary().signals().clone());
+        for x in [5u64, 129, 5, 200, 129] {
+            trace.push_cycle(vec![Bits::from_u64(x, 8)]).unwrap();
+        }
+        let mut training = FunctionalTrace::new(t.vocabulary().signals().clone());
+        for x in [129u64, 5] {
+            training.push_cycle(vec![Bits::from_u64(x, 8)]).unwrap();
+        }
+        let ids = t.intern_trace(&training);
+        let (p129, p5) = (ids.get(0).unwrap(), ids.get(1).unwrap());
+        assert_eq!(t.get(p129).row(), &[0, 0, 1 << 1]);
+        assert_eq!(
+            t.classify_trace(&trace),
+            vec![Some(p5), Some(p129), Some(p5), None, Some(p129)]
+        );
+        for (i, want) in t.classify_trace(&trace).into_iter().enumerate() {
+            assert_eq!(t.classify(trace.cycle(i)), want);
+        }
+    }
+
+    #[test]
+    fn foreign_interfaces_are_errors_for_try_classify_trace() {
+        // The toy model of one 1-bit signal `en`, against a trace with no
+        // signals at all.
+        let mut signals = SignalSet::new();
+        signals.push("en", 1, Direction::Input).unwrap();
+        let mut phi = FunctionalTrace::new(signals);
+        for v in [1u64, 1, 0, 0, 1] {
+            phi.push_cycle(vec![Bits::from_u64(v, 1)]).unwrap();
+        }
+        let mined = crate::Miner::new(crate::MiningConfig::default())
+            .mine(&[&phi])
+            .unwrap();
+        let mut empty = FunctionalTrace::new(SignalSet::new());
+        empty.push_cycle(Vec::new()).unwrap();
+        let err = mined.table.try_classify_trace(&empty).unwrap_err();
+        assert_eq!(
+            err,
+            ClassifyError::MissingSignal {
+                signal: "en".into(),
+                index: 0,
+                declared: 0
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "the model reads signal `en` (index 0), but the trace declares 0 signal(s)"
+        );
+        assert_eq!(
+            mined.table.try_classify_trace(&phi).unwrap(),
+            mined.table.classify_trace(&phi)
+        );
+
+        // `a > b` over 4-bit signals, against a trace declaring `b` 8 bits
+        // wide.
+        let t = table();
+        let mut s = SignalSet::new();
+        s.push("en", 1, Direction::Input).unwrap();
+        s.push("a", 4, Direction::Input).unwrap();
+        s.push("b", 8, Direction::Output).unwrap();
+        let err = t.try_classify_trace(&FunctionalTrace::new(s)).unwrap_err();
+        assert_eq!(
+            err,
+            ClassifyError::WidthMismatch {
+                left: "a".into(),
+                left_width: 4,
+                right: "b".into(),
+                right_width: 8
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot classify the trace: the model reads signal `en`")]
+    fn classify_trace_panics_on_a_foreign_interface() {
+        let mut signals = SignalSet::new();
+        signals.push("en", 1, Direction::Input).unwrap();
+        let mut phi = FunctionalTrace::new(signals);
+        for v in [1u64, 0] {
+            phi.push_cycle(vec![Bits::from_u64(v, 1)]).unwrap();
+        }
+        let mined = crate::Miner::new(crate::MiningConfig::default())
+            .mine(&[&phi])
+            .unwrap();
+        let mut empty = FunctionalTrace::new(SignalSet::new());
+        empty.push_cycle(Vec::new()).unwrap();
+        mined.table.classify_trace(&empty);
     }
 }

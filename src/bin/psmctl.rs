@@ -64,6 +64,12 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// A malformed command line: the message and `USAGE`, exit 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("psmctl: {message}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn client_exit(err: &ClientError) -> ExitCode {
     eprintln!("psmctl: {err}");
     match err {
@@ -409,57 +415,55 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--addr" => match it.next() {
                 Some(a) => addr = a.clone(),
-                None => return fail("--addr needs ip:port"),
+                None => return usage_error("--addr needs ip:port"),
             },
             "--format" => match it.next() {
                 Some(f) if f == "text" || f == "json" => format = f.clone(),
-                _ => return fail("--format needs text or json"),
+                _ => return usage_error("--format needs text or json"),
             },
             "--version" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => version = Some(v),
-                None => return fail("--version needs a number"),
+                None => return usage_error("--version needs a number"),
             },
             "--gen" => match it.next() {
                 Some(spec) => gen = Some(spec.clone()),
-                None => return fail("--gen needs <IP>:<seed>:<cycles>"),
+                None => return usage_error("--gen needs <IP>:<seed>:<cycles>"),
             },
             "--trace" => match it.next() {
                 Some(path) => trace_path = Some(path.clone()),
-                None => return fail("--trace needs a path"),
+                None => return usage_error("--trace needs a path"),
             },
             "--stream" => stream_mode = true,
             "--chunks" => match parse_pos(it.next(), "--chunks") {
                 Ok(n) => chunk_cycles = n,
-                Err(e) => return fail(&e),
+                Err(e) => return usage_error(&e),
             },
             "--slow-write-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(ms) => slow_write = Some(Duration::from_millis(ms)),
-                None => return fail("--slow-write-ms needs a number"),
+                None => return usage_error("--slow-write-ms needs a number"),
             },
             "--clients" => match parse_pos(it.next(), "--clients") {
                 Ok(n) => clients = n,
-                Err(e) => return fail(&e),
+                Err(e) => return usage_error(&e),
             },
             "--streams" => match parse_pos(it.next(), "--streams") {
                 Ok(n) => streams = n,
-                Err(e) => return fail(&e),
+                Err(e) => return usage_error(&e),
             },
             "--rounds" => match parse_pos(it.next(), "--rounds") {
                 Ok(n) => rounds = n,
-                Err(e) => return fail(&e),
+                Err(e) => return usage_error(&e),
             },
             "-h" | "--help" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {
-                eprintln!("psmctl: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
+                return usage_error(&format!("unknown option `{other}`"))
             }
             word if command.is_none() => {
                 if !COMMANDS.contains(&word) {
-                    eprintln!("psmctl: unknown command `{word}`\n{USAGE}");
-                    return ExitCode::from(2);
+                    return usage_error(&format!("unknown command `{word}`"));
                 }
                 command = Some(word.to_owned());
             }
@@ -468,29 +472,21 @@ fn main() -> ExitCode {
             {
                 model = Some(word.to_owned());
             }
-            word => {
-                eprintln!("psmctl: unexpected argument `{word}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            word => return usage_error(&format!("unexpected argument `{word}`")),
         }
     }
 
     let Some(command) = command else {
-        eprintln!("psmctl: no command given\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("no command given");
     };
 
     if command == "bench" {
         let Some(model) = model else {
-            eprintln!("psmctl: bench needs a model name\n{USAGE}");
-            return ExitCode::from(2);
+            return usage_error("bench needs a model name");
         };
         let workload = match load_workload(gen.as_deref(), trace_path.as_deref()) {
             Ok(trace) => trace,
-            Err(message) => {
-                eprintln!("psmctl: {message}\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            Err(message) => return usage_error(&message),
         };
         return run_bench(
             &addr, &model, version, workload, clients, streams, rounds, &format,
@@ -519,15 +515,11 @@ fn main() -> ExitCode {
         },
         "estimate" => {
             let Some(model) = model else {
-                eprintln!("psmctl: estimate needs a model name\n{USAGE}");
-                return ExitCode::from(2);
+                return usage_error("estimate needs a model name");
             };
             let workload = match load_workload(gen.as_deref(), trace_path.as_deref()) {
                 Ok(trace) => trace,
-                Err(message) => {
-                    eprintln!("psmctl: {message}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
+                Err(message) => return usage_error(&message),
             };
             let payload_kind = if stream_mode {
                 "streamed binary"

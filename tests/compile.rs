@@ -9,9 +9,10 @@
 //! These tests pin that contract on all four paper benchmarks (directly
 //! and through `PsmFlow`'s flat and hierarchical estimation), on a
 //! long-TS model whose states hold many copies of each chain, on
-//! randomised PRNG-built models (including unknown and out-of-range
-//! observations), and through every artifact format version into the
-//! serving registry.
+//! randomised PRNG-built models whose states hold duplicate chains and
+//! distinct chains sharing an entry proposition (including unknown and
+//! out-of-range observations, one-shot and chunked), and through every
+//! artifact format version into the serving registry.
 
 use psm_prng::Prng;
 use psmgen::compile::CompiledModel;
@@ -211,30 +212,62 @@ fn long_ts_model_with_duplicate_chains_is_bit_identical() {
     assert_chunked_resume_matches_one_shot(&compiled, &obs, &hamming, "MultSum long-TS");
 }
 
+/// Whether some state of `psm` holds (a) a chain twice and (b) two
+/// distinct chains entered by the same proposition — the two shapes the
+/// compiled walk folds.
+fn chain_shapes(psm: &psmgen::psm::Psm) -> (bool, bool) {
+    let mut duplicate = false;
+    let mut shared_entry = false;
+    for (_, state) in psm.states() {
+        let chains = state.chains();
+        for (i, a) in chains.iter().enumerate() {
+            for b in &chains[..i] {
+                if a == b {
+                    duplicate = true;
+                } else if a.entry_proposition() == b.entry_proposition() {
+                    shared_entry = true;
+                }
+            }
+        }
+    }
+    (duplicate, shared_entry)
+}
+
 #[test]
 fn randomised_models_agree_between_engines() {
     let mut rng = Prng::seed_from_u64(2026);
-    for case in 0..24 {
-        // A random proposition sequence with enough repetition for the
-        // miner-shaped XU structure to emerge, and a power profile that
-        // ties distinct levels to distinct propositions.
+    let (mut with_duplicates, mut with_shared_entries) = (0, 0);
+    for case in 0..32 {
+        // One to three random proposition sequences with enough repetition
+        // for the miner-shaped XU structure to emerge, and power profiles
+        // that tie distinct levels to distinct propositions. Joining
+        // several traces' PSMs gives states alternative chains: copies of
+        // one chain, and distinct chains opened by one proposition.
         let symbols = rng.range_u32(2..6);
-        let len = rng.range_usize(40..160);
-        let mut props: Vec<u32> = Vec::with_capacity(len);
-        let mut current = rng.range_u32(0..symbols);
-        for _ in 0..len {
-            if rng.chance(0.35) {
-                current = rng.range_u32(0..symbols);
-            }
-            props.push(current);
-        }
-        let power: PowerTrace = props
-            .iter()
-            .map(|&p| 1.5 + 2.0 * p as f64 + rng.f64_in(0.0, 0.25))
+        let traces = rng.range_usize(1..4);
+        let psms: Vec<_> = (0..traces)
+            .map(|k| {
+                let len = rng.range_usize(40..160);
+                let mut props: Vec<u32> = Vec::with_capacity(len);
+                let mut current = rng.range_u32(0..symbols);
+                for _ in 0..len {
+                    if rng.chance(0.35) {
+                        current = rng.range_u32(0..symbols);
+                    }
+                    props.push(current);
+                }
+                let power: PowerTrace = props
+                    .iter()
+                    .map(|&p| 1.5 + 2.0 * p as f64 + rng.f64_in(0.0, 0.25))
+                    .collect();
+                generate_psm(&PropositionTrace::from_indices(&props), &power, case + k)
+                    .expect("generation succeeds")
+            })
             .collect();
-        let psm = generate_psm(&PropositionTrace::from_indices(&props), &power, case)
-            .expect("generation succeeds");
-        let joined = join(&[psm], &MergePolicy::default());
+        let joined = join(&psms, &MergePolicy::default());
+        let (duplicate, shared_entry) = chain_shapes(&joined);
+        with_duplicates += usize::from(duplicate);
+        with_shared_entries += usize::from(shared_entry);
         let hmm = build_hmm(&joined, symbols as usize);
         let compiled = CompiledModel::compile(&joined, &hmm).expect("model compiles");
 
@@ -255,9 +288,15 @@ fn randomised_models_agree_between_engines() {
         let hamming: Vec<u32> = (0..steps).map(|_| rng.range_u32(0..12)).collect();
 
         let interp = HmmSimulator::new(&joined, hmm.clone()).run(&obs, &hamming);
-        let fast = compiled.run(&obs, &hamming);
-        assert_bit_identical(&fast, &interp, &format!("random case {case}"));
+        let label = format!("random case {case}");
+        assert_bit_identical(&compiled.run(&obs, &hamming), &interp, &label);
+        assert_chunked_resume_matches_one_shot(&compiled, &obs, &hamming, &label);
     }
+    assert!(
+        with_duplicates >= 16 && with_shared_entries >= 16,
+        "the cases must exercise both folded shapes: {with_duplicates} with duplicate \
+         chains, {with_shared_entries} with distinct chains sharing an entry"
+    );
 }
 
 /// The north-star artifact invariant: one trained model written as v1

@@ -762,3 +762,40 @@ fn psmctl_rejects_unknown_commands_before_connecting() {
         );
     }
 }
+
+/// A bad option value is a usage error too (exit 2, with the usage
+/// text), caught before psmctl dials the daemon.
+#[test]
+fn psmctl_option_value_errors_are_usage_errors() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    for (args, message) in [
+        (
+            &["--format", "xml", "list"][..],
+            "--format needs text or json",
+        ),
+        (
+            &["--chunks", "0", "list"],
+            "--chunks needs a positive number",
+        ),
+        (&["--version", "x", "list"], "--version needs a number"),
+        (&["list", "--addr"], "--addr needs ip:port"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_psmctl"))
+            .arg("--addr")
+            .arg(&addr)
+            .args(args)
+            .output()
+            .expect("psmctl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: psmctl"), "{args:?}: {stderr}");
+        let accepted = listener.accept();
+        assert!(
+            matches!(&accepted, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "{args:?}: psmctl connected before rejecting the option"
+        );
+    }
+}
