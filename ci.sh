@@ -131,14 +131,18 @@ grep -q serve.estimate_ns target/psmd-smoke/stats.json
 ./target/release/psmctl --addr "$PSMD_ADDR" shutdown
 wait "$PSMD_PID"   # psmd must drain and exit 0
 
-echo "==> psmd: v3 artifacts serve the v2 answer bit for bit"
+echo "==> psmd: legacy artifacts serve their recorded answers bit for bit"
 # psmd compiles every model at load and ignores a v3 file's compiled
 # section. Serve the legacy fixture an earlier build wrote and a v3 copy
 # of the smoke artifact (its header rewritten), check that both list at
 # format 3, and require the copy to estimate the workload to the same
-# bytes as the v2 run above.
+# bytes as the v2 run above. Serve too the v2 model an earlier build
+# wrote with every copy of its chains listed (loading folds them into
+# counts), and require its estimate to match, byte for byte, the one
+# that build served, checked in beside it.
 rm -rf target/psmd-smoke-v3 && mkdir -p target/psmd-smoke-v3
 cp examples/artifacts/verify_defect_legacy_v3.json target/psmd-smoke-v3/legacy@1.json
+cp examples/artifacts/multsum_duplicate_chains.json target/psmd-smoke-v3/
 sed '1s|^psmgen-artifact/v2$|psmgen-artifact/v3|' \
     target/psmd-smoke/demo@1.json > target/psmd-smoke-v3/demo@1.json
 head -n 1 target/psmd-smoke-v3/demo@1.json | grep -qx 'psmgen-artifact/v3'
@@ -153,9 +157,14 @@ PSMD_ADDR="$(cat target/psmd-smoke/v3-port)"
 ./target/release/psmctl --addr "$PSMD_ADDR" list > target/psmd-smoke/v3-list.txt
 grep -q 'legacy@1  format v3' target/psmd-smoke/v3-list.txt
 grep -q 'demo@1  format v3' target/psmd-smoke/v3-list.txt
+grep -q 'multsum_duplicate_chains@1  format v2' target/psmd-smoke/v3-list.txt
 ./target/release/psmctl --addr "$PSMD_ADDR" estimate demo \
     --gen MultSum:7:500 --format json > target/psmd-smoke/v3-estimate.json
 cmp target/psmd-smoke/estimate.json target/psmd-smoke/v3-estimate.json
+./target/release/psmctl --addr "$PSMD_ADDR" estimate multsum_duplicate_chains \
+    --gen MultSum:11:1000 --format json > target/psmd-smoke/legacy-chains-estimate.json
+cmp examples/artifacts/multsum_duplicate_chains.estimate.json \
+    target/psmd-smoke/legacy-chains-estimate.json
 ./target/release/psmctl --addr "$PSMD_ADDR" shutdown
 wait "$PSMD_PID"
 

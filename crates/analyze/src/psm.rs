@@ -113,12 +113,11 @@ pub fn lint_psm(psm: &Psm) -> AnalysisReport {
         }
     }
 
-    // PS003: two states whose (sorted, deduplicated) chain labels coincide.
+    // PS003: two states whose sorted sets of distinct chains coincide.
     let mut by_label: HashMap<String, Vec<usize>> = HashMap::new();
     for (id, state) in psm.states() {
         let mut labels: Vec<String> = state.chains().iter().map(|c| c.to_string()).collect();
         labels.sort();
-        labels.dedup();
         by_label
             .entry(labels.join(" ∨ "))
             .or_default()

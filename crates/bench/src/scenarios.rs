@@ -215,8 +215,9 @@ fn long_chain_psms(flow: &PsmFlow, seed: u64) -> (Vec<Psm>, usize) {
 }
 
 /// Cycles of each of the four long-TS captures `compiled_forward_long_ts`
-/// trains on, whatever the suite's budget: the model must be the
-/// duplicate-heavy one the paper's long-TS rows produce.
+/// trains on, whatever the suite's budget: the model must be the one the
+/// paper's long-TS rows produce, whose few distinct chains carry counts in
+/// the thousands.
 const LONG_TS_MODEL_CYCLES: usize = 25_000;
 
 /// Compiles `model`, checks the compiled pass bit-agrees with the
@@ -396,7 +397,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
     // -- compiled flat-table forward vs the reference walker ------------
     // One scenario per paper bench, trained on its short-TS testbench,
     // and one on the MultSum model trained on four long-TS captures,
-    // whose states hold thousands of copies of a few distinct chains.
+    // whose few distinct chains carry counts in the thousands.
     for name in ["RAM", "MultSum", "AES", "Camellia"] {
         let mut ip = crate::ip(name);
         let model = crate::flow(name)

@@ -27,9 +27,8 @@
 //! chunking of the same trace (the workspace's `tests/compile.rs` asserts
 //! this on all four paper benchmarks). It is the only estimation runtime
 //! of the flow and of `psmd`; `HmmSimulator` remains as the test oracle.
-//! The compiled walk does only the work that can change its answer: it
-//! walks each distinct chain of a state once, however many copies of it
-//! the PSM keeps, and its filter step skips the zero entries of A and B.
+//! The compiled walk does only the work that can change its answer: its
+//! filter step skips the zero entries of A and B.
 //! See `DESIGN.md` § *Compiled serving runtime* for the table layout and
 //! the bit-identity argument.
 //!

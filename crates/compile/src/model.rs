@@ -61,7 +61,7 @@ pub struct CompiledModel {
     // ---- PSM structure ----
     /// CSR offsets into the global chain id space: state `s` owns chains
     /// `chain_off[s]..chain_off[s+1]`, its distinct chains in the source
-    /// enumeration order (each at its first occurrence).
+    /// enumeration order.
     pub(crate) chain_off: Vec<u32>,
     /// CSR offsets into the part arrays: chain `c` spans parts
     /// `part_off[c]..part_off[c+1]` (chains are never empty).
@@ -176,10 +176,7 @@ impl CompiledModel {
         }
         // PSM structure, flattened in source enumeration order (states
         // ascending, chains in declaration order) so every tie-break of the
-        // interpreted walker is reproduced. A chain equal to an earlier
-        // chain of the same state is left out: the walk's outcome depends
-        // only on whether some alternative survives and whether some wants
-        // to exit, and a copy changes neither (B still counts every copy).
+        // interpreted walker is reproduced.
         let mut chain_off: Vec<u32> = Vec::with_capacity(m + 1);
         chain_off.push(0);
         let mut part_off: Vec<u32> = vec![0];
@@ -189,14 +186,8 @@ impl CompiledModel {
         let mut out_kind: Vec<u8> = Vec::with_capacity(m);
         let mut out_slope: Vec<f64> = Vec::with_capacity(m);
         let mut out_offset: Vec<f64> = Vec::with_capacity(m);
-        let mut kept = Vec::new();
         for (_, state) in psm.states() {
-            kept.clear();
             for chain in state.chains() {
-                if kept.contains(&chain) {
-                    continue;
-                }
-                kept.push(chain);
                 for part in chain.parts() {
                     part_left.push(part.left().index() as u32);
                     part_right.push(part.right().index() as u32);

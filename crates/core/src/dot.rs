@@ -32,9 +32,10 @@ pub fn to_dot(psm: &Psm, table: Option<&PropositionTable>) -> String {
         let chains: Vec<String> = state
             .chains()
             .iter()
-            .map(|c| match table {
-                Some(t) => c.render(t),
-                None => c.to_string(),
+            .zip(state.counts())
+            .map(|(c, count)| match table {
+                Some(t) => format!("{} ×{count}", c.render(t)),
+                None => format!("{c} ×{count}"),
             })
             .collect();
         let label = format!("{}\\n{}\\n{}", id, chains.join(" ‖ "), state.attrs());

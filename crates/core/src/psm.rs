@@ -169,10 +169,15 @@ impl OutputFunction {
 ///
 /// A state generated by `PSMGenerator` has exactly one chain of length one;
 /// `simplify` lengthens chains, `join` adds *alternative* chains
-/// (`{p_i ‖ p_j ‖ …}`).
+/// (`{p_i ‖ p_j ‖ …}`). A state holds each distinct chain once, in
+/// first-occurrence order, beside its multiplicity: how many of the
+/// merged states it came from carried that chain. Joining a state whose
+/// chain this one already holds adds to that chain's count, so the
+/// multiplicities the HMM's B matrix counts never exist as copies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerState {
     chains: Vec<ChainAssertion>,
+    counts: Vec<usize>,
     windows: Vec<SourceWindow>,
     attrs: PowerAttributes,
     output: OutputFunction,
@@ -184,15 +189,29 @@ impl PowerState {
     pub fn new(chain: ChainAssertion, window: SourceWindow, attrs: PowerAttributes) -> Self {
         PowerState {
             chains: vec![chain],
+            counts: vec![1],
             windows: vec![window],
             attrs,
             output: OutputFunction::Constant(attrs.mu()),
         }
     }
 
-    /// Alternative chains characterising this state (`‖`-composition).
+    /// The distinct alternative chains characterising this state
+    /// (`‖`-composition), in first-occurrence order.
     pub fn chains(&self) -> &[ChainAssertion] {
         &self.chains
+    }
+
+    /// The multiplicity of each chain, parallel to [`chains`](Self::chains):
+    /// every count is at least 1.
+    pub fn counts(&self) -> &[usize] {
+        &self.counts
+    }
+
+    /// Total multiplicity: the sum of [`counts`](Self::counts), the number
+    /// of chains the merged states carried, copies included.
+    pub fn multiplicity(&self) -> usize {
+        self.counts.iter().sum()
     }
 
     /// Training windows backing the attributes.
@@ -221,13 +240,26 @@ impl PowerState {
         self.attrs.n() == 1
     }
 
+    /// Adds `count` occurrences of `chain`: to its count when this state
+    /// already holds it, as a new last alternative otherwise.
+    fn add_chain(&mut self, chain: ChainAssertion, count: usize) {
+        match self.chains.iter().position(|c| *c == chain) {
+            Some(i) => self.counts[i] += count,
+            None => {
+                self.chains.push(chain);
+                self.counts.push(count);
+            }
+        }
+    }
+
     /// Absorbs another state's assertions, windows and attributes, either
     /// as a *sequence* (`simplify`: other's chain is appended to this
-    /// state's single chain) or as *alternatives* (`join`).
+    /// state's single chain) or as *alternatives* (`join`: each of other's
+    /// chains folds into an equal chain's count or is appended).
     pub(crate) fn absorb(&mut self, other: PowerState, as_sequence: bool) {
         if as_sequence {
-            debug_assert_eq!(self.chains.len(), 1, "sequence merges act on chain PSMs");
-            debug_assert_eq!(other.chains.len(), 1);
+            debug_assert_eq!(self.multiplicity(), 1, "sequence merges act on chain PSMs");
+            debug_assert_eq!(other.multiplicity(), 1);
             let tail = other
                 .chains
                 .into_iter()
@@ -235,8 +267,9 @@ impl PowerState {
                 .expect("chains are non-empty");
             self.chains[0].parts.extend(tail.parts);
         } else {
-            // Identical chains are kept: the HMM's B matrix counts them.
-            self.chains.extend(other.chains);
+            for (chain, count) in other.chains.into_iter().zip(other.counts) {
+                self.add_chain(chain, count);
+            }
         }
         self.windows.extend(other.windows);
         self.attrs.merge(&other.attrs);
@@ -353,11 +386,10 @@ impl Psm {
     }
 
     /// A PSM is deterministic when no state has two outgoing transitions
-    /// with the same guard and no state has two *different* alternative
-    /// chains sharing an entry proposition (identical chains joined twice
-    /// only add multiplicity, not ambiguity). The paper's §IV notes `join`
-    /// can break determinism; non-deterministic models need the HMM
-    /// simulator.
+    /// with the same guard and no state has two alternative chains sharing
+    /// an entry proposition (a chain joined twice only adds multiplicity,
+    /// not ambiguity). The paper's §IV notes `join` can break determinism;
+    /// non-deterministic models need the HMM simulator.
     pub fn is_deterministic(&self) -> bool {
         for (id, state) in self.states() {
             let mut guards: Vec<_> = self.successors(id).map(|t| t.guard).collect();
@@ -365,13 +397,11 @@ impl Psm {
             if guards.windows(2).any(|w| w[0] == w[1]) {
                 return false;
             }
-            let mut distinct: Vec<&ChainAssertion> = Vec::new();
-            for c in state.chains() {
-                if !distinct.contains(&c) {
-                    distinct.push(c);
-                }
-            }
-            let mut entries: Vec<_> = distinct.iter().map(|c| c.entry_proposition()).collect();
+            let mut entries: Vec<_> = state
+                .chains()
+                .iter()
+                .map(|c| c.entry_proposition())
+                .collect();
             entries.sort();
             if entries.windows(2).any(|w| w[0] == w[1]) {
                 return false;
@@ -615,9 +645,9 @@ impl Fold {
 mod persist {
     //! [`Persist`] implementations for the PSM data structure. The JSON
     //! layout mirrors the in-memory structure; referential invariants
-    //! (transition endpoints, initial states, chain shapes) are re-validated
-    //! on load so a hand-edited document cannot produce a PSM that panics
-    //! later.
+    //! (transition endpoints, initial states, chain shapes and counts) are
+    //! re-validated on load so a hand-edited document cannot produce a PSM
+    //! that panics later.
 
     use super::*;
     use psm_persist::{JsonValue, Persist, PersistError};
@@ -695,25 +725,60 @@ mod persist {
 
     impl Persist for PowerState {
         fn to_json(&self) -> JsonValue {
+            let alternatives = self.chains.iter().zip(&self.counts).map(|(chain, count)| {
+                JsonValue::obj([
+                    ("chain", chain.to_json()),
+                    ("count", JsonValue::from(*count)),
+                ])
+            });
             JsonValue::obj([
-                ("chains", self.chains.to_json()),
+                ("alternatives", JsonValue::arr(alternatives)),
                 ("windows", self.windows.to_json()),
                 ("attrs", self.attrs.to_json()),
                 ("output", self.output.to_json()),
             ])
         }
 
+        /// Reads `alternatives` (each distinct chain once, with its count)
+        /// or, from files written before chains carried counts, the legacy
+        /// `chains` list of every copy, folded into counts by first
+        /// occurrence — the state `join` builds from the same copies.
         fn from_json(v: &JsonValue) -> Result<Self, PersistError> {
-            let chains: Vec<ChainAssertion> = Vec::from_json(v.field("chains")?)?;
-            if chains.is_empty() {
-                return Err(PersistError::schema("a power state needs a chain"));
-            }
-            Ok(PowerState {
-                chains,
+            let mut state = PowerState {
+                chains: Vec::new(),
+                counts: Vec::new(),
                 windows: Vec::from_json(v.field("windows")?)?,
                 attrs: PowerAttributes::from_json(v.field("attrs")?)?,
                 output: OutputFunction::from_json(v.field("output")?)?,
-            })
+            };
+            match (v.get("alternatives"), v.get("chains")) {
+                (Some(alternatives), None) => {
+                    for item in alternatives.as_arr()? {
+                        let chain = ChainAssertion::from_json(item.field("chain")?)?;
+                        let count = item.usize_field("count")?;
+                        if count == 0 || state.chains.contains(&chain) {
+                            return Err(PersistError::schema("invalid alternative-chain table"));
+                        }
+                        state.chains.push(chain);
+                        state.counts.push(count);
+                    }
+                }
+                (None, Some(legacy)) => {
+                    for chain in Vec::<ChainAssertion>::from_json(legacy)? {
+                        state.add_chain(chain, 1);
+                    }
+                }
+                (Some(_), Some(_)) => {
+                    return Err(PersistError::schema(
+                        "a power state holds `alternatives` or the legacy `chains`, not both",
+                    ))
+                }
+                (None, None) => return Err(PersistError::schema("missing field \"alternatives\"")),
+            }
+            if state.chains.is_empty() {
+                return Err(PersistError::schema("a power state needs a chain"));
+            }
+            Ok(state)
         }
     }
 
@@ -966,6 +1031,71 @@ mod tests {
             "[{\"state\":0,\"count\":1},{\"state\":0,\"count\":1}]",
         );
         assert!(Psm::from_json(&JsonValue::parse(&bad).unwrap()).is_err());
+    }
+
+    #[test]
+    fn join_folds_equal_chains_into_counts() {
+        let mut psm = three_state_chain();
+        psm.absorb_psm(&three_state_chain());
+        // s3 carries the same chain as s0: its count folds into s0's.
+        psm.merge_states(StateId(0), StateId(3), false);
+        let merged = psm.state(StateId(0));
+        assert_eq!(merged.chains(), &[chain(0, 1, true)]);
+        assert_eq!(merged.counts(), &[2]);
+        assert_eq!(merged.multiplicity(), 2);
+        assert_eq!(merged.windows().len(), 2);
+        // A distinct chain is appended after it, with its own count.
+        psm.merge_states(StateId(0), StateId(2), false);
+        let merged = psm.state(StateId(0));
+        assert_eq!(merged.chains(), &[chain(0, 1, true), chain(2, 3, false)]);
+        assert_eq!(merged.counts(), &[2, 1]);
+        assert_eq!(merged.multiplicity(), 3);
+        // Folding a state that already holds counts adds them up.
+        let mut other = merged.clone();
+        other.absorb(merged.clone(), false);
+        assert_eq!(other.counts(), &[4, 2]);
+    }
+
+    #[test]
+    fn legacy_chain_lists_fold_into_counts() {
+        use psm_persist::{JsonValue, Persist};
+        let mut joined = state(0, 1, &[3.0, 3.1]);
+        joined.absorb(state(2, 3, &[3.0]), false);
+        joined.absorb(state(0, 1, &[3.0, 2.9]), false);
+        joined.absorb(state(0, 1, &[3.1, 3.0]), false);
+        assert_eq!(joined.counts(), &[3, 1]);
+
+        // The list of every copy a file written before counts held.
+        let text = joined.to_json().render();
+        let a = chain(0, 1, true).to_json().render();
+        let b = chain(2, 3, false).to_json().render();
+        let alternatives = format!(
+            "\"alternatives\":[{{\"chain\":{a},\"count\":3}},{{\"chain\":{b},\"count\":1}}]"
+        );
+        assert!(text.contains(&alternatives), "{text}");
+        let legacy = text.replace(&alternatives, &format!("\"chains\":[{a},{b},{a},{a}]"));
+        let back = PowerState::from_json(&JsonValue::parse(&legacy).unwrap()).unwrap();
+        assert_eq!(back, joined);
+        assert_eq!(back.to_json().render(), text);
+
+        // Counts are positive, chains distinct, and one key is read.
+        for bad in [
+            text.replace("\"count\":1}", "\"count\":0}"),
+            text.replace(&b, &a),
+            text.replace(&alternatives, &format!("{alternatives},\"chains\":[{a}]")),
+            text.replace(&alternatives, "\"chains\":[]"),
+        ] {
+            assert!(
+                PowerState::from_json(&JsonValue::parse(&bad).unwrap()).is_err(),
+                "{bad}"
+            );
+        }
+        let neither = text.replace(&format!("{alternatives},"), "");
+        let err = PowerState::from_json(&JsonValue::parse(&neither).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("missing field \"alternatives\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -58,12 +58,12 @@ pub fn report(psm: &Psm, table: Option<&PropositionTable>) -> String {
             state.chains().len(),
             state.windows().len()
         );
-        for chain in state.chains().iter().take(4) {
+        for (chain, count) in state.chains().iter().zip(state.counts()).take(4) {
             let rendered = match table {
                 Some(t) => chain.render(t),
                 None => chain.to_string(),
             };
-            let _ = writeln!(out, "      ‖ {rendered}");
+            let _ = writeln!(out, "      ‖ {rendered} ×{count}");
         }
         if state.chains().len() > 4 {
             let _ = writeln!(out, "      ‖ … {} more", state.chains().len() - 4);

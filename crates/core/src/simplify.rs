@@ -14,8 +14,9 @@ use std::collections::HashSet;
 /// adjacent pair qualifies, exactly like the paper's fixpoint iteration.
 ///
 /// Only chain-shaped states qualify (a unique successor that has a unique
-/// predecessor, both characterised by a single chain) — which is the shape
-/// `PSMGenerator` produces. `simplify` is a no-op on already-joined graphs.
+/// predecessor, both characterised by a single chain of multiplicity 1) —
+/// which is the shape `PSMGenerator` produces. `simplify` is a no-op on
+/// already-joined graphs.
 ///
 /// Returns the number of merges performed.
 ///
@@ -92,11 +93,11 @@ impl Adjacency {
     }
 
     /// `true` when `s`'s successor can fold into it: `s` is live with a
-    /// single chain and a unique successor `next ≠ s`, and `next` has `s` as
-    /// its unique predecessor, a single chain and power attributes
-    /// indistinguishable from `s`'s.
+    /// single chain of multiplicity 1 and a unique successor `next ≠ s`,
+    /// and `next` has `s` as its unique predecessor, a single chain of
+    /// multiplicity 1 and power attributes indistinguishable from `s`'s.
     fn qualifies(&self, fold: &Fold, policy: &MergePolicy, s: usize) -> bool {
-        if !fold.is_live(s) || fold.state(s).chains().len() != 1 {
+        if !fold.is_live(s) || fold.state(s).multiplicity() != 1 {
             return false;
         }
         let [t] = self.outgoing[s][..] else {
@@ -105,7 +106,7 @@ impl Adjacency {
         let next = fold.transitions()[t].to.index();
         next != s
             && self.incoming[next].len() == 1
-            && fold.state(next).chains().len() == 1
+            && fold.state(next).multiplicity() == 1
             && policy.mergeable(fold.state(s).attrs(), fold.state(next).attrs())
     }
 
@@ -170,7 +171,7 @@ fn find_adjacent_pair(
     policy: &MergePolicy,
 ) -> Option<(crate::psm::StateId, crate::psm::StateId)> {
     for (id, state) in psm.states() {
-        if state.chains().len() != 1 {
+        if state.multiplicity() != 1 {
             continue;
         }
         // Unique successor…
@@ -187,7 +188,7 @@ fn find_adjacent_pair(
             continue;
         }
         let next_state = psm.state(next);
-        if next_state.chains().len() != 1 {
+        if next_state.multiplicity() != 1 {
             continue;
         }
         // …and power-indistinguishable from it.
@@ -381,6 +382,21 @@ mod tests {
             &[0],
         );
         assert_eq!(agrees_with_reference(&psm), 1);
+    }
+
+    #[test]
+    fn a_chain_joined_twice_does_not_qualify() {
+        // One power level along s0 → s1 → s2, but s0's single chain has
+        // count 2: it is not a chain state, so only s1 and s2 merge.
+        let mut psm = graph(&[3.0, 3.0, 3.0], &[(0, 1, 1), (1, 2, 2)], &[0]);
+        let copy = psm.state(StateId(0)).clone();
+        psm.state_mut(StateId(0)).absorb(copy, false);
+        assert_eq!(psm.state(StateId(0)).counts(), &[2]);
+        assert_eq!(agrees_with_reference(&psm), 1);
+        simplify(&mut psm, &MergePolicy::default());
+        assert_eq!(psm.state_count(), 2);
+        assert_eq!(psm.state(StateId(0)).counts(), &[2]);
+        assert_eq!(psm.state(StateId(1)).chains()[0].len(), 2);
     }
 
     #[test]

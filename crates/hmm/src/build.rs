@@ -14,8 +14,10 @@ use psm_core::Psm;
 ///   transitions, following the paper's transition counting. States with
 ///   no successor are absorbing.
 /// * `B[j][k]`: how often proposition `k` appears as the *observed* (left)
-///   proposition of an assertion characterising state `j`, counting the
-///   multiplicity added by `join` — the paper's b_jk;
+///   proposition of an assertion characterising state `j`, each chain
+///   weighted by the multiplicity `join` gave it — the paper's b_jk. The
+///   sums are of small integers, exact in `f64` in any order, so a count
+///   of `n` adds exactly what `n` copies of the chain would;
 /// * `π`: the number of training traces that started in each initial
 ///   state.
 ///
@@ -79,11 +81,11 @@ pub fn build_hmm(psm: &Psm, num_symbols: usize) -> Hmm {
     let mut b = vec![vec![0.0f64; num_symbols]; m];
     for (id, state) in psm.states() {
         let i = id.index();
-        for chain in state.chains() {
+        for (chain, &count) in state.chains().iter().zip(state.counts()) {
             for part in chain.parts() {
                 let k = part.left().index();
                 if k < num_symbols {
-                    b[i][k] += 1.0;
+                    b[i][k] += count as f64;
                 }
             }
         }
@@ -181,6 +183,69 @@ mod tests {
         // The idle state emits only proposition 0.
         assert!((hmm.b()[idle][0] - 1.0).abs() < 1e-12);
         assert_eq!(hmm.b()[idle][1], 0.0);
+    }
+
+    /// B built from chain counts equals B built from every copy the
+    /// counts stand for, each added on its own and interleaved across
+    /// chains, bit for bit.
+    #[test]
+    fn emissions_from_counts_equal_emissions_from_expanded_copies() {
+        // Twelve traces repeating four behaviours with varying dwell
+        // times: join folds hundreds of equal chains into counts.
+        let psms: Vec<Psm> = (0..12usize)
+            .map(|trace| {
+                let mut props = Vec::new();
+                let mut power = Vec::new();
+                for rep in 0..20usize {
+                    for &(id, mw, len) in &[
+                        (0u32, 3.0, 2 + (rep + trace) % 4),
+                        (1, 9.0, 2),
+                        (2, 9.0, 1 + rep % 2),
+                        (3, 5.0, 3),
+                    ] {
+                        for k in 0..len {
+                            props.push(id);
+                            power.push(mw + 0.002 * (k % 3) as f64);
+                        }
+                    }
+                }
+                let delta: PowerTrace = power.into_iter().collect();
+                generate_psm(&PropositionTrace::from_indices(&props), &delta, trace).unwrap()
+            })
+            .collect();
+        let joined = join(&psms, &MergePolicy::default());
+        assert!(
+            joined
+                .states()
+                .any(|(_, s)| s.counts().iter().any(|&n| n >= 10)),
+            "join must fold many copies"
+        );
+        let hmm = build_hmm(&joined, 4);
+
+        let m = joined.state_count();
+        let mut b = vec![vec![0.0f64; 4]; m];
+        for (id, state) in joined.states() {
+            let mut left = state.counts().to_vec();
+            while left.iter().any(|&n| n > 0) {
+                for (chain, n) in state.chains().iter().zip(&mut left) {
+                    if *n > 0 {
+                        *n -= 1;
+                        for part in chain.parts() {
+                            b[id.index()][part.left().index()] += 1.0;
+                        }
+                    }
+                }
+            }
+        }
+        let identity = (0..m)
+            .map(|i| (0..m).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
+            .collect();
+        let copies = Hmm::new(identity, b, vec![1.0; m]).unwrap();
+        for (i, (got, want)) in hmm.b().iter().zip(copies.b()).enumerate() {
+            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "B row {i}");
+        }
     }
 
     #[test]

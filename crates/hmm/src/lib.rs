@@ -14,7 +14,7 @@
 //!   probabilities matching each state's expected dwell time (geometric
 //!   approximation of its mean training-run length);
 //! * `B[j][k]` — how often proposition `k` characterises state `j`,
-//!   counting the multiplicity introduced by `join` (the paper's b_jk);
+//!   weighting each chain by the count `join` gave it (the paper's b_jk);
 //! * `π` — how many training traces started in each initial state.
 //!
 //! [`HmmSimulator`] then replays fresh observations with the **filtering**

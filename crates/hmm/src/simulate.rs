@@ -84,10 +84,14 @@ struct Cursor {
 ///    the simulator holds the last valid state until a known behaviour
 ///    reappears.
 ///
+/// A state's alternatives are its distinct chains
+/// ([`PowerState::chains`](psm_core::PowerState::chains)): a chain's count
+/// weighs its symbols in B but never makes the walk visit it twice.
+///
 /// This is the textbook reference semantics of the walker. Estimation in
 /// the flow and in `psmd` runs the table-driven `psm-compile` runtime,
-/// which the workspace's `tests/compile.rs` pins bit for bit against
-/// [`HmmSimulator::run`].
+/// which walks the same distinct chains and which the workspace's
+/// `tests/compile.rs` pins bit for bit against [`HmmSimulator::run`].
 ///
 /// # Examples
 ///

@@ -26,6 +26,20 @@
 //!   holds: every consumer compiles the model from its `psm` and `hmm` at
 //!   load, so a v3 file serves exactly what its v2 body serves.
 //!
+//! Within v2 the body's PSM states changed shape once. A state now holds
+//! each distinct assertion chain once, with its count:
+//!
+//! ```text
+//! {"alternatives":[{"chain":[…],"count":3},{"chain":[…],"count":1}],"windows":…}
+//! ```
+//!
+//! Files written before list every copy of a chain under `"chains"`;
+//! readers still accept that key and fold the copies into counts by first
+//! occurrence, the state `join` builds from the same copies, so a legacy
+//! file loads to the same model and serves the same estimates. The format
+//! version stays 2: an older reader fails on a newer file with
+//! `missing field "chains"` instead of building a different model.
+//!
 //! Truncated, empty or wrong-magic files always surface as
 //! [`PersistError`] values, never as panics; the facade wraps them in
 //! `FlowError::Persistence`.

@@ -79,29 +79,40 @@ fn client_exit(err: &ClientError) -> ExitCode {
 }
 
 /// Builds the estimate workload from `--gen IP:seed:cycles` or `--trace`.
-fn load_workload(gen: Option<&str>, trace: Option<&str>) -> Result<FunctionalTrace, String> {
+///
+/// A malformed `--gen` spec, an unknown IP and passing neither or both
+/// sources are usage errors (exit 2); a trace file that cannot be read or
+/// parsed and a failing trace generation are runtime errors (exit 1).
+fn load_workload(gen: Option<&str>, trace: Option<&str>) -> Result<FunctionalTrace, ExitCode> {
     match (gen, trace) {
         (Some(spec), None) => {
             let parts: Vec<&str> = spec.split(':').collect();
             let [ip_name, seed, cycles] = parts.as_slice() else {
-                return Err(format!("--gen wants <IP>:<seed>:<cycles>, got `{spec}`"));
+                return Err(usage_error(&format!(
+                    "--gen wants <IP>:<seed>:<cycles>, got `{spec}`"
+                )));
             };
-            let seed: u64 = seed.parse().map_err(|_| format!("bad seed `{seed}`"))?;
+            let seed: u64 = seed
+                .parse()
+                .map_err(|_| usage_error(&format!("bad seed `{seed}`")))?;
             let cycles: usize = cycles
                 .parse()
-                .map_err(|_| format!("bad cycle count `{cycles}`"))?;
-            let stimulus = testbench::long_ts(ip_name, seed, cycles)
-                .ok_or_else(|| format!("unknown IP `{ip_name}`"))?;
-            let mut ip = ip_by_name(ip_name).ok_or_else(|| format!("unknown IP `{ip_name}`"))?;
-            behavioural_trace(ip.as_mut(), &stimulus).map_err(|e| format!("generating trace: {e}"))
+                .map_err(|_| usage_error(&format!("bad cycle count `{cycles}`")))?;
+            let unknown = || usage_error(&format!("unknown IP `{ip_name}`"));
+            let stimulus = testbench::long_ts(ip_name, seed, cycles).ok_or_else(unknown)?;
+            let mut ip = ip_by_name(ip_name).ok_or_else(unknown)?;
+            behavioural_trace(ip.as_mut(), &stimulus)
+                .map_err(|e| fail(&format!("generating trace: {e}")))
         }
         (None, Some(path)) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let (_, doc) = decode_artifact(&text).map_err(|e| format!("{path}: {e}"))?;
-            FunctionalTrace::from_json(&doc).map_err(|e| format!("{path}: {e}"))
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| fail(&format!("cannot read {path}: {e}")))?;
+            let (_, doc) = decode_artifact(&text).map_err(|e| fail(&format!("{path}: {e}")))?;
+            FunctionalTrace::from_json(&doc).map_err(|e| fail(&format!("{path}: {e}")))
         }
-        _ => Err("estimate needs exactly one of --gen or --trace".to_owned()),
+        _ => Err(usage_error(
+            "estimate needs exactly one of --gen or --trace",
+        )),
     }
 }
 
@@ -480,14 +491,21 @@ fn main() -> ExitCode {
         return usage_error("no command given");
     };
 
-    if command == "bench" {
+    // The commands that submit a workload resolve it before dialing the
+    // daemon, so a bad workload never costs a connection.
+    let mut job = None;
+    if command == "estimate" || command == "bench" {
         let Some(model) = model else {
-            return usage_error("bench needs a model name");
+            return usage_error(&format!("{command} needs a model name"));
         };
-        let workload = match load_workload(gen.as_deref(), trace_path.as_deref()) {
-            Ok(trace) => trace,
-            Err(message) => return usage_error(&message),
-        };
+        match load_workload(gen.as_deref(), trace_path.as_deref()) {
+            Ok(workload) => job = Some((model, workload)),
+            Err(code) => return code,
+        }
+    }
+
+    if command == "bench" {
+        let (model, workload) = job.expect("bench resolved its workload");
         return run_bench(
             &addr, &model, version, workload, clients, streams, rounds, &format,
         );
@@ -514,13 +532,7 @@ fn main() -> ExitCode {
             Err(e) => client_exit(&e),
         },
         "estimate" => {
-            let Some(model) = model else {
-                return usage_error("estimate needs a model name");
-            };
-            let workload = match load_workload(gen.as_deref(), trace_path.as_deref()) {
-                Ok(trace) => trace,
-                Err(message) => return usage_error(&message),
-            };
+            let (model, workload) = job.expect("estimate resolved its workload");
             let payload_kind = if stream_mode {
                 "streamed binary"
             } else {

@@ -8,11 +8,13 @@
 //! of the same inputs, and for models the compiler was never tuned on.
 //! These tests pin that contract on all four paper benchmarks (directly
 //! and through `PsmFlow`'s flat and hierarchical estimation), on a
-//! long-TS model whose states hold many copies of each chain, on
-//! randomised PRNG-built models whose states hold duplicate chains and
-//! distinct chains sharing an entry proposition (including unknown and
-//! out-of-range observations, one-shot and chunked), and through every
-//! artifact format version into the serving registry.
+//! long-TS model whose chains carry large counts, on randomised
+//! PRNG-built models whose states hold chains of count > 1 and distinct
+//! chains sharing an entry proposition (including unknown and
+//! out-of-range observations, one-shot and chunked), through every
+//! artifact format version into the serving registry, and on a legacy
+//! artifact that lists every copy of a chain, against the estimate the
+//! build that wrote it served.
 
 use psm_prng::Prng;
 use psmgen::compile::CompiledModel;
@@ -174,10 +176,9 @@ fn streamed_chunk_resume_is_bit_identical_for_every_window() {
     }
 }
 
-/// A model trained on long traces: joining absorbs many identical chains
-/// into each state, so the compiled walk meets the same chain several
-/// times per instant. Removing those duplicates from the walk must not
-/// move a single estimate bit.
+/// A model trained on long traces: joining folds thousands of equal
+/// chains into a few distinct ones with large counts. The walk meets each
+/// distinct chain once, and must still match the reference bit for bit.
 #[test]
 fn long_ts_model_with_duplicate_chains_is_bit_identical() {
     let name = "MultSum";
@@ -194,11 +195,12 @@ fn long_ts_model_with_duplicate_chains_is_bit_identical() {
         .states()
         .fold((0, 0), |(total, distinct), (_, s)| {
             let unique: HashSet<_> = s.chains().iter().collect();
-            (total + s.chains().len(), distinct + unique.len())
+            assert_eq!(unique.len(), s.chains().len(), "a state repeats a chain");
+            (total + s.multiplicity(), distinct + s.chains().len())
         });
     assert!(
         total > distinct,
-        "long-TS states hold duplicate chains ({total} chains, {distinct} distinct)"
+        "long-TS chains carry counts > 1 ({total} in all, {distinct} distinct)"
     );
 
     let stim = testbench::long_ts(name, 11, 1_000).expect("paper benchmark");
@@ -212,37 +214,35 @@ fn long_ts_model_with_duplicate_chains_is_bit_identical() {
     assert_chunked_resume_matches_one_shot(&compiled, &obs, &hamming, "MultSum long-TS");
 }
 
-/// Whether some state of `psm` holds (a) a chain twice and (b) two
-/// distinct chains entered by the same proposition — the two shapes the
-/// compiled walk folds.
+/// Whether some state of `psm` holds (a) a chain of count > 1 and (b) two
+/// distinct chains entered by the same proposition — the two shapes
+/// `join` gives a state's alternatives.
 fn chain_shapes(psm: &psmgen::psm::Psm) -> (bool, bool) {
-    let mut duplicate = false;
+    let mut repeated = false;
     let mut shared_entry = false;
     for (_, state) in psm.states() {
+        repeated |= state.counts().iter().any(|&n| n > 1);
         let chains = state.chains();
         for (i, a) in chains.iter().enumerate() {
             for b in &chains[..i] {
-                if a == b {
-                    duplicate = true;
-                } else if a.entry_proposition() == b.entry_proposition() {
-                    shared_entry = true;
-                }
+                assert_ne!(a, b, "a state repeats a chain");
+                shared_entry |= a.entry_proposition() == b.entry_proposition();
             }
         }
     }
-    (duplicate, shared_entry)
+    (repeated, shared_entry)
 }
 
 #[test]
 fn randomised_models_agree_between_engines() {
     let mut rng = Prng::seed_from_u64(2026);
-    let (mut with_duplicates, mut with_shared_entries) = (0, 0);
+    let (mut with_counts, mut with_shared_entries) = (0, 0);
     for case in 0..32 {
         // One to three random proposition sequences with enough repetition
         // for the miner-shaped XU structure to emerge, and power profiles
         // that tie distinct levels to distinct propositions. Joining
-        // several traces' PSMs gives states alternative chains: copies of
-        // one chain, and distinct chains opened by one proposition.
+        // several traces' PSMs gives states alternative chains: one chain
+        // with a count > 1, and distinct chains opened by one proposition.
         let symbols = rng.range_u32(2..6);
         let traces = rng.range_usize(1..4);
         let psms: Vec<_> = (0..traces)
@@ -265,8 +265,8 @@ fn randomised_models_agree_between_engines() {
             })
             .collect();
         let joined = join(&psms, &MergePolicy::default());
-        let (duplicate, shared_entry) = chain_shapes(&joined);
-        with_duplicates += usize::from(duplicate);
+        let (repeated, shared_entry) = chain_shapes(&joined);
+        with_counts += usize::from(repeated);
         with_shared_entries += usize::from(shared_entry);
         let hmm = build_hmm(&joined, symbols as usize);
         let compiled = CompiledModel::compile(&joined, &hmm).expect("model compiles");
@@ -293,9 +293,9 @@ fn randomised_models_agree_between_engines() {
         assert_chunked_resume_matches_one_shot(&compiled, &obs, &hamming, &label);
     }
     assert!(
-        with_duplicates >= 16 && with_shared_entries >= 16,
-        "the cases must exercise both folded shapes: {with_duplicates} with duplicate \
-         chains, {with_shared_entries} with distinct chains sharing an entry"
+        with_counts >= 16 && with_shared_entries >= 16,
+        "the cases must exercise both joined shapes: {with_counts} with a chain of \
+         count > 1, {with_shared_entries} with distinct chains sharing an entry"
     );
 }
 
@@ -354,5 +354,107 @@ fn v3_artifact_round_trip_serves_bit_identically() {
             "ram@{version}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A MultSum model an earlier build wrote (three long-TS captures of 2 000
+/// cycles, seeds 7–9), whose states list every copy of their chains under
+/// the legacy `chains` key.
+const LEGACY_FIXTURE: &str = "examples/artifacts/multsum_duplicate_chains.json";
+
+/// What `psmctl estimate multsum_duplicate_chains --gen MultSum:11:1000
+/// --format json` printed against [`LEGACY_FIXTURE`] when the build that
+/// wrote the fixture served it.
+const LEGACY_ESTIMATE: &str = "examples/artifacts/multsum_duplicate_chains.estimate.json";
+
+/// Loading folds a legacy chain list into counts, and nothing observable
+/// moves: each state holds its distinct chains in first-occurrence order
+/// with their copy counts, and the reference walker, the compiled pass and
+/// the serving registry all reproduce the estimate the writing build
+/// served, bit for bit.
+#[test]
+fn legacy_duplicate_chain_artifact_folds_exactly() {
+    use psm_persist::{decode_artifact, JsonValue, Persist};
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fixture = root.join(LEGACY_FIXTURE);
+    let text = std::fs::read_to_string(&fixture).expect("fixture reads");
+    let (format, doc) = decode_artifact(&text).expect("fixture decodes");
+    assert_eq!(format, 2);
+
+    // The copies as the file lists them, folded by first occurrence.
+    let legacy_states = doc
+        .field("psm")
+        .and_then(|psm| psm.arr_field("states"))
+        .expect("psm states");
+    let model = TrainedModel::load(&fixture).expect("legacy artifact loads");
+    assert_eq!(model.psm.state_count(), legacy_states.len());
+    let (mut copies, mut distinct) = (0, 0);
+    for ((id, state), legacy) in model.psm.states().zip(legacy_states) {
+        let mut want: Vec<(String, usize)> = Vec::new();
+        for chain in legacy.arr_field("chains").expect("legacy chain list") {
+            let key = chain.render();
+            match want.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, count)) => *count += 1,
+                None => want.push((key, 1)),
+            }
+            copies += 1;
+        }
+        let got: Vec<(String, usize)> = state
+            .chains()
+            .iter()
+            .zip(state.counts())
+            .map(|(c, &n)| (c.to_json().render(), n))
+            .collect();
+        assert_eq!(got, want, "state {id}");
+        distinct += want.len();
+    }
+    assert!(
+        copies > distinct,
+        "the fixture lists copies ({copies} chains, {distinct} distinct)"
+    );
+
+    let expected = JsonValue::parse(&std::fs::read_to_string(root.join(LEGACY_ESTIMATE)).unwrap())
+        .expect("estimate parses");
+    let want = HmmOutcome {
+        estimate: expected
+            .arr_field("estimate")
+            .unwrap()
+            .iter()
+            .map(|v| v.as_f64().unwrap())
+            .collect(),
+        wrong_state_predictions: expected.usize_field("wrong_state_predictions").unwrap(),
+        unknown_instants: expected.usize_field("unknown_instants").unwrap(),
+    };
+    let mut ip = ip_by_name("MultSum").expect("paper benchmark");
+    let stim = testbench::long_ts("MultSum", 11, 1_000).expect("paper benchmark");
+    let workload = behavioural_trace(ip.as_mut(), &stim).expect("workload fits");
+    assert_eq!(workload.len(), want.estimate.len());
+    assert_bit_identical(&oracle(&model, &workload), &want, "reference walker");
+    let obs = classify_trace(&model.table, &workload);
+    let hamming = workload.input_hamming_series();
+    let compiled = model.compile().expect("model compiles");
+    assert_bit_identical(&compiled.run(&obs, &hamming), &want, "compiled pass");
+
+    // The registry serves the legacy file as it is, and the model
+    // re-saved in the counted shape loads back to the same PSM.
+    let dir = std::env::temp_dir().join(format!("psmgen-legacy-chains-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(&fixture, dir.join("legacy.json")).unwrap();
+    model.save(dir.join("resaved.json")).expect("model saves");
+    let registry = Registry::open(&dir).expect("registry opens");
+    for name in ["legacy", "resaved"] {
+        let served = registry
+            .snapshot()
+            .lookup(name, None)
+            .expect("model served");
+        assert_eq!(served.format_version, 2, "{name}");
+        assert_eq!(served.state_count(), model.psm.state_count(), "{name}");
+        assert_bit_identical(&served.estimate(&workload), &want, name);
+    }
+    let resaved = TrainedModel::load(dir.join("resaved.json")).expect("resaved model loads");
+    assert_eq!(resaved.psm, model.psm);
+    assert_eq!(resaved.hmm, model.hmm);
     std::fs::remove_dir_all(&dir).ok();
 }

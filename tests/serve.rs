@@ -799,3 +799,71 @@ fn psmctl_option_value_errors_are_usage_errors() {
         );
     }
 }
+
+/// A well-formed command whose workload cannot be loaded is a runtime
+/// error (exit 1, no usage text); a malformed `--gen` spec, an unknown IP
+/// or not exactly one workload source is a usage error (exit 2). Either
+/// way psmctl stops before it dials the daemon.
+#[test]
+fn psmctl_workload_errors_split_runtime_from_usage() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let dir = temp_registry("psmctl-workload");
+    let garbage = dir.join("garbage.json");
+    std::fs::write(&garbage, "psmgen-artifact/v2\n{\"not\":\"a trace\"}\n").unwrap();
+    let missing = dir.join("missing.json");
+    let (garbage, missing) = (garbage.to_str().unwrap(), missing.to_str().unwrap());
+    for (args, code, message) in [
+        (&["estimate", "m", "--trace", missing][..], 1, "cannot read"),
+        (&["estimate", "m", "--trace", garbage], 1, garbage),
+        (&["bench", "m", "--trace", missing], 1, "cannot read"),
+        (
+            &["estimate", "m", "--gen", "MultSum:7"],
+            2,
+            "--gen wants <IP>:<seed>:<cycles>",
+        ),
+        (
+            &["estimate", "m", "--gen", "MultSum:x:10"],
+            2,
+            "bad seed `x`",
+        ),
+        (
+            &["bench", "m", "--gen", "MultSum:7:y"],
+            2,
+            "bad cycle count `y`",
+        ),
+        (
+            &["estimate", "m", "--gen", "Nope:7:10"],
+            2,
+            "unknown IP `Nope`",
+        ),
+        (&["estimate", "m"], 2, "exactly one of --gen or --trace"),
+        (
+            &["estimate", "m", "--gen", "MultSum:7:10", "--trace", missing],
+            2,
+            "exactly one of --gen or --trace",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_psmctl"))
+            .arg("--addr")
+            .arg(&addr)
+            .args(args)
+            .output()
+            .expect("psmctl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.contains("usage: psmctl"),
+            code == 2,
+            "{args:?}: usage text iff usage error: {stderr}"
+        );
+        let accepted = listener.accept();
+        assert!(
+            matches!(&accepted, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "{args:?}: psmctl connected before rejecting the workload"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
