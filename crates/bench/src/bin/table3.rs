@@ -6,10 +6,12 @@
 //! * `IP sim.` — wall-clock of the behavioural functional simulation alone;
 //! * `IP+PSMs` — the same plus concurrent PSM/HMM power estimation;
 //!
-//!   both in milliseconds, each the fastest of [`REPEATS`] runs;
+//!   both in milliseconds;
 //! * `Overhead` — the relative cost of the power model;
 //! * `PX (s)` — the golden gate-level power simulation of the same
 //!   workload, for the headline speedup;
+//!
+//! the three timings each the fastest of [`REPEATS`] runs;
 //! * `MRE` / `WSP` — accuracy of the short-TS-trained PSMs on the unseen
 //!   long workload.
 
@@ -17,9 +19,10 @@ use psm_bench::{flow, header, ip, long_ts, long_ts_cycles, row, short_ts, BENCHM
 use psm_ips::behavioural_trace;
 use std::time::{Duration, Instant};
 
-/// Runs of the `IP sim.` and `IP+PSMs` rounds. The two alternate, so both
-/// see the same host conditions, and each column reports its fastest run,
-/// the one least disturbed by the host.
+/// Runs of the `IP sim.`, `IP+PSMs` and `PX` rounds. The three alternate,
+/// so all see the same host conditions, and each column reports its
+/// fastest run, the one least disturbed by the host; the speedup divides
+/// one best by another.
 const REPEATS: usize = 15;
 
 /// Elapsed wall-clock of `round`, with its result.
@@ -55,10 +58,11 @@ fn main() {
 
         let workload = long_ts(name);
 
-        // Functional simulation alone, and functional simulation plus
-        // concurrent PSM power estimation, alternately.
-        let (mut ip_sim, mut ip_psm) = (Duration::MAX, Duration::MAX);
-        let mut outcome = None;
+        // Functional simulation alone, functional simulation plus
+        // concurrent PSM power estimation, and the golden path
+        // (PrimeTime-PX role), alternately.
+        let (mut ip_sim, mut ip_psm, mut px) = (Duration::MAX, Duration::MAX, Duration::MAX);
+        let mut runs = None;
         for _ in 0..REPEATS {
             let (sim, _) = timed(|| {
                 behavioural_trace(core.as_mut(), &workload).expect("workload fits the interface")
@@ -68,18 +72,17 @@ fn main() {
                     .expect("workload fits the interface");
                 pipeline.estimate_from_trace(&model, &functional)
             });
+            let (gold, reference) = timed(|| {
+                pipeline
+                    .reference_power(core.as_ref(), &workload)
+                    .expect("gate-level capture succeeds")
+            });
             ip_sim = ip_sim.min(sim);
             ip_psm = ip_psm.min(psm);
-            outcome = Some(out);
+            px = px.min(gold);
+            runs = Some((out, reference));
         }
-        let outcome = outcome.expect("REPEATS is positive");
-
-        // The golden path (PrimeTime-PX role).
-        let t0 = Instant::now();
-        let reference = pipeline
-            .reference_power(core.as_ref(), &workload)
-            .expect("gate-level capture succeeds");
-        let px = t0.elapsed();
+        let (outcome, reference) = runs.expect("REPEATS is positive");
 
         let mre = psm_stats::mean_relative_error(outcome.estimate.as_slice(), reference.as_slice())
             .expect("non-empty traces");

@@ -113,26 +113,29 @@ mod tests {
 
     #[test]
     fn long_alternative_lists_are_elided() {
-        // Join many power-identical behaviours into one state.
+        // Join power-identical behaviours over eight distinct propositions
+        // into one state: each hand-over pN U pN+1 is a distinct chain.
         let mut props = Vec::new();
         let mut power = Vec::new();
-        for rep in 0..8u32 {
+        for p in 0..8u32 {
             for _ in 0..4 {
-                props.push(rep % 2);
+                props.push(p);
                 power.push(3.0);
             }
         }
-        props.push(2);
+        props.push(8);
         power.push(9.0);
-        props.push(3);
+        props.push(9);
         power.push(9.0);
         let gamma = PropositionTrace::from_indices(&props);
         let delta: PowerTrace = power.into_iter().collect();
         let psm = generate_psm(&gamma, &delta, 0).expect("generates");
         let joined = join(&[psm], &MergePolicy::default());
+        assert!(
+            joined.states().any(|(_, s)| s.chains().len() > 4),
+            "fixture must give one state more than 4 distinct chains"
+        );
         let r = report(&joined, None);
-        if joined.states().any(|(_, s)| s.chains().len() > 4) {
-            assert!(r.contains("more"), "{r}");
-        }
+        assert!(r.contains("more"), "{r}");
     }
 }

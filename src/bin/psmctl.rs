@@ -399,6 +399,11 @@ fn run_bench(
     ExitCode::SUCCESS
 }
 
+/// Dials psmd at `addr`; a refused connection is a runtime failure.
+fn connect(addr: &str) -> Result<Client, ExitCode> {
+    Client::connect(addr).map_err(|e| fail(&format!("cannot connect to {addr}: {e}")))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = DEFAULT_ADDR.to_owned();
@@ -493,27 +498,51 @@ fn main() -> ExitCode {
 
     // The commands that submit a workload resolve it before dialing the
     // daemon, so a bad workload never costs a connection.
-    let mut job = None;
     if command == "estimate" || command == "bench" {
         let Some(model) = model else {
             return usage_error(&format!("{command} needs a model name"));
         };
-        match load_workload(gen.as_deref(), trace_path.as_deref()) {
-            Ok(workload) => job = Some((model, workload)),
+        let workload = match load_workload(gen.as_deref(), trace_path.as_deref()) {
+            Ok(workload) => workload,
             Err(code) => return code,
+        };
+        if command == "bench" {
+            return run_bench(
+                &addr, &model, version, workload, clients, streams, rounds, &format,
+            );
         }
-    }
-
-    if command == "bench" {
-        let (model, workload) = job.expect("bench resolved its workload");
-        return run_bench(
-            &addr, &model, version, workload, clients, streams, rounds, &format,
+        let mut client = match connect(&addr) {
+            Ok(client) => client,
+            Err(code) => return code,
+        };
+        let payload_kind = if stream_mode {
+            "streamed binary"
+        } else {
+            "binary"
+        };
+        eprintln!(
+            "psmctl: submitting {} cycle(s) to {model} at {addr} ({payload_kind} payload)",
+            workload.len()
         );
+        let result = if let Some(pause) = slow_write {
+            slow_estimate(&addr, &model, version, &workload, pause)
+        } else if stream_mode {
+            stream_estimate(&mut client, &model, version, &workload, chunk_cycles)
+        } else {
+            client.estimate_binary(&model, version, &workload)
+        };
+        return match result {
+            Ok(reply) => {
+                print_estimate(&reply, &format);
+                ExitCode::SUCCESS
+            }
+            Err(e) => client_exit(&e),
+        };
     }
 
-    let mut client = match Client::connect(addr.as_str()) {
+    let mut client = match connect(&addr) {
         Ok(client) => client,
-        Err(e) => return fail(&format!("cannot connect to {addr}: {e}")),
+        Err(code) => return code,
     };
 
     match command.as_str() {
@@ -531,32 +560,6 @@ fn main() -> ExitCode {
             }
             Err(e) => client_exit(&e),
         },
-        "estimate" => {
-            let (model, workload) = job.expect("estimate resolved its workload");
-            let payload_kind = if stream_mode {
-                "streamed binary"
-            } else {
-                "binary"
-            };
-            eprintln!(
-                "psmctl: submitting {} cycle(s) to {model} at {addr} ({payload_kind} payload)",
-                workload.len()
-            );
-            let result = if let Some(pause) = slow_write {
-                slow_estimate(&addr, &model, version, &workload, pause)
-            } else if stream_mode {
-                stream_estimate(&mut client, &model, version, &workload, chunk_cycles)
-            } else {
-                client.estimate_binary(&model, version, &workload)
-            };
-            match result {
-                Ok(reply) => {
-                    print_estimate(&reply, &format);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => client_exit(&e),
-            }
-        }
         "stats" => {
             let result = if format == "json" {
                 client.stats_json().map(|doc| doc.render())
@@ -585,6 +588,9 @@ fn main() -> ExitCode {
             }
             Err(e) => client_exit(&e),
         },
-        other => unreachable!("`{other}` was checked against COMMANDS when parsed"),
+        other => unreachable!(
+            "`{other}` was checked against COMMANDS when parsed, and the workload \
+             commands returned above"
+        ),
     }
 }
