@@ -110,16 +110,6 @@ PSMD_ADDR="$(cat target/psmd-smoke/port)"
     --gen MultSum:7:500 --stream --chunks 250 --format json \
     > target/psmd-smoke/streamed.json
 cmp target/psmd-smoke/estimate.json target/psmd-smoke/streamed.json
-# A deliberately slow partial-write client must not stall other clients:
-# the normal estimate below completes while the slow frame trickles in.
-./target/release/psmctl --addr "$PSMD_ADDR" estimate demo \
-    --gen MultSum:7:500 --slow-write-ms 400 --format json \
-    > target/psmd-smoke/slow.json &
-SLOW_PID=$!
-./target/release/psmctl --addr "$PSMD_ADDR" estimate demo \
-    --gen MultSum:7:500 > /dev/null
-wait "$SLOW_PID"
-cmp target/psmd-smoke/estimate.json target/psmd-smoke/slow.json
 ./target/release/psmctl --addr "$PSMD_ADDR" bench demo \
     --gen MultSum:7:200 --clients 2 --streams 2 --rounds 3 \
     --format json > /dev/null

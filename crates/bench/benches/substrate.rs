@@ -60,8 +60,10 @@ fn hmm_filter() {
     let hmm = psm_hmm::Hmm::new(a, bm, pi).expect("well-formed");
     bench("hmm_filter_1000_steps", || {
         let mut belief = hmm.initial_belief(0).expect("symbol in range");
+        let mut scratch = vec![0.0; m];
         for t in 0..1000 {
-            hmm.filter_step(&mut belief, t % 8).expect("in range");
+            hmm.filter_step(&mut belief, t % 8, &mut scratch)
+                .expect("in range");
         }
         belief
     });

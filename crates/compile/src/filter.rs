@@ -50,7 +50,7 @@ impl SparseRows {
 /// without its zero entries, and the resynchronisation fallback beliefs.
 ///
 /// A forward step `α'_j ∝ (Σ_i α_i A_ij) · b_j(s)` over these tables is
-/// bit-identical to `Hmm::filter_step_scratch`. Beliefs are finite and
+/// bit-identical to `Hmm::filter_step`. Beliefs are finite and
 /// non-negative, so a skipped term `α_i · 0` or `(…) · 0` is `+0.0`, and
 /// adding `+0.0` leaves a running sum unchanged: the sums start at `+0.0`
 /// and so are never `-0.0`. The surviving terms keep their i-order and
@@ -116,7 +116,7 @@ impl ForwardFilter {
         }
     }
 
-    /// `Hmm::filter_step_scratch` without its error paths: updates
+    /// `Hmm::filter_step` without its error paths: updates
     /// `belief` in place when the likelihood is positive and returns the
     /// likelihood. Only the states that can emit `symbol` are computed,
     /// each from the non-zero entries of its column of A.
@@ -151,7 +151,7 @@ impl ForwardFilter {
 mod tests {
     use super::*;
 
-    /// Asserts the sparse step equals `Hmm::filter_step_scratch` from
+    /// Asserts the sparse step equals `Hmm::filter_step` from
     /// `belief` on every symbol: the same belief bits, and the same
     /// likelihood bits whenever it is positive.
     fn assert_step_matches(hmm: &Hmm, belief: &[f64]) {
@@ -159,9 +159,7 @@ mod tests {
         let m = hmm.num_states();
         for s in 0..hmm.num_symbols() {
             let mut want = belief.to_vec();
-            let want_like = hmm
-                .filter_step_scratch(&mut want, s, &mut vec![0.0; m])
-                .unwrap();
+            let want_like = hmm.filter_step(&mut want, s, &mut vec![0.0; m]).unwrap();
             let mut got = belief.to_vec();
             let got_like = filter.filter_step(&mut got, s, &mut vec![0.0; m]);
             if want_like > 0.0 {

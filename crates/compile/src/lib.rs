@@ -12,9 +12,8 @@
 //!
 //! The model holds only the tables that pass reads. Observations come in
 //! already classified: `PropositionTable::classify_trace` of `psm-mining`
-//! is the one classifier, for the flow and for `psmd` alike. Viterbi
-//! decoding, π and the per-state power attributes stay with the source
-//! `Hmm` and `Psm`.
+//! is the one classifier, for the flow and for `psmd` alike. π and the
+//! per-state power attributes stay with the source `Hmm` and `Psm`.
 //!
 //! A compiled model is never written to disk. Compiling takes tens of
 //! microseconds, so every consumer — the flow's estimation and `psmd`'s

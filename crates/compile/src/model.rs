@@ -53,7 +53,7 @@ impl Error for CompileError {}
 ///
 /// Only what the forward pass reads is kept: observations arrive already
 /// classified (`PropositionTable::classify_trace` is the one classifier),
-/// and the state attributes, π and Viterbi stay with the source model.
+/// and the state attributes and π stay with the source model.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     /// The HMM side: sparse A and B and the emission fallback beliefs.

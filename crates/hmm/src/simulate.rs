@@ -88,10 +88,13 @@ struct Cursor {
 /// ([`PowerState::chains`](psm_core::PowerState::chains)): a chain's count
 /// weighs its symbols in B but never makes the walk visit it twice.
 ///
-/// This is the textbook reference semantics of the walker. Estimation in
-/// the flow and in `psmd` runs the table-driven `psm-compile` runtime,
-/// which walks the same distinct chains and which the workspace's
-/// `tests/compile.rs` pins bit for bit against [`HmmSimulator::run`].
+/// The walk is causal, as in the paper's §V: [`run`](HmmSimulator::run)
+/// reads each instant once, in order, and consults only the
+/// forward-filtered belief. This is the reference semantics of that walk.
+/// Estimation in the flow and in `psmd` runs the table-driven
+/// `psm-compile` runtime, which walks the same distinct chains and which
+/// the workspace's `tests/compile.rs` pins bit for bit against
+/// [`HmmSimulator::run`].
 ///
 /// # Examples
 ///
@@ -116,11 +119,6 @@ impl<'a> HmmSimulator<'a> {
             "HMM and PSM must agree on the state space"
         );
         HmmSimulator { psm, hmm }
-    }
-
-    /// The underlying HMM.
-    pub fn hmm(&self) -> &Hmm {
-        &self.hmm
     }
 
     /// Replays an observation stream, producing per-instant power
@@ -195,7 +193,7 @@ impl<'a> HmmSimulator<'a> {
                     if sym < self.hmm.num_symbols() {
                         let like = self
                             .hmm
-                            .filter_step_scratch(&mut belief, sym, &mut scratch)
+                            .filter_step(&mut belief, sym, &mut scratch)
                             .unwrap_or(0.0);
                         if like <= 0.0 {
                             if let Some(nb) = self.hmm.emission_belief(sym) {
@@ -358,152 +356,6 @@ impl<'a> HmmSimulator<'a> {
             }
         }
         best.map(|(_, c)| c)
-    }
-
-    /// Offline (smoothed) power estimation: the posterior state
-    /// distribution given the *entire* observation sequence weights each
-    /// state's output function — `E[power(t)] = Σ_s γ_t(s) · ω_s(h_t)`.
-    ///
-    /// Unknown observations are skipped by estimating those stretches with
-    /// the neighbouring posterior (the sequence is split at unknowns).
-    ///
-    /// A note on accuracy: the assertion-driven walker of
-    /// [`run`](HmmSimulator::run) exploits the *chain structure* of the
-    /// states (cascade positions, entry/exit propositions) that the flat
-    /// HMM matrices cannot encode, so on models whose states share
-    /// observables the walker is usually sharper than this posterior
-    /// average — measured in the workspace's integration tests. Smoothing
-    /// shines when states have distinctive emissions and the trace is
-    /// analysed after the fact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn run_smoothed(
-        &self,
-        observations: &[Option<PropositionId>],
-        input_hamming: &[u32],
-    ) -> PowerTrace {
-        assert_eq!(
-            observations.len(),
-            input_hamming.len(),
-            "observations and hamming series must align"
-        );
-        let mut estimate = PowerTrace::with_capacity(observations.len());
-        let k = self.hmm.num_symbols();
-        // Split into maximal known segments; smooth each independently.
-        let mut t = 0usize;
-        while t < observations.len() {
-            match observations[t] {
-                None => {
-                    // Hold the previous estimate (or the stationary mean).
-                    let v = estimate.get(t.wrapping_sub(1)).unwrap_or_else(|| {
-                        self.psm.states().map(|(_, s)| s.attrs().mu()).sum::<f64>()
-                            / self.psm.state_count() as f64
-                    });
-                    estimate.push(v);
-                    t += 1;
-                }
-                Some(_) => {
-                    let start = t;
-                    let mut symbols = Vec::new();
-                    while t < observations.len() {
-                        match observations[t] {
-                            Some(o) if o.index() < k => symbols.push(o.index()),
-                            _ => break,
-                        }
-                        t += 1;
-                    }
-                    match self.hmm.smooth(&symbols) {
-                        Ok(gamma) => {
-                            for (off, dist) in gamma.iter().enumerate() {
-                                let h = input_hamming[start + off] as f64;
-                                let p: f64 = self
-                                    .psm
-                                    .states()
-                                    .map(|(id, s)| dist[id.index()] * s.output().evaluate(h))
-                                    .sum();
-                                estimate.push(p);
-                            }
-                        }
-                        Err(_) => {
-                            // Impossible segment under the model: fall back
-                            // to the causal walker for these instants.
-                            let seg_obs: Vec<_> = observations[start..t].to_vec();
-                            let seg_h = &input_hamming[start..t];
-                            let causal = self.run(&seg_obs, seg_h);
-                            estimate.extend(causal.estimate.iter());
-                        }
-                    }
-                    // `t` now points at an unknown or the end; the loop
-                    // handles it.
-                }
-            }
-        }
-        estimate
-    }
-
-    /// Offline Viterbi estimation: decodes the single most likely hidden
-    /// state path for each known segment of the observation sequence and
-    /// reads the power from that path.
-    ///
-    /// Compared with [`run_smoothed`](HmmSimulator::run_smoothed) this
-    /// commits to one path (no posterior blurring); compared with
-    /// [`run`](HmmSimulator::run) it is offline and ignores the chain
-    /// structure. Unknown stretches hold the previous estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn run_viterbi(
-        &self,
-        observations: &[Option<PropositionId>],
-        input_hamming: &[u32],
-    ) -> PowerTrace {
-        assert_eq!(
-            observations.len(),
-            input_hamming.len(),
-            "observations and hamming series must align"
-        );
-        let mut estimate = PowerTrace::with_capacity(observations.len());
-        let k = self.hmm.num_symbols();
-        let mut t = 0usize;
-        while t < observations.len() {
-            match observations[t] {
-                None => {
-                    let v = estimate.get(t.wrapping_sub(1)).unwrap_or(0.0);
-                    estimate.push(v);
-                    t += 1;
-                }
-                Some(_) => {
-                    let start = t;
-                    let mut symbols = Vec::new();
-                    while t < observations.len() {
-                        match observations[t] {
-                            Some(o) if o.index() < k => symbols.push(o.index()),
-                            _ => break,
-                        }
-                        t += 1;
-                    }
-                    let path = self.hmm.viterbi(&symbols).ok().flatten();
-                    match path {
-                        Some(states) => {
-                            for (off, &s) in states.iter().enumerate() {
-                                let h = input_hamming[start + off] as f64;
-                                let state = self.psm.state(StateId::from_index(s));
-                                estimate.push(state.output().evaluate(h));
-                            }
-                        }
-                        None => {
-                            let seg_obs: Vec<_> = observations[start..t].to_vec();
-                            let causal = self.run(&seg_obs, &input_hamming[start..t]);
-                            estimate.extend(causal.estimate.iter());
-                        }
-                    }
-                }
-            }
-        }
-        estimate
     }
 }
 
@@ -686,123 +538,6 @@ mod tests {
             .0
             .index();
         assert!(hmm.pi()[idle] > 0.5);
-    }
-}
-
-#[cfg(test)]
-mod smoothing_tests {
-    use super::*;
-    use crate::build::build_hmm;
-    use psm_core::{generate_psm, join, MergePolicy};
-    use psm_mining::PropositionTrace;
-
-    fn obs(ids: &[u32]) -> Vec<Option<PropositionId>> {
-        ids.iter()
-            .map(|&i| Some(PropositionId::from_index(i)))
-            .collect()
-    }
-
-    fn model() -> Psm {
-        let mut props = Vec::new();
-        let mut power = Vec::new();
-        for &(id, mw, len) in &[
-            (0u32, 3.0, 6),
-            (1, 9.0, 4),
-            (0, 3.0, 6),
-            (1, 9.0, 4),
-            (0, 3.0, 2),
-        ] {
-            for k in 0..len {
-                props.push(id);
-                power.push(mw + 0.002 * (k % 3) as f64);
-            }
-        }
-        let gamma = PropositionTrace::from_indices(&props);
-        let delta: PowerTrace = power.into_iter().collect();
-        let psm = generate_psm(&gamma, &delta, 0).unwrap();
-        join(&[psm], &MergePolicy::default())
-    }
-
-    #[test]
-    fn smoothing_matches_the_obvious_workload() {
-        let psm = model();
-        let hmm = build_hmm(&psm, 2);
-        let sim = HmmSimulator::new(&psm, hmm);
-        let o = obs(&[0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0]);
-        let smoothed = sim.run_smoothed(&o, &vec![0; o.len()]);
-        for (t, &expect) in [3.0, 3.0, 3.0, 9.0, 9.0, 3.0, 3.0, 9.0, 9.0, 9.0, 3.0, 3.0]
-            .iter()
-            .enumerate()
-        {
-            assert!(
-                (smoothed[t] - expect).abs() < 0.2,
-                "t={t}: {} vs {expect}",
-                smoothed[t]
-            );
-        }
-    }
-
-    #[test]
-    fn smoothing_handles_unknown_stretches() {
-        let psm = model();
-        let hmm = build_hmm(&psm, 2);
-        let sim = HmmSimulator::new(&psm, hmm);
-        let mut o = obs(&[0, 0, 1, 1, 0, 0]);
-        o[3] = None;
-        let smoothed = sim.run_smoothed(&o, &vec![0; o.len()]);
-        assert_eq!(smoothed.len(), o.len());
-        // The unknown instant holds the previous estimate.
-        assert!((smoothed[3] - smoothed[2]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn viterbi_estimation_tracks_the_obvious_workload() {
-        let psm = model();
-        let hmm = build_hmm(&psm, 2);
-        let sim = HmmSimulator::new(&psm, hmm);
-        let o = obs(&[0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0]);
-        let est = sim.run_viterbi(&o, &vec![0; o.len()]);
-        for (t, &expect) in [3.0, 3.0, 3.0, 9.0, 9.0, 3.0, 3.0, 9.0, 9.0, 9.0, 3.0, 3.0]
-            .iter()
-            .enumerate()
-        {
-            assert!(
-                (est[t] - expect).abs() < 0.2,
-                "t={t}: {} vs {expect}",
-                est[t]
-            );
-        }
-    }
-
-    #[test]
-    fn viterbi_holds_through_unknowns() {
-        let psm = model();
-        let hmm = build_hmm(&psm, 2);
-        let sim = HmmSimulator::new(&psm, hmm);
-        let mut o = obs(&[0, 0, 1, 1, 0, 0]);
-        o[3] = None;
-        let est = sim.run_viterbi(&o, &vec![0; o.len()]);
-        assert_eq!(est.len(), o.len());
-        assert!((est[3] - est[2]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn smoothed_estimate_is_at_least_as_good_as_causal_on_replay() {
-        let psm = model();
-        let hmm = build_hmm(&psm, 2);
-        let sim = HmmSimulator::new(&psm, hmm);
-        let o = obs(&[0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0]);
-        let reference: Vec<f64> =
-            [3.0, 3.0, 3.0, 3.0, 9.0, 9.0, 9.0, 3.0, 3.0, 9.0, 9.0, 3.0].to_vec();
-        let causal = sim.run(&o, &vec![0; o.len()]);
-        let smoothed = sim.run_smoothed(&o, &vec![0; o.len()]);
-        let err = |est: &[f64]| -> f64 {
-            est.iter()
-                .zip(&reference)
-                .map(|(e, r)| (e - r).abs() / r)
-                .sum::<f64>()
-        };
-        assert!(err(smoothed.as_slice()) <= err(causal.estimate.as_slice()) + 1e-9);
     }
 }
 

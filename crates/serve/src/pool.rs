@@ -19,6 +19,8 @@
 //!
 //! A job that panics is answered [`JobError::Panicked`] and its worker
 //! goes on serving, so a panic never hangs a client or [`Pool::drain`].
+//! A reply callback that panics is contained the same way: its answer is
+//! lost, but the worker, its stream and the drain accounting carry on.
 //!
 //! # Streams
 //!
@@ -173,8 +175,8 @@ impl StreamJob {
     /// Answers the job of a stream a panic closed.
     fn refuse(self) {
         match self {
-            StreamJob::Chunk { respond, .. } => respond(Err(JobError::StreamClosed)),
-            StreamJob::Close { respond } => respond(Err(JobError::StreamClosed)),
+            StreamJob::Chunk { respond, .. } => deliver(respond, Err(JobError::StreamClosed)),
+            StreamJob::Close { respond } => deliver(respond, Err(JobError::StreamClosed)),
         }
     }
 }
@@ -441,7 +443,7 @@ fn worker_loop(shared: &Shared) {
                 }))
                 .map_err(JobError::panicked);
                 shared.telemetry.add_named(COUNTER_BATCHES, 1);
-                (job.respond)(outcome);
+                deliver(job.respond, outcome);
             }
             Work::Session(entry) => run_session_turn(shared, &entry),
         }
@@ -493,21 +495,32 @@ fn run_session_turn(shared: &Shared, entry: &Arc<SessionEntry>) {
                 }));
                 shared.telemetry.add_named(COUNTER_STREAM_CHUNKS, 1);
                 match fed {
-                    Ok(fed) => respond(fed.map_err(JobError::Trace)),
+                    Ok(fed) => deliver(respond, fed.map_err(JobError::Trace)),
                     Err(panic) => {
                         // The forward state may be half-updated: drop it.
                         session = None;
-                        respond(Err(JobError::panicked(panic)));
+                        deliver(respond, Err(JobError::panicked(panic)));
                     }
                 }
             }
-            StreamJob::Close { respond } => respond(Ok(StreamTotals {
-                instants: live.instants(),
-                wrong_state_predictions: live.wrong_state_predictions(),
-                unknown_instants: live.unknown_instants(),
-            })),
+            StreamJob::Close { respond } => deliver(
+                respond,
+                Ok(StreamTotals {
+                    instants: live.instants(),
+                    wrong_state_predictions: live.wrong_state_predictions(),
+                    unknown_instants: live.unknown_instants(),
+                }),
+            ),
         }
     }
+}
+
+/// Hands `answer` to a job's callback. A callback that panics loses its
+/// answer and nothing else: the unwind stops here, so the worker goes on
+/// to release its busy count and, in a session turn, to put the session
+/// back.
+fn deliver<T>(respond: impl FnOnce(T), answer: T) {
+    let _ = catch_unwind(AssertUnwindSafe(|| respond(answer)));
 }
 
 #[cfg(test)]
@@ -967,6 +980,61 @@ mod tests {
             .recv_timeout(Duration::from_secs(30))
             .expect("an answer");
         assert_eq!(out.unwrap(), expected);
+        drain_within(pool, Duration::from_secs(30));
+    }
+
+    #[test]
+    fn panicking_callbacks_leave_the_worker_and_its_stream_serving() {
+        let pool = Pool::new(
+            PoolConfig {
+                workers: 1,
+                queue_capacity: 8,
+                stall: Duration::ZERO,
+            },
+            Arc::new(Telemetry::new()),
+        );
+        let model = toy_model();
+        let expected = model.estimate(&toy_trace());
+        let (tx, rx) = mpsc::channel();
+        let next = || rx.recv_timeout(Duration::from_secs(30)).expect("an answer");
+
+        // A one-shot whose callback panics, then a normal one-shot.
+        let doomed = EstimateJob {
+            model: model.clone(),
+            trace: toy_trace(),
+            respond: Box::new(|_| panic!("reply callback fails")),
+        };
+        assert_eq!(pool.submit(doomed), Ok(()));
+        let (otx, orx) = mpsc::channel();
+        assert_eq!(pool.submit(job(1, &model, &otx)), Ok(()));
+        let (id, out) = orx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the worker survived");
+        assert_eq!(id, 1);
+        assert_eq!(out.unwrap(), expected);
+
+        // A stream chunk whose callback panics: the session is put back,
+        // so its later chunk and its close still run.
+        let entry = pool.open_session(model.clone()).unwrap();
+        let doomed = StreamJob::Chunk {
+            chunk: toy_trace(),
+            respond: Box::new(|_| panic!("reply callback fails")),
+        };
+        assert_eq!(pool.submit_stream(&entry, doomed), Ok(()));
+        assert_eq!(
+            pool.submit_stream(&entry, chunk_job(2, toy_trace(), &tx)),
+            Ok(())
+        );
+        assert_eq!(pool.submit_stream(&entry, close_job(3, &tx)), Ok(()));
+        let (id, answer) = next();
+        assert_eq!(id, 2);
+        assert!(matches!(answer, Answer::Chunk(Ok(_))), "{answer:?}");
+        let (id, answer) = next();
+        assert_eq!(id, 3);
+        let Answer::Closed(Ok(totals)) = answer else {
+            panic!("expected the stream's totals, got {answer:?}");
+        };
+        assert_eq!(totals.instants, 2 * expected.estimate.len());
         drain_within(pool, Duration::from_secs(30));
     }
 }

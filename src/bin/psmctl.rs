@@ -9,12 +9,10 @@
 
 use psm_persist::{decode_artifact, JsonValue, Persist};
 use psmgen::ips::{behavioural_trace, ip_by_name, testbench};
-use psmgen::serve::protocol::{self, Frame, Opcode, Status, PROTOCOL_VERSION};
+use psmgen::serve::protocol::{self, Opcode, Status, PROTOCOL_VERSION};
 use psmgen::serve::{Client, ClientError, EstimateReply, ModelInfo, DEFAULT_ADDR};
 use psmgen::trace::FunctionalTrace;
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -32,8 +30,6 @@ Commands:
                               (FunctionalTrace JSON)
       --stream                stream the workload through a session
       --chunks <k>            cycles per streamed chunk (default 256)
-      --slow-write-ms <ms>    write the request in two halves with a
-                              pause between them (I/O testing aid)
       --format <text|json>    output format (default text)
   bench <model>               streaming throughput/latency benchmark
       --gen <IP>:<seed>:<cycles>  the per-chunk workload (required;
@@ -178,42 +174,6 @@ fn stream_estimate(
         wrong_state_predictions: summary.wrong_state_predictions,
         unknown_instants: summary.unknown_instants,
     })
-}
-
-/// One-shot binary estimate written in two halves with a pause between
-/// them — exercises the daemon's partial-read handling from the CLI.
-fn slow_estimate(
-    addr: &str,
-    model: &str,
-    version: Option<u64>,
-    workload: &FunctionalTrace,
-    pause: Duration,
-) -> Result<EstimateReply, ClientError> {
-    protocol::validate_model_name(model)?;
-    let mut sock = TcpStream::connect(addr)?;
-    let _ = sock.set_nodelay(true);
-    let payload = protocol::estimate_bin_request(model, version, workload);
-    let mut bytes = Vec::new();
-    protocol::write_frame(&mut bytes, &Frame::request(Opcode::EstimateBin, 1, payload))?;
-    let half = bytes.len() / 2;
-    sock.write_all(&bytes[..half])?;
-    std::thread::sleep(pause);
-    sock.write_all(&bytes[half..])?;
-    let frame = protocol::read_frame(&mut sock)?.ok_or(ClientError::Disconnected)?;
-    match frame.status() {
-        Some(Status::Ok) => {
-            let bin = protocol::parse_estimate_bin_reply(&frame)?;
-            Ok(EstimateReply {
-                model: bin.model,
-                version: bin.version,
-                estimate: bin.estimate,
-                wrong_state_predictions: bin.wrong_state_predictions as usize,
-                unknown_instants: bin.unknown_instants as usize,
-            })
-        }
-        Some(Status::Busy) => Err(ClientError::Busy),
-        _ => Err(ClientError::Server(protocol::parse_error(&frame))),
-    }
 }
 
 /// The `bench` report: latencies in nanoseconds plus wall-clock facts.
@@ -415,7 +375,6 @@ fn main() -> ExitCode {
     let mut model: Option<String> = None;
     let mut stream_mode = false;
     let mut chunk_cycles = 256usize;
-    let mut slow_write: Option<Duration> = None;
     let mut clients = 4usize;
     let mut streams = 4usize;
     let mut rounds = 32usize;
@@ -453,10 +412,6 @@ fn main() -> ExitCode {
             "--chunks" => match parse_pos(it.next(), "--chunks") {
                 Ok(n) => chunk_cycles = n,
                 Err(e) => return usage_error(&e),
-            },
-            "--slow-write-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => slow_write = Some(Duration::from_millis(ms)),
-                None => return usage_error("--slow-write-ms needs a number"),
             },
             "--clients" => match parse_pos(it.next(), "--clients") {
                 Ok(n) => clients = n,
@@ -524,9 +479,7 @@ fn main() -> ExitCode {
             "psmctl: submitting {} cycle(s) to {model} at {addr} ({payload_kind} payload)",
             workload.len()
         );
-        let result = if let Some(pause) = slow_write {
-            slow_estimate(&addr, &model, version, &workload, pause)
-        } else if stream_mode {
+        let result = if stream_mode {
             stream_estimate(&mut client, &model, version, &workload, chunk_cycles)
         } else {
             client.estimate_binary(&model, version, &workload)

@@ -46,7 +46,7 @@ use psm_core::{
 };
 use psm_hmm::{build_hmm, Hmm, HmmOutcome};
 use psm_ips::{behavioural_trace, Ip};
-use psm_mining::{Miner, MiningConfig, MiningError, PropositionTable};
+use psm_mining::{MinedTraces, Miner, MiningConfig, MiningError, PropositionTable};
 use psm_rtl::{
     capture_traces_batch, capture_traces_by_domain_batch, PowerModel, RtlError, Stimulus,
 };
@@ -714,39 +714,8 @@ impl PsmFlow {
             self.check(telemetry, report)?;
         }
 
-        // Per-trace chain-PSM generation + simplify, fanned per trace.
-        // Each worker touches only its own (gamma, power) pair; the merge
-        // below walks the results in index order.
-        let gen_workers = self.parallelism.worker_count(mined.traces.len());
-        let generated = collect_ordered(run_indexed(mined.traces.len(), gen_workers, |i| {
-            let mut psm = telemetry
-                .time(Stage::Generation, format!("trace {i}"), || {
-                    generate_psm(&mined.traces[i], &power[i], i)
-                })
-                .map_err(FlowError::from)?;
-            let before = psm.state_count();
-            telemetry.time(Stage::Simplify, format!("trace {i}"), || {
-                simplify(&mut psm, &self.merge)
-            });
-            Ok::<_, FlowError>((before, psm))
-        }))?;
-        let states_before: usize = generated.iter().map(|(before, _)| before).sum();
-        let psms: Vec<Psm> = generated.into_iter().map(|(_, psm)| psm).collect();
-
-        let mut combined = telemetry.time(Stage::Join, "all psms", || join(&psms, &self.merge));
-        let states_merged = states_before.saturating_sub(combined.state_count());
-        telemetry.add_states_merged(states_merged);
-
-        let training: Vec<(&FunctionalTrace, &PowerTrace)> =
-            functional.iter().zip(power.iter()).collect();
-        let report = telemetry.time(Stage::Calibrate, "combined psm", || {
-            calibrate(&mut combined, &training, &self.calibration)
-        })?;
-        telemetry.add_calibrated_states(report.calibrated_count());
-
-        let hmm = telemetry.time(Stage::HmmBuild, "combined psm", || {
-            build_hmm(&combined, mined.table.len())
-        });
+        let power_refs: Vec<&PowerTrace> = power.iter().collect();
+        let (combined, hmm, fit_stats) = self.fit(&mined, &functional, &power_refs, telemetry)?;
         let model_report = telemetry.time(Stage::Validate, "trained model", || {
             lint_model(&combined, &hmm, mined.table.len())
         });
@@ -786,11 +755,7 @@ impl PsmFlow {
             training_instants: stimuli.iter().map(Stimulus::len).sum(),
             reference_power_time,
             generation_time,
-            states: combined.state_count(),
-            transitions: combined.transition_count(),
-            states_before_optimisation: states_before,
-            states_merged,
-            calibrated_states: report.calibrated_count(),
+            ..fit_stats
         };
         Ok(TrainedModel {
             table: mined.table,
@@ -798,6 +763,62 @@ impl PsmFlow {
             hmm,
             stats,
         })
+    }
+
+    /// The fitting half of [`PsmFlow::train`], run once per domain by
+    /// [`PsmFlow::train_hierarchical`]: one chain PSM per mined trace,
+    /// generated and simplified across the worker pool, then joined,
+    /// calibrated against `power` (`power[i]` is `functional[i]`'s golden
+    /// power) and given its HMM. The stats lack the instant count and the
+    /// timings, which the caller adds.
+    fn fit(
+        &self,
+        mined: &MinedTraces,
+        functional: &[FunctionalTrace],
+        power: &[&PowerTrace],
+        telemetry: &Telemetry,
+    ) -> Result<(Psm, Hmm, TrainingStats), FlowError> {
+        // Each worker touches only its own (gamma, power) pair; the merge
+        // below walks the results in index order.
+        let gen_workers = self.parallelism.worker_count(mined.traces.len());
+        let generated = collect_ordered(run_indexed(mined.traces.len(), gen_workers, |i| {
+            let mut psm = telemetry
+                .time(Stage::Generation, format!("trace {i}"), || {
+                    generate_psm(&mined.traces[i], power[i], i)
+                })
+                .map_err(FlowError::from)?;
+            let before = psm.state_count();
+            telemetry.time(Stage::Simplify, format!("trace {i}"), || {
+                simplify(&mut psm, &self.merge)
+            });
+            Ok::<_, FlowError>((before, psm))
+        }))?;
+        let states_before: usize = generated.iter().map(|(before, _)| before).sum();
+        let psms: Vec<Psm> = generated.into_iter().map(|(_, psm)| psm).collect();
+
+        let mut combined = telemetry.time(Stage::Join, "all psms", || join(&psms, &self.merge));
+        let states_merged = states_before.saturating_sub(combined.state_count());
+        telemetry.add_states_merged(states_merged);
+
+        let training: Vec<(&FunctionalTrace, &PowerTrace)> =
+            functional.iter().zip(power.iter().copied()).collect();
+        let report = telemetry.time(Stage::Calibrate, "combined psm", || {
+            calibrate(&mut combined, &training, &self.calibration)
+        })?;
+        telemetry.add_calibrated_states(report.calibrated_count());
+
+        let hmm = telemetry.time(Stage::HmmBuild, "combined psm", || {
+            build_hmm(&combined, mined.table.len())
+        });
+        let stats = TrainingStats {
+            states: combined.state_count(),
+            transitions: combined.transition_count(),
+            states_before_optimisation: states_before,
+            states_merged,
+            calibrated_states: report.calibrated_count(),
+            ..TrainingStats::default()
+        };
+        Ok((combined, hmm, stats))
     }
 
     /// Trains one model per stimulus set, fanning whole jobs across the
@@ -992,37 +1013,21 @@ impl PsmFlow {
         let trace_refs: Vec<&FunctionalTrace> = functional.iter().collect();
         let mined = miner.mine(&trace_refs)?;
 
+        // Hierarchical training reports no telemetry; the fit's spans are
+        // dropped with this recorder.
+        let telemetry = Telemetry::new();
         let mut models = Vec::with_capacity(domains.len());
         for d in 0..domains.len() {
-            let mut psms = Vec::new();
-            let mut states_before = 0;
-            for (i, gamma) in mined.traces.iter().enumerate() {
-                let mut psm = generate_psm(gamma, &domain_power[i][d], i)?;
-                states_before += psm.state_count();
-                simplify(&mut psm, &self.merge);
-                psms.push(psm);
-            }
-            let mut combined = join(&psms, &self.merge);
-            let training: Vec<(&FunctionalTrace, &PowerTrace)> = functional
-                .iter()
-                .zip(domain_power.iter().map(|p| &p[d]))
-                .collect();
-            let report = calibrate(&mut combined, &training, &self.calibration)?;
-            let hmm = build_hmm(&combined, mined.table.len());
-            let stats = TrainingStats {
-                training_instants: stimuli.iter().map(Stimulus::len).sum(),
-                states: combined.state_count(),
-                transitions: combined.transition_count(),
-                states_before_optimisation: states_before,
-                states_merged: states_before.saturating_sub(combined.state_count()),
-                calibrated_states: report.calibrated_count(),
-                ..TrainingStats::default()
-            };
+            let power: Vec<&PowerTrace> = domain_power.iter().map(|p| &p[d]).collect();
+            let (psm, hmm, stats) = self.fit(&mined, &functional, &power, &telemetry)?;
             models.push(TrainedModel {
                 table: mined.table.clone(),
-                psm: combined,
+                psm,
                 hmm,
-                stats,
+                stats: TrainingStats {
+                    training_instants: stimuli.iter().map(Stimulus::len).sum(),
+                    ..stats
+                },
             });
         }
         Ok(HierarchicalModel { domains, models })

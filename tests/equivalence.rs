@@ -173,76 +173,6 @@ fn scratch_mining_path_matches_allocating_reference() {
     }
 }
 
-/// The log-caching Viterbi rewrite must decode exactly the path of the
-/// textbook recurrence (same log values, same strict-improvement ties).
-#[test]
-fn cached_viterbi_matches_textbook_recurrence() {
-    let flow = psmgen::flow::PsmFlow::builder()
-        .preset(psmgen::flow::IpPreset::MultSum)
-        .build();
-    let mut ip = ip_by_name("MultSum").expect("benchmark exists");
-    let model = flow
-        .train(ip.as_mut(), &[testbench::multsum_short_ts(1)])
-        .expect("trains");
-    let hmm = &model.hmm;
-    let m = hmm.num_states();
-    let k = hmm.num_symbols();
-
-    // The pre-optimization recurrence, verbatim: per-instant log() calls
-    // and a fresh delta row per step.
-    let reference = |observations: &[usize]| -> Option<Vec<usize>> {
-        if observations.is_empty() {
-            return Some(Vec::new());
-        }
-        let log = |x: f64| if x > 0.0 { x.ln() } else { f64::NEG_INFINITY };
-        let mut delta: Vec<f64> = (0..m)
-            .map(|i| log(hmm.pi()[i]) + log(hmm.b()[i][observations[0]]))
-            .collect();
-        let mut back: Vec<Vec<usize>> = Vec::new();
-        for &o in &observations[1..] {
-            let mut next = vec![f64::NEG_INFINITY; m];
-            let mut arg = vec![0usize; m];
-            for j in 0..m {
-                for (i, &d) in delta.iter().enumerate() {
-                    let cand = d + log(hmm.a()[i][j]);
-                    if cand > next[j] {
-                        next[j] = cand;
-                        arg[j] = i;
-                    }
-                }
-                next[j] += log(hmm.b()[j][o]);
-            }
-            back.push(arg);
-            delta = next;
-        }
-        let (mut best, score) = delta
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, &v)| (i, v))
-            .expect("m > 0");
-        if score == f64::NEG_INFINITY {
-            return None;
-        }
-        let mut path = vec![best; observations.len()];
-        for (t, arg) in back.iter().enumerate().rev() {
-            best = arg[best];
-            path[t] = best;
-        }
-        Some(path)
-    };
-
-    let mut rng = Prng::seed_from_u64(31);
-    for len in [0usize, 1, 2, 17, 400] {
-        let seq: Vec<usize> = (0..len).map(|_| rng.range_usize(0..k)).collect();
-        assert_eq!(
-            hmm.viterbi(&seq).expect("symbols in range"),
-            reference(&seq),
-            "viterbi diverges on a length-{len} sequence"
-        );
-    }
-}
-
 /// End-to-end byte-identity: training and estimating through the
 /// optimized pipeline must serialise models and produce estimates
 /// identical across repeated runs and worker counts (the optimizations

@@ -539,19 +539,33 @@ fn slow_partial_writer_does_not_stall_other_clients() {
             .expect("slow reply");
         assert_eq!(reply.status(), Some(Status::Ok));
         assert_eq!(reply.request_id, 77);
-        Instant::now()
+        (Instant::now(), reply.payload)
     });
 
-    // Meanwhile a normal client completes several estimates.
+    // Meanwhile a normal client completes several estimates of the same
+    // trace.
     let mut fast = Client::connect(addr).unwrap();
+    let mut fast_payload = Vec::new();
     for _ in 0..3 {
-        fast.estimate_binary("multsum", None, &trace).unwrap();
+        fast.pipeline_request(
+            Opcode::EstimateBin,
+            protocol::estimate_bin_request("multsum", None, &trace),
+        )
+        .unwrap();
+        let reply = fast.pipeline_response().unwrap();
+        assert_eq!(reply.status(), Some(Status::Ok));
+        fast_payload = reply.payload;
     }
     let fast_done = Instant::now();
-    let slow_done = slow.join().expect("slow writer");
+    let (slow_done, slow_payload) = slow.join().expect("slow writer");
     assert!(
         fast_done < slow_done,
         "fast client had to finish while the slow writer was still trickling"
+    );
+    // Reassembling the trickled frame changes nothing in the answer.
+    assert_eq!(
+        slow_payload, fast_payload,
+        "the slow writer's reply differs from the fast client's"
     );
 
     fast.shutdown().unwrap();
