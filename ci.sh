@@ -1,9 +1,21 @@
 #!/usr/bin/env sh
-# Local CI gate, mirrored by .github/workflows/ci.yml.
+# The CI gate: the one list of checks, run as is locally and by
+# .github/workflows/ci.yml, which only sets up the runner.
 #
 # The workspace is fully offline-safe: every check below runs with
 # --offline and must succeed with no network and no registry cache.
 set -eu
+
+echo "==> ci.yml sets up the runner and calls this script, nothing else"
+# A check written into the workflow would run on GitHub only, and a
+# local ./ci.sh would never see it.
+if grep -nE '(^|[^[:alnum:]_-])cargo[[:space:]]' .github/workflows/ci.yml; then
+    echo "ci.yml runs cargo itself; add the check to ci.sh instead"; exit 1
+fi
+GATE_STEPS="$(grep -E '^[[:space:]]*(- )?run:' .github/workflows/ci.yml \
+    | grep -v 'run: rustup toolchain install ' | sed 's/^[[:space:]]*\(- \)\{0,1\}//')"
+[ "$GATE_STEPS" = "run: ./ci.sh" ] \
+    || { echo "ci.yml must have exactly one gate step, run: ./ci.sh"; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -90,17 +102,31 @@ if ./target/release/psmlint --quiet --replay target/psm-witness/witness_001.csv 
 then echo "    witness replays to a violation"
 else echo "expected the witness to replay"; exit 1; fi
 
+# Serves registry $1 on an ephemeral loopback port, written to the port
+# file $2, and sets PSMD_PID and PSMD_ADDR. Until stop_psmd, an EXIT trap
+# kills the daemon, so a check failing in between leaves none behind.
+start_psmd() {
+    ./target/release/psmd --registry "$1" --addr 127.0.0.1:0 --port-file "$2" &
+    PSMD_PID=$!
+    trap 'kill "$PSMD_PID" 2>/dev/null || true' EXIT
+    for _ in $(seq 1 50); do
+        [ -s "$2" ] && break
+        sleep 0.1
+    done
+    PSMD_ADDR="$(cat "$2")"
+}
+
+stop_psmd() {
+    ./target/release/psmctl --addr "$PSMD_ADDR" shutdown
+    wait "$PSMD_PID"   # psmd must drain and exit 0
+    trap - EXIT
+}
+
 echo "==> psmd: loopback smoke test (serve, estimate, stream, stats, clean exit)"
 rm -rf target/psmd-smoke && mkdir -p target/psmd-smoke
-./target/release/psmlint --quiet --json --demo target/psmd-smoke/demo@1.json > /dev/null
-./target/release/psmd --registry target/psmd-smoke \
-    --addr 127.0.0.1:0 --port-file target/psmd-smoke/port &
-PSMD_PID=$!
-for _ in $(seq 1 50); do
-    [ -s target/psmd-smoke/port ] && break
-    sleep 0.1
-done
-PSMD_ADDR="$(cat target/psmd-smoke/port)"
+# The demo model is deterministic: serve the one the psmlint step trained.
+cp target/psmlint-demo-model.json target/psmd-smoke/demo@1.json
+start_psmd target/psmd-smoke target/psmd-smoke/port
 ./target/release/psmctl --addr "$PSMD_ADDR" ping
 ./target/release/psmctl --addr "$PSMD_ADDR" estimate demo \
     --gen MultSum:7:500 --format json > target/psmd-smoke/estimate.json
@@ -118,8 +144,7 @@ cmp target/psmd-smoke/estimate.json target/psmd-smoke/streamed.json
 ./target/release/psmctl --addr "$PSMD_ADDR" stats --format json \
     > target/psmd-smoke/stats.json
 grep -q serve.estimate_ns target/psmd-smoke/stats.json
-./target/release/psmctl --addr "$PSMD_ADDR" shutdown
-wait "$PSMD_PID"   # psmd must drain and exit 0
+stop_psmd
 
 echo "==> psmd: legacy artifacts serve their recorded answers bit for bit"
 # psmd compiles every model at load and ignores a v3 file's compiled
@@ -136,14 +161,7 @@ cp examples/artifacts/multsum_duplicate_chains.json target/psmd-smoke-v3/
 sed '1s|^psmgen-artifact/v2$|psmgen-artifact/v3|' \
     target/psmd-smoke/demo@1.json > target/psmd-smoke-v3/demo@1.json
 head -n 1 target/psmd-smoke-v3/demo@1.json | grep -qx 'psmgen-artifact/v3'
-./target/release/psmd --registry target/psmd-smoke-v3 \
-    --addr 127.0.0.1:0 --port-file target/psmd-smoke/v3-port &
-PSMD_PID=$!
-for _ in $(seq 1 50); do
-    [ -s target/psmd-smoke/v3-port ] && break
-    sleep 0.1
-done
-PSMD_ADDR="$(cat target/psmd-smoke/v3-port)"
+start_psmd target/psmd-smoke-v3 target/psmd-smoke/v3-port
 ./target/release/psmctl --addr "$PSMD_ADDR" list > target/psmd-smoke/v3-list.txt
 grep -q 'legacy@1  format v3' target/psmd-smoke/v3-list.txt
 grep -q 'demo@1  format v3' target/psmd-smoke/v3-list.txt
@@ -155,25 +173,16 @@ cmp target/psmd-smoke/estimate.json target/psmd-smoke/v3-estimate.json
     --gen MultSum:11:1000 --format json > target/psmd-smoke/legacy-chains-estimate.json
 cmp examples/artifacts/multsum_duplicate_chains.estimate.json \
     target/psmd-smoke/legacy-chains-estimate.json
-./target/release/psmctl --addr "$PSMD_ADDR" shutdown
-wait "$PSMD_PID"
+stop_psmd
+
+echo "==> scaling: parallel training gives byte-identical models at every worker count"
+PSM_SCALING_STIMULI=4 PSM_SCALING_CYCLES=400 cargo bench --offline -p psm-bench --bench scaling
 
 echo "==> psmbench: quick regression gate vs checked-in baseline"
 cargo build --offline --release -p psm-bench --bin psmbench
-# Thread scaling is only a meaningful assertion when the host actually
-# has more than one core; a 1-core runner caps every t2 speedup at ~1.0
-# no matter how good the engine is, so the gate would only measure the
-# scheduler. Skip it loudly there instead of asserting noise.
-NPROC="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-if [ "$NPROC" -ge 2 ]; then
-    echo "    host has $NPROC cores: enforcing flow_train t2 speedup >= 1.2x"
-    SPEEDUP_FLAGS="--min-flow-speedup 1.2"
-else
-    echo "    SKIPPING thread-scaling gate: 1-core host cannot scale (nproc=$NPROC)"
-    SPEEDUP_FLAGS=""
-fi
-# shellcheck disable=SC2086  # SPEEDUP_FLAGS is intentionally word-split
+# The thread-scaling gate needs two cores; on a 1-core host psmbench
+# skips it with a note.
 ./target/release/psmbench --quick --out target/BENCH_ci.json \
-    --baseline BENCH_psmgen.json --max-regress 25 $SPEEDUP_FLAGS
+    --baseline BENCH_psmgen.json --max-regress 25 --min-flow-speedup 1.2
 
 echo "CI gate passed"

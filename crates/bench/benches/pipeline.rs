@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the PSM pipeline stages: assertion mining, PSM
-//! generation + optimisation, and HMM-driven estimation throughput.
+//! generation + optimisation, and estimation throughput of the compiled
+//! forward pass.
 //!
 //! ```sh
 //! cargo bench -p psm-bench --bench pipeline
@@ -8,7 +9,7 @@
 use psm_bench::timing::{bench, bench_throughput};
 use psm_bench::{flow, ip};
 use psm_core::{classify_trace, generate_psm, join, simplify};
-use psm_hmm::{build_hmm, HmmSimulator};
+use psm_hmm::build_hmm;
 use psm_ips::{behavioural_trace, testbench};
 use psm_mining::Miner;
 use psm_rtl::capture_traces_batch;
@@ -45,9 +46,9 @@ fn estimation() {
     let obs = classify_trace(&model.table, &trace);
     let hamming = trace.input_hamming_series();
 
-    bench_throughput("hmm_estimate_5k_cycles", obs.len(), || {
-        let sim = HmmSimulator::new(&model.psm, model.hmm.clone());
-        sim.run(&obs, &hamming)
+    let compiled = model.compile().expect("model compiles");
+    bench_throughput("compiled_estimate_5k_cycles", obs.len(), || {
+        compiled.run(&obs, &hamming)
     });
     bench_throughput("classify_5k_cycles", obs.len(), || {
         classify_trace(&model.table, &trace)

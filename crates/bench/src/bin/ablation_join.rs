@@ -9,11 +9,12 @@
 
 use psm_bench::{flow, header, ip, row, short_ts, BENCHMARKS};
 use psm_core::{calibrate, classify_trace, generate_psm, join, simplify, MergePolicy};
-use psm_hmm::{build_hmm, HmmSimulator};
+use psm_hmm::build_hmm;
 use psm_ips::{behavioural_trace, testbench};
 use psm_mining::Miner;
 use psm_rtl::capture_traces_batch;
 use psm_trace::{FunctionalTrace, PowerTrace};
+use psmgen::compile::CompiledModel;
 
 fn main() {
     println!("# Ablation — join on/off (two training traces)\n");
@@ -57,16 +58,17 @@ fn main() {
                 .expect("calibration succeeds");
             let hmm = build_hmm(&combined, mined.table.len());
 
-            // The non-joined model has hundreds of states; its O(states²)
-            // filtering makes long workloads impractical, and the point
-            // (model size vs accuracy) shows at moderate length.
+            // The point (model size vs accuracy) already shows at moderate
+            // length, even for the non-joined model's hundreds of states.
             let workload =
                 psm_ips::testbench::long_ts(name, 7, 10_000).expect("benchmark names are valid");
             let mut core = ip(name);
             let trace = behavioural_trace(core.as_mut(), &workload).expect("workload fits");
             let obs = classify_trace(&mined.table, &trace);
             let hamming = trace.input_hamming_series();
-            let outcome = HmmSimulator::new(&combined, hmm).run(&obs, &hamming);
+            let outcome = CompiledModel::compile(&combined, &hmm)
+                .expect("model compiles")
+                .run(&obs, &hamming);
             let reference = pipeline
                 .reference_power(core.as_ref(), &workload)
                 .expect("capture succeeds");
