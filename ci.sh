@@ -27,6 +27,11 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --offline --release
 cargo test --offline -q
 
+echo "==> custom_ip: the bring-your-own-IP example trains and estimates end to end"
+# It implements the Ip trait itself, so building it is not enough: a
+# change to the trait's row contract must still run through the flow.
+cargo run --offline --release --example custom_ip > /dev/null
+
 echo "==> member crates: unit and integration tests of crates/*"
 # `cargo test` above tests only the root package; the member crates'
 # own tests (psm-analyze's NL011 oracle units, psm-mining's proptests,

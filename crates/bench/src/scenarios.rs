@@ -11,7 +11,7 @@
 use crate::timing::{bench_iters, Measurement};
 use psm_core::{classify_trace, generate_psm, join, simplify, Psm};
 use psm_hmm::{build_hmm, HmmSimulator};
-use psm_ips::{behavioural_trace, testbench};
+use psm_ips::{behavioural_trace, testbench, Ip};
 use psm_mining::Miner;
 use psm_rtl::{capture_traces_batch, Stimulus};
 use psm_trace::binary::{decode_trace, encode_trace};
@@ -300,6 +300,25 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
         "decode_trace_bin".into(),
         ScenarioResult::plain(m, aes_trace.len()),
     ));
+
+    // -- behavioural IP simulation: the estimation path's IP sim. layer -
+    // All four paper benches over long-TS stimuli of the budget's length,
+    // generated outside the timed loop (rows = instants of the four).
+    let mut behavioural: Vec<(Box<dyn Ip>, Stimulus)> = ["RAM", "MultSum", "AES", "Camellia"]
+        .into_iter()
+        .map(|name| {
+            let stim = testbench::long_ts(name, cfg.seed + 41, cfg.cycles).expect("known IP");
+            (crate::ip(name), stim)
+        })
+        .collect();
+    let rows = behavioural.iter().map(|(_, stim)| stim.len()).sum();
+    let m = bench_iters("behavioural_long_ts", cfg.iters, &mut || {
+        behavioural
+            .iter_mut()
+            .map(|(ip, stim)| behavioural_trace(ip.as_mut(), stim).expect("workload fits"))
+            .collect::<Vec<_>>()
+    });
+    out.push(("behavioural_long_ts".into(), ScenarioResult::plain(m, rows)));
 
     // -- gate-level capture at 1, 4 and 64 lanes ------------------------
     // The batch engine's three regimes: one short-TS stimulus (psmperf's

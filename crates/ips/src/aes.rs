@@ -36,7 +36,7 @@
 
 use crate::traits::Ip;
 use psm_rtl::{Netlist, NetlistBuilder, RtlError, Word};
-use psm_trace::{Bits, Direction, SignalSet};
+use psm_trace::{Direction, SignalSet};
 
 /// AES S-box.
 pub(crate) const SBOX: [u8; 256] = [
@@ -258,31 +258,30 @@ impl Ip for Aes128 {
         self.rk = [[0; 16]; 11];
     }
 
-    fn step(&mut self, inputs: &[Bits]) -> Vec<Bits> {
-        assert_eq!(inputs.len(), 6, "AES takes 6 input ports");
-        let key_bits = &inputs[0];
-        let data_bits = &inputs[1];
-        let ce = inputs[5].bit(0);
-        let start = inputs[2].bit(0) && ce;
-        let load_key = inputs[3].bit(0) && ce;
-        let decrypt = inputs[4].bit(0);
+    fn step(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        let &[key_lo, key_hi, data_lo, data_hi, start, load_key, decrypt, ce] = inputs else {
+            panic!("AES takes two 2-word and four 1-word input ports");
+        };
+        let ce = ce != 0;
+        let start = start != 0 && ce;
+        let load_key = load_key != 0 && ce;
+        let decrypt = decrypt != 0;
 
         // Outputs visible during this cycle.
-        let out = Bits::from_le_bytes(&self.out, 128);
-        let ready = Bits::from_bool(self.phase == Phase::Idle);
+        let out = u128::from_le_bytes(self.out);
+        outputs[0] = out as u64;
+        outputs[1] = (out >> 64) as u64;
+        outputs[2] = u64::from(self.phase == Phase::Idle);
 
         // Clock edge.
         match self.phase {
             Phase::Idle => {
                 if load_key {
-                    let mut key = [0u8; 16];
-                    key.copy_from_slice(&key_bits.to_le_bytes());
-                    self.rk[0] = key;
+                    self.rk[0] = (u128::from(key_hi) << 64 | u128::from(key_lo)).to_le_bytes();
                     self.cnt = 1;
                     self.phase = Phase::KeyExp;
                 } else if start {
-                    let mut data = [0u8; 16];
-                    data.copy_from_slice(&data_bits.to_le_bytes());
+                    let data = (u128::from(data_hi) << 64 | u128::from(data_lo)).to_le_bytes();
                     self.dec = decrypt;
                     // Initial AddRoundKey happens at capture.
                     let k = if decrypt { &self.rk[10] } else { &self.rk[0] };
@@ -331,8 +330,6 @@ impl Ip for Aes128 {
                 }
             }
         }
-
-        vec![out, ready]
     }
 }
 
@@ -629,6 +626,7 @@ fn build_aes_netlist() -> Result<Netlist, RtlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psm_trace::Bits;
 
     /// FIPS-197 Appendix B vector.
     const FIPS_KEY: [u8; 16] = [
@@ -685,18 +683,18 @@ mod tests {
         data: &[u8; 16],
         decrypt: bool,
     ) -> ([u8; 16], usize, usize) {
-        core.step(&cycle(key, data, false, true, decrypt));
+        core.step_bits(&cycle(key, data, false, true, decrypt));
         let mut key_latency = 0;
         for t in 1..=30 {
-            let outs = core.step(&cycle(key, data, false, false, decrypt));
+            let outs = core.step_bits(&cycle(key, data, false, false, decrypt));
             if outs[1].bit(0) {
                 key_latency = t;
                 break;
             }
         }
-        core.step(&cycle(key, data, true, false, decrypt));
+        core.step_bits(&cycle(key, data, true, false, decrypt));
         for t in 1..=30 {
-            let outs = core.step(&cycle(key, data, false, false, decrypt));
+            let outs = core.step_bits(&cycle(key, data, false, false, decrypt));
             if outs[1].bit(0) {
                 let mut result = [0u8; 16];
                 result.copy_from_slice(&outs[0].to_le_bytes());
@@ -727,10 +725,10 @@ mod tests {
         let mut core = Aes128::new();
         let (ct1, _, _) = load_and_run(&mut core, &FIPS_KEY, &FIPS_PT, false);
         // Second block without reloading the key.
-        core.step(&cycle(&FIPS_KEY, &ct1, true, false, true));
+        core.step_bits(&cycle(&FIPS_KEY, &ct1, true, false, true));
         let mut back = None;
         for _ in 1..=30 {
-            let outs = core.step(&cycle(&FIPS_KEY, &ct1, false, false, true));
+            let outs = core.step_bits(&cycle(&FIPS_KEY, &ct1, false, false, true));
             if outs[1].bit(0) {
                 let mut r = [0u8; 16];
                 r.copy_from_slice(&outs[0].to_le_bytes());
@@ -746,8 +744,8 @@ mod tests {
         let mut core = Aes128::new();
         let mut c = cycle(&FIPS_KEY, &FIPS_PT, true, true, false);
         c[5] = Bits::from_bool(false); // ce low
-        core.step(&c);
-        let outs = core.step(&cycle(&FIPS_KEY, &FIPS_PT, false, false, false));
+        core.step_bits(&c);
+        let outs = core.step_bits(&cycle(&FIPS_KEY, &FIPS_PT, false, false, false));
         assert!(outs[1].bit(0), "still idle: commands were gated");
     }
 
@@ -756,9 +754,9 @@ mod tests {
         let mut core = Aes128::new();
         let (ct1, _, _) = load_and_run(&mut core, &FIPS_KEY, &FIPS_PT, false);
         // Start another block; `out` must keep showing ct1 while busy.
-        core.step(&cycle(&FIPS_KEY, &FIPS_PT, true, false, false));
+        core.step_bits(&cycle(&FIPS_KEY, &FIPS_PT, true, false, false));
         for _ in 0..5 {
-            let outs = core.step(&cycle(&FIPS_KEY, &FIPS_PT, false, false, false));
+            let outs = core.step_bits(&cycle(&FIPS_KEY, &FIPS_PT, false, false, false));
             let mut visible = [0u8; 16];
             visible.copy_from_slice(&outs[0].to_le_bytes());
             assert_eq!(visible, ct1);

@@ -52,16 +52,22 @@ const SBOX1: [u8; 256] = [
     227, 173, 244, 119, 199, 128, 158,
 ];
 
-fn sbox2() -> [u8; 256] {
-    core::array::from_fn(|i| SBOX1[i].rotate_left(1))
-}
+/// s2: s1 with its output rotated left by one.
+const SBOX2: [u8; 256] = rotated_sbox1(0, 1);
+/// s3: s1 with its output rotated left by seven.
+const SBOX3: [u8; 256] = rotated_sbox1(0, 7);
+/// s4: s1 with its input rotated left by one.
+const SBOX4: [u8; 256] = rotated_sbox1(1, 0);
 
-fn sbox3() -> [u8; 256] {
-    core::array::from_fn(|i| SBOX1[i].rotate_left(7))
-}
-
-fn sbox4() -> [u8; 256] {
-    core::array::from_fn(|i| SBOX1[(i as u8).rotate_left(1) as usize])
+/// s1 with its input rotated left by `input` and its output by `output`.
+const fn rotated_sbox1(input: u32, output: u32) -> [u8; 256] {
+    let mut t = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        t[i] = SBOX1[(i as u8).rotate_left(input) as usize].rotate_left(output);
+        i += 1;
+    }
+    t
 }
 
 const SIGMA: [u64; 4] = [
@@ -74,17 +80,14 @@ const SIGMA: [u64; 4] = [
 /// The Feistel F-function: `P(S(x ^ k))`.
 fn f(x: u64, k: u64) -> u64 {
     let x = x ^ k;
-    let s2 = sbox2();
-    let s3 = sbox3();
-    let s4 = sbox4();
     let t: [u8; 8] = [
         SBOX1[(x >> 56) as u8 as usize],
-        s2[(x >> 48) as u8 as usize],
-        s3[(x >> 40) as u8 as usize],
-        s4[(x >> 32) as u8 as usize],
-        s2[(x >> 24) as u8 as usize],
-        s3[(x >> 16) as u8 as usize],
-        s4[(x >> 8) as u8 as usize],
+        SBOX2[(x >> 48) as u8 as usize],
+        SBOX3[(x >> 40) as u8 as usize],
+        SBOX4[(x >> 32) as u8 as usize],
+        SBOX2[(x >> 24) as u8 as usize],
+        SBOX3[(x >> 16) as u8 as usize],
+        SBOX4[(x >> 8) as u8 as usize],
         SBOX1[x as u8 as usize],
     ];
     let (t1, t2, t3, t4, t5, t6, t7, t8) = (t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]);
@@ -235,7 +238,9 @@ pub struct Camellia128 {
     d2: u64,
     kl: u128,
     ka: u128,
-    dec: bool,
+    /// The subkeys of the block in flight, in processing order (reversed
+    /// for decryption), derived once when `start` is accepted.
+    sk: Subkeys,
     out: u128,
 }
 
@@ -249,17 +254,12 @@ impl Camellia128 {
             d2: 0,
             kl: 0,
             ka: 0,
-            dec: false,
+            sk: Subkeys {
+                kw: [0; 4],
+                k: [0; 18],
+                ke: [0; 4],
+            },
             out: 0,
-        }
-    }
-
-    fn sk(&self) -> Subkeys {
-        let sk = subkeys_from(self.kl, self.ka);
-        if self.dec {
-            reversed_subkeys(&sk)
-        } else {
-            sk
         }
     }
 }
@@ -296,17 +296,20 @@ impl Ip for Camellia128 {
         *self = Camellia128::new();
     }
 
-    fn step(&mut self, inputs: &[Bits]) -> Vec<Bits> {
-        assert_eq!(inputs.len(), 6, "Camellia takes 6 input ports");
-        let key = u128_of(&inputs[0]);
-        let data = u128_of(&inputs[1]);
-        let ce = inputs[5].bit(0);
-        let start = inputs[2].bit(0) && ce;
-        let load_key = inputs[3].bit(0) && ce;
-        let decrypt = inputs[4].bit(0);
+    fn step(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        let &[key_lo, key_hi, data_lo, data_hi, start, load_key, decrypt, ce] = inputs else {
+            panic!("Camellia takes two 2-word and four 1-word input ports");
+        };
+        let key = u128::from(key_hi) << 64 | u128::from(key_lo);
+        let data = u128::from(data_hi) << 64 | u128::from(data_lo);
+        let ce = ce != 0;
+        let start = start != 0 && ce;
+        let load_key = load_key != 0 && ce;
+        let decrypt = decrypt != 0;
 
-        let out_bits = bits_of_u128(self.out);
-        let ready = Bits::from_bool(self.phase == Phase::Idle);
+        outputs[0] = self.out as u64;
+        outputs[1] = (self.out >> 64) as u64;
+        outputs[2] = u64::from(self.phase == Phase::Idle);
 
         match self.phase {
             Phase::Idle => {
@@ -317,16 +320,12 @@ impl Ip for Camellia128 {
                     self.cnt = 0;
                     self.phase = Phase::KeyGen;
                 } else if start {
-                    self.dec = decrypt;
-                    // Pre-whitening at capture (kw1/kw2 or kw3/kw4).
                     let sk = subkeys_from(self.kl, self.ka);
-                    let (pa, pb) = if decrypt {
-                        (sk.kw[2], sk.kw[3])
-                    } else {
-                        (sk.kw[0], sk.kw[1])
-                    };
-                    self.d1 = (data >> 64) as u64 ^ pa;
-                    self.d2 = data as u64 ^ pb;
+                    self.sk = if decrypt { reversed_subkeys(&sk) } else { sk };
+                    // Pre-whitening at capture (kw1/kw2, or kw3/kw4 when
+                    // decrypting).
+                    self.d1 = (data >> 64) as u64 ^ self.sk.kw[0];
+                    self.d2 = data as u64 ^ self.sk.kw[1];
                     self.cnt = 0;
                     self.phase = Phase::Rounds;
                 }
@@ -351,7 +350,7 @@ impl Ip for Camellia128 {
                 }
             }
             Phase::Rounds => {
-                let sk = self.sk();
+                let sk = &self.sk;
                 let c = self.cnt;
                 let (prev_d1, prev_d2) = (self.d1, self.d2);
                 // One shared FL unit: each FL layer takes two cycles
@@ -384,20 +383,7 @@ impl Ip for Camellia128 {
                 }
             }
         }
-
-        vec![out_bits, ready]
     }
-}
-
-fn u128_of(b: &Bits) -> u128 {
-    let bytes = b.to_le_bytes();
-    let mut arr = [0u8; 16];
-    arr[..bytes.len().min(16)].copy_from_slice(&bytes[..bytes.len().min(16)]);
-    u128::from_le_bytes(arr)
-}
-
-fn bits_of_u128(v: u128) -> Bits {
-    Bits::from_le_bytes(&v.to_le_bytes(), 128)
 }
 
 // ---------------------------------------------------------------------
@@ -484,7 +470,7 @@ fn build_camellia_netlist(whitebox: bool) -> Result<Netlist, RtlError> {
     let start = b.and(start_in, ce);
     let load_key = b.and(load_key_in, ce);
 
-    let tables = [SBOX1, sbox2(), sbox3(), sbox4()];
+    let tables = [SBOX1, SBOX2, SBOX3, SBOX4];
 
     // Registers. The key material lives in the key-schedule domain; the
     // data halves and control in the core domain.
@@ -797,13 +783,25 @@ impl Ip for Camellia128Whitebox {
         self.inner.reset();
     }
 
-    fn step(&mut self, inputs: &[Bits]) -> Vec<Bits> {
+    fn step(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         let fl_active =
             self.inner.phase == Phase::Rounds && matches!(self.inner.cnt, 6 | 7 | 14 | 15);
-        let mut outs = self.inner.step(inputs);
-        outs.push(Bits::from_bool(fl_active));
-        outs
+        self.inner.step(inputs, &mut outputs[..3]);
+        outputs[3] = u64::from(fl_active);
     }
+}
+
+#[cfg(test)]
+fn u128_of(b: &Bits) -> u128 {
+    let bytes = b.to_le_bytes();
+    let mut arr = [0u8; 16];
+    arr[..bytes.len().min(16)].copy_from_slice(&bytes[..bytes.len().min(16)]);
+    u128::from_le_bytes(arr)
+}
+
+#[cfg(test)]
+fn bits_of_u128(v: u128) -> Bits {
+    Bits::from_le_bytes(&v.to_le_bytes(), 128)
 }
 
 #[cfg(test)]
@@ -854,18 +852,18 @@ mod tests {
         data: u128,
         decrypt: bool,
     ) -> (u128, usize, usize) {
-        core.step(&cycle(key, data, false, true, decrypt));
+        core.step_bits(&cycle(key, data, false, true, decrypt));
         let mut key_latency = 0;
         for t in 1..=30 {
-            let outs = core.step(&cycle(key, data, false, false, decrypt));
+            let outs = core.step_bits(&cycle(key, data, false, false, decrypt));
             if outs[1].bit(0) {
                 key_latency = t;
                 break;
             }
         }
-        core.step(&cycle(key, data, true, false, decrypt));
+        core.step_bits(&cycle(key, data, true, false, decrypt));
         for t in 1..=40 {
-            let outs = core.step(&cycle(key, data, false, false, decrypt));
+            let outs = core.step_bits(&cycle(key, data, false, false, decrypt));
             if outs[1].bit(0) {
                 return (u128_of(&outs[0]), key_latency, t);
             }
@@ -893,9 +891,9 @@ mod tests {
     fn key_persists_across_blocks() {
         let mut core = Camellia128::new();
         let (c1, _, _) = load_and_run(&mut core, K, P, false);
-        core.step(&cycle(K, c1, true, false, true));
+        core.step_bits(&cycle(K, c1, true, false, true));
         for _ in 1..=40 {
-            let outs = core.step(&cycle(K, c1, false, false, true));
+            let outs = core.step_bits(&cycle(K, c1, false, false, true));
             if outs[1].bit(0) {
                 assert_eq!(u128_of(&outs[0]), P);
                 return;
@@ -917,8 +915,8 @@ mod tests {
         let mut core = Camellia128::new();
         let mut c = cycle(K, P, true, true, false);
         c[5] = Bits::from_bool(false);
-        core.step(&c);
-        let outs = core.step(&cycle(K, P, false, false, false));
+        core.step_bits(&c);
+        let outs = core.step_bits(&cycle(K, P, false, false, false));
         assert!(outs[1].bit(0), "still idle: commands were gated");
     }
 
@@ -956,14 +954,14 @@ mod whitebox_tests {
                 Bits::from_bool(true),
             ]
         };
-        core.step(&cycle(false, true));
+        core.step_bits(&cycle(false, true));
         for _ in 0..5 {
-            core.step(&cycle(false, false));
+            core.step_bits(&cycle(false, false));
         }
-        core.step(&cycle(true, false));
+        core.step_bits(&cycle(true, false));
         let mut fl_cycles = Vec::new();
         for t in 1..=23 {
-            let outs = core.step(&cycle(false, false));
+            let outs = core.step_bits(&cycle(false, false));
             if outs[2].bit(0) {
                 fl_cycles.push(t);
             }
@@ -991,13 +989,13 @@ mod whitebox_tests {
                 Bits::from_bool(true),
             ]
         };
-        wb.step(&cycle(false, true));
+        wb.step_bits(&cycle(false, true));
         for _ in 0..5 {
-            wb.step(&cycle(false, false));
+            wb.step_bits(&cycle(false, false));
         }
-        wb.step(&cycle(true, false));
+        wb.step_bits(&cycle(true, false));
         for _ in 0..40 {
-            let outs = wb.step(&cycle(false, false));
+            let outs = wb.step_bits(&cycle(false, false));
             if outs[1].bit(0) {
                 assert_eq!(u128_of(&outs[0]), expected);
                 return;

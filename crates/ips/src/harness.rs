@@ -3,7 +3,7 @@
 use crate::traits::Ip;
 use crate::{Aes128, Camellia128, MultSum, Ram1k};
 use psm_rtl::Stimulus;
-use psm_trace::{FunctionalTrace, TraceError};
+use psm_trace::{Bits, Direction, FunctionalTrace, TraceError};
 
 /// The Table I benchmark names, in paper order.
 pub const BENCHMARK_NAMES: [&str; 4] = ["RAM", "MultSum", "AES", "Camellia"];
@@ -31,39 +31,58 @@ pub fn ip_by_name(name: &str) -> Option<Box<dyn Ip>> {
 /// trace of all ports — the paper's fast "IP sim." path (Table III).
 ///
 /// The IP is reset first, so the trace always starts from the post-reset
-/// state (matching the structural capture in `psm-rtl`).
+/// state (matching the structural capture in `psm-rtl`). The stimulus is
+/// checked against the interface once; then every cycle's input row is
+/// copied into its trace row and [`Ip::step`] writes the outputs next to
+/// it, in place.
 ///
 /// # Errors
 ///
-/// Propagates [`TraceError`] when a stimulus cycle does not fit the IP's
-/// interface.
+/// Returns the [`TraceError`] that
+/// [`SignalSet::check_cycle`](psm_trace::SignalSet::check_cycle) reports
+/// for the first stimulus cycle that does not fit the IP's inputs, its
+/// values followed by the outputs: [`TraceError::CycleShapeMismatch`]
+/// for a wrong port count, [`TraceError::SignalWidthMismatch`] for a
+/// wrong width. Nothing is returned but the error.
 pub fn behavioural_trace(
     ip: &mut dyn Ip,
     stimulus: &Stimulus,
 ) -> Result<FunctionalTrace, TraceError> {
     ip.reset();
     let signals = ip.signals();
-    let mut row = Vec::with_capacity(signals.words_per_cycle());
-    let mut trace = FunctionalTrace::with_capacity(signals, stimulus.len());
-    for cycle_inputs in stimulus.iter() {
-        let outputs = ip.step(cycle_inputs);
-        // Inputs are declared before outputs, so the row is their words
-        // in that order.
-        let values = cycle_inputs.iter().chain(&outputs);
-        trace.signals().check_cycle(values.clone())?;
-        row.clear();
-        for value in values {
-            row.extend_from_slice(value.as_words());
-        }
-        trace.push_words(&row)?;
+    let widths = |dir: Direction| -> Vec<usize> {
+        signals
+            .iter()
+            .filter(|(_, d)| d.direction() == dir)
+            .map(|(_, d)| d.width())
+            .collect()
+    };
+    if let Some((_, shape)) = stimulus.first_misfit(&widths(Direction::Input)) {
+        let values: Vec<Bits> = shape
+            .iter()
+            .chain(&widths(Direction::Output))
+            .map(|&w| Bits::zero(w))
+            .collect();
+        return Err(signals
+            .check_cycle(&values)
+            .expect_err("a misfit cycle does not fit"));
     }
+    let wpc = signals.words_per_cycle();
+    let in_words = stimulus.words_per_cycle();
+    let mut trace = FunctionalTrace::with_capacity(signals, stimulus.len());
+    trace.extend_rows_with(stimulus.len(), |rows| {
+        for (t, inputs) in stimulus.rows().enumerate() {
+            let (row_in, row_out) = rows[t * wpc..(t + 1) * wpc].split_at_mut(in_words);
+            row_in.copy_from_slice(inputs);
+            ip.step(row_in, row_out);
+        }
+    });
     Ok(trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psm_trace::Bits;
 
     #[test]
     fn behavioural_trace_covers_all_ports() {

@@ -10,9 +10,10 @@
 //! Every IP exists twice, kept bit- and cycle-equivalent by construction
 //! and by the equivalence tests in `tests/`:
 //!
-//! * a **behavioural model** (the [`Ip`] trait's `step`), playing the role
-//!   of the paper's SystemC functional model — fast, used for functional
-//!   traces and the Table III `IP sim.` column;
+//! * a **behavioural model** (the [`Ip`] trait's `step`, one clock cycle
+//!   over word rows), playing the role of the paper's SystemC functional
+//!   model — fast, used for functional traces and the Table III `IP sim.`
+//!   column;
 //! * a **structural twin** (`netlist()`), a gate-level netlist built with
 //!   `psm-rtl`'s synthesis builder, playing the role of the
 //!   DesignCompiler output on which PrimeTime PX estimates power — slow
@@ -29,27 +30,25 @@
 //! use psm_trace::Bits;
 //!
 //! let mut ram = Ram1k::new();
-//! // write 0xDEAD at address 7: addr, wdata, we, re, ce, clr
-//! ram.step(&[
-//!     Bits::from_u64(7, 8),
-//!     Bits::from_u64(0xDEAD, 32),
-//!     Bits::from_bool(true),
-//!     Bits::from_bool(false),
-//!     Bits::from_bool(true),
-//!     Bits::from_bool(false),
-//! ]);
-//! // read it back: the read loads the output register at the clock edge,
-//! // so the value is visible on the following cycle
-//! let read_cycle = [
+//! // One word per port: addr, wdata, we, re, ce, clr in; rdata out.
+//! let mut rdata = [0u64];
+//! ram.step(&[7, 0xDEAD, 1, 0, 1, 0], &mut rdata); // write 0xDEAD at 7
+//! // Read it back: the read loads the output register at the clock edge,
+//! // so the value is visible on the following cycle.
+//! let read_cycle = [7, 0, 0, 1, 1, 0];
+//! ram.step(&read_cycle, &mut rdata);
+//! ram.step(&read_cycle, &mut rdata);
+//! assert_eq!(rdata, [0xDEAD]);
+//!
+//! // The same cycle with one `Bits` per port, for tests and examples.
+//! let outs = ram.step_bits(&[
 //!     Bits::from_u64(7, 8),
 //!     Bits::from_u64(0, 32),
 //!     Bits::from_bool(false),
 //!     Bits::from_bool(true),
 //!     Bits::from_bool(true),
 //!     Bits::from_bool(false),
-//! ];
-//! ram.step(&read_cycle);
-//! let outs = ram.step(&read_cycle);
+//! ]);
 //! assert_eq!(outs[0].to_u64()?, 0xDEAD);
 //! # Ok::<(), psm_trace::TraceError>(())
 //! ```

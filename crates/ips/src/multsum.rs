@@ -21,7 +21,7 @@
 
 use crate::traits::Ip;
 use psm_rtl::{Netlist, NetlistBuilder, RtlError};
-use psm_trace::{Bits, Direction, SignalSet};
+use psm_trace::{Direction, SignalSet};
 
 /// Behavioural model of the MAC; see the module docs above.
 #[derive(Debug, Clone, Default)]
@@ -76,33 +76,31 @@ impl Ip for MultSum {
         self.acc = 0;
     }
 
-    fn step(&mut self, inputs: &[Bits]) -> Vec<Bits> {
-        assert_eq!(inputs.len(), 4, "MultSum takes 4 input ports");
-        let a = inputs[0].to_u64().expect("16-bit a") as u32;
-        let bv = inputs[1].to_u64().expect("16-bit b") as u32;
-        let en = inputs[2].bit(0);
-        let clear = inputs[3].bit(0);
+    fn step(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        let &[a, bv, en, clear] = inputs else {
+            panic!("MultSum takes 4 one-word input ports");
+        };
+        let (a, bv) = (a as u32, bv as u32);
 
-        let visible = self.acc;
+        outputs[0] = u64::from(self.acc);
 
         // Clock edge: the combinational product of this cycle's operands
         // accumulates now.
-        if clear {
+        if clear != 0 {
             self.acc = 0;
-        } else if en {
+        } else if en != 0 {
             self.acc = self.acc.wrapping_add(a.wrapping_mul(bv));
         }
-
-        vec![Bits::from_u64(visible as u64, 32)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psm_trace::Bits;
 
     fn drive(m: &mut MultSum, a: u64, b: u64, en: bool, clear: bool) -> u64 {
-        m.step(&[
+        m.step_bits(&[
             Bits::from_u64(a, 16),
             Bits::from_u64(b, 16),
             Bits::from_bool(en),

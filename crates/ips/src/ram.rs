@@ -19,7 +19,7 @@
 
 use crate::traits::Ip;
 use psm_rtl::{Netlist, NetlistBuilder, RtlError};
-use psm_trace::{Bits, Direction, SignalSet};
+use psm_trace::{Direction, SignalSet};
 
 const WORDS: usize = 256;
 
@@ -92,17 +92,15 @@ impl Ip for Ram1k {
         self.rdata = 0;
     }
 
-    fn step(&mut self, inputs: &[Bits]) -> Vec<Bits> {
-        assert_eq!(inputs.len(), 6, "RAM takes 6 input ports");
-        let addr = inputs[0].to_u64().expect("8-bit addr") as usize;
-        let wdata = inputs[1].to_u64().expect("32-bit wdata") as u32;
-        let we = inputs[2].bit(0);
-        let re = inputs[3].bit(0);
-        let ce = inputs[4].bit(0);
-        let clr = inputs[5].bit(0);
+    fn step(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        let &[addr, wdata, we, re, ce, clr] = inputs else {
+            panic!("RAM takes 6 one-word input ports");
+        };
+        let (addr, wdata) = (addr as usize, wdata as u32);
+        let (we, re, ce, clr) = (we != 0, re != 0, ce != 0, clr != 0);
 
         // Outputs visible during this cycle: the current output register.
-        let visible = self.rdata;
+        outputs[0] = u64::from(self.rdata);
 
         // Clock edge: the write lands, then the output register updates
         // (read-before-write order matches the netlist, whose read mux
@@ -116,14 +114,13 @@ impl Ip for Ram1k {
         } else if ce && re {
             self.rdata = read_now;
         }
-
-        vec![Bits::from_u64(visible as u64, 32)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psm_trace::Bits;
 
     fn drive(
         ram: &mut Ram1k,
@@ -134,7 +131,7 @@ mod tests {
         ce: bool,
         clr: bool,
     ) -> u64 {
-        let outs = ram.step(&[
+        let outs = ram.step_bits(&[
             Bits::from_u64(addr, 8),
             Bits::from_u64(wdata, 32),
             Bits::from_bool(we),

@@ -7,11 +7,12 @@
 //! fresh random data, up to a caller-chosen cycle budget (the paper uses
 //! 500 000 instants).
 //!
-//! All generators are deterministic in their seed.
+//! All generators are deterministic in their seed, and write each cycle
+//! straight into the stimulus as one word row over the IP's inputs.
 
+use crate::{Aes128, Ip, MultSum, Ram1k};
 use psm_prng::Prng;
 use psm_rtl::Stimulus;
-use psm_trace::Bits;
 
 /// Builds the short (verification-style) testset for a Table I benchmark.
 ///
@@ -51,20 +52,14 @@ pub fn long_ts(ip_name: &str, seed: u64, target_cycles: usize) -> Option<Stimulu
 // RAM
 // ---------------------------------------------------------------------
 
-fn ram_cycle(addr: u64, wdata: u64, we: bool, re: bool, ce: bool, clr: bool) -> Vec<Bits> {
-    vec![
-        Bits::from_u64(addr, 8),
-        Bits::from_u64(wdata, 32),
-        Bits::from_bool(we),
-        Bits::from_bool(re),
-        Bits::from_bool(ce),
-        Bits::from_bool(clr),
-    ]
+/// Appends one RAM cycle: `addr`, `wdata`, `we`, `re`, `ce`, `clr`.
+fn ram_cycle(stim: &mut Stimulus, addr: u64, wdata: u64, we: bool, re: bool, ce: bool, clr: bool) {
+    stim.push_row(&[addr, wdata, we.into(), re.into(), ce.into(), clr.into()]);
 }
 
 fn ram_idle(stim: &mut Stimulus, cycles: usize) {
     for _ in 0..cycles {
-        stim.push_cycle(ram_cycle(0, 0, false, false, false, false));
+        ram_cycle(stim, 0, 0, false, false, false, false);
     }
 }
 
@@ -72,28 +67,15 @@ fn ram_random_phases(stim: &mut Stimulus, rng: &mut Prng, bursts: usize) {
     for _ in 0..bursts {
         let writes = rng.range_usize(8..32);
         for _ in 0..writes {
-            stim.push_cycle(ram_cycle(
-                rng.range_u64(0..256),
-                rng.next_u32() as u64,
-                true,
-                false,
-                true,
-                false,
-            ));
+            let addr = rng.range_u64(0..256);
+            ram_cycle(stim, addr, rng.next_u32() as u64, true, false, true, false);
         }
         let reads = rng.range_usize(8..32);
         for _ in 0..reads {
-            stim.push_cycle(ram_cycle(
-                rng.range_u64(0..256),
-                0,
-                false,
-                true,
-                true,
-                false,
-            ));
+            ram_cycle(stim, rng.range_u64(0..256), 0, false, true, true, false);
         }
         if rng.chance(0.1) {
-            stim.push_cycle(ram_cycle(0, 0, false, false, true, true)); // clr
+            ram_cycle(stim, 0, 0, false, false, true, true); // clr
         }
         ram_idle(stim, rng.range_usize(5..20));
     }
@@ -102,22 +84,22 @@ fn ram_random_phases(stim: &mut Stimulus, rng: &mut Prng, bursts: usize) {
 /// Verification-style testset for the RAM.
 pub fn ram_short_ts(seed: u64) -> Stimulus {
     let mut rng = Prng::seed_from_u64(seed);
-    let mut stim = Stimulus::new();
+    let mut stim = Stimulus::for_inputs(&Ram1k::new().signals());
     ram_idle(&mut stim, 50);
     // Walking writes covering the whole array with a data pattern.
     for a in 0..256u64 {
-        stim.push_cycle(ram_cycle(a, a * 0x0101_0101, true, false, true, false));
+        ram_cycle(&mut stim, a, a * 0x0101_0101, true, false, true, false);
     }
     ram_idle(&mut stim, 20);
     // Walking read-back.
     for a in 0..256u64 {
-        stim.push_cycle(ram_cycle(a, 0, false, true, true, false));
+        ram_cycle(&mut stim, a, 0, false, true, true, false);
     }
     ram_idle(&mut stim, 20);
     // Corner data values.
     for &d in &[0u64, 0xFFFF_FFFF, 0xAAAA_AAAA, 0x5555_5555] {
         for a in [0u64, 255] {
-            stim.push_cycle(ram_cycle(a, d, true, true, true, false));
+            ram_cycle(&mut stim, a, d, true, true, true, false);
         }
     }
     ram_idle(&mut stim, 10);
@@ -129,7 +111,7 @@ pub fn ram_short_ts(seed: u64) -> Stimulus {
 /// Long randomised re-stimulation for the RAM.
 pub fn ram_long_ts(seed: u64, target_cycles: usize) -> Stimulus {
     let mut rng = Prng::seed_from_u64(seed ^ 0x4A11_5EED_0001u64);
-    let mut stim = Stimulus::new();
+    let mut stim = Stimulus::for_inputs(&Ram1k::new().signals());
     ram_idle(&mut stim, 30);
     while stim.len() < target_cycles {
         ram_random_phases(&mut stim, &mut rng, 4);
@@ -141,18 +123,14 @@ pub fn ram_long_ts(seed: u64, target_cycles: usize) -> Stimulus {
 // MultSum
 // ---------------------------------------------------------------------
 
-fn mac_cycle(a: u64, b: u64, en: bool, clear: bool) -> Vec<Bits> {
-    vec![
-        Bits::from_u64(a, 16),
-        Bits::from_u64(b, 16),
-        Bits::from_bool(en),
-        Bits::from_bool(clear),
-    ]
+/// Appends one MAC cycle: `a`, `b`, `en`, `clear`.
+fn mac_cycle(stim: &mut Stimulus, a: u64, b: u64, en: bool, clear: bool) {
+    stim.push_row(&[a, b, en.into(), clear.into()]);
 }
 
 fn mac_idle(stim: &mut Stimulus, cycles: usize) {
     for _ in 0..cycles {
-        stim.push_cycle(mac_cycle(0, 0, false, false));
+        mac_cycle(stim, 0, 0, false, false);
     }
 }
 
@@ -161,17 +139,17 @@ fn mac_random_phases(stim: &mut Stimulus, rng: &mut Prng, bursts: usize) {
     for _ in 0..bursts {
         // Occasional clear between jobs, operands held (quiet buses).
         if rng.chance(0.25) {
-            stim.push_cycle(mac_cycle(last.0, last.1, false, true));
-            stim.push_cycle(mac_cycle(last.0, last.1, false, false));
+            mac_cycle(stim, last.0, last.1, false, true);
+            mac_cycle(stim, last.0, last.1, false, false);
         }
         let len = rng.range_usize(16..48);
         for _ in 0..len {
             last = (rng.next_u16() as u64, rng.next_u16() as u64);
-            stim.push_cycle(mac_cycle(last.0, last.1, true, false));
+            mac_cycle(stim, last.0, last.1, true, false);
         }
         // Idle gaps hold the last operands (no pointless bus toggling).
         for _ in 0..rng.range_usize(5..20) {
-            stim.push_cycle(mac_cycle(last.0, last.1, false, false));
+            mac_cycle(stim, last.0, last.1, false, false);
         }
     }
 }
@@ -179,7 +157,7 @@ fn mac_random_phases(stim: &mut Stimulus, rng: &mut Prng, bursts: usize) {
 /// Verification-style testset for the MAC.
 pub fn multsum_short_ts(seed: u64) -> Stimulus {
     let mut rng = Prng::seed_from_u64(seed);
-    let mut stim = Stimulus::new();
+    let mut stim = Stimulus::for_inputs(&MultSum::new().signals());
     mac_idle(&mut stim, 40);
     // Directed corner operands.
     for &(a, b) in &[
@@ -190,7 +168,7 @@ pub fn multsum_short_ts(seed: u64) -> Stimulus {
         (0x8000, 2),
         (0x5555, 0xAAAA),
     ] {
-        stim.push_cycle(mac_cycle(a, b, true, false));
+        mac_cycle(&mut stim, a, b, true, false);
     }
     mac_idle(&mut stim, 10);
     mac_random_phases(&mut stim, &mut rng, 60);
@@ -200,7 +178,7 @@ pub fn multsum_short_ts(seed: u64) -> Stimulus {
 /// Long randomised re-stimulation for the MAC.
 pub fn multsum_long_ts(seed: u64, target_cycles: usize) -> Stimulus {
     let mut rng = Prng::seed_from_u64(seed ^ 0x4A11_5EED_0002u64);
-    let mut stim = Stimulus::new();
+    let mut stim = Stimulus::for_inputs(&MultSum::new().signals());
     mac_idle(&mut stim, 25);
     while stim.len() < target_cycles {
         mac_random_phases(&mut stim, &mut rng, 4);
@@ -212,22 +190,33 @@ pub fn multsum_long_ts(seed: u64, target_cycles: usize) -> Stimulus {
 // Block ciphers (AES / Camellia share the interface)
 // ---------------------------------------------------------------------
 
-fn cipher_cycle(key: u128, data: u128, start: bool, load_key: bool, decrypt: bool) -> Vec<Bits> {
-    vec![
-        Bits::from_le_bytes(&key.to_le_bytes(), 128),
-        Bits::from_le_bytes(&data.to_le_bytes(), 128),
-        Bits::from_bool(start),
-        Bits::from_bool(load_key),
-        Bits::from_bool(decrypt),
-        Bits::from_bool(true), // ce
-    ]
+/// Appends one cipher cycle: `key`, `data` (two words each, low word
+/// first), `start`, `load_key`, `decrypt`, and `ce` held high.
+fn cipher_cycle(
+    stim: &mut Stimulus,
+    key: u128,
+    data: u128,
+    start: bool,
+    load_key: bool,
+    decrypt: bool,
+) {
+    stim.push_row(&[
+        key as u64,
+        (key >> 64) as u64,
+        data as u64,
+        (data >> 64) as u64,
+        start.into(),
+        load_key.into(),
+        decrypt.into(),
+        1,
+    ]);
 }
 
 /// Loads a key: `load_key` pulse plus the key-schedule latency.
 fn cipher_load_key(stim: &mut Stimulus, key_latency: usize, key: u128) {
-    stim.push_cycle(cipher_cycle(key, 0, false, true, false));
+    cipher_cycle(stim, key, 0, false, true, false);
     for _ in 0..key_latency {
-        stim.push_cycle(cipher_cycle(key, 0, false, false, false));
+        cipher_cycle(stim, key, 0, false, false, false);
     }
 }
 
@@ -240,12 +229,9 @@ fn cipher_op(
     decrypt: bool,
     idle_gap: usize,
 ) {
-    stim.push_cycle(cipher_cycle(key, data, true, false, decrypt));
-    for _ in 0..latency {
-        stim.push_cycle(cipher_cycle(key, data, false, false, decrypt));
-    }
-    for _ in 0..idle_gap {
-        stim.push_cycle(cipher_cycle(key, data, false, false, decrypt));
+    cipher_cycle(stim, key, data, true, false, decrypt);
+    for _ in 0..latency + idle_gap {
+        cipher_cycle(stim, key, data, false, false, decrypt);
     }
 }
 
@@ -259,10 +245,11 @@ fn cipher_ts(
     directed: bool,
 ) -> Stimulus {
     let mut rng = Prng::seed_from_u64(seed);
-    let mut stim = Stimulus::new();
+    // Camellia's inputs are AES's, port for port.
+    let mut stim = Stimulus::for_inputs(&Aes128::new().signals());
     // Initial idle.
     for _ in 0..15 {
-        stim.push_cycle(cipher_cycle(0, 0, false, false, false));
+        cipher_cycle(&mut stim, 0, 0, false, false, false);
     }
     if directed {
         // Corner keys/blocks first, encrypt and decrypt.
@@ -356,8 +343,9 @@ mod tests {
         let mut prev_start = false;
         let mut max_run = 0;
         let mut run = 0;
-        for cycle in stim.iter() {
-            let start = cycle[2].bit(0);
+        for row in stim.rows() {
+            // Words 0–3 are key and data; `start` is word 4.
+            let start = row[4] != 0;
             if start && prev_start {
                 run += 1;
             } else {

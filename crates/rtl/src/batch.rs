@@ -31,7 +31,9 @@
 //! engine is the capture hot path. See `DESIGN.md` §3c for the lane layout.
 
 use crate::gate::{GateKind, NetId};
-use crate::harness::{CaptureResult, HierarchicalCapture, Stimulus};
+use crate::harness::{
+    check_stimuli, input_ports, word_ranges, CaptureResult, HierarchicalCapture, Stimulus,
+};
 use crate::levelize::levelize;
 use crate::netlist::{MemoryMacro, Netlist};
 use crate::power::{CycleActivity, PowerEstimator, PowerModel};
@@ -707,8 +709,16 @@ impl<'a> BatchSimulator<'a> {
                 actual: value.width(),
             });
         }
+        self.stage(lane, h.index(), value.as_words());
+        Ok(())
+    }
+
+    /// Stages port `port` of one lane from its little-endian words, LSB
+    /// first: the staging [`set_input`](BatchSimulator::set_input) does
+    /// once the width is checked.
+    fn stage(&mut self, lane: usize, port: usize, words: &[u64]) {
         let lane_bit = 1u64 << lane;
-        for (i, &net) in self.compiled.port(h.index()).iter().enumerate() {
+        for (i, &net) in self.compiled.port(port).iter().enumerate() {
             let slot = &mut self.staged_slot[net as usize];
             let entry = if *slot == 0 {
                 self.staged.push(StagedNet {
@@ -722,13 +732,12 @@ impl<'a> BatchSimulator<'a> {
                 &mut self.staged[*slot as usize - 1]
             };
             entry.care |= lane_bit;
-            if value.bit(i) {
+            if words[i / 64] >> (i % 64) & 1 != 0 {
                 entry.value |= lane_bit;
             } else {
                 entry.value &= !lane_bit;
             }
         }
-        Ok(())
     }
 
     /// Runs one clock cycle on every lane.
@@ -1121,8 +1130,10 @@ fn capture_group(
         })
         .collect();
 
+    check_stimuli(netlist, stimuli)?;
     let input_handles = sim.input_handles();
-    let rows: Vec<Vec<&[Bits]>> = stimuli.iter().map(|s| s.iter().collect()).collect();
+    let widths: Vec<usize> = input_ports(netlist).iter().map(|p| p.width()).collect();
+    let port_words = word_ranges(&widths);
     let signals = netlist.signal_set();
     let mut row = vec![0u64; signals.words_per_cycle()];
     let mut functional: Vec<FunctionalTrace> = stimuli
@@ -1144,23 +1155,12 @@ fn capture_group(
 
     let max_len = stimuli.iter().map(Stimulus::len).max().unwrap_or(0);
     for t in 0..max_len {
-        for lane_rows in &rows {
-            let Some(cycle_inputs) = lane_rows.get(t) else {
-                continue;
-            };
-            if cycle_inputs.len() != input_handles.len() {
-                return Err(RtlError::Trace(psm_trace::TraceError::CycleShapeMismatch {
-                    expected: input_handles.len(),
-                    actual: cycle_inputs.len(),
-                }));
-            }
-        }
         // Port-major, lane-minor staging keeps each lane's staged-net
         // order identical to its scalar run.
-        for (p, (_, handle)) in input_handles.iter().enumerate() {
-            for (l, lane_rows) in rows.iter().enumerate() {
-                if let Some(cycle_inputs) = lane_rows.get(t) {
-                    sim.set_input(l, *handle, &cycle_inputs[p])?;
+        for ((_, handle), words) in input_handles.iter().zip(&port_words) {
+            for (l, stim) in stimuli.iter().enumerate() {
+                if t < stim.len() {
+                    sim.stage(l, handle.index(), &stim.row(t)[words.clone()]);
                 }
             }
         }
@@ -1304,6 +1304,18 @@ mod tests {
             assert_eq!(got.power, want.power, "stimulus {k}");
             assert_eq!(got.functional, want.functional, "stimulus {k}");
         }
+    }
+
+    #[test]
+    fn an_empty_first_lane_leaves_the_others_staged() {
+        let n = counter(4);
+        let busy: Stimulus = (0..9u64).map(|t| vec![Bits::from_u64(t % 2, 1)]).collect();
+        let stimuli = [Stimulus::new(), busy.clone()];
+        let batch = capture_traces_batch(&n, &PowerModel::default(), &stimuli, &[1, 2]).unwrap();
+        assert!(batch[0].functional.is_empty());
+        let want = capture_traces(&n, &PowerModel::default(), &busy, 2).unwrap();
+        assert_eq!(batch[1].power, want.power);
+        assert_eq!(batch[1].functional, want.functional);
     }
 
     #[test]

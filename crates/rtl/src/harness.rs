@@ -6,14 +6,30 @@
 //! paper's "simulate the IP with its verification testbenches, then run
 //! PrimeTime PX on the same traces" step.
 
-use crate::netlist::Netlist;
+use crate::netlist::{Netlist, Port};
 use crate::power::{PowerEstimator, PowerModel};
 use crate::sim::Simulator;
 use crate::RtlError;
-use psm_trace::{Bits, FunctionalTrace, PowerTrace};
+use psm_trace::{Bits, Direction, FunctionalTrace, PowerTrace, SignalSet};
+use std::ops::Range;
 
 /// A cycle-by-cycle input stimulus: for every cycle, one value per input
-/// port in the netlist's declaration order.
+/// port, in the netlist's declaration order.
+///
+/// Storage is one row-major buffer of `u64` words, laid out as the input
+/// half of a [`FunctionalTrace`] row: each cycle is a row of
+/// [`words_per_cycle`](Stimulus::words_per_cycle) words, and each port
+/// takes `width.div_ceil(64)` little-endian words of it, in declaration
+/// order, with the bits above its width kept at zero. The port widths,
+/// [`widths`](Stimulus::widths), are the stimulus's layout: fixed up
+/// front by [`for_inputs`](Stimulus::for_inputs), or by the first cycle
+/// pushed into an empty stimulus.
+///
+/// A cycle pushed with [`push_cycle`](Stimulus::push_cycle) in another
+/// shape is kept as a row of zeros, and the first such cycle is
+/// remembered: a simulation that reads the stimulus rejects it with the
+/// error that cycle's values would have raised, before it simulates
+/// anything (see [`first_misfit`](Stimulus::first_misfit)).
 ///
 /// # Examples
 ///
@@ -22,49 +38,248 @@ use psm_trace::{Bits, FunctionalTrace, PowerTrace};
 /// use psm_trace::Bits;
 ///
 /// let mut s = Stimulus::new();
-/// s.push_cycle(vec![Bits::from_u64(1, 1)]);
-/// s.push_cycle(vec![Bits::from_u64(0, 1)]);
+/// s.push_cycle(vec![Bits::from_u64(1, 1), Bits::from_u64(0x1F, 8)]);
+/// s.push_row(&[0, 0x1FF]); // bits above a port's width are dropped
 /// assert_eq!(s.len(), 2);
+/// assert_eq!(s.widths(), [1, 8]);
+/// assert_eq!(s.row(0), [1, 0x1F]);
+/// assert_eq!(s.row(1), [0, 0xFF]);
+/// assert_eq!(s.cycle_bits(1)[1], Bits::from_u64(0xFF, 8));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stimulus {
-    cycles: Vec<Vec<Bits>>,
+    /// Input-port widths in declaration order: the row layout.
+    widths: Vec<usize>,
+    /// Words per row: the sum of `width.div_ceil(64)` over `widths`.
+    wpc: usize,
+    /// `len` rows of `words_per_cycle` words, in time order.
+    words: Vec<u64>,
+    len: usize,
+    /// The first cycle pushed in a shape other than `widths`, with the
+    /// port widths it was pushed with.
+    misfit: Option<(usize, Vec<usize>)>,
 }
 
 impl Stimulus {
-    /// Creates an empty stimulus.
+    /// Creates an empty stimulus; the first cycle pushed fixes its layout.
     pub fn new() -> Self {
         Stimulus::default()
     }
 
+    /// An empty stimulus laid out over input ports of the given widths
+    /// (from a `SignalSet` or from `Bits`, so none is zero).
+    fn with_widths(widths: &[usize]) -> Self {
+        Stimulus {
+            widths: widths.to_vec(),
+            wpc: widths.iter().map(|w| w.div_ceil(64)).sum(),
+            ..Stimulus::default()
+        }
+    }
+
+    /// Creates an empty stimulus laid out over the inputs of `signals`.
+    pub fn for_inputs(signals: &SignalSet) -> Self {
+        let widths: Vec<usize> = signals
+            .iter()
+            .filter(|(_, d)| d.direction() == Direction::Input)
+            .map(|(_, d)| d.width())
+            .collect();
+        Stimulus::with_widths(&widths)
+    }
+
     /// Appends the input values for one cycle (input-port declaration
-    /// order).
+    /// order). Into an empty stimulus, the cycle's widths become the
+    /// layout; see the type docs for a cycle that does not fit it.
     pub fn push_cycle(&mut self, inputs: Vec<Bits>) {
-        self.cycles.push(inputs);
+        if self.len == 0 {
+            let widths: Vec<usize> = inputs.iter().map(Bits::width).collect();
+            *self = Stimulus::with_widths(&widths);
+        }
+        let fits = inputs.len() == self.widths.len()
+            && inputs
+                .iter()
+                .zip(&self.widths)
+                .all(|(v, &w)| v.width() == w);
+        let start = self.words.len();
+        if fits {
+            for value in &inputs {
+                self.words.extend_from_slice(value.as_words());
+            }
+        } else {
+            self.words.resize(start + self.wpc, 0);
+            if self.misfit.is_none() {
+                self.misfit = Some((self.len, inputs.iter().map(Bits::width).collect()));
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Appends one cycle given as a row of
+    /// [`words_per_cycle`](Stimulus::words_per_cycle) words. Bits above
+    /// each port's width are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` has the wrong length.
+    pub fn push_row(&mut self, row: &[u64]) {
+        assert_eq!(
+            row.len(),
+            self.wpc,
+            "a stimulus row over ports of widths {:?}",
+            self.widths
+        );
+        let start = self.words.len();
+        self.words.extend_from_slice(row);
+        let mut end = start;
+        for &w in &self.widths {
+            end += w.div_ceil(64);
+            if w % 64 != 0 {
+                self.words[end - 1] &= (1u64 << (w % 64)) - 1;
+            }
+        }
+        self.len += 1;
     }
 
     /// Number of cycles.
     pub fn len(&self) -> usize {
-        self.cycles.len()
+        self.len
     }
 
     /// Returns `true` when no cycle has been added.
     pub fn is_empty(&self) -> bool {
-        self.cycles.is_empty()
+        self.len == 0
     }
 
-    /// Iterates over per-cycle input vectors.
-    pub fn iter(&self) -> impl Iterator<Item = &[Bits]> {
-        self.cycles.iter().map(|c| c.as_slice())
+    /// The input-port widths the rows are laid out over.
+    pub fn widths(&self) -> &[usize] {
+        &self.widths
+    }
+
+    /// Number of `u64` words one cycle occupies.
+    pub fn words_per_cycle(&self) -> usize {
+        self.wpc
+    }
+
+    /// The words of cycle `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` is out of range.
+    pub fn row(&self, t: usize) -> &[u64] {
+        assert!(t < self.len, "cycle {t} of {}", self.len);
+        &self.words[t * self.wpc..(t + 1) * self.wpc]
+    }
+
+    /// Iterates over the cycles' rows in time order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u64]> {
+        let wpc = self.wpc;
+        (0..self.len).map(move |t| &self.words[t * wpc..(t + 1) * wpc])
+    }
+
+    /// Cycle `t` as one [`Bits`] per input port: a convenience for tests
+    /// and scalar reference paths, which allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` is out of range.
+    pub fn cycle_bits(&self, t: usize) -> Vec<Bits> {
+        let row = self.row(t);
+        word_ranges(&self.widths)
+            .into_iter()
+            .zip(&self.widths)
+            .map(|(words, &w)| Bits::from_words(&row[words], w))
+            .collect()
+    }
+
+    /// The first cycle whose port widths differ from `widths`, with the
+    /// widths that cycle was pushed with; `None` when every cycle fits.
+    ///
+    /// A simulation checks its stimulus with this once, instead of every
+    /// cycle, and reports the error the returned cycle raises.
+    pub fn first_misfit(&self, widths: &[usize]) -> Option<(usize, &[usize])> {
+        if self.len == 0 {
+            None
+        } else if self.widths != widths {
+            Some((0, &self.widths))
+        } else {
+            self.misfit.as_ref().map(|(t, w)| (*t, w.as_slice()))
+        }
     }
 }
 
 impl FromIterator<Vec<Bits>> for Stimulus {
     fn from_iter<I: IntoIterator<Item = Vec<Bits>>>(iter: I) -> Self {
-        Stimulus {
-            cycles: iter.into_iter().collect(),
+        let mut stimulus = Stimulus::new();
+        for inputs in iter {
+            stimulus.push_cycle(inputs);
         }
+        stimulus
     }
+}
+
+/// The words of each port within a row over ports of `widths`.
+pub(crate) fn word_ranges(widths: &[usize]) -> Vec<Range<usize>> {
+    let mut start = 0;
+    widths
+        .iter()
+        .map(|w| {
+            let range = start..start + w.div_ceil(64);
+            start = range.end;
+            range
+        })
+        .collect()
+}
+
+/// The input ports of `netlist`, in declaration order.
+pub(crate) fn input_ports(netlist: &Netlist) -> Vec<&Port> {
+    netlist
+        .ports()
+        .iter()
+        .filter(|p| p.direction() == Direction::Input)
+        .collect()
+}
+
+/// Checks stimuli, one per lane, against `netlist`'s inputs once, and
+/// returns the error that staging them cycle by cycle would meet first.
+/// That is the earliest misfit cycle of any lane; within it, the
+/// port-count error of the lowest lane, since counts are checked before
+/// anything is staged, else the width error met first in port-major,
+/// lane-minor order.
+pub(crate) fn check_stimuli(netlist: &Netlist, stimuli: &[Stimulus]) -> Result<(), RtlError> {
+    let ports = input_ports(netlist);
+    let widths: Vec<usize> = ports.iter().map(|p| p.width()).collect();
+    let misfits: Vec<(usize, &[usize])> = stimuli
+        .iter()
+        .filter_map(|s| s.first_misfit(&widths))
+        .collect();
+    let Some(first) = misfits.iter().map(|&(t, _)| t).min() else {
+        return Ok(());
+    };
+    // Each misfit's error, keyed by when the staging meets it: `None`
+    // (a count error) sorts before `Some(port)`.
+    let (_, err) = misfits
+        .iter()
+        .filter(|&&(t, _)| t == first)
+        .map(|&(_, shape)| {
+            if shape.len() != widths.len() {
+                let err = RtlError::Trace(psm_trace::TraceError::CycleShapeMismatch {
+                    expected: widths.len(),
+                    actual: shape.len(),
+                });
+                return (None, err);
+            }
+            let p = (0..widths.len())
+                .find(|&p| widths[p] != shape[p])
+                .expect("a misfit cycle has a port of another width");
+            let err = RtlError::PortWidthMismatch {
+                port: ports[p].name().to_owned(),
+                expected: widths[p],
+                actual: shape[p],
+            };
+            (Some(p), err)
+        })
+        .min_by_key(|&(key, _)| key)
+        .expect("the earliest misfit is in some lane");
+    Err(err)
 }
 
 /// Paired training traces captured from one gate-level run.
@@ -184,15 +399,10 @@ pub fn capture_traces_by_domain(
         .map(|_| PowerTrace::with_capacity(stimulus.len()))
         .collect();
 
-    for cycle_inputs in stimulus.iter() {
-        if cycle_inputs.len() != input_handles.len() {
-            return Err(RtlError::Trace(psm_trace::TraceError::CycleShapeMismatch {
-                expected: input_handles.len(),
-                actual: cycle_inputs.len(),
-            }));
-        }
-        for ((_, handle), value) in input_handles.iter().zip(cycle_inputs) {
-            sim.set_input_by_handle(*handle, value)?;
+    check_stimuli(netlist, std::slice::from_ref(stimulus))?;
+    for t in 0..stimulus.len() {
+        for ((_, handle), value) in input_handles.iter().zip(stimulus.cycle_bits(t)) {
+            sim.set_input_by_handle(*handle, &value)?;
         }
         let activity = sim.step();
         functional.push_cycle(sim.sample_ports())?;

@@ -370,11 +370,11 @@ pub fn read_cycles_into(
         });
     }
     let body = r.bytes(need as usize)?;
-    trace.extend_rows(
-        body.chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("chunks_exact yields 8 bytes"))),
-        count,
-    );
+    trace.extend_rows_with(count, |rows| {
+        for (word, b) in rows.iter_mut().zip(body.chunks_exact(8)) {
+            *word = u64::from_le_bytes(b.try_into().expect("chunks_exact yields 8 bytes"));
+        }
+    });
     Ok(count)
 }
 

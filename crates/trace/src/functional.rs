@@ -179,12 +179,34 @@ impl FunctionalTrace {
         Ok(())
     }
 
-    /// Appends `count` rows from `words`, which holds them back to back
-    /// and reports its exact length, so the buffer grows once. The
-    /// caller has checked that length against `count`.
-    pub(crate) fn extend_rows(&mut self, words: impl Iterator<Item = u64>, count: usize) {
+    /// Appends `count` instants written in place: `fill` receives the new
+    /// rows back to back, zeroed, [`SignalSet::words_per_cycle`] words
+    /// each. Bits above each signal's width are cleared afterwards, as
+    /// [`push_words`](FunctionalTrace::push_words) does.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use psm_trace::{Direction, FunctionalTrace, SignalSet};
+    ///
+    /// let mut signals = SignalSet::new();
+    /// let q = signals.push("q", 4, Direction::Output)?;
+    /// let mut trace = FunctionalTrace::new(signals);
+    /// trace.extend_rows_with(3, |rows| {
+    ///     for (t, word) in rows.iter_mut().enumerate() {
+    ///         *word = 0x10 + t as u64; // bit 4 is above the width
+    ///     }
+    /// });
+    /// assert_eq!(trace.len(), 3);
+    /// assert_eq!(trace.cycle(2).words(q), [2]);
+    /// # Ok::<(), psm_trace::TraceError>(())
+    /// ```
+    pub fn extend_rows_with(&mut self, count: usize, fill: impl FnOnce(&mut [u64])) {
         let first = self.len;
-        self.words.extend(words);
+        let start = self.words.len();
+        self.words
+            .resize(start + count * self.signals.words_per_cycle(), 0);
+        fill(&mut self.words[start..]);
         self.len += count;
         self.clear_unused_bits(first);
     }

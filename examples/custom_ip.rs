@@ -14,7 +14,7 @@
 use psmgen::flow::PsmFlow;
 use psmgen::ips::Ip;
 use psmgen::rtl::{Netlist, NetlistBuilder, RtlError, Stimulus, Word};
-use psmgen::trace::{Bits, Direction, SignalSet};
+use psmgen::trace::{Direction, SignalSet};
 
 /// A byte transmitter: `send` latches `data`, then 8 bits shift out on
 /// `tx` (LSB first) while `busy` is high.
@@ -78,12 +78,14 @@ impl Ip for TxByte {
         *self = TxByte::default();
     }
 
-    fn step(&mut self, inputs: &[Bits]) -> Vec<Bits> {
-        let data = inputs[0].to_u64().expect("8-bit data") as u8;
-        let send = inputs[1].bit(0);
+    /// One cycle over word rows: every port here fits one word, so the
+    /// inputs are `[data, send]` and the outputs `[tx, busy]`.
+    fn step(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        let (data, send) = (inputs[0] as u8, inputs[1] != 0);
         let busy = self.remaining > 0;
 
-        let outs = vec![Bits::from_bool(self.shift & 1 == 1), Bits::from_bool(busy)];
+        outputs[0] = u64::from(self.shift & 1);
+        outputs[1] = u64::from(busy);
 
         if busy {
             self.shift >>= 1;
@@ -92,29 +94,29 @@ impl Ip for TxByte {
             self.shift = data;
             self.remaining = 8;
         }
-        outs
     }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A simple directed-plus-random testbench for the transmitter.
+    // A simple directed-plus-random testbench for the transmitter, one
+    // `[data, send]` word row per cycle.
     let make_stimulus = |seed: u64, frames: usize| {
-        let mut s = Stimulus::new();
+        let mut s = Stimulus::for_inputs(&TxByte::default().signals());
         let mut x = seed;
         for _ in 0..10 {
-            s.push_cycle(vec![Bits::from_u64(0, 8), Bits::from_bool(false)]);
+            s.push_row(&[0, 0]);
         }
         for _ in 0..frames {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let byte = (x >> 33) & 0xFF;
-            s.push_cycle(vec![Bits::from_u64(byte, 8), Bits::from_bool(true)]);
+            s.push_row(&[byte, 1]);
             for _ in 0..8 {
-                s.push_cycle(vec![Bits::from_u64(byte, 8), Bits::from_bool(false)]);
+                s.push_row(&[byte, 0]);
             }
             for _ in 0..(3 + (x >> 40) % 9) {
-                s.push_cycle(vec![Bits::from_u64(byte, 8), Bits::from_bool(false)]);
+                s.push_row(&[byte, 0]);
             }
         }
         s

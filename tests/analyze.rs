@@ -204,8 +204,8 @@ impl Ip for DefectiveMultSum {
     fn reset(&mut self) {
         self.0.reset()
     }
-    fn step(&mut self, inputs: &[psmgen::trace::Bits]) -> Vec<psmgen::trace::Bits> {
-        self.0.step(inputs)
+    fn step(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        self.0.step(inputs, outputs)
     }
 }
 
@@ -524,8 +524,8 @@ impl Ip for MismatchedMultSum {
     fn reset(&mut self) {
         self.0.reset()
     }
-    fn step(&mut self, inputs: &[psmgen::trace::Bits]) -> Vec<psmgen::trace::Bits> {
-        self.0.step(inputs)
+    fn step(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        self.0.step(inputs, outputs)
     }
 }
 

@@ -26,7 +26,10 @@ fn assert_lockstep_identical(name: &str, netlist: &Netlist, stimuli: &[Stimulus]
         .map(|_| Simulator::new(netlist).expect("netlist is acyclic"))
         .collect();
     let handles = scalars[0].input_handles();
-    let rows: Vec<Vec<&[Bits]>> = stimuli.iter().map(|s| s.iter().collect()).collect();
+    let rows: Vec<Vec<Vec<Bits>>> = stimuli
+        .iter()
+        .map(|s| (0..s.len()).map(|t| s.cycle_bits(t)).collect())
+        .collect();
     let cycles = stimuli.iter().map(Stimulus::len).min().unwrap_or(0);
     assert!(cycles > 0, "{name}: empty stimulus");
     for t in 0..cycles {
