@@ -32,6 +32,11 @@ echo "==> custom_ip: the bring-your-own-IP example trains and estimates end to e
 # change to the trait's row contract must still run through the flow.
 cargo run --offline --release --example custom_ip > /dev/null
 
+echo "==> dpm_exploration: a Stimulus built cycle by cycle from Bits trains and estimates"
+# The one example that pushes Bits cycles into a Stimulus, each checked
+# against the MAC's inputs where it is pushed; it runs in about 0.3 s.
+cargo run --offline --release --example dpm_exploration > /dev/null
+
 echo "==> member crates: unit and integration tests of crates/*"
 # `cargo test` above tests only the root package; the member crates'
 # own tests (psm-analyze's NL011 oracle units, psm-mining's proptests,

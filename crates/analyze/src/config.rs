@@ -85,12 +85,6 @@ impl LintConfig {
         self.verify.as_ref()
     }
 
-    /// Sets the `[verify]` overrides, returning the updated configuration.
-    pub fn with_verify(mut self, verify: VerifyConfig) -> Self {
-        self.verify = Some(verify);
-        self
-    }
-
     /// `true` when no override is configured.
     pub fn is_empty(&self) -> bool {
         self.levels.is_empty() && self.verify.is_none()

@@ -42,11 +42,6 @@ impl PowerAttributes {
         }
     }
 
-    /// Attributes from an existing accumulator.
-    pub fn from_stats(stats: OnlineStats) -> Self {
-        PowerAttributes { stats }
-    }
-
     /// Mean power μ (mW) — the state's constant output function before
     /// calibration.
     pub fn mu(&self) -> f64 {

@@ -3,7 +3,7 @@
 use crate::traits::Ip;
 use crate::{Aes128, Camellia128, MultSum, Ram1k};
 use psm_rtl::Stimulus;
-use psm_trace::{Bits, Direction, FunctionalTrace, TraceError};
+use psm_trace::{FunctionalTrace, TraceError};
 
 /// The Table I benchmark names, in paper order.
 pub const BENCHMARK_NAMES: [&str; 4] = ["RAM", "MultSum", "AES", "Camellia"];
@@ -31,48 +31,27 @@ pub fn ip_by_name(name: &str) -> Option<Box<dyn Ip>> {
 /// trace of all ports — the paper's fast "IP sim." path (Table III).
 ///
 /// The IP is reset first, so the trace always starts from the post-reset
-/// state (matching the structural capture in `psm-rtl`). The stimulus is
-/// checked against the interface once; then every cycle's input row is
-/// copied into its trace row and [`Ip::step`] writes the outputs next to
-/// it, in place.
+/// state (matching the structural capture in `psm-rtl`). The stimulus's
+/// layout is checked against the IP's inputs once; then every cycle's
+/// input row is copied into its trace row and [`Ip::step`] writes the
+/// outputs next to it, in place. An empty stimulus fits every IP.
 ///
 /// # Errors
 ///
-/// Returns the [`TraceError`] that
-/// [`SignalSet::check_cycle`](psm_trace::SignalSet::check_cycle) reports
-/// for the first stimulus cycle that does not fit the IP's inputs, its
-/// values followed by the outputs: [`TraceError::CycleShapeMismatch`]
-/// for a wrong port count, [`TraceError::SignalWidthMismatch`] for a
-/// wrong width. Nothing is returned but the error.
+/// What [`Stimulus::check_fits`] returns for the IP's interface when the
+/// stimulus is not laid out over its inputs; nothing else is returned.
 pub fn behavioural_trace(
     ip: &mut dyn Ip,
     stimulus: &Stimulus,
 ) -> Result<FunctionalTrace, TraceError> {
     ip.reset();
     let signals = ip.signals();
-    let widths = |dir: Direction| -> Vec<usize> {
-        signals
-            .iter()
-            .filter(|(_, d)| d.direction() == dir)
-            .map(|(_, d)| d.width())
-            .collect()
-    };
-    if let Some((_, shape)) = stimulus.first_misfit(&widths(Direction::Input)) {
-        let values: Vec<Bits> = shape
-            .iter()
-            .chain(&widths(Direction::Output))
-            .map(|&w| Bits::zero(w))
-            .collect();
-        return Err(signals
-            .check_cycle(&values)
-            .expect_err("a misfit cycle does not fit"));
-    }
+    stimulus.check_fits(&signals)?;
     let wpc = signals.words_per_cycle();
-    let in_words = stimulus.words_per_cycle();
     let mut trace = FunctionalTrace::with_capacity(signals, stimulus.len());
     trace.extend_rows_with(stimulus.len(), |rows| {
         for (t, inputs) in stimulus.rows().enumerate() {
-            let (row_in, row_out) = rows[t * wpc..(t + 1) * wpc].split_at_mut(in_words);
+            let (row_in, row_out) = rows[t * wpc..(t + 1) * wpc].split_at_mut(inputs.len());
             row_in.copy_from_slice(inputs);
             ip.step(row_in, row_out);
         }
@@ -83,6 +62,7 @@ pub fn behavioural_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psm_trace::Bits;
 
     #[test]
     fn behavioural_trace_covers_all_ports() {
@@ -96,7 +76,8 @@ mod tests {
                 Bits::from_bool(false),
                 Bits::from_bool(true),
                 Bits::from_bool(false),
-            ]);
+            ])
+            .unwrap();
         }
         let trace = behavioural_trace(&mut ram, &stim).unwrap();
         assert_eq!(trace.len(), 5);

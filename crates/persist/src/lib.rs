@@ -182,14 +182,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Result<bool, PersistError> {
-        match self {
-            JsonValue::Bool(b) => Ok(*b),
-            other => Err(type_error("bool", other)),
-        }
-    }
-
     /// The value as a `u64` (rejects negative and fractional numbers).
     pub fn as_u64(&self) -> Result<u64, PersistError> {
         match self {

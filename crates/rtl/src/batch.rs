@@ -31,9 +31,7 @@
 //! engine is the capture hot path. See `DESIGN.md` §3c for the lane layout.
 
 use crate::gate::{GateKind, NetId};
-use crate::harness::{
-    check_stimuli, input_ports, word_ranges, CaptureResult, HierarchicalCapture, Stimulus,
-};
+use crate::harness::{check_stimuli, input_layout, CaptureResult, HierarchicalCapture, Stimulus};
 use crate::levelize::levelize;
 use crate::netlist::{MemoryMacro, Netlist};
 use crate::power::{CycleActivity, PowerEstimator, PowerModel};
@@ -1130,11 +1128,11 @@ fn capture_group(
         })
         .collect();
 
-    check_stimuli(netlist, stimuli)?;
-    let input_handles = sim.input_handles();
-    let widths: Vec<usize> = input_ports(netlist).iter().map(|p| p.width()).collect();
-    let port_words = word_ranges(&widths);
     let signals = netlist.signal_set();
+    let inputs = input_layout(&signals);
+    check_stimuli(&inputs, stimuli)?;
+    let input_handles = sim.input_handles();
+    let port_words: Vec<_> = inputs.iter().map(|(id, _)| inputs.word_range(id)).collect();
     let mut row = vec![0u64; signals.words_per_cycle()];
     let mut functional: Vec<FunctionalTrace> = stimuli
         .iter()
@@ -1342,7 +1340,7 @@ mod tests {
         let n = counter(4);
         let good: Stimulus = (0..4).map(|_| vec![Bits::from_u64(1, 1)]).collect();
         let mut bad = Stimulus::new();
-        bad.push_cycle(vec![]);
+        bad.push_cycle(vec![]).unwrap();
         let err = capture_traces_batch(&n, &PowerModel::default(), &[good, bad], &[0, 1]);
         assert!(matches!(
             err,

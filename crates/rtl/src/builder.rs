@@ -777,11 +777,6 @@ impl NetlistBuilder {
     // Finalisation
     // ------------------------------------------------------------------
 
-    /// Number of gates emitted so far (progress/diagnostics).
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
-    }
-
     /// Validates and seals the design.
     ///
     /// # Errors

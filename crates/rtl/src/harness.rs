@@ -4,61 +4,54 @@
 //! and a *corresponding* power trace over the same stimuli. This module runs
 //! a gate-level simulation once and records both, playing the role of the
 //! paper's "simulate the IP with its verification testbenches, then run
-//! PrimeTime PX on the same traces" step.
+//! PrimeTime PX on the same traces" step. Its input, a [`Stimulus`], is
+//! the input half of the [`FunctionalTrace`] the capture records.
 
-use crate::netlist::{Netlist, Port};
+use crate::netlist::Netlist;
 use crate::power::{PowerEstimator, PowerModel};
 use crate::sim::Simulator;
 use crate::RtlError;
-use psm_trace::{Bits, Direction, FunctionalTrace, PowerTrace, SignalSet};
-use std::ops::Range;
+use psm_trace::{Bits, Direction, FunctionalTrace, PowerTrace, SignalSet, TraceError};
 
 /// A cycle-by-cycle input stimulus: for every cycle, one value per input
 /// port, in the netlist's declaration order.
 ///
-/// Storage is one row-major buffer of `u64` words, laid out as the input
-/// half of a [`FunctionalTrace`] row: each cycle is a row of
-/// [`words_per_cycle`](Stimulus::words_per_cycle) words, and each port
-/// takes `width.div_ceil(64)` little-endian words of it, in declaration
-/// order, with the bits above its width kept at zero. The port widths,
-/// [`widths`](Stimulus::widths), are the stimulus's layout: fixed up
-/// front by [`for_inputs`](Stimulus::for_inputs), or by the first cycle
-/// pushed into an empty stimulus.
+/// A stimulus is a [`FunctionalTrace`] over input ports only: each cycle
+/// is a row in which each port takes `width.div_ceil(64)` little-endian
+/// words, in declaration order, with the bits above its width zero. Its
+/// ports are its layout: [`for_inputs`](Stimulus::for_inputs) keeps an
+/// interface's input declarations, and a stimulus with no ports and no
+/// cycles, like [`new`](Stimulus::new)'s, takes the first pushed cycle's
+/// widths, with positional port names (`in0`, `in1`, …).
 ///
-/// A cycle pushed with [`push_cycle`](Stimulus::push_cycle) in another
-/// shape is kept as a row of zeros, and the first such cycle is
-/// remembered: a simulation that reads the stimulus rejects it with the
-/// error that cycle's values would have raised, before it simulates
-/// anything (see [`first_misfit`](Stimulus::first_misfit)).
+/// Each cycle is checked where it is pushed, so a stimulus holds only
+/// rows that fit its layout, and a simulation checks just the layout
+/// ([`check_fits`](Stimulus::check_fits)). Two stimuli are equal when
+/// their port widths and rows are; names are not compared.
 ///
 /// # Examples
 ///
 /// ```
 /// use psm_rtl::Stimulus;
-/// use psm_trace::Bits;
+/// use psm_trace::{Bits, TraceError};
 ///
 /// let mut s = Stimulus::new();
-/// s.push_cycle(vec![Bits::from_u64(1, 1), Bits::from_u64(0x1F, 8)]);
+/// s.push_cycle(vec![Bits::from_u64(1, 1), Bits::from_u64(0x1F, 8)])?;
 /// s.push_row(&[0, 0x1FF]); // bits above a port's width are dropped
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.widths(), [1, 8]);
 /// assert_eq!(s.row(0), [1, 0x1F]);
 /// assert_eq!(s.row(1), [0, 0xFF]);
 /// assert_eq!(s.cycle_bits(1)[1], Bits::from_u64(0xFF, 8));
+///
+/// // A cycle in another shape is refused, and nothing is appended.
+/// let err = s.push_cycle(vec![Bits::from_u64(1, 1)]).unwrap_err();
+/// assert!(matches!(err, TraceError::CycleShapeMismatch { expected: 2, actual: 1 }));
+/// assert_eq!(s.len(), 2);
+/// # Ok::<(), TraceError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Stimulus {
-    /// Input-port widths in declaration order: the row layout.
-    widths: Vec<usize>,
-    /// Words per row: the sum of `width.div_ceil(64)` over `widths`.
-    wpc: usize,
-    /// `len` rows of `words_per_cycle` words, in time order.
-    words: Vec<u64>,
-    len: usize,
-    /// The first cycle pushed in a shape other than `widths`, with the
-    /// port widths it was pushed with.
-    misfit: Option<(usize, Vec<usize>)>,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Stimulus(FunctionalTrace);
 
 impl Stimulus {
     /// Creates an empty stimulus; the first cycle pushed fixes its layout.
@@ -66,97 +59,55 @@ impl Stimulus {
         Stimulus::default()
     }
 
-    /// An empty stimulus laid out over input ports of the given widths
-    /// (from a `SignalSet` or from `Bits`, so none is zero).
-    fn with_widths(widths: &[usize]) -> Self {
-        Stimulus {
-            widths: widths.to_vec(),
-            wpc: widths.iter().map(|w| w.div_ceil(64)).sum(),
-            ..Stimulus::default()
-        }
-    }
-
     /// Creates an empty stimulus laid out over the inputs of `signals`.
     pub fn for_inputs(signals: &SignalSet) -> Self {
-        let widths: Vec<usize> = signals
-            .iter()
-            .filter(|(_, d)| d.direction() == Direction::Input)
-            .map(|(_, d)| d.width())
-            .collect();
-        Stimulus::with_widths(&widths)
+        Stimulus(FunctionalTrace::new(input_layout(signals)))
     }
 
     /// Appends the input values for one cycle (input-port declaration
-    /// order). Into an empty stimulus, the cycle's widths become the
-    /// layout; see the type docs for a cycle that does not fit it.
-    pub fn push_cycle(&mut self, inputs: Vec<Bits>) {
-        if self.len == 0 {
-            let widths: Vec<usize> = inputs.iter().map(Bits::width).collect();
-            *self = Stimulus::with_widths(&widths);
-        }
-        let fits = inputs.len() == self.widths.len()
-            && inputs
-                .iter()
-                .zip(&self.widths)
-                .all(|(v, &w)| v.width() == w);
-        let start = self.words.len();
-        if fits {
-            for value in &inputs {
-                self.words.extend_from_slice(value.as_words());
+    /// order). Into a stimulus with no ports and no cycles, the cycle's
+    /// widths become the layout.
+    ///
+    /// # Errors
+    ///
+    /// What [`FunctionalTrace::push_cycle`] returns for a cycle that does
+    /// not fit the layout; nothing is appended.
+    pub fn push_cycle(&mut self, inputs: Vec<Bits>) -> Result<(), TraceError> {
+        if self.0.is_empty() && self.0.signals().is_empty() {
+            let mut ports = SignalSet::new();
+            for (p, value) in inputs.iter().enumerate() {
+                ports.push(format!("in{p}"), value.width(), Direction::Input)?;
             }
-        } else {
-            self.words.resize(start + self.wpc, 0);
-            if self.misfit.is_none() {
-                self.misfit = Some((self.len, inputs.iter().map(Bits::width).collect()));
-            }
+            self.0 = FunctionalTrace::new(ports);
         }
-        self.len += 1;
+        self.0.push_cycle(inputs)
     }
 
-    /// Appends one cycle given as a row of
-    /// [`words_per_cycle`](Stimulus::words_per_cycle) words. Bits above
-    /// each port's width are cleared.
+    /// Appends one cycle given as a row of words in the layout. Bits
+    /// above each port's width are cleared.
     ///
     /// # Panics
     ///
     /// Panics when `row` has the wrong length.
     pub fn push_row(&mut self, row: &[u64]) {
-        assert_eq!(
-            row.len(),
-            self.wpc,
-            "a stimulus row over ports of widths {:?}",
-            self.widths
-        );
-        let start = self.words.len();
-        self.words.extend_from_slice(row);
-        let mut end = start;
-        for &w in &self.widths {
-            end += w.div_ceil(64);
-            if w % 64 != 0 {
-                self.words[end - 1] &= (1u64 << (w % 64)) - 1;
-            }
+        if let Err(err) = self.0.push_words(row) {
+            panic!("a stimulus row over ports {:?}: {err}", self.widths());
         }
-        self.len += 1;
     }
 
     /// Number of cycles.
     pub fn len(&self) -> usize {
-        self.len
+        self.0.len()
     }
 
     /// Returns `true` when no cycle has been added.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.0.is_empty()
     }
 
     /// The input-port widths the rows are laid out over.
-    pub fn widths(&self) -> &[usize] {
-        &self.widths
-    }
-
-    /// Number of `u64` words one cycle occupies.
-    pub fn words_per_cycle(&self) -> usize {
-        self.wpc
+    pub fn widths(&self) -> Vec<usize> {
+        self.0.signals().iter().map(|(_, d)| d.width()).collect()
     }
 
     /// The words of cycle `t`.
@@ -165,14 +116,35 @@ impl Stimulus {
     ///
     /// Panics when `t` is out of range.
     pub fn row(&self, t: usize) -> &[u64] {
-        assert!(t < self.len, "cycle {t} of {}", self.len);
-        &self.words[t * self.wpc..(t + 1) * self.wpc]
+        self.0.cycle(t).as_words()
     }
 
     /// Iterates over the cycles' rows in time order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u64]> {
-        let wpc = self.wpc;
-        (0..self.len).map(move |t| &self.words[t * wpc..(t + 1) * wpc])
+        // Slicing the buffer, not `FunctionalTrace::iter`, keeps the row
+        // width lookup out of the behavioural IPs' per-cycle loop.
+        let wpc = self.0.signals().words_per_cycle();
+        let words = self.0.as_words();
+        (0..self.len()).map(move |t| &words[t * wpc..(t + 1) * wpc])
+    }
+
+    /// Checks the layout against an interface whose input ports are
+    /// declared first: the result is what [`SignalSet::check_cycle`]
+    /// returns for one cycle of this stimulus's port widths followed by
+    /// the output ports of `signals`. An empty stimulus fits every
+    /// interface.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::CycleShapeMismatch`] for a wrong port count,
+    /// [`TraceError::SignalWidthMismatch`] for a wrong width.
+    pub fn check_fits(&self, signals: &SignalSet) -> Result<(), TraceError> {
+        if self.is_empty() {
+            return Ok(());
+        }
+        let outputs = signals.outputs().into_iter().map(|id| signals.decl(id));
+        let widths = self.widths().into_iter().chain(outputs.map(|d| d.width()));
+        signals.check_cycle(&widths.map(Bits::zero).collect::<Vec<_>>())
     }
 
     /// Cycle `t` as one [`Bits`] per input port: a convenience for tests
@@ -182,104 +154,70 @@ impl Stimulus {
     ///
     /// Panics when `t` is out of range.
     pub fn cycle_bits(&self, t: usize) -> Vec<Bits> {
-        let row = self.row(t);
-        word_ranges(&self.widths)
-            .into_iter()
-            .zip(&self.widths)
-            .map(|(words, &w)| Bits::from_words(&row[words], w))
-            .collect()
+        self.0.cycle(t).to_vec()
     }
+}
 
-    /// The first cycle whose port widths differ from `widths`, with the
-    /// widths that cycle was pushed with; `None` when every cycle fits.
-    ///
-    /// A simulation checks its stimulus with this once, instead of every
-    /// cycle, and reports the error the returned cycle raises.
-    pub fn first_misfit(&self, widths: &[usize]) -> Option<(usize, &[usize])> {
-        if self.len == 0 {
-            None
-        } else if self.widths != widths {
-            Some((0, &self.widths))
-        } else {
-            self.misfit.as_ref().map(|(t, w)| (*t, w.as_slice()))
-        }
+impl PartialEq for Stimulus {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self.widths() == other.widths()
+            && self.0.as_words() == other.0.as_words()
     }
 }
 
 impl FromIterator<Vec<Bits>> for Stimulus {
+    /// Collects cycles into a [`new`](Stimulus::new) stimulus.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first cycle that does not fit the first one's layout,
+    /// naming the cycle and its [`push_cycle`](Stimulus::push_cycle) error.
     fn from_iter<I: IntoIterator<Item = Vec<Bits>>>(iter: I) -> Self {
         let mut stimulus = Stimulus::new();
-        for inputs in iter {
-            stimulus.push_cycle(inputs);
+        for (t, inputs) in iter.into_iter().enumerate() {
+            if let Err(err) = stimulus.push_cycle(inputs) {
+                panic!("stimulus cycle {t} does not fit: {err}");
+            }
         }
         stimulus
     }
 }
 
-/// The words of each port within a row over ports of `widths`.
-pub(crate) fn word_ranges(widths: &[usize]) -> Vec<Range<usize>> {
-    let mut start = 0;
-    widths
+/// The input ports of `signals`, in declaration order: the layout of a
+/// stimulus row.
+pub(crate) fn input_layout(signals: &SignalSet) -> SignalSet {
+    let mut inputs = SignalSet::new();
+    for (_, d) in signals
         .iter()
-        .map(|w| {
-            let range = start..start + w.div_ceil(64);
-            start = range.end;
-            range
-        })
-        .collect()
+        .filter(|(_, d)| d.direction() == Direction::Input)
+    {
+        inputs
+            .push(d.name(), d.width(), Direction::Input)
+            .expect("a signal set's declarations are unique and non-zero width");
+    }
+    inputs
 }
 
-/// The input ports of `netlist`, in declaration order.
-pub(crate) fn input_ports(netlist: &Netlist) -> Vec<&Port> {
-    netlist
-        .ports()
-        .iter()
-        .filter(|p| p.direction() == Direction::Input)
-        .collect()
-}
-
-/// Checks stimuli, one per lane, against `netlist`'s inputs once, and
-/// returns the error that staging them cycle by cycle would meet first.
-/// That is the earliest misfit cycle of any lane; within it, the
-/// port-count error of the lowest lane, since counts are checked before
-/// anything is staged, else the width error met first in port-major,
-/// lane-minor order.
-pub(crate) fn check_stimuli(netlist: &Netlist, stimuli: &[Stimulus]) -> Result<(), RtlError> {
-    let ports = input_ports(netlist);
-    let widths: Vec<usize> = ports.iter().map(|p| p.width()).collect();
-    let misfits: Vec<(usize, &[usize])> = stimuli
-        .iter()
-        .filter_map(|s| s.first_misfit(&widths))
-        .collect();
-    let Some(first) = misfits.iter().map(|&(t, _)| t).min() else {
-        return Ok(());
-    };
-    // Each misfit's error, keyed by when the staging meets it: `None`
-    // (a count error) sorts before `Some(port)`.
-    let (_, err) = misfits
-        .iter()
-        .filter(|&&(t, _)| t == first)
-        .map(|&(_, shape)| {
-            if shape.len() != widths.len() {
-                let err = RtlError::Trace(psm_trace::TraceError::CycleShapeMismatch {
-                    expected: widths.len(),
-                    actual: shape.len(),
-                });
-                return (None, err);
-            }
-            let p = (0..widths.len())
-                .find(|&p| widths[p] != shape[p])
-                .expect("a misfit cycle has a port of another width");
-            let err = RtlError::PortWidthMismatch {
-                port: ports[p].name().to_owned(),
-                expected: widths[p],
-                actual: shape[p],
-            };
-            (Some(p), err)
-        })
-        .min_by_key(|&(key, _)| key)
-        .expect("the earliest misfit is in some lane");
-    Err(err)
+/// Checks stimuli, one per lane, against a netlist's input ports
+/// `inputs` with [`Stimulus::check_fits`], naming the port in a width
+/// error. The lowest misfit lane's error is returned.
+pub(crate) fn check_stimuli(inputs: &SignalSet, stimuli: &[Stimulus]) -> Result<(), RtlError> {
+    for stimulus in stimuli {
+        stimulus.check_fits(inputs).map_err(|err| match err {
+            TraceError::SignalWidthMismatch {
+                signal,
+                expected,
+                actual,
+            } => RtlError::PortWidthMismatch {
+                port: signal,
+                expected,
+                actual,
+            },
+            err => RtlError::Trace(err),
+        })?;
+    }
+    Ok(())
 }
 
 /// Paired training traces captured from one gate-level run.
@@ -392,6 +330,7 @@ pub fn capture_traces_by_domain(
         .collect();
 
     let signals = netlist.signal_set();
+    check_stimuli(&input_layout(&signals), std::slice::from_ref(stimulus))?;
     let input_handles: Vec<_> = sim.input_handles();
     let mut functional = FunctionalTrace::with_capacity(signals, stimulus.len());
     let mut total = PowerTrace::with_capacity(stimulus.len());
@@ -399,7 +338,6 @@ pub fn capture_traces_by_domain(
         .map(|_| PowerTrace::with_capacity(stimulus.len()))
         .collect();
 
-    check_stimuli(netlist, std::slice::from_ref(stimulus))?;
     for t in 0..stimulus.len() {
         for ((_, handle), value) in input_handles.iter().zip(stimulus.cycle_bits(t)) {
             sim.set_input_by_handle(*handle, &value)?;
@@ -484,7 +422,7 @@ mod tests {
     fn rejects_malformed_cycles() {
         let n = accumulator();
         let mut stim = Stimulus::new();
-        stim.push_cycle(vec![]);
+        stim.push_cycle(vec![]).unwrap();
         assert!(capture_traces(&n, &PowerModel::default(), &stim, 0).is_err());
     }
 
@@ -495,10 +433,11 @@ mod tests {
         // accumulator saturated at a fixed point: q + 0 = q).
         let mut stim = Stimulus::new();
         for i in 0..100u64 {
-            stim.push_cycle(vec![Bits::from_u64(0x55 ^ (i * 37), 8)]);
+            stim.push_cycle(vec![Bits::from_u64(0x55 ^ (i * 37), 8)])
+                .unwrap();
         }
         for _ in 0..100 {
-            stim.push_cycle(vec![Bits::from_u64(0, 8)]);
+            stim.push_cycle(vec![Bits::from_u64(0, 8)]).unwrap();
         }
         // Zero baseline so the comparison sees only the dynamic component.
         let model = PowerModel::new(1.2, 500.0, 0.0, 0.0);
@@ -544,11 +483,13 @@ mod domain_tests {
         let mut stim = Stimulus::new();
         // Phase 1: sel=1 → register `a` (core) loads changing data.
         for k in 0..40u64 {
-            stim.push_cycle(vec![Bits::from_u64(k * 37, 8), Bits::from_bool(true)]);
+            stim.push_cycle(vec![Bits::from_u64(k * 37, 8), Bits::from_bool(true)])
+                .unwrap();
         }
         // Phase 2: sel=0 → register `c` (unit_b) loads changing data.
         for k in 0..40u64 {
-            stim.push_cycle(vec![Bits::from_u64(k * 53, 8), Bits::from_bool(false)]);
+            stim.push_cycle(vec![Bits::from_u64(k * 53, 8), Bits::from_bool(false)])
+                .unwrap();
         }
         let model = PowerModel::new(1.2, 500.0, 0.0, 0.0);
         let cap = capture_traces_by_domain(&n, &model, &stim, 0).unwrap();

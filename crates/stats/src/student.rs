@@ -63,11 +63,6 @@ impl StudentsT {
         }
     }
 
-    /// Survival function `P(T > t)`.
-    pub fn sf(&self, t: f64) -> f64 {
-        1.0 - self.cdf(t)
-    }
-
     /// Two-sided p-value for an observed statistic, `P(|T| >= |t|)`.
     ///
     /// This is the quantity the paper's mergeability tests compare against

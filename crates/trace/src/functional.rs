@@ -40,7 +40,7 @@ use std::ops::Range;
 /// assert_eq!(trace.cycle(0).bits(q).hamming_distance(&trace.cycle(1).bits(q))?, 2);
 /// # Ok::<(), psm_trace::TraceError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FunctionalTrace {
     signals: SignalSet,
     len: usize,

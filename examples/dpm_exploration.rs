@@ -14,9 +14,9 @@
 #![deny(deprecated)]
 
 use psmgen::flow::{IpPreset, PsmFlow};
-use psmgen::ips::{behavioural_trace, testbench, MultSum};
+use psmgen::ips::{behavioural_trace, testbench, Ip, MultSum};
 use psmgen::rtl::Stimulus;
-use psmgen::trace::Bits;
+use psmgen::trace::{Bits, TraceError};
 use std::time::Instant;
 
 fn mac_cycle(a: u64, b: u64, en: bool) -> Vec<Bits> {
@@ -28,25 +28,26 @@ fn mac_cycle(a: u64, b: u64, en: bool) -> Vec<Bits> {
     ]
 }
 
-/// `jobs` bursts of `len` MACs separated by `gap` idle cycles.
-fn schedule(jobs: usize, len: usize, gap: usize) -> Stimulus {
-    let mut s = Stimulus::new();
+/// `jobs` bursts of `len` MACs separated by `gap` idle cycles. Each cycle
+/// is checked against the MAC's inputs as it is pushed.
+fn schedule(jobs: usize, len: usize, gap: usize) -> Result<Stimulus, TraceError> {
+    let mut s = Stimulus::for_inputs(&MultSum::new().signals());
     let mut x = 0x1234_5678u64;
     for _ in 0..10 {
-        s.push_cycle(mac_cycle(0, 0, false));
+        s.push_cycle(mac_cycle(0, 0, false))?;
     }
     let mut last = (0, 0);
     for _ in 0..jobs {
         for _ in 0..len {
             x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
             last = ((x >> 16) & 0xFFFF, (x >> 32) & 0xFFFF);
-            s.push_cycle(mac_cycle(last.0, last.1, true));
+            s.push_cycle(mac_cycle(last.0, last.1, true))?;
         }
         for _ in 0..gap {
-            s.push_cycle(mac_cycle(last.0, last.1, false));
+            s.push_cycle(mac_cycle(last.0, last.1, false))?;
         }
     }
-    s
+    Ok(s)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,11 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let candidates = [
         (
             "race-to-idle (3 bursts × 1024, long gaps)",
-            schedule(3, 1024, 1024),
+            schedule(3, 1024, 1024)?,
         ),
         (
             "always-on (96 bursts × 32, short gaps)",
-            schedule(96, 32, 32),
+            schedule(96, 32, 32)?,
         ),
     ];
 

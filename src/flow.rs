@@ -630,11 +630,19 @@ impl PsmFlow {
         Ok((model, telemetry.report()))
     }
 
-    /// Folds one validation report into the run: the per-code
+    /// Runs one validation pass as a [`Stage::Validate`] span named
+    /// `label` and folds its report into the run: the per-code
     /// [`LintConfig`] re-levels the diagnostics first, then everything
     /// lands in the telemetry; strict flows additionally abort on errors.
-    fn check(&self, telemetry: &Telemetry, report: AnalysisReport) -> Result<(), FlowError> {
-        let report = self.lint_config.apply(report);
+    fn validate(
+        &self,
+        telemetry: &Telemetry,
+        label: impl Into<String>,
+        lint: impl FnOnce() -> AnalysisReport,
+    ) -> Result<(), FlowError> {
+        let report = self
+            .lint_config
+            .apply(telemetry.time(Stage::Validate, label, lint));
         telemetry.add_diagnostics(&report);
         if self.strictness.is_strict() && report.has_errors() {
             return Err(FlowError::Validation(report));
@@ -652,23 +660,17 @@ impl PsmFlow {
             return Err(FlowError::NoTrainingData);
         }
         let netlist = ip.netlist()?;
-        let netlist_report = telemetry.time(Stage::Validate, "netlist", || lint_netlist(&netlist));
-        self.check(telemetry, netlist_report)?;
-        let dataflow_report = telemetry.time(Stage::Validate, "netlist dataflow", || {
+        self.validate(telemetry, "netlist", || lint_netlist(&netlist))?;
+        self.validate(telemetry, "netlist dataflow", || {
             lint_netlist_dataflow(&netlist)
-        });
-        self.check(telemetry, dataflow_report)?;
-        let interface_report = telemetry.time(Stage::Validate, "interface", || {
+        })?;
+        self.validate(telemetry, "interface", || {
             lint_interface(&ip.signals(), &netlist)
-        });
-        self.check(telemetry, interface_report)?;
+        })?;
         // Silent unless the netlist declares power intent (isolation-marked
         // cells); PD001/PD006/PD007 holes fail training under the default
         // strictness before any power-down is ever mined.
-        let intent_report = telemetry.time(Stage::Validate, "power intent", || {
-            lint_power_intent(&netlist)
-        });
-        self.check(telemetry, intent_report)?;
+        self.validate(telemetry, "power intent", || lint_power_intent(&netlist))?;
 
         // Golden capture: functional + reference power over the bit-parallel
         // engine. Stimuli pack 64-to-a-lane-word into contiguous groups (one
@@ -693,10 +695,9 @@ impl PsmFlow {
             .unzip();
         let reference_power_time = px_start.elapsed();
         for (i, (f, p)) in functional.iter().zip(power.iter()).enumerate() {
-            let report = telemetry.time(Stage::Validate, format!("trace pair {i}"), || {
+            self.validate(telemetry, format!("trace pair {i}"), || {
                 lint_trace_pair(f, p, &format!("training trace {i}"))
-            });
-            self.check(telemetry, report)?;
+            })?;
         }
 
         // Mining interns one shared proposition set over all traces, so it
@@ -708,46 +709,39 @@ impl PsmFlow {
             miner.mine(&trace_refs)
         })?;
         for (i, f) in functional.iter().enumerate() {
-            let report = telemetry.time(Stage::Validate, format!("coverage {i}"), || {
+            self.validate(telemetry, format!("coverage {i}"), || {
                 lint_proposition_coverage(&mined.table, f, &format!("training trace {i}"))
-            });
-            self.check(telemetry, report)?;
+            })?;
         }
 
         let power_refs: Vec<&PowerTrace> = power.iter().collect();
         let (combined, hmm, fit_stats) = self.fit(&mined, &functional, &power_refs, telemetry)?;
-        let model_report = telemetry.time(Stage::Validate, "trained model", || {
+        self.validate(telemetry, "trained model", || {
             lint_model(&combined, &hmm, mined.table.len())
-        });
-        self.check(telemetry, model_report)?;
+        })?;
         // Cross-artifact consistency: the trained model against the very
         // artifacts it was derived from.
-        let attrs_report = telemetry.time(Stage::Validate, "state attributes", || {
+        self.validate(telemetry, "state attributes", || {
             lint_psm_against_training(&combined, &power, self.merge.alpha())
-        });
-        self.check(telemetry, attrs_report)?;
-        let emissions_report = telemetry.time(Stage::Validate, "hmm emissions", || {
+        })?;
+        self.validate(telemetry, "hmm emissions", || {
             lint_hmm_against_observations(&hmm, &mined.traces)
-        });
-        self.check(telemetry, emissions_report)?;
-        let guards_report = telemetry.time(Stage::Validate, "psm guards", || {
+        })?;
+        self.validate(telemetry, "psm guards", || {
             lint_psm_against_table(&combined, mined.table.len())
-        });
-        self.check(telemetry, guards_report)?;
+        })?;
         // Off-implying mined states versus the netlist's isolation proofs
         // (XA005): the model must not promise power-downs the netlist
         // cannot survive.
-        let psm_intent_report = telemetry.time(Stage::Validate, "psm power intent", || {
+        self.validate(telemetry, "psm power intent", || {
             lint_psm_power_intent(&combined, None, &netlist)
-        });
-        self.check(telemetry, psm_intent_report)?;
+        })?;
         // Bounded model checking: every mined assertion against the
         // netlist's reachable behaviours, not just the training traces.
         if self.verify.depth > 0 {
-            let verify_report = telemetry.time(Stage::Validate, "assertion verify", || {
+            self.validate(telemetry, "assertion verify", || {
                 verify_model(&netlist, &mined.table, &combined, &self.verify).report
-            });
-            self.check(telemetry, verify_report)?;
+            })?;
         }
         let generation_time = gen_start.elapsed();
 

@@ -281,7 +281,8 @@ fn random_stimulus(rng: &mut Prng, cycles: usize) -> Stimulus {
             Bits::from_u64(rng.range_u64(0..256), 8),
             Bits::from_u64(rng.range_u64(0..16), 4),
             Bits::from_u64(rng.range_u64(0..8), 3),
-        ]);
+        ])
+        .unwrap();
     }
     stim
 }

@@ -2,14 +2,15 @@
 //! word buffers, and `behavioural_trace` writes each row in place.
 //!
 //! These tests pin that path three ways: golden hashes of the functional
-//! traces the Bits-per-port models produced, the errors every simulation
-//! entry point returns for a malformed stimulus, and the `Bits` ↔ row
-//! round trip of `Stimulus`.
+//! traces the Bits-per-port models produced, the errors a misfit cycle
+//! meets where it is pushed and every simulation entry point returns for
+//! a stimulus laid out for another interface, and the `Bits` ↔ row round
+//! trip of `Stimulus`.
 
 use psm_prng::Prng;
 use psmgen::ips::{behavioural_trace, ip_by_name, testbench, Camellia128Whitebox, Ip};
 use psmgen::rtl::{capture_traces, capture_traces_batch, PowerModel, RtlError, Stimulus};
-use psmgen::trace::{Bits, TraceError};
+use psmgen::trace::{Bits, Direction, FunctionalTrace, SignalSet, TraceError};
 
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv(words: &[u64]) -> u64 {
@@ -81,19 +82,14 @@ fn ram_cycle(t: u64, addr_width: usize) -> Vec<Bits> {
     ]
 }
 
-/// `len` well-formed RAM cycles, with cycle `bad` replaced by `misfit`.
-fn ram_stimulus(len: u64, bad: u64, misfit: Vec<Bits>) -> Stimulus {
-    let mut misfit = Some(misfit);
-    (0..len)
-        .map(|t| match t == bad {
-            true => misfit.take().expect("one bad cycle"),
-            false => ram_cycle(t, 8),
-        })
-        .collect()
+/// Four cycles laid out by `cycle`, which may be another interface's.
+fn laid_out(cycle: impl Fn(u64) -> Vec<Bits>) -> Stimulus {
+    (0..4).map(cycle).collect()
 }
 
-fn short_cycle() -> Vec<Bits> {
-    ram_cycle(0, 8)[..5].to_vec()
+/// A RAM cycle with one port fewer than the RAM has.
+fn short_cycle(t: u64) -> Vec<Bits> {
+    ram_cycle(t, 8)[..5].to_vec()
 }
 
 fn long_cycle() -> Vec<Bits> {
@@ -120,33 +116,19 @@ fn width_error(port: &str, expected: usize, actual: usize) -> RtlError {
     }
 }
 
-/// A malformed stimulus fails each entry point whole, with the error its
-/// cycle-by-cycle check raised: no panic, no truncated trace.
+/// A stimulus laid out for another interface fails each entry point
+/// whole, with the error its layout raises: no panic, no truncated trace.
 #[test]
 fn malformed_stimuli_fail_every_simulation_path() {
     let netlist = ip("RAM").netlist().expect("netlist builds");
     let model = PowerModel::default();
     let good = testbench::ram_short_ts(1);
     let cases = [
-        (
-            "port count",
-            ram_stimulus(4, 0, short_cycle()),
-            shape_error(6, 5),
-        ),
+        ("port count", laid_out(short_cycle), shape_error(6, 5)),
         (
             "width",
-            ram_stimulus(4, 0, ram_cycle(0, 9)),
+            laid_out(|t| ram_cycle(t, 9)),
             width_error("addr", 8, 9),
-        ),
-        (
-            "mid width",
-            ram_stimulus(10, 5, ram_cycle(5, 7)),
-            width_error("addr", 8, 7),
-        ),
-        (
-            "mid count",
-            ram_stimulus(10, 5, long_cycle()),
-            shape_error(6, 7),
         ),
     ];
     for (label, stimulus, capture_error) in cases {
@@ -182,32 +164,122 @@ fn malformed_stimuli_fail_every_simulation_path() {
     }
 }
 
-/// Across lanes, the batch fails with the error its staging meets first:
-/// the earliest bad cycle; within it, a port-count error before any
-/// width error, and width errors in port-major, lane-minor order.
+/// A cycle that does not fit is refused where it is pushed, with the
+/// error a trace over the same ports returns, and nothing is appended;
+/// that holds for the first cycle of a `for_inputs` stimulus too.
+#[test]
+fn push_cycle_refuses_a_misfit_where_it_is_pushed() {
+    let signals = ip("RAM").signals();
+    let mut inputs = SignalSet::new();
+    for id in signals.inputs() {
+        let decl = signals.decl(id);
+        inputs
+            .push(decl.name(), decl.width(), Direction::Input)
+            .expect("RAM inputs are well formed");
+    }
+    let cases = [
+        (
+            "mid width",
+            ram_cycle(5, 7),
+            TraceError::SignalWidthMismatch {
+                signal: "addr".to_owned(),
+                expected: 8,
+                actual: 7,
+            },
+        ),
+        (
+            "mid count",
+            long_cycle(),
+            TraceError::CycleShapeMismatch {
+                expected: 6,
+                actual: 7,
+            },
+        ),
+    ];
+    for (label, misfit, want) in cases {
+        let mut stimulus = Stimulus::for_inputs(&signals);
+        for t in 0..5 {
+            stimulus.push_cycle(ram_cycle(t, 8)).expect("fits");
+        }
+        let got = stimulus.push_cycle(misfit.clone()).expect_err(label);
+        let mut trace = FunctionalTrace::new(inputs.clone());
+        let from_trace = trace.push_cycle(misfit).expect_err(label);
+        assert_eq!(debug(&got), debug(want), "{label}");
+        assert_eq!(debug(&got), debug(from_trace), "{label}");
+        assert_eq!(stimulus.len(), 5, "{label}");
+        stimulus.push_cycle(ram_cycle(5, 8)).expect("fits");
+        assert_eq!(stimulus.len(), 6, "{label}");
+    }
+
+    let mut stimulus = Stimulus::for_inputs(&signals);
+    let got = stimulus
+        .push_cycle(short_cycle(0))
+        .expect_err("first cycle");
+    let want = TraceError::CycleShapeMismatch {
+        expected: 6,
+        actual: 5,
+    };
+    assert_eq!(debug(got), debug(want), "first cycle");
+    assert!(stimulus.is_empty());
+    assert_eq!(stimulus.widths(), [8, 32, 1, 1, 1, 1]);
+}
+
+/// Collecting cycles panics at the first one that does not fit the
+/// first cycle's layout, and says which cycle it is.
+#[test]
+#[should_panic(
+    expected = "stimulus cycle 2 does not fit: signal `in0` declared 8 bit(s) wide, got a 7-bit value"
+)]
+fn collecting_a_misfit_cycle_panics_naming_it() {
+    let _: Stimulus = (0..4)
+        .map(|t| ram_cycle(t, if t == 2 { 7 } else { 8 }))
+        .collect();
+}
+
+/// Across lanes, the batch fails with the lowest misfit lane's error,
+/// whatever port or kind of misfit later lanes hold. An empty lane
+/// fits every interface.
 #[test]
 fn batch_reports_the_first_error_its_staging_meets() {
     let netlist = ip("RAM").netlist().expect("netlist builds");
     let model = PowerModel::default();
-    let mut late_wdata = ram_cycle(3, 8);
-    late_wdata[1] = Bits::from_u64(0, 31);
-    let lanes = [
-        ram_stimulus(10, 7, short_cycle()),
-        ram_stimulus(10, 3, late_wdata.clone()),
-        ram_stimulus(10, 3, ram_cycle(3, 9)),
-        ram_stimulus(10, 3, long_cycle()),
+    let good = testbench::ram_short_ts(1);
+    let narrow_wdata = laid_out(|t| {
+        let mut cycle = ram_cycle(t, 8);
+        cycle[1] = Bits::from_u64(0, 31);
+        cycle
+    });
+    let wide_addr = laid_out(|t| ram_cycle(t, 9));
+    let short = laid_out(short_cycle);
+    let cases = [
+        (
+            vec![
+                good.clone(),
+                narrow_wdata.clone(),
+                wide_addr.clone(),
+                short.clone(),
+            ],
+            width_error("wdata", 32, 31),
+        ),
+        (
+            vec![good.clone(), short.clone(), narrow_wdata],
+            shape_error(6, 5),
+        ),
+        (
+            vec![
+                Stimulus::for_inputs(&ip("MultSum").signals()),
+                good,
+                wide_addr,
+                short,
+            ],
+            width_error("addr", 8, 9),
+        ),
     ];
-    let seeds = [1, 2, 3, 4];
-    let got = capture_traces_batch(&netlist, &model, &lanes, &seeds).expect_err("count");
-    assert_eq!(debug(got), debug(shape_error(6, 7)));
-    let got = capture_traces_batch(&netlist, &model, &lanes[..3], &seeds[..3]).expect_err("width");
-    assert_eq!(debug(got), debug(width_error("addr", 8, 9)), "port-major");
-    let got = capture_traces_batch(&netlist, &model, &lanes[..2], &seeds[..2]).expect_err("width");
-    assert_eq!(
-        debug(got),
-        debug(width_error("wdata", 32, 31)),
-        "cycle 3 first"
-    );
+    for (lanes, want) in cases {
+        let seeds: Vec<u64> = (1..=lanes.len() as u64).collect();
+        let got = capture_traces_batch(&netlist, &model, &lanes, &seeds).expect_err("misfit lane");
+        assert_eq!(debug(got), debug(&want));
+    }
 }
 
 /// `push_cycle` lays a cycle's values out as one word row, and
@@ -241,6 +313,5 @@ fn bits_cycles_round_trip_through_word_rows() {
         }
         assert_eq!(from_bits.widths(), widths, "{name}");
         assert_eq!(from_rows, from_bits, "{name}");
-        assert_eq!(from_bits.first_misfit(&widths), None, "{name}");
     }
 }

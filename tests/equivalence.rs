@@ -83,7 +83,7 @@ fn chaos_stimulus(name: &str, seed: u64, cycles: usize) -> Stimulus {
             }
             cycle.push(b);
         }
-        stim.push_cycle(cycle);
+        stim.push_cycle(cycle).unwrap();
     }
     stim
 }

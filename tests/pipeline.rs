@@ -143,11 +143,17 @@ fn unknown_behaviour_is_flagged_not_fabricated() {
     for k in 0..400u64 {
         let phase = k % 20;
         if phase < 8 {
-            training.push_cycle(ram_cycle(k % 256, true, false, true, false));
+            training
+                .push_cycle(ram_cycle(k % 256, true, false, true, false))
+                .unwrap();
         } else if phase < 16 {
-            training.push_cycle(ram_cycle(k % 256, false, true, true, false));
+            training
+                .push_cycle(ram_cycle(k % 256, false, true, true, false))
+                .unwrap();
         } else {
-            training.push_cycle(ram_cycle(0, false, false, false, false));
+            training
+                .push_cycle(ram_cycle(0, false, false, false, false))
+                .unwrap();
         }
     }
     let flow = flow_for("RAM");
@@ -157,8 +163,12 @@ fn unknown_behaviour_is_flagged_not_fabricated() {
         .expect("trains");
 
     let mut workload = training;
-    workload.push_cycle(ram_cycle(1, false, false, true, true)); // clr never trained
-    workload.push_cycle(ram_cycle(1, false, false, true, true));
+    workload
+        .push_cycle(ram_cycle(1, false, false, true, true))
+        .unwrap(); // clr never trained
+    workload
+        .push_cycle(ram_cycle(1, false, false, true, true))
+        .unwrap();
     let est = flow
         .estimate(&model, ip.as_mut(), &workload)
         .expect("estimates");
