@@ -49,6 +49,14 @@ echo "==> psm-core: ten-million-pair differential test of the merge decision"
 # run and takes about a minute in release.
 cargo test --offline --release -p psm-core -- --ignored
 
+echo "==> row estimator: 10^5-instant differential test against HmmSimulator"
+# The estimator (classify only where a read word changed, input Hamming,
+# compiled step) must equal classify_trace + HmmSimulator bit for bit on
+# all four paper benches at 100 000 instants, one-shot and under seeded
+# random chunkings, directly and through StreamSession; #[ignore]d in the
+# default run.
+cargo test --offline --release --test estimator -- --ignored
+
 echo "==> psmperf: the long-run benchmark still builds and passes its smoke test"
 # psmperf is a package of its own, so the workspace build above never
 # compiles it; an API change in psmgen would otherwise break the

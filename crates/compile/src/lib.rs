@@ -10,10 +10,14 @@
 //! plus an allocation-free resumable forward pass
 //! ([`CompiledForwardState`]).
 //!
-//! The model holds only the tables that pass reads. Observations come in
-//! already classified: `PropositionTable::classify_trace` of `psm-mining`
-//! is the one classifier, for the flow and for `psmd` alike. π and the
-//! per-state power attributes stay with the source `Hmm` and `Psm`.
+//! The model holds only the tables that pass reads. π and the per-state
+//! power attributes stay with the source `Hmm` and `Psm`. Around it, a
+//! [`RowEstimator`] turns functional-trace rows into estimates in one
+//! pass per row: it classifies a row with the proposition table's
+//! `RowClassifier` (only when a word the atoms read changed), takes the
+//! row's input Hamming distance and makes one [`CompiledModel::step`].
+//! It is the one estimation path of the flow and of `psmd`, one-shot
+//! and streamed alike.
 //!
 //! A compiled model is never written to disk. Compiling takes tens of
 //! microseconds, so every consumer — the flow's estimation and `psmd`'s
@@ -62,9 +66,11 @@
 //! ```
 #![deny(missing_docs)]
 
+mod estimator;
 mod filter;
 mod model;
 mod pass;
 
+pub use estimator::{EstimatorState, RowEstimator};
 pub use model::{CompileError, CompiledModel};
 pub use pass::CompiledForwardState;

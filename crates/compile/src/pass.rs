@@ -23,9 +23,8 @@ struct CompiledAlt {
 ///
 /// All buffers (belief, filter scratch, the two alternative sets) are
 /// allocated once by [`CompiledModel::begin`] with capacity for the widest
-/// state, so [`CompiledModel::resume`] performs **zero allocations** per
-/// chunk regardless of chunk size (the caller-owned output trace is the
-/// only growing buffer).
+/// state, so [`CompiledModel::step`] performs **zero allocations** (the
+/// caller-owned output trace is the only growing buffer).
 #[derive(Debug, Clone)]
 pub struct CompiledForwardState {
     pub(crate) belief: Vec<f64>,
@@ -65,13 +64,22 @@ impl CompiledForwardState {
     pub fn last_state(&self) -> usize {
         self.last_state as usize
     }
+
+    /// Packages `estimate` with this state's counters.
+    pub(crate) fn outcome(&self, estimate: PowerTrace) -> HmmOutcome {
+        HmmOutcome {
+            estimate,
+            wrong_state_predictions: self.wrong,
+            unknown_instants: self.unknown,
+        }
+    }
 }
 
 impl CompiledModel {
     /// A fresh [`CompiledForwardState`] positioned before the first
     /// instant — uniform belief, no cursor, the initial state as holder —
     /// with every scratch buffer pre-sized so subsequent
-    /// [`resume`](CompiledModel::resume) calls never allocate.
+    /// [`step`](CompiledModel::step) calls never allocate.
     pub fn begin(&self) -> CompiledForwardState {
         let m = self.filter.m;
         CompiledForwardState {
@@ -89,10 +97,10 @@ impl CompiledModel {
     }
 
     /// Feeds one chunk of observations through `state`, appending one power
-    /// estimate per instant to `estimate`. Splitting a trace into chunks
-    /// and resuming each through the same state is bit-identical to one
-    /// `psm_hmm::HmmSimulator::run` over the whole trace on the model this
-    /// was compiled from.
+    /// estimate per instant to `estimate`: one [`step`](Self::step) per
+    /// instant. Splitting a trace into chunks and resuming each through the
+    /// same state is bit-identical to one `psm_hmm::HmmSimulator::run` over
+    /// the whole trace on the model this was compiled from.
     ///
     /// # Panics
     ///
@@ -109,63 +117,9 @@ impl CompiledModel {
             input_hamming.len(),
             "observations and hamming series must align"
         );
-        for (t, obs) in observations.iter().enumerate() {
-            match obs {
-                None => {
-                    state.unknown += 1;
-                    state.has_cursor = false;
-                }
-                Some(o) => {
-                    // Belief update: the filter step, with the emission
-                    // fallback copied (not reallocated) when the
-                    // transition-constrained update collapses.
-                    self.filter
-                        .update(&mut state.belief, o.index(), &mut state.scratch);
-
-                    let code = o.index() as u32;
-                    if state.has_cursor {
-                        match self.advance_step(state, code) {
-                            StepOutcome::Stay => {
-                                std::mem::swap(&mut state.alts, &mut state.next_alts);
-                                state.last_state = state.cur_state;
-                            }
-                            StepOutcome::Enter(next) => {
-                                self.fill_entry_alts(next, code, &mut state.alts);
-                                state.cur_state = next;
-                                state.last_state = next;
-                            }
-                            StepOutcome::Fail => match self.resync_state(code, &state.belief) {
-                                Some(next) => {
-                                    state.wrong += 1;
-                                    self.fill_entry_alts(next, code, &mut state.alts);
-                                    state.cur_state = next;
-                                    state.last_state = next;
-                                }
-                                None => {
-                                    state.unknown += 1;
-                                    state.has_cursor = false;
-                                }
-                            },
-                        }
-                    } else if let Some(next) = self.resync_state(code, &state.belief) {
-                        self.fill_entry_alts(next, code, &mut state.alts);
-                        state.cur_state = next;
-                        state.last_state = next;
-                        state.has_cursor = true;
-                    } else {
-                        state.unknown += 1;
-                    }
-                }
-            }
-            let s = state.last_state as usize;
-            let value = if self.out_kind[s] == 0 {
-                self.out_offset[s]
-            } else {
-                self.out_slope[s] * input_hamming[t] as f64 + self.out_offset[s]
-            };
-            estimate.push(value);
+        for (&obs, &hamming) in observations.iter().zip(input_hamming) {
+            estimate.push(self.step(state, obs, hamming));
         }
-        state.instants += observations.len();
     }
 
     /// One-shot convenience: begin, resume over the whole trace, package an
@@ -178,10 +132,75 @@ impl CompiledModel {
         let mut state = self.begin();
         let mut estimate = PowerTrace::with_capacity(observations.len());
         self.resume(&mut state, observations, input_hamming, &mut estimate);
-        HmmOutcome {
-            estimate,
-            wrong_state_predictions: state.wrong,
-            unknown_instants: state.unknown,
+        state.outcome(estimate)
+    }
+
+    /// Advances `state` by one instant, observed as `obs` (`None`: unknown
+    /// behaviour) with input Hamming distance `input_hamming` from the
+    /// previous instant, and returns that instant's power estimate.
+    ///
+    /// This is the whole forward pass; [`resume`](Self::resume) and
+    /// [`run`](Self::run) are loops over it.
+    #[inline]
+    pub fn step(
+        &self,
+        state: &mut CompiledForwardState,
+        obs: Option<PropositionId>,
+        input_hamming: u32,
+    ) -> f64 {
+        match obs {
+            None => {
+                state.unknown += 1;
+                state.has_cursor = false;
+            }
+            Some(o) => {
+                // Belief update: the filter step, with the emission
+                // fallback copied (not reallocated) when the
+                // transition-constrained update collapses.
+                self.filter
+                    .update(&mut state.belief, o.index(), &mut state.scratch);
+
+                let code = o.index() as u32;
+                if state.has_cursor {
+                    match self.advance_step(state, code) {
+                        StepOutcome::Stay => {
+                            std::mem::swap(&mut state.alts, &mut state.next_alts);
+                            state.last_state = state.cur_state;
+                        }
+                        StepOutcome::Enter(next) => {
+                            self.fill_entry_alts(next, code, &mut state.alts);
+                            state.cur_state = next;
+                            state.last_state = next;
+                        }
+                        StepOutcome::Fail => match self.resync_state(code, &state.belief) {
+                            Some(next) => {
+                                state.wrong += 1;
+                                self.fill_entry_alts(next, code, &mut state.alts);
+                                state.cur_state = next;
+                                state.last_state = next;
+                            }
+                            None => {
+                                state.unknown += 1;
+                                state.has_cursor = false;
+                            }
+                        },
+                    }
+                } else if let Some(next) = self.resync_state(code, &state.belief) {
+                    self.fill_entry_alts(next, code, &mut state.alts);
+                    state.cur_state = next;
+                    state.last_state = next;
+                    state.has_cursor = true;
+                } else {
+                    state.unknown += 1;
+                }
+            }
+        }
+        state.instants += 1;
+        let s = state.last_state as usize;
+        if self.out_kind[s] == 0 {
+            self.out_offset[s]
+        } else {
+            self.out_slope[s] * input_hamming as f64 + self.out_offset[s]
         }
     }
 

@@ -95,7 +95,7 @@ impl AtomicProposition {
 
     /// Resolves the atom against the row layout of `signals`, or says why
     /// that layout cannot hold it.
-    pub(crate) fn resolve(&self, signals: &SignalSet) -> Result<RowTest<'_>, Misfit> {
+    pub(crate) fn resolve(&self, signals: &SignalSet) -> Result<RowTest, Misfit> {
         let declared = |id: SignalId| {
             if id.index() < signals.len() {
                 Ok(signals.decl(id).width())
@@ -112,7 +112,7 @@ impl AtomicProposition {
                 } else if range.len() == 1 {
                     RowTest::Word(range.start, value.as_words()[0])
                 } else {
-                    RowTest::Words(range, value.as_words())
+                    RowTest::Words(range, value.as_words().into())
                 })
             }
             AtomicProposition::VarCmpVar { left, cmp, right } => {
@@ -167,18 +167,18 @@ pub(crate) enum Misfit {
 /// walk resolves its atoms once and then tests every row with a few word
 /// compares.
 #[derive(Debug, Clone)]
-pub(crate) enum RowTest<'a> {
+pub(crate) enum RowTest {
     /// `v = c` where `c` has another width than `v`: never holds.
     Never,
     /// `v = c` for a one-word `v`: the word at this index equals `c`.
     Word(usize, u64),
     /// `v = c` for a wider `v`: these words equal `c`'s.
-    Words(Range<usize>, &'a [u64]),
+    Words(Range<usize>, Box<[u64]>),
     /// `v ∘ w` over two equal-width word ranges.
     Cmp(Range<usize>, Comparison, Range<usize>),
 }
 
-impl RowTest<'_> {
+impl RowTest {
     /// Whether the atom holds on the row `words`.
     pub(crate) fn holds(&self, words: &[u64]) -> bool {
         match self {
@@ -189,6 +189,17 @@ impl RowTest<'_> {
                 cmp.test(compare_words(&words[left.clone()], &words[right.clone()]))
             }
         }
+    }
+
+    /// The row words [`holds`](Self::holds) reads, possibly repeated.
+    pub(crate) fn reads(&self) -> impl Iterator<Item = usize> {
+        let (first, second) = match self {
+            RowTest::Never => (0..0, 0..0),
+            RowTest::Word(at, _) => (*at..*at + 1, 0..0),
+            RowTest::Words(range, _) => (range.clone(), 0..0),
+            RowTest::Cmp(left, _, right) => (left.clone(), right.clone()),
+        };
+        first.chain(second)
     }
 }
 

@@ -80,6 +80,7 @@ pub use config::MiningConfig;
 pub use miner::{MinedTraces, Miner};
 pub use proposition::{
     ClassifyError, Proposition, PropositionId, PropositionTable, PropositionVocabulary,
+    RowClassifier,
 };
 pub use report::{AtomSupport, MiningReport};
 pub use temporal::{TemporalAssertion, TemporalPattern};

@@ -74,7 +74,7 @@ impl PropositionVocabulary {
     /// Every atom resolved against the row layout of `signals`, for a
     /// walk over many rows of that layout, or the first atom that layout
     /// cannot hold.
-    fn resolve(&self, signals: &SignalSet) -> Result<Vec<RowTest<'_>>, ClassifyError> {
+    fn resolve(&self, signals: &SignalSet) -> Result<Vec<RowTest>, ClassifyError> {
         // A loaded vocabulary's atoms are not checked against its own
         // signals, so an id it does not declare is named by its index.
         let name = |id: psm_trace::SignalId| {
@@ -349,6 +349,29 @@ impl PropositionTable {
             .collect())
     }
 
+    /// The table's classification resolved against the row layout of
+    /// `signals`, for a consumer that classifies rows one at a time (the
+    /// estimator of `psm-compile`). Its [`classify`](RowClassifier::classify)
+    /// equals [`classify_trace`](Self::classify_trace) row for row.
+    ///
+    /// # Errors
+    ///
+    /// The [`ClassifyError`] [`try_classify_trace`](Self::try_classify_trace)
+    /// returns for a trace laid out by `signals`.
+    pub fn row_classifier(&self, signals: &SignalSet) -> Result<RowClassifier, ClassifyError> {
+        let tests = self.vocabulary.resolve(signals)?;
+        let mut reads: Vec<usize> = tests.iter().flat_map(RowTest::reads).collect();
+        reads.sort_unstable();
+        reads.dedup();
+        Ok(RowClassifier {
+            tests,
+            reads,
+            row_words: signals.words_per_cycle(),
+            props: self.props.clone(),
+            index: self.index.clone(),
+        })
+    }
+
     /// Evaluates one cycle *without* interning (simulation path); `None`
     /// means unknown behaviour.
     pub fn classify(&self, cycle: Row<'_>) -> Option<PropositionId> {
@@ -386,6 +409,104 @@ impl PropositionTable {
         } else {
             parts.join(" & ")
         }
+    }
+}
+
+/// A [`PropositionTable`] resolved against one row layout: its atoms as
+/// word tests, the row words those tests read, and a copy of the table's
+/// row lookup. Built by [`PropositionTable::row_classifier`]; it owns
+/// what it reads, so a served model can keep one for its lifetime.
+///
+/// A row's class is a pure function of the words in
+/// [`reads`](Self::reads): two rows that agree on every one of them
+/// satisfy the same atoms, so they have the same truth row and the same
+/// class. A walk over consecutive rows may therefore keep the previous
+/// row's class whenever [`reads_differ`](Self::reads_differ) is false,
+/// and the result is exactly what classifying every row gives.
+///
+/// # Examples
+///
+/// ```
+/// use psm_mining::{Miner, MiningConfig};
+/// use psm_trace::{Bits, Direction, FunctionalTrace, SignalSet};
+///
+/// let mut signals = SignalSet::new();
+/// signals.push("en", 1, Direction::Input)?;
+/// signals.push("data", 8, Direction::Input)?;
+/// let mut phi = FunctionalTrace::new(signals);
+/// for (en, data) in [(1u64, 3u64), (1, 9), (0, 9), (0, 3)] {
+///     phi.push_cycle(vec![Bits::from_u64(en, 1), Bits::from_u64(data, 8)])?;
+/// }
+/// let mined = Miner::new(MiningConfig::default()).mine(&[&phi])?;
+///
+/// let classifier = mined.table.row_classifier(phi.signals())?;
+/// let mut truths = classifier.truth_buffer();
+/// let row = phi.cycle(2).as_words();
+/// assert_eq!(classifier.classify(row, &mut truths), mined.table.classify(phi.cycle(2)));
+/// // A word no atom reads cannot change the class.
+/// for w in (0..classifier.row_words()).filter(|w| !classifier.reads().contains(w)) {
+///     let mut flipped = row.to_vec();
+///     flipped[w] ^= 1;
+///     assert!(!classifier.reads_differ(row, &flipped));
+///     assert_eq!(
+///         classifier.classify(&flipped, &mut truths),
+///         classifier.classify(row, &mut truths)
+///     );
+/// }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct RowClassifier {
+    tests: Vec<RowTest>,
+    /// Row words any test reads, ascending, each once.
+    reads: Vec<usize>,
+    row_words: usize,
+    props: Vec<Proposition>,
+    index: RowIndex,
+}
+
+impl RowClassifier {
+    /// Words per row of the layout the classifier was resolved against.
+    pub fn row_words(&self) -> usize {
+        self.row_words
+    }
+
+    /// The row words the table's atoms read, ascending, each once.
+    pub fn reads(&self) -> &[usize] {
+        &self.reads
+    }
+
+    /// A scratch buffer sized for [`classify`](Self::classify), so that
+    /// classifying never allocates.
+    pub fn truth_buffer(&self) -> Vec<u64> {
+        Vec::with_capacity(self.tests.len().div_ceil(64).max(1))
+    }
+
+    /// The class of one row of the layout; `None` marks unknown
+    /// behaviour. `truths` is scratch (see
+    /// [`truth_buffer`](Self::truth_buffer)) and is clobbered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is shorter than the words the atoms read.
+    pub fn classify(&self, row: &[u64], truths: &mut Vec<u64>) -> Option<PropositionId> {
+        pack_truths(
+            truths,
+            self.tests.len(),
+            self.tests.iter().map(|t| t.holds(row)),
+        );
+        self.index.get(&self.props, truths)
+    }
+
+    /// Whether two rows of the layout differ in a word the atoms read.
+    /// When they do not, they have the same class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is shorter than the words the atoms read.
+    #[inline]
+    pub fn reads_differ(&self, a: &[u64], b: &[u64]) -> bool {
+        self.reads.iter().any(|&w| a[w] != b[w])
     }
 }
 

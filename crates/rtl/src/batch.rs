@@ -992,7 +992,7 @@ impl<'a> BatchSimulator<'a> {
 ///
 /// Same conditions as [`capture_traces`](crate::capture_traces). A
 /// malformed stimulus fails the whole call (the lowest lane's error wins),
-/// not just its own lane.
+/// not just its own lane, and before any lane group is simulated.
 ///
 /// # Panics
 ///
@@ -1032,6 +1032,7 @@ pub fn capture_traces_batch(
         seeds.len(),
         "one noise seed per stimulus is required"
     );
+    check_stimuli(&input_layout(&netlist.signal_set()), stimuli)?;
     let mut out = Vec::with_capacity(stimuli.len());
     for (chunk, chunk_seeds) in stimuli
         .chunks(BatchSimulator::MAX_LANES)
@@ -1073,6 +1074,7 @@ pub fn capture_traces_by_domain_batch(
         seeds.len(),
         "one noise seed per stimulus is required"
     );
+    check_stimuli(&input_layout(&netlist.signal_set()), stimuli)?;
     let mut out = Vec::with_capacity(stimuli.len());
     for (chunk, chunk_seeds) in stimuli
         .chunks(BatchSimulator::MAX_LANES)
@@ -1083,9 +1085,10 @@ pub fn capture_traces_by_domain_batch(
     Ok(out)
 }
 
-/// Captures one lane group (≤ 64 stimuli) in a single batch run. With
-/// `track_domains` off, the per-domain traces are left empty and the
-/// engine skips domain accounting altogether.
+/// Captures one lane group (≤ 64 stimuli, already checked against the
+/// netlist's inputs) in a single batch run. With `track_domains` off, the
+/// per-domain traces are left empty and the engine skips domain
+/// accounting altogether.
 fn capture_group(
     netlist: &Netlist,
     model: &PowerModel,
@@ -1130,7 +1133,6 @@ fn capture_group(
 
     let signals = netlist.signal_set();
     let inputs = input_layout(&signals);
-    check_stimuli(&inputs, stimuli)?;
     let input_handles = sim.input_handles();
     let port_words: Vec<_> = inputs.iter().map(|(id, _)| inputs.word_range(id)).collect();
     let mut row = vec![0u64; signals.words_per_cycle()];
@@ -1348,6 +1350,30 @@ mod tests {
                 psm_trace::TraceError::CycleShapeMismatch { .. }
             ))
         ));
+    }
+
+    #[test]
+    fn a_misfit_past_the_first_group_fails_with_its_own_error() {
+        let n = counter(3);
+        let mut stimuli: Vec<Stimulus> = (0..65u64)
+            .map(|k| {
+                (0..6)
+                    .map(|t| vec![Bits::from_u64((t + k) % 2, 1)])
+                    .collect()
+            })
+            .collect();
+        stimuli[64] = (0..6).map(|_| vec![Bits::from_u64(2, 2)]).collect();
+        let seeds: Vec<u64> = (0..65).collect();
+        let want = capture_traces(&n, &PowerModel::default(), &stimuli[64], 64)
+            .unwrap_err()
+            .to_string();
+        assert!(want.contains("en"), "{want}");
+        let err = capture_traces_batch(&n, &PowerModel::default(), &stimuli, &seeds).unwrap_err();
+        assert!(matches!(err, RtlError::PortWidthMismatch { .. }), "{err:?}");
+        assert_eq!(err.to_string(), want);
+        let err = capture_traces_by_domain_batch(&n, &PowerModel::default(), &stimuli, &seeds)
+            .unwrap_err();
+        assert_eq!(err.to_string(), want);
     }
 
     #[test]

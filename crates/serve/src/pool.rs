@@ -577,8 +577,9 @@ mod tests {
 
     /// A trace over no signals at all. The daemon's interface check
     /// refuses it before it reaches the pool; submitted straight to the
-    /// pool, classifying it against the toy model's one-signal vocabulary
-    /// panics.
+    /// pool, a one-shot estimate of it against the toy model's one-signal
+    /// interface panics, and a stream refuses it as a chunk of the wrong
+    /// shape.
     fn foreign_trace() -> FunctionalTrace {
         let mut trace = FunctionalTrace::new(psm_trace::SignalSet::new());
         for _ in 0..4 {
@@ -942,7 +943,10 @@ mod tests {
         let next = || rx.recv_timeout(Duration::from_secs(30)).expect("an answer");
 
         let submit = |entry, job| assert_eq!(pool.submit_stream(entry, job), Ok(()));
-        submit(&doomed, chunk_job(1, foreign_trace(), &tx));
+        let mut inner = doomed.inner.lock().unwrap();
+        inner.session.as_mut().unwrap().panic_on_next_feed = true;
+        drop(inner);
+        submit(&doomed, chunk_job(1, toy_trace(), &tx));
         let (id, answer) = next();
         assert_eq!(id, 1);
         assert!(
@@ -962,6 +966,16 @@ mod tests {
         assert_eq!(id, 3);
         assert!(
             matches!(answer, Answer::Closed(Err(JobError::StreamClosed))),
+            "{answer:?}"
+        );
+
+        // A chunk of the wrong shape is refused and leaves its stream
+        // open and untouched.
+        submit(&healthy, chunk_job(6, foreign_trace(), &tx));
+        let (id, answer) = next();
+        assert_eq!(id, 6);
+        assert!(
+            matches!(answer, Answer::Chunk(Err(JobError::Trace(_)))),
             "{answer:?}"
         );
 

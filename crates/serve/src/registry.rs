@@ -23,10 +23,10 @@
 //! registry never reads that section, so a v3 file serves exactly what
 //! its v2 body serves.
 
-use psm_compile::CompiledModel;
-use psm_core::{classify_trace, Psm};
+use psm_compile::{CompiledModel, RowEstimator};
+use psm_core::Psm;
 use psm_hmm::{Hmm, HmmOutcome};
-use psm_mining::{PropositionId, PropositionTable};
+use psm_mining::PropositionTable;
 use psm_persist::{decode_artifact, ArtifactEntry, Persist, PersistError};
 use psm_trace::{FunctionalTrace, SignalSet};
 use std::path::{Path, PathBuf};
@@ -66,8 +66,9 @@ impl std::error::Error for RegistryError {
     }
 }
 
-/// One loaded model, ready to estimate: the proposition table that
-/// classifies raw cycles and the compiled PSM+HMM runtime.
+/// One loaded model, ready to estimate: its proposition table and the
+/// [`RowEstimator`] that classifies raw cycles against it and steps the
+/// compiled PSM+HMM runtime.
 ///
 /// This mirrors the facade's `TrainedModel` minus the training stats —
 /// the daemon reads the same artifact files `PsmFlow` writes, but only
@@ -82,44 +83,48 @@ pub struct ServedModel {
     /// The artifact *format* version the file was probed at.
     pub format_version: u32,
     table: PropositionTable,
-    compiled: CompiledModel,
+    estimator: RowEstimator,
 }
 
 impl ServedModel {
-    /// Loads one registry artifact and compiles its PSM and HMM.
+    /// Loads one registry artifact, compiles its PSM and HMM, and
+    /// resolves its table's atoms against the table's own interface.
     ///
     /// # Errors
     ///
     /// [`RegistryError`] naming the artifact when the file cannot be
     /// read, is truncated/wrong-magic, its body does not hold the
     /// `table`/`psm`/`hmm` fields of a flat trained model (hierarchical
-    /// artifacts are not servable), or the PSM and HMM do not compile.
+    /// artifacts are not servable), the PSM and HMM do not compile, or an
+    /// atom of the table reads a signal its interface cannot hold.
     pub fn load(entry: &ArtifactEntry) -> Result<ServedModel, RegistryError> {
         let text = std::fs::read_to_string(&entry.path)
             .map_err(|e| RegistryError::of(&entry.path, PersistError::Io(e)))?;
         let (format_version, doc) =
             decode_artifact(&text).map_err(|e| RegistryError::of(&entry.path, e))?;
-        let parse = || -> Result<(PropositionTable, CompiledModel), PersistError> {
-            let table = Persist::from_json(doc.field("table")?)?;
+        let parse = || -> Result<(PropositionTable, RowEstimator), PersistError> {
+            let table: PropositionTable = Persist::from_json(doc.field("table")?)?;
             let psm: Psm = Persist::from_json(doc.field("psm")?)?;
             let hmm: Hmm = Persist::from_json(doc.field("hmm")?)?;
             let compiled = CompiledModel::compile(&psm, &hmm)
                 .map_err(|e| PersistError::schema(e.to_string()))?;
-            Ok((table, compiled))
+            let estimator = RowEstimator::new(&table, table.vocabulary().signals(), compiled)
+                .map_err(|e| PersistError::schema(e.to_string()))?;
+            Ok((table, estimator))
         };
-        let (table, compiled) = parse().map_err(|e| RegistryError::of(&entry.path, e))?;
+        let (table, estimator) = parse().map_err(|e| RegistryError::of(&entry.path, e))?;
         Ok(ServedModel {
             name: entry.name.clone(),
             version: entry.version,
             format_version,
             table,
-            compiled,
+            estimator,
         })
     }
 
     /// Number of PSM states.
     pub fn state_count(&self) -> usize {
-        self.compiled.num_states()
+        self.compiled().num_states()
     }
 
     /// Number of mined propositions in the classification table.
@@ -129,7 +134,13 @@ impl ServedModel {
 
     /// The compiled runtime, built when the artifact loaded.
     pub fn compiled(&self) -> &CompiledModel {
-        &self.compiled
+        self.estimator.model()
+    }
+
+    /// The row estimator every request runs through, resolved against
+    /// the model's interface when the artifact loaded.
+    pub fn estimator(&self) -> &RowEstimator {
+        &self.estimator
     }
 
     /// Checks that a request's signal dictionary lays out rows the way
@@ -137,8 +148,8 @@ impl ServedModel {
     /// the model's width and direction, in order. Names are not compared.
     ///
     /// Every trace or stream reaching [`estimate`](Self::estimate) or a
-    /// session must pass this first: classification indexes rows by the
-    /// model's signals.
+    /// session must pass this first: the estimator reads rows laid out by
+    /// the model's signals.
     ///
     /// # Errors
     ///
@@ -175,17 +186,13 @@ impl ServedModel {
 
     /// Estimates one trace. Identical, instant for instant, to the
     /// facade's `PsmFlow::estimate_from_trace` on the same loaded model.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trace's rows are not as wide as the model's
+    /// (see [`check_interface`](Self::check_interface)).
     pub fn estimate(&self, trace: &FunctionalTrace) -> HmmOutcome {
-        let observations = classify_trace(&self.table, trace);
-        let hamming = trace.input_hamming_series();
-        self.compiled.run(&observations, &hamming)
-    }
-
-    /// Classifies one chunk of a streamed trace against the model's
-    /// proposition table. Classification is per-instant, so chunked
-    /// classification equals classification of the concatenated trace.
-    pub fn classify_chunk(&self, chunk: &FunctionalTrace) -> Vec<Option<PropositionId>> {
-        classify_trace(&self.table, chunk)
+        self.estimator.run(trace)
     }
 }
 
@@ -373,7 +380,7 @@ mod tests {
         let trace = toy_trace();
         let want = v2.estimate(&trace);
         let (table, psm, hmm) = substrate(&body);
-        let observations = classify_trace(&table, &trace);
+        let observations = psm_core::classify_trace(&table, &trace);
         let oracle =
             psm_hmm::HmmSimulator::new(&psm, hmm).run(&observations, &trace.input_hamming_series());
         assert_eq!(want, oracle);

@@ -2,16 +2,16 @@
 //!
 //! A [`StreamSession`] is the server-side object behind one `STREAM_OPEN`.
 //! It pins an `Arc<ServedModel>` (so registry reloads never invalidate a
-//! live stream) and carries the allocation-free
-//! [`CompiledForwardState`] of the model's compiled runtime, plus the
-//! last cycle of the previous chunk, which stitches the input-Hamming
-//! series across chunk boundaries. Feeding chunks c₁, …, cₖ produces,
+//! live stream) and carries the [`EstimatorState`] of the model's row
+//! estimator: the allocation-free compiled forward state plus the last
+//! row of the previous chunk, which stitches the input-Hamming series
+//! across chunk boundaries. Feeding chunks c₁, …, cₖ produces,
 //! instant for instant, the *bit-identical* estimate of a one-shot run
 //! over the concatenated trace c₁‖…‖cₖ — the session is the one-shot path
 //! with a pause button, not an approximation of it.
 
 use crate::registry::ServedModel;
-use psm_compile::CompiledForwardState;
+use psm_compile::EstimatorState;
 use psm_trace::{FunctionalTrace, PowerTrace, TraceError};
 use std::sync::Arc;
 
@@ -32,21 +32,24 @@ pub struct ChunkOutcome {
 #[derive(Debug)]
 pub struct StreamSession {
     model: Arc<ServedModel>,
-    state: CompiledForwardState,
-    /// Words of the last row of the previous non-empty chunk.
-    prev_cycle: Option<Vec<u64>>,
+    state: EstimatorState,
+    /// Makes the next [`feed`](Self::feed) panic: the pool's tests stand
+    /// in a bug of the estimation path with it.
+    #[cfg(test)]
+    pub(crate) panic_on_next_feed: bool,
 }
 
 impl StreamSession {
     /// Opens a session against `model`, positioned before the first
-    /// instant. No allocation beyond the forward state itself happens per
-    /// chunk after this point.
+    /// instant. Every buffer the session needs is sized here: after
+    /// this, a chunk allocates nothing but its output trace.
     pub fn open(model: Arc<ServedModel>) -> StreamSession {
-        let state = model.compiled().begin();
+        let state = model.estimator().begin();
         StreamSession {
             model,
             state,
-            prev_cycle: None,
+            #[cfg(test)]
+            panic_on_next_feed: false,
         }
     }
 
@@ -75,25 +78,19 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// [`TraceError::CycleShapeMismatch`] when the chunk's interface
-    /// does not match the previous chunk's (the daemon decodes chunks
-    /// against the `STREAM_OPEN` dictionary, so this is defensive).
+    /// [`TraceError::CycleShapeMismatch`] when the chunk's rows are not
+    /// as wide as the model's (the daemon decodes chunks against the
+    /// `STREAM_OPEN` dictionary, so this is defensive); the session is
+    /// left as it was.
     pub fn feed(&mut self, chunk: &FunctionalTrace) -> Result<ChunkOutcome, TraceError> {
-        let observations = self.model.classify_chunk(chunk);
-        let mut hamming = chunk.input_hamming_series();
-        if let (Some(prev), Some(first)) = (&self.prev_cycle, hamming.first_mut()) {
-            *first = chunk.input_hamming_vs(prev, 0)?;
+        #[cfg(test)]
+        if std::mem::take(&mut self.panic_on_next_feed) {
+            panic!("estimation fault injected by a test");
         }
         let mut estimate = PowerTrace::with_capacity(chunk.len());
         self.model
-            .compiled()
-            .resume(&mut self.state, &observations, &hamming, &mut estimate);
-        if !chunk.is_empty() {
-            let last = chunk.cycle(chunk.len() - 1).as_words();
-            let prev = self.prev_cycle.get_or_insert_with(Vec::new);
-            prev.clear();
-            prev.extend_from_slice(last);
-        }
+            .estimator()
+            .feed(&mut self.state, chunk, &mut estimate)?;
         Ok(ChunkOutcome {
             estimate,
             wrong_state_predictions: self.wrong_state_predictions(),
@@ -191,6 +188,18 @@ mod tests {
             session.feed(&bad),
             Err(TraceError::CycleShapeMismatch { .. })
         ));
+        // The refused chunk left the stream as it was.
+        assert_eq!(session.instants(), trace.len());
+        let mut twice = trace.clone();
+        for row in trace.iter() {
+            twice.push_words(row.as_words()).unwrap();
+        }
+        let oneshot = session.model().estimate(&twice);
+        let out = session.feed(&trace).unwrap();
+        assert_eq!(
+            out.estimate.as_slice(),
+            &oneshot.estimate.as_slice()[trace.len()..]
+        );
     }
 
     #[test]

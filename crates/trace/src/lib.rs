@@ -52,7 +52,7 @@ mod signal;
 
 pub use activity::{activity_profile, SignalActivity};
 pub use bits::Bits;
-pub use functional::{FunctionalTrace, Row};
+pub use functional::{FunctionalTrace, InputSpans, Row};
 pub use io::{
     read_functional_csv, read_power_csv, write_functional_csv, write_power_csv, write_vcd,
 };

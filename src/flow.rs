@@ -39,10 +39,9 @@ use psm_analyze::{
     AnalysisReport, Severity,
 };
 pub use psm_analyze::{LintConfig, LintLevel, Strictness, VerifyConfig};
-use psm_compile::CompiledModel;
+use psm_compile::{CompiledModel, RowEstimator};
 use psm_core::{
-    calibrate, classify_trace, generate_psm, join, simplify, CalibrationConfig, CoreError,
-    MergePolicy, Psm,
+    calibrate, generate_psm, join, simplify, CalibrationConfig, CoreError, MergePolicy, Psm,
 };
 use psm_hmm::{build_hmm, Hmm, HmmOutcome};
 use psm_ips::{behavioural_trace, Ip};
@@ -270,8 +269,9 @@ impl TrainedModel {
     /// emission tables, the chain and transition structure as offset
     /// arrays, and an allocation-free forward pass, bit-identical to the
     /// reference [`HmmSimulator`](psm_hmm::HmmSimulator). The compiled
-    /// model takes observations already classified by [`classify_trace`]
-    /// against this model's proposition table, which it does not copy.
+    /// model takes observations already classified by
+    /// [`classify_trace`](psm_core::classify_trace) against this model's
+    /// proposition table, which it does not copy.
     ///
     /// # Errors
     ///
@@ -932,24 +932,29 @@ impl PsmFlow {
     /// already-captured functional trace, with no gate-level work at all.
     ///
     /// The model is lowered to its flat-table form
-    /// ([`psm_compile::CompiledModel`], tens of microseconds) and run
-    /// there; the result is bit-identical to the reference
-    /// [`HmmSimulator`](psm_hmm::HmmSimulator).
+    /// ([`psm_compile::CompiledModel`], tens of microseconds) and the
+    /// trace runs through a [`RowEstimator`] in one pass over its rows;
+    /// the result is bit-identical to the reference
+    /// [`HmmSimulator`](psm_hmm::HmmSimulator) over
+    /// [`classify_trace`](psm_core::classify_trace) and the trace's input
+    /// Hamming series.
     ///
     /// # Panics
     ///
     /// Panics when the model's PSM and HMM disagree on the state space
-    /// (impossible for models produced by [`PsmFlow::train`]).
+    /// (impossible for models produced by [`PsmFlow::train`]), or when
+    /// the trace's interface cannot hold the table's atoms (as
+    /// [`classify_trace`](psm_core::classify_trace) does).
     pub fn estimate_from_trace(
         &self,
         model: &TrainedModel,
         functional: &FunctionalTrace,
     ) -> HmmOutcome {
-        let observations = classify_trace(&model.table, functional);
-        let hamming = functional.input_hamming_series();
         let compiled = CompiledModel::compile(&model.psm, &model.hmm)
             .unwrap_or_else(|e| panic!("HMM and PSM must agree on the state space: {e}"));
-        compiled.run(&observations, &hamming)
+        RowEstimator::new(&model.table, functional.signals(), compiled)
+            .unwrap_or_else(|e| panic!("cannot classify the trace: {e}"))
+            .run(functional)
     }
 
     /// Trains one PSM set **per power domain** of the IP's netlist — the
