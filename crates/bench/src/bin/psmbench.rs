@@ -360,7 +360,6 @@ fn main() -> ExitCode {
         for name in [
             "mine_long_trace",
             "classify_long_trace",
-            "estimate_long_ts",
             "decode_trace_bin",
             "capture_lanes1",
             "capture_lanes4",

@@ -289,23 +289,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<(String, ScenarioResult)> {
     });
     out.push(("classify_long_trace".into(), ScenarioResult::plain(m, rows)));
 
-    // -- the whole estimation pass over the same trace ------------------
-    // `estimate_from_trace`: compile, then the row estimator (classify
-    // only where a read word changed, input Hamming, compiled step).
-    let reference = HmmSimulator::new(&fx.model.psm, fx.model.hmm.clone()).run(
-        &classify_trace(&fx.model.table, &fx.workload_trace),
-        &fx.workload_trace.input_hamming_series(),
-    );
-    assert_eq!(
-        fx.flow.estimate_from_trace(&fx.model, &fx.workload_trace),
-        reference,
-        "estimate_long_ts: the row estimator diverges from the reference simulator"
-    );
-    let m = bench_iters("estimate_long_ts", cfg.iters, &mut || {
-        fx.flow.estimate_from_trace(&fx.model, &fx.workload_trace)
-    });
-    out.push(("estimate_long_ts".into(), ScenarioResult::plain(m, rows)));
-
     // -- binary trace decode: a 2000-cycle AES payload, as psmd gets it -
     let stim = testbench::long_ts("AES", cfg.seed + 31, 2_000).expect("known IP");
     let aes_trace = behavioural_trace(crate::ip("AES").as_mut(), &stim).expect("workload fits");

@@ -1,6 +1,8 @@
 //! The row estimator: classify, input Hamming distance and one compiled
 //! forward step per trace row, in one pass over the rows.
 
+use std::borrow::Cow;
+
 use psm_hmm::HmmOutcome;
 use psm_mining::{ClassifyError, PropositionTable, RowClassifier};
 use psm_trace::{FunctionalTrace, InputSpans, PowerTrace, SignalSet, TraceError};
@@ -10,8 +12,9 @@ use crate::pass::CompiledForwardState;
 
 /// A compiled model and its proposition table's classifier, both resolved
 /// against one row layout: everything that turns functional-trace rows
-/// into power estimates. The flow's estimation and `psmd`'s one-shot and
-/// streamed requests all run through it.
+/// into power estimates. The flow's estimation borrows its model's table;
+/// `psmd`'s served models own theirs, and their one-shot and streamed
+/// requests all run through it.
 ///
 /// Each row costs one pass:
 ///
@@ -34,6 +37,8 @@ use crate::pass::CompiledForwardState;
 /// # Examples
 ///
 /// ```
+/// use std::borrow::Cow;
+///
 /// use psm_compile::{CompiledModel, RowEstimator};
 /// use psm_core::{classify_trace, generate_psm, join, MergePolicy};
 /// use psm_hmm::{build_hmm, HmmSimulator};
@@ -51,16 +56,16 @@ use crate::pass::CompiledForwardState;
 /// let psm = join(&[generate_psm(&mined.traces[0], &power, 0)?], &MergePolicy::default());
 /// let hmm = build_hmm(&psm, mined.table.len());
 ///
-/// let estimator =
-///     RowEstimator::new(&mined.table, phi.signals(), CompiledModel::compile(&psm, &hmm)?)?;
+/// let compiled = CompiledModel::compile(&psm, &hmm)?;
+/// let estimator = RowEstimator::new(Cow::Borrowed(&mined.table), phi.signals(), compiled)?;
 /// let reference = HmmSimulator::new(&psm, hmm)
 ///     .run(&classify_trace(&mined.table, &phi), &phi.input_hamming_series());
 /// assert_eq!(estimator.run(&phi), reference);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct RowEstimator {
-    classifier: RowClassifier,
+pub struct RowEstimator<'t> {
+    classifier: RowClassifier<'t>,
     inputs: InputSpans,
     model: CompiledModel,
 }
@@ -95,25 +100,32 @@ impl EstimatorState {
     }
 }
 
-impl RowEstimator {
+impl<'t> RowEstimator<'t> {
     /// Resolves `table`'s atoms and the input words against the row
     /// layout of `signals`, around the model compiled from the same
     /// training run.
     ///
     /// # Errors
     ///
-    /// The [`ClassifyError`] of `PropositionTable::row_classifier` when
-    /// `signals` cannot hold the table's atoms.
+    /// The [`ClassifyError`] of [`RowClassifier::new`] when `signals`
+    /// cannot hold the table's atoms.
     pub fn new(
-        table: &PropositionTable,
+        table: Cow<'t, PropositionTable>,
         signals: &SignalSet,
         model: CompiledModel,
-    ) -> Result<RowEstimator, ClassifyError> {
+    ) -> Result<RowEstimator<'t>, ClassifyError> {
         Ok(RowEstimator {
-            classifier: table.row_classifier(signals)?,
+            classifier: RowClassifier::new(table, signals)?,
             inputs: InputSpans::new(signals),
             model,
         })
+    }
+}
+
+impl RowEstimator<'_> {
+    /// The proposition table the estimator classifies rows against.
+    pub fn table(&self) -> &PropositionTable {
+        self.classifier.table()
     }
 
     /// The compiled model the estimator steps.

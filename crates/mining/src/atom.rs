@@ -95,7 +95,7 @@ impl AtomicProposition {
 
     /// Resolves the atom against the row layout of `signals`, or says why
     /// that layout cannot hold it.
-    pub(crate) fn resolve(&self, signals: &SignalSet) -> Result<RowTest, Misfit> {
+    pub(crate) fn resolve(&self, signals: &SignalSet) -> Result<RowTest<&[u64]>, Misfit> {
         let declared = |id: SignalId| {
             if id.index() < signals.len() {
                 Ok(signals.decl(id).width())
@@ -112,7 +112,7 @@ impl AtomicProposition {
                 } else if range.len() == 1 {
                     RowTest::Word(range.start, value.as_words()[0])
                 } else {
-                    RowTest::Words(range, value.as_words().into())
+                    RowTest::Words(range, value.as_words())
                 })
             }
             AtomicProposition::VarCmpVar { left, cmp, right } => {
@@ -165,26 +165,28 @@ pub(crate) enum Misfit {
 
 /// An atom resolved against one row layout: the words it reads. A trace
 /// walk resolves its atoms once and then tests every row with a few word
-/// compares.
+/// compares. `C` holds a wide constant's words: borrowed from the atom
+/// for one walk, owned ([`into_owned`](RowTest::into_owned)) by a
+/// classifier that outlives that borrow.
 #[derive(Debug, Clone)]
-pub(crate) enum RowTest {
+pub(crate) enum RowTest<C> {
     /// `v = c` where `c` has another width than `v`: never holds.
     Never,
     /// `v = c` for a one-word `v`: the word at this index equals `c`.
     Word(usize, u64),
     /// `v = c` for a wider `v`: these words equal `c`'s.
-    Words(Range<usize>, Box<[u64]>),
+    Words(Range<usize>, C),
     /// `v ∘ w` over two equal-width word ranges.
     Cmp(Range<usize>, Comparison, Range<usize>),
 }
 
-impl RowTest {
+impl<C: AsRef<[u64]>> RowTest<C> {
     /// Whether the atom holds on the row `words`.
     pub(crate) fn holds(&self, words: &[u64]) -> bool {
         match self {
             RowTest::Never => false,
             RowTest::Word(at, value) => words[*at] == *value,
-            RowTest::Words(range, value) => words[range.clone()] == **value,
+            RowTest::Words(range, value) => words[range.clone()] == *value.as_ref(),
             RowTest::Cmp(left, cmp, right) => {
                 cmp.test(compare_words(&words[left.clone()], &words[right.clone()]))
             }
@@ -200,6 +202,18 @@ impl RowTest {
             RowTest::Cmp(left, _, right) => (left.clone(), right.clone()),
         };
         first.chain(second)
+    }
+}
+
+impl RowTest<&[u64]> {
+    /// The same test, owning its constant's words.
+    pub(crate) fn into_owned(self) -> RowTest<Box<[u64]>> {
+        match self {
+            RowTest::Never => RowTest::Never,
+            RowTest::Word(at, value) => RowTest::Word(at, value),
+            RowTest::Words(range, value) => RowTest::Words(range, value.into()),
+            RowTest::Cmp(left, cmp, right) => RowTest::Cmp(left, cmp, right),
+        }
     }
 }
 

@@ -4,6 +4,7 @@
 use crate::atom::{AtomicProposition, Misfit, RowTest};
 use crate::trace::PropositionTrace;
 use psm_trace::{FunctionalTrace, Row, SignalSet};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -74,7 +75,7 @@ impl PropositionVocabulary {
     /// Every atom resolved against the row layout of `signals`, for a
     /// walk over many rows of that layout, or the first atom that layout
     /// cannot hold.
-    fn resolve(&self, signals: &SignalSet) -> Result<Vec<RowTest>, ClassifyError> {
+    fn resolve(&self, signals: &SignalSet) -> Result<Vec<RowTest<&[u64]>>, ClassifyError> {
         // A loaded vocabulary's atoms are not checked against its own
         // signals, so an id it does not declare is named by its index.
         let name = |id: psm_trace::SignalId| {
@@ -341,35 +342,31 @@ impl PropositionTable {
         let mut row = Vec::new();
         Ok(trace
             .iter()
-            .map(|cycle| {
-                let words = cycle.as_words();
-                pack_truths(&mut row, tests.len(), tests.iter().map(|t| t.holds(words)));
-                self.index.get(&self.props, &row)
-            })
+            .map(|cycle| self.lookup(&tests, cycle.as_words(), &mut row))
             .collect())
     }
 
-    /// The table's classification resolved against the row layout of
-    /// `signals`, for a consumer that classifies rows one at a time (the
-    /// estimator of `psm-compile`). Its [`classify`](RowClassifier::classify)
-    /// equals [`classify_trace`](Self::classify_trace) row for row.
+    /// The class of the row `words` under the table's atoms resolved as
+    /// `tests`; `truths` is scratch for the packed truth row. Every
+    /// resolved classification goes through here.
+    #[inline]
+    fn lookup<C: AsRef<[u64]>>(
+        &self,
+        tests: &[RowTest<C>],
+        words: &[u64],
+        truths: &mut Vec<u64>,
+    ) -> Option<PropositionId> {
+        pack_truths(truths, tests.len(), tests.iter().map(|t| t.holds(words)));
+        self.index.get(&self.props, truths)
+    }
+
+    /// [`RowClassifier::new`] borrowing this table.
     ///
     /// # Errors
     ///
-    /// The [`ClassifyError`] [`try_classify_trace`](Self::try_classify_trace)
-    /// returns for a trace laid out by `signals`.
-    pub fn row_classifier(&self, signals: &SignalSet) -> Result<RowClassifier, ClassifyError> {
-        let tests = self.vocabulary.resolve(signals)?;
-        let mut reads: Vec<usize> = tests.iter().flat_map(RowTest::reads).collect();
-        reads.sort_unstable();
-        reads.dedup();
-        Ok(RowClassifier {
-            tests,
-            reads,
-            row_words: signals.words_per_cycle(),
-            props: self.props.clone(),
-            index: self.index.clone(),
-        })
+    /// As [`RowClassifier::new`].
+    pub fn row_classifier(&self, signals: &SignalSet) -> Result<RowClassifier<'_>, ClassifyError> {
+        RowClassifier::new(Cow::Borrowed(self), signals)
     }
 
     /// Evaluates one cycle *without* interning (simulation path); `None`
@@ -412,10 +409,14 @@ impl PropositionTable {
     }
 }
 
-/// A [`PropositionTable`] resolved against one row layout: its atoms as
-/// word tests, the row words those tests read, and a copy of the table's
-/// row lookup. Built by [`PropositionTable::row_classifier`]; it owns
-/// what it reads, so a served model can keep one for its lifetime.
+/// A [`PropositionTable`] resolved against one row layout: the table,
+/// borrowed or owned, its atoms as word tests, and the row words those
+/// tests read. Built by [`RowClassifier::new`] (or, borrowing,
+/// [`PropositionTable::row_classifier`]) for a consumer that classifies
+/// rows one at a time, such as the estimator of `psm-compile`; an owning
+/// classifier lets a served model keep one for its lifetime. Its
+/// [`classify`](Self::classify) equals
+/// [`PropositionTable::classify_trace`] row for row.
 ///
 /// A row's class is a pure function of the words in
 /// [`reads`](Self::reads): two rows that agree on every one of them
@@ -456,16 +457,51 @@ impl PropositionTable {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct RowClassifier {
-    tests: Vec<RowTest>,
+pub struct RowClassifier<'t> {
+    table: Cow<'t, PropositionTable>,
+    /// The table's atoms, owning their words so that an owned table can
+    /// travel with them.
+    tests: Vec<RowTest<Box<[u64]>>>,
     /// Row words any test reads, ascending, each once.
     reads: Vec<usize>,
     row_words: usize,
-    props: Vec<Proposition>,
-    index: RowIndex,
 }
 
-impl RowClassifier {
+impl<'t> RowClassifier<'t> {
+    /// Resolves `table`'s atoms against the row layout of `signals`.
+    ///
+    /// # Errors
+    ///
+    /// The [`ClassifyError`] [`PropositionTable::try_classify_trace`]
+    /// returns for a trace laid out by `signals`.
+    pub fn new(
+        table: Cow<'t, PropositionTable>,
+        signals: &SignalSet,
+    ) -> Result<RowClassifier<'t>, ClassifyError> {
+        let tests: Vec<_> = table
+            .vocabulary
+            .resolve(signals)?
+            .into_iter()
+            .map(RowTest::into_owned)
+            .collect();
+        let mut reads: Vec<usize> = tests.iter().flat_map(RowTest::reads).collect();
+        reads.sort_unstable();
+        reads.dedup();
+        Ok(RowClassifier {
+            table,
+            tests,
+            reads,
+            row_words: signals.words_per_cycle(),
+        })
+    }
+}
+
+impl RowClassifier<'_> {
+    /// The table the classifier classifies against.
+    pub fn table(&self) -> &PropositionTable {
+        &self.table
+    }
+
     /// Words per row of the layout the classifier was resolved against.
     pub fn row_words(&self) -> usize {
         self.row_words
@@ -490,12 +526,7 @@ impl RowClassifier {
     ///
     /// Panics if `row` is shorter than the words the atoms read.
     pub fn classify(&self, row: &[u64], truths: &mut Vec<u64>) -> Option<PropositionId> {
-        pack_truths(
-            truths,
-            self.tests.len(),
-            self.tests.iter().map(|t| t.holds(row)),
-        );
-        self.index.get(&self.props, truths)
+        self.table.lookup(&self.tests, row, truths)
     }
 
     /// Whether two rows of the layout differ in a word the atoms read.

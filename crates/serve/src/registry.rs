@@ -29,6 +29,7 @@ use psm_hmm::{Hmm, HmmOutcome};
 use psm_mining::PropositionTable;
 use psm_persist::{decode_artifact, ArtifactEntry, Persist, PersistError};
 use psm_trace::{FunctionalTrace, SignalSet};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -66,8 +67,8 @@ impl std::error::Error for RegistryError {
     }
 }
 
-/// One loaded model, ready to estimate: its proposition table and the
-/// [`RowEstimator`] that classifies raw cycles against it and steps the
+/// One loaded model, ready to estimate: the [`RowEstimator`] that owns
+/// its proposition table, classifies raw cycles against it and steps the
 /// compiled PSM+HMM runtime.
 ///
 /// This mirrors the facade's `TrainedModel` minus the training stats —
@@ -82,8 +83,7 @@ pub struct ServedModel {
     pub version: u64,
     /// The artifact *format* version the file was probed at.
     pub format_version: u32,
-    table: PropositionTable,
-    estimator: RowEstimator,
+    estimator: RowEstimator<'static>,
 }
 
 impl ServedModel {
@@ -102,22 +102,21 @@ impl ServedModel {
             .map_err(|e| RegistryError::of(&entry.path, PersistError::Io(e)))?;
         let (format_version, doc) =
             decode_artifact(&text).map_err(|e| RegistryError::of(&entry.path, e))?;
-        let parse = || -> Result<(PropositionTable, RowEstimator), PersistError> {
+        let parse = || -> Result<RowEstimator<'static>, PersistError> {
             let table: PropositionTable = Persist::from_json(doc.field("table")?)?;
             let psm: Psm = Persist::from_json(doc.field("psm")?)?;
             let hmm: Hmm = Persist::from_json(doc.field("hmm")?)?;
             let compiled = CompiledModel::compile(&psm, &hmm)
                 .map_err(|e| PersistError::schema(e.to_string()))?;
-            let estimator = RowEstimator::new(&table, table.vocabulary().signals(), compiled)
-                .map_err(|e| PersistError::schema(e.to_string()))?;
-            Ok((table, estimator))
+            let signals = table.vocabulary().signals().clone();
+            RowEstimator::new(Cow::Owned(table), &signals, compiled)
+                .map_err(|e| PersistError::schema(e.to_string()))
         };
-        let (table, estimator) = parse().map_err(|e| RegistryError::of(&entry.path, e))?;
+        let estimator = parse().map_err(|e| RegistryError::of(&entry.path, e))?;
         Ok(ServedModel {
             name: entry.name.clone(),
             version: entry.version,
             format_version,
-            table,
             estimator,
         })
     }
@@ -129,7 +128,7 @@ impl ServedModel {
 
     /// Number of mined propositions in the classification table.
     pub fn proposition_count(&self) -> usize {
-        self.table.len()
+        self.estimator.table().len()
     }
 
     /// The compiled runtime, built when the artifact loaded.
@@ -139,7 +138,7 @@ impl ServedModel {
 
     /// The row estimator every request runs through, resolved against
     /// the model's interface when the artifact loaded.
-    pub fn estimator(&self) -> &RowEstimator {
+    pub fn estimator(&self) -> &RowEstimator<'static> {
         &self.estimator
     }
 
@@ -155,7 +154,7 @@ impl ServedModel {
     ///
     /// A message naming the first difference.
     pub fn check_interface(&self, signals: &SignalSet) -> Result<(), String> {
-        let model = self.table.vocabulary().signals();
+        let model = self.estimator.table().vocabulary().signals();
         if signals.len() != model.len() {
             return Err(format!(
                 "interface mismatch: request declares {} signal(s), model {}@{} reads {}",

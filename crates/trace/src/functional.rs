@@ -314,12 +314,16 @@ impl FunctionalTrace {
         if t == 0 {
             return 0;
         }
-        InputSpans::new(&self.signals).distance(self.cycle(t - 1).words, row.words)
+        input_distance(
+            &input_spans(&self.signals),
+            self.cycle(t - 1).words,
+            row.words,
+        )
     }
 
     /// The full input-Hamming-distance series, one entry per instant.
     pub fn input_hamming_series(&self) -> Vec<u32> {
-        let spans = InputSpans::new(&self.signals);
+        let spans = input_spans(&self.signals);
         let wpc = self.signals.words_per_cycle();
         let mut out = Vec::with_capacity(self.len);
         if self.len > 0 {
@@ -330,7 +334,7 @@ impl FunctionalTrace {
             out.extend(
                 rows.clone()
                     .zip(rows.skip(1))
-                    .map(|(prev, row)| spans.distance(prev, row)),
+                    .map(|(prev, row)| input_distance(&spans, prev, row)),
             );
         } else {
             out.resize(self.len, 0);
@@ -364,7 +368,11 @@ impl FunctionalTrace {
                 actual: prev.len(),
             });
         }
-        Ok(InputSpans::new(&self.signals).distance(prev, self.cycle(t).words))
+        Ok(input_distance(
+            &input_spans(&self.signals),
+            prev,
+            self.cycle(t).words,
+        ))
     }
 
     /// Splits the trace into windows of at most `window` instants each
@@ -391,31 +399,50 @@ impl FunctionalTrace {
     }
 }
 
-/// The row words of an interface's primary inputs, merged into maximal
-/// contiguous spans: what the input Hamming distance between two rows
-/// reads.
-///
+/// The row words of the primary inputs of `signals`, merged into maximal
+/// contiguous spans.
+fn input_spans(signals: &SignalSet) -> Vec<Range<usize>> {
+    let mut spans: Vec<Range<usize>> = Vec::new();
+    let ranges = signals
+        .iter()
+        .filter(|(_, decl)| decl.direction() == Direction::Input)
+        .map(|(id, _)| signals.word_range(id));
+    for range in ranges {
+        match spans.last_mut() {
+            Some(last) if last.end == range.start => last.end = range.end,
+            _ => spans.push(range),
+        }
+    }
+    spans
+}
+
+/// Number of input bits that differ between two rows.
+fn input_distance(spans: &[Range<usize>], prev: &[u64], row: &[u64]) -> u32 {
+    spans
+        .iter()
+        .map(|range| {
+            prev[range.clone()]
+                .iter()
+                .zip(&row[range.clone()])
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum::<u32>()
+        })
+        .sum()
+}
+
+/// The input spans of one row layout, resolved once: what the input
+/// Hamming distance between two rows reads.
 /// [`FunctionalTrace::input_hamming_series`] measures every pair of
-/// consecutive rows with it; a row-by-row consumer resolves it once per
-/// interface and calls [`distance`](InputSpans::distance) per row.
+/// consecutive rows of one trace; a row-by-row consumer resolves this
+/// once per interface and calls [`distance`](InputSpans::distance) per
+/// row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputSpans(Vec<Range<usize>>);
 
 impl InputSpans {
     /// The input spans of rows laid out by `signals`.
     pub fn new(signals: &SignalSet) -> InputSpans {
-        let mut spans: Vec<Range<usize>> = Vec::new();
-        let ranges = signals
-            .iter()
-            .filter(|(_, decl)| decl.direction() == Direction::Input)
-            .map(|(id, _)| signals.word_range(id));
-        for range in ranges {
-            match spans.last_mut() {
-                Some(last) if last.end == range.start => last.end = range.end,
-                _ => spans.push(range),
-            }
-        }
-        InputSpans(spans)
+        InputSpans(input_spans(signals))
     }
 
     /// Number of input bits that differ between two rows of the layout.
@@ -425,16 +452,7 @@ impl InputSpans {
     /// Panics if a row is shorter than the layout's input words reach.
     #[inline]
     pub fn distance(&self, prev: &[u64], row: &[u64]) -> u32 {
-        self.0
-            .iter()
-            .map(|range| {
-                prev[range.clone()]
-                    .iter()
-                    .zip(&row[range.clone()])
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum::<u32>()
-            })
-            .sum()
+        input_distance(&self.0, prev, row)
     }
 }
 

@@ -51,6 +51,7 @@ use psm_rtl::{
 };
 use psm_stats::{mean_relative_error, StatsError};
 use psm_trace::{FunctionalTrace, PowerTrace, TraceError};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
@@ -952,7 +953,7 @@ impl PsmFlow {
     ) -> HmmOutcome {
         let compiled = CompiledModel::compile(&model.psm, &model.hmm)
             .unwrap_or_else(|e| panic!("HMM and PSM must agree on the state space: {e}"));
-        RowEstimator::new(&model.table, functional.signals(), compiled)
+        RowEstimator::new(Cow::Borrowed(&model.table), functional.signals(), compiled)
             .unwrap_or_else(|e| panic!("cannot classify the trace: {e}"))
             .run(functional)
     }

@@ -28,6 +28,7 @@ use psmgen::mining::{
 use psmgen::psm::{classify_trace, generate_psm, join, MergePolicy};
 use psmgen::serve::{Registry, ServedModel, StreamSession};
 use psmgen::trace::{Direction, FunctionalTrace, PowerTrace, SignalSet};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 const BENCHES: [&str; 4] = ["RAM", "MultSum", "AES", "Camellia"];
@@ -191,9 +192,10 @@ fn trained(
     (model, served, workload)
 }
 
-fn estimator_for(model: &TrainedModel, trace: &FunctionalTrace) -> RowEstimator {
+fn estimator_for<'t>(model: &'t TrainedModel, trace: &FunctionalTrace) -> RowEstimator<'t> {
     let compiled = model.compile().expect("model compiles");
-    RowEstimator::new(&model.table, trace.signals(), compiled).expect("trace holds the atoms")
+    RowEstimator::new(Cow::Borrowed(&model.table), trace.signals(), compiled)
+        .expect("trace holds the atoms")
 }
 
 #[test]
@@ -286,7 +288,7 @@ fn mine(trace: &FunctionalTrace) -> PropositionTable {
 /// `row` with its words outside `classifier`'s read set scrambled, kept
 /// within each signal's width.
 fn scramble_unread(
-    classifier: &RowClassifier,
+    classifier: &RowClassifier<'_>,
     signals: &SignalSet,
     row: &[u64],
     rng: &mut Prng,
@@ -338,7 +340,7 @@ fn words_outside_the_read_set_never_change_the_class() {
 /// What the estimator does: keep the previous class while the read words
 /// repeat.
 fn memoised_walk(
-    classifier: &RowClassifier,
+    classifier: &RowClassifier<'_>,
     trace: &FunctionalTrace,
 ) -> (Vec<Option<PropositionId>>, usize) {
     let mut truths = classifier.truth_buffer();
@@ -404,7 +406,7 @@ fn memoised_walk_equals_classify_trace() {
         );
         let hmm = build_hmm(&psm, mined.table.len());
         let estimator = RowEstimator::new(
-            &mined.table,
+            Cow::Borrowed(&mined.table),
             trace.signals(),
             CompiledModel::compile(&psm, &hmm).unwrap(),
         )
@@ -441,7 +443,7 @@ fn empty_traces_and_rows_without_words() {
     );
     let hmm = build_hmm(&psm, mined.table.len());
     let estimator = RowEstimator::new(
-        &mined.table,
+        Cow::Borrowed(&mined.table),
         empty.signals(),
         CompiledModel::compile(&psm, &hmm).unwrap(),
     )
@@ -481,7 +483,7 @@ fn empty_traces_and_rows_without_words() {
     );
     let hmm = build_hmm(&psm, 2);
     let estimator = RowEstimator::new(
-        &table,
+        Cow::Borrowed(&table),
         bare.signals(),
         CompiledModel::compile(&psm, &hmm).unwrap(),
     )
