@@ -50,11 +50,13 @@ use crate::dataflow::{eval_ternary, interpretable, Ternary};
 use crate::{codes, AnalysisReport, Diagnostic};
 use psm_core::{Psm, StateId};
 use psm_mining::{
-    AtomicProposition, PropositionId, PropositionTable, TemporalAssertion, TemporalPattern,
+    AtomicProposition, PropositionId, PropositionTable, RowClassifier, TemporalAssertion,
+    TemporalPattern,
 };
 use psm_prng::Prng;
 use psm_rtl::{Netlist, PortHandle, Simulator};
-use psm_trace::{Bits, Direction, FunctionalTrace, Row};
+use psm_trace::{Bits, Direction, FunctionalTrace};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Knobs of the bounded verification pass (the `[verify]` section of
@@ -296,19 +298,6 @@ fn proposition_status(table: &PropositionTable, id: PropositionId, atoms: &[Tern
     }
 }
 
-/// `true` when the table's signal interface and the netlist's port list
-/// agree on names, widths and directions — the precondition for reading
-/// sampled port cycles as proposition rows (XA001's concern; verification
-/// silently steps aside when it does not hold).
-fn interface_matches(netlist: &Netlist, table: &PropositionTable) -> bool {
-    let ports = netlist.signal_set();
-    let signals = table.vocabulary().signals();
-    ports.len() == signals.len()
-        && ports.iter().zip(signals.iter()).all(|((_, a), (_, b))| {
-            a.name() == b.name() && a.width() == b.width() && a.direction() == b.direction()
-        })
-}
-
 /// The distinct mined assertions of a PSM, in first-appearance order.
 fn collect_assertions(psm: &Psm) -> Vec<TemporalAssertion> {
     let mut seen = BTreeSet::new();
@@ -357,17 +346,30 @@ fn input_ports(netlist: &Netlist) -> Vec<(String, usize)> {
 
 /// The violation predicate shared by every engine: the allowed-successor
 /// relation plus the environment-compatibility filter from the module
-/// docs.
+/// docs. It holds the run's one [`RowClassifier`], which classifies every
+/// sampled port valuation.
 struct Checker<'a> {
-    table: &'a PropositionTable,
+    classifier: RowClassifier<'a>,
     allowed: BTreeMap<usize, BTreeSet<usize>>,
     /// Indices of atoms referencing only input signals.
     input_atoms: Vec<usize>,
 }
 
 impl<'a> Checker<'a> {
-    fn new(table: &'a PropositionTable, assertions: &[TemporalAssertion]) -> Self {
+    /// The checker of `assertions` over `table`, or why `netlist`'s
+    /// sampled ports cannot be classified as its rows: the table's
+    /// interface and the port list must agree on names, widths and
+    /// directions (XA001's concern; verification silently steps aside
+    /// when they do not), and the atoms must fit that interface.
+    fn new(
+        netlist: &Netlist,
+        table: &'a PropositionTable,
+        assertions: &[TemporalAssertion],
+    ) -> Result<Self, String> {
         let signals = table.vocabulary().signals();
+        if netlist.signal_set() != *signals {
+            return Err("trace interface and netlist ports disagree (see XA001)".to_owned());
+        }
         let is_input = |id: psm_trace::SignalId| signals.decl(id).direction() == Direction::Input;
         let input_atoms = table
             .vocabulary()
@@ -384,20 +386,21 @@ impl<'a> Checker<'a> {
                 all_inputs.then_some(i)
             })
             .collect();
-        Checker {
-            table,
+        Ok(Checker {
+            classifier: RowClassifier::new(Cow::Borrowed(table), signals)
+                .map_err(|e| e.to_string())?,
             allowed: allowed_successors(assertions),
             input_atoms,
-        }
+        })
     }
 
     /// `true` when the transition from a cycle satisfying `antecedent` to
-    /// the port valuation `next_row` (classified as `next_prop`) violates
-    /// the mined assertion set.
+    /// the port valuation with the row words `next_row` (classified as
+    /// `next_prop`) violates the mined assertion set.
     fn violates(
         &self,
         antecedent: PropositionId,
-        next_row: Row<'_>,
+        next_row: &[u64],
         next_prop: Option<PropositionId>,
     ) -> bool {
         let Some(next) = self.allowed.get(&antecedent.index()) else {
@@ -411,10 +414,14 @@ impl<'a> Checker<'a> {
         // Environment compatibility: some allowed successor must agree
         // with the actual row on every input-only atom, otherwise the
         // stimulus left the assertion's assumptions.
-        let packed = self.table.vocabulary().evaluate_row(next_row);
-        let truth = |i: usize| (packed[i / 64] >> (i % 64)) & 1 == 1;
+        let mut truths = self.classifier.truth_buffer();
+        self.classifier.classify(next_row, &mut truths);
+        let truth = |i: usize| (truths[i / 64] >> (i % 64)) & 1 == 1;
         next.iter().any(|&q| {
-            let qp = self.table.get(PropositionId::from_index(q as u32));
+            let qp = self
+                .classifier
+                .table()
+                .get(PropositionId::from_index(q as u32));
             self.input_atoms
                 .iter()
                 .all(|&i| truth(i) == qp.atom_truth(i))
@@ -427,14 +434,13 @@ impl<'a> Checker<'a> {
 /// the simulator rejects the netlist or stimulus.
 fn simulate_props(
     netlist: &Netlist,
-    table: &PropositionTable,
+    classifier: &RowClassifier<'_>,
     stimulus: &[Vec<Bits>],
 ) -> Option<(Vec<Option<PropositionId>>, FunctionalTrace)> {
     let mut sim = Simulator::new(netlist).ok()?;
     let handles: Vec<PortHandle> = sim.input_handles().into_iter().map(|(_, h)| h).collect();
-    let mut props = Vec::with_capacity(stimulus.len());
-    let mut rows =
-        FunctionalTrace::with_capacity(table.vocabulary().signals().clone(), stimulus.len());
+    let signals = classifier.table().vocabulary().signals().clone();
+    let mut rows = FunctionalTrace::with_capacity(signals, stimulus.len());
     for cycle in stimulus {
         if cycle.len() != handles.len() {
             return None;
@@ -444,9 +450,8 @@ fn simulate_props(
         }
         sim.step();
         rows.push_cycle(sim.sample_ports()).ok()?;
-        props.push(table.classify(rows.cycle(rows.len() - 1)));
     }
-    Some((props, rows))
+    Some((classifier.classify_trace(&rows), rows))
 }
 
 /// Renders the per-cycle trace of a stimulus for SARIF `codeFlows`.
@@ -486,23 +491,23 @@ fn render_steps(
 /// silently drop the target's refutation.
 fn confirm_witness(
     netlist: &Netlist,
-    table: &PropositionTable,
     checker: &Checker<'_>,
     stimulus: Vec<Vec<Bits>>,
     target: Option<usize>,
 ) -> Option<(usize, Counterexample)> {
-    let (props, rows) = simulate_props(netlist, table, &stimulus)?;
+    let (props, rows) = simulate_props(netlist, &checker.classifier, &stimulus)?;
     let violation = (0..props.len().saturating_sub(1)).find_map(|t| {
         let a = props[t]?;
         if target.is_some_and(|want| want != a.index()) {
             return None;
         }
         checker
-            .violates(a, rows.cycle(t + 1), props[t + 1])
+            .violates(a, rows.cycle(t + 1).as_words(), props[t + 1])
             .then_some((t + 1, a.index()))
     });
     let (instant, left) = violation?;
     let inputs = input_ports(netlist);
+    let table = checker.classifier.table();
     let steps = render_steps(table, &inputs, &stimulus[..=instant], &props[..=instant]);
     Some((
         left,
@@ -551,10 +556,10 @@ fn unpack_combo(combo: u64, inputs: &[(String, usize)]) -> Vec<Bits> {
 /// back to the abstract engine.
 fn exhaustive_search(
     netlist: &Netlist,
-    table: &PropositionTable,
     checker: &Checker<'_>,
     cfg: &VerifyConfig,
 ) -> Option<Exploration> {
+    let table = checker.classifier.table();
     let inputs = input_ports(netlist);
     let total_bits: usize = inputs.iter().map(|(_, w)| w).sum();
     // `total_bits >= 64` would overflow the packed-`u64` combination
@@ -596,6 +601,7 @@ fn exhaustive_search(
     let mut unknown_candidate: Option<usize> = None;
     // Every sampled port valuation, one row per node after the root.
     let mut samples = FunctionalTrace::new(table.vocabulary().signals().clone());
+    let mut truths = checker.classifier.truth_buffer();
 
     while let Some((ni, sim)) = frontier.pop_front() {
         if nodes[ni].depth >= cfg.depth {
@@ -608,8 +614,8 @@ fn exhaustive_search(
             }
             child.step();
             samples.push_cycle(child.sample_ports()).ok()?;
-            let sampled = samples.cycle(samples.len() - 1);
-            let prop = table.classify(sampled);
+            let sampled = samples.cycle(samples.len() - 1).as_words();
+            let prop = checker.classifier.classify(sampled, &mut truths);
             let m = nodes.len();
             nodes.push(Node {
                 parent: ni,
@@ -664,7 +670,7 @@ fn exhaustive_search(
         // (or a false `Proved` for `left`, were the replay allowed to
         // attribute the path to an earlier violation of another
         // antecedent — that one has its own candidate here).
-        match confirm_witness(netlist, table, checker, rebuild(node), Some(left)) {
+        match confirm_witness(netlist, checker, rebuild(node), Some(left)) {
             Some((_, cex)) => {
                 violations.insert(left, cex);
             }
@@ -673,7 +679,7 @@ fn exhaustive_search(
     }
     let unknown_row = unknown_candidate.and_then(|node| {
         let stimulus = rebuild(node);
-        let (props, _) = simulate_props(netlist, table, &stimulus)?;
+        let (props, _) = simulate_props(netlist, &checker.classifier, &stimulus)?;
         let instant = props.iter().position(Option::is_none)?;
         let inputs = input_ports(netlist);
         let steps = render_steps(table, &inputs, &stimulus[..=instant], &props[..=instant]);
@@ -696,12 +702,8 @@ fn exhaustive_search(
 
 /// Abstract bounded exploration over the k-cycle ternary unroller, plus
 /// optional concrete random sampling.
-fn abstract_search(
-    netlist: &Netlist,
-    table: &PropositionTable,
-    checker: &Checker<'_>,
-    cfg: &VerifyConfig,
-) -> Exploration {
+fn abstract_search(netlist: &Netlist, checker: &Checker<'_>, cfg: &VerifyConfig) -> Exploration {
+    let table = checker.classifier.table();
     let mut out = Exploration {
         complete: false,
         reachable: BTreeSet::new(),
@@ -754,9 +756,7 @@ fn abstract_search(
             {
                 let zeros: Vec<Bits> = inputs.iter().map(|(_, w)| Bits::zero(*w)).collect();
                 let stimulus = vec![zeros; t + 2];
-                if let Some((_, cex)) =
-                    confirm_witness(netlist, table, checker, stimulus, Some(left))
-                {
+                if let Some((_, cex)) = confirm_witness(netlist, checker, stimulus, Some(left)) {
                     out.violations.entry(left).or_insert(cex);
                 }
             }
@@ -780,14 +780,13 @@ fn abstract_search(
                     .collect()
             })
             .collect();
-        let Some((props, _)) = simulate_props(netlist, table, &stimulus) else {
+        let Some((props, _)) = simulate_props(netlist, &checker.classifier, &stimulus) else {
             continue;
         };
         for p in props.iter().flatten() {
             out.reachable.insert(p.index());
         }
-        if let Some((left, cex)) = confirm_witness(netlist, table, checker, stimulus.clone(), None)
-        {
+        if let Some((left, cex)) = confirm_witness(netlist, checker, stimulus.clone(), None) {
             out.violations.entry(left).or_insert(cex);
         }
         if out.unknown_row.is_none() {
@@ -826,26 +825,28 @@ pub fn verify_model(
         netlist.name()
     ));
     let assertions = collect_assertions(psm);
-    if cfg.depth == 0 || !interface_matches(netlist, table) {
-        let why = if cfg.depth == 0 {
-            "verification disabled (depth 0)"
-        } else {
-            "verification skipped: trace interface and netlist ports disagree (see XA001)"
-        };
-        report.push(Diagnostic::new(&codes::MC003, "verification run", why));
-        return VerifyOutcome {
-            report,
-            checks: Vec::new(),
-            mode: VerifyMode::Abstract,
-            depth: cfg.depth,
-        };
-    }
-    let checker = Checker::new(table, &assertions);
-    let (mode, exploration) = match exhaustive_search(netlist, table, &checker, cfg) {
+    let checker = match cfg.depth {
+        0 => Err("verification disabled (depth 0)".to_owned()),
+        _ => Checker::new(netlist, table, &assertions)
+            .map_err(|why| format!("verification skipped: {why}")),
+    };
+    let checker = match checker {
+        Ok(checker) => checker,
+        Err(why) => {
+            report.push(Diagnostic::new(&codes::MC003, "verification run", why));
+            return VerifyOutcome {
+                report,
+                checks: Vec::new(),
+                mode: VerifyMode::Abstract,
+                depth: cfg.depth,
+            };
+        }
+    };
+    let (mode, exploration) = match exhaustive_search(netlist, &checker, cfg) {
         Some(e) => (VerifyMode::Exhaustive, e),
         None => (
             VerifyMode::Abstract,
-            abstract_search(netlist, table, &checker, cfg),
+            abstract_search(netlist, &checker, cfg),
         ),
     };
 
@@ -1066,17 +1067,16 @@ pub fn replay_witness(
         stimulus.len(),
         netlist.name()
     ));
-    if !interface_matches(netlist, table) {
-        report.push(Diagnostic::new(
-            &codes::MC003,
-            "replay",
-            "replay skipped: trace interface and netlist ports disagree (see XA001)",
-        ));
-        return report;
-    }
     let assertions = collect_assertions(psm);
-    let checker = Checker::new(table, &assertions);
-    match confirm_witness(netlist, table, &checker, stimulus.to_vec(), None) {
+    let checker = match Checker::new(netlist, table, &assertions) {
+        Ok(checker) => checker,
+        Err(why) => {
+            let why = format!("replay skipped: {why}");
+            report.push(Diagnostic::new(&codes::MC003, "replay", why));
+            return report;
+        }
+    };
+    match confirm_witness(netlist, &checker, stimulus.to_vec(), None) {
         Some((left, cex)) => {
             let refuted: Vec<String> = assertions
                 .iter()
@@ -1096,7 +1096,7 @@ pub fn replay_witness(
             );
         }
         None => {
-            let note = match simulate_props(netlist, table, stimulus) {
+            let note = match simulate_props(netlist, &checker.classifier, stimulus) {
                 Some((props, _)) => match props.iter().position(Option::is_none) {
                     Some(t) => {
                         report.push(Diagnostic::new(

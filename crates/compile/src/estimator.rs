@@ -20,7 +20,7 @@ use crate::pass::CompiledForwardState;
 ///
 /// 1. the row is classified only when it differs from the previous row
 ///    of the same chunk in a word the table's atoms read
-///    ([`RowClassifier::reads_differ`]); otherwise the previous class is
+///    ([`RowClassifier::classify_rows`]); otherwise the previous class is
 ///    kept, which is exact because a class is a pure function of those
 ///    words. The first row of every chunk is classified afresh;
 /// 2. the input Hamming distance to the previous row — the last row of
@@ -170,29 +170,24 @@ impl RowEstimator<'_> {
                 actual,
             });
         }
-        let words = chunk.as_words();
-        let row = |t: usize| &words[t * width..(t + 1) * width];
-        // `prev` is the row before row `t`; before a stream's first row
-        // there is none, and that row's distance is 0.
-        let mut prev: &[u64] = &state.prev;
-        let mut class = None;
-        for t in 0..chunk.len() {
-            let cur = row(t);
-            let hamming = if t > 0 || state.has_prev {
-                self.inputs.distance(prev, cur)
-            } else {
-                0
-            };
-            if t == 0 || self.classifier.reads_differ(prev, cur) {
-                class = self.classifier.classify(cur, &mut state.truths);
-            }
-            estimate.push(self.model.step(&mut state.forward, class, hamming));
-            prev = cur;
+        // `prev` is the row before the current one; before a stream's
+        // first row there is none, and that row's distance is 0.
+        let EstimatorState {
+            forward,
+            prev: last,
+            has_prev,
+            truths,
+        } = state;
+        let mut prev: Option<&[u64]> = has_prev.then_some(last);
+        for (row, class) in self.classifier.classify_rows(chunk, truths) {
+            let hamming = prev.map_or(0, |prev| self.inputs.distance(prev, row));
+            estimate.push(self.model.step(forward, class, hamming));
+            prev = Some(row);
         }
         if let Some(t) = chunk.len().checked_sub(1) {
-            state.prev.clear();
-            state.prev.extend_from_slice(row(t));
-            state.has_prev = true;
+            last.clear();
+            last.extend_from_slice(chunk.cycle(t).as_words());
+            *has_prev = true;
         }
         Ok(())
     }

@@ -112,7 +112,7 @@ pub(crate) struct EntryTable {
     /// equal score, which never wins under strict `>`.
     pub(crate) state: Vec<u32>,
     /// Largest per-state count of distinct chains — the alternative-buffer
-    /// capacity that makes the compiled resume allocation-free.
+    /// capacity that makes the compiled step allocation-free.
     pub(crate) max_chains: usize,
 }
 

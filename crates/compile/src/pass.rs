@@ -45,12 +45,12 @@ pub struct CompiledForwardState {
 }
 
 impl CompiledForwardState {
-    /// Wrong-state predictions accumulated over every resumed chunk.
+    /// Wrong-state predictions accumulated over every instant so far.
     pub fn wrong_state_predictions(&self) -> usize {
         self.wrong
     }
 
-    /// Unknown instants accumulated over every resumed chunk.
+    /// Unknown instants accumulated over every instant so far.
     pub fn unknown_instants(&self) -> usize {
         self.unknown
     }
@@ -58,11 +58,6 @@ impl CompiledForwardState {
     /// Total instants fed through this state so far.
     pub fn instants(&self) -> usize {
         self.instants
-    }
-
-    /// The state currently holding the power estimate.
-    pub fn last_state(&self) -> usize {
-        self.last_state as usize
     }
 
     /// Packages `estimate` with this state's counters.
@@ -96,42 +91,26 @@ impl CompiledModel {
         }
     }
 
-    /// Feeds one chunk of observations through `state`, appending one power
-    /// estimate per instant to `estimate`: one [`step`](Self::step) per
-    /// instant. Splitting a trace into chunks and resuming each through the
-    /// same state is bit-identical to one `psm_hmm::HmmSimulator::run` over
-    /// the whole trace on the model this was compiled from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn resume(
-        &self,
-        state: &mut CompiledForwardState,
-        observations: &[Option<PropositionId>],
-        input_hamming: &[u32],
-        estimate: &mut PowerTrace,
-    ) {
-        assert_eq!(
-            observations.len(),
-            input_hamming.len(),
-            "observations and hamming series must align"
-        );
-        for (&obs, &hamming) in observations.iter().zip(input_hamming) {
-            estimate.push(self.step(state, obs, hamming));
-        }
-    }
-
-    /// One-shot convenience: begin, resume over the whole trace, package an
-    /// [`HmmOutcome`] — the compiled twin of `HmmSimulator::run`.
+    /// One-shot convenience: begin, one [`step`](Self::step) per instant,
+    /// package an [`HmmOutcome`] — the compiled twin of
+    /// `HmmSimulator::run`. Feeding the instants to `step` in chunks
+    /// through one state is bit-identical to this.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
     pub fn run(&self, observations: &[Option<PropositionId>], input_hamming: &[u32]) -> HmmOutcome {
+        assert_eq!(
+            observations.len(),
+            input_hamming.len(),
+            "observations and hamming series must align"
+        );
         let mut state = self.begin();
-        let mut estimate = PowerTrace::with_capacity(observations.len());
-        self.resume(&mut state, observations, input_hamming, &mut estimate);
+        let estimate = observations
+            .iter()
+            .zip(input_hamming)
+            .map(|(&obs, &hamming)| self.step(&mut state, obs, hamming))
+            .collect();
         state.outcome(estimate)
     }
 
@@ -139,8 +118,8 @@ impl CompiledModel {
     /// behaviour) with input Hamming distance `input_hamming` from the
     /// previous instant, and returns that instant's power estimate.
     ///
-    /// This is the whole forward pass; [`resume`](Self::resume) and
-    /// [`run`](Self::run) are loops over it.
+    /// This is the whole forward pass; [`run`](Self::run) and the row
+    /// estimator are loops over it.
     #[inline]
     pub fn step(
         &self,

@@ -10,7 +10,7 @@
 use crate::psm::{OutputFunction, Psm, StateId};
 use crate::CoreError;
 use psm_stats::LinearRegression;
-use psm_trace::{FunctionalTrace, PowerTrace};
+use psm_trace::{FunctionalTrace, InputSpans, PowerTrace};
 
 /// Thresholds of the calibration step.
 ///
@@ -120,6 +120,11 @@ pub fn calibrate(
     config: &CalibrationConfig,
 ) -> Result<CalibrationReport, CoreError> {
     let mut examined = Vec::new();
+    // Each training trace's input spans, resolved once for all windows.
+    let spans: Vec<InputSpans> = training
+        .iter()
+        .map(|(phi, _)| InputSpans::new(phi.signals()))
+        .collect();
     let ids: Vec<StateId> = psm.states().map(|(id, _)| id).collect();
     for id in ids {
         let state = psm.state(id);
@@ -134,8 +139,13 @@ pub fn calibrate(
             let (phi, delta) = training
                 .get(w.trace)
                 .ok_or(CoreError::MissingTrainingTrace(w.trace))?;
+            let inputs = &spans[w.trace];
             for t in w.start..=w.stop.min(phi.len().saturating_sub(1)) {
-                xs.push(phi.input_hamming(t) as f64);
+                // The distance to the previous instant, 0 at the first.
+                let hamming = t.checked_sub(1).map_or(0, |prev| {
+                    inputs.distance(phi.cycle(prev).as_words(), phi.cycle(t).as_words())
+                });
+                xs.push(f64::from(hamming));
                 ys.push(delta[t]);
             }
         }

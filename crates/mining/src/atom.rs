@@ -1,5 +1,6 @@
 //! Atomic propositions: the indivisible predicates of the mined logic.
 
+use crate::ClassifyError;
 use psm_trace::{Bits, Row, SignalId, SignalSet};
 use std::cmp::Ordering;
 use std::fmt;
@@ -75,8 +76,11 @@ pub enum AtomicProposition {
 }
 
 impl AtomicProposition {
-    /// Evaluates the atom over one functional-trace cycle, reading the
-    /// row's words in place.
+    /// Evaluates the atom over one functional-trace cycle, as owned
+    /// [`Bits`]: `v = c` by `Bits` equality, `v ∘ w` by the numeric order
+    /// [`Bits::compare`] gives. This is the per-row reference; whole-trace
+    /// walks test the row's words in place through a
+    /// [`RowClassifier`](crate::RowClassifier).
     ///
     /// A `v = c` atom whose constant has a different width from `v` never
     /// holds, as `Bits` equality would have it.
@@ -87,21 +91,32 @@ impl AtomicProposition {
     /// interface, or if a `VarCmpVar` was constructed over signals of
     /// different widths (the miner never does).
     pub fn eval(&self, cycle: Row<'_>) -> bool {
-        match self.resolve(cycle.signals()) {
-            Ok(test) => test.holds(cycle.as_words()),
-            Err(misfit) => panic!("the atom does not fit the row's interface: {misfit:?}"),
+        match self {
+            AtomicProposition::VarEqConst { signal, value } => cycle.bits(*signal) == *value,
+            AtomicProposition::VarCmpVar { left, cmp, right } => cmp.test(
+                cycle
+                    .bits(*left)
+                    .compare(&cycle.bits(*right))
+                    .expect("a relational atom compares equal-width signals"),
+            ),
         }
     }
 
     /// Resolves the atom against the row layout of `signals`, or says why
-    /// that layout cannot hold it.
-    pub(crate) fn resolve(&self, signals: &SignalSet) -> Result<RowTest<&[u64]>, Misfit> {
+    /// that layout cannot hold it, calling its signals what `name` says.
+    pub(crate) fn resolve(
+        &self,
+        signals: &SignalSet,
+        name: impl Fn(SignalId) -> String,
+    ) -> Result<RowTest, ClassifyError> {
         let declared = |id: SignalId| {
-            if id.index() < signals.len() {
-                Ok(signals.decl(id).width())
-            } else {
-                Err(Misfit::Missing(id))
-            }
+            (id.index() < signals.len())
+                .then(|| signals.decl(id).width())
+                .ok_or_else(|| ClassifyError::MissingSignal {
+                    signal: name(id),
+                    index: id.index(),
+                    declared: signals.len(),
+                })
         };
         match self {
             AtomicProposition::VarEqConst { signal, value } => {
@@ -112,12 +127,18 @@ impl AtomicProposition {
                 } else if range.len() == 1 {
                     RowTest::Word(range.start, value.as_words()[0])
                 } else {
-                    RowTest::Words(range, value.as_words())
+                    RowTest::Words(range, value.as_words().into())
                 })
             }
             AtomicProposition::VarCmpVar { left, cmp, right } => {
-                if declared(*left)? != declared(*right)? {
-                    return Err(Misfit::Widths(*left, *right));
+                let (left_width, right_width) = (declared(*left)?, declared(*right)?);
+                if left_width != right_width {
+                    return Err(ClassifyError::WidthMismatch {
+                        left: name(*left),
+                        left_width,
+                        right: name(*right),
+                        right_width,
+                    });
                 }
                 Ok(RowTest::Cmp(
                     signals.word_range(*left),
@@ -154,39 +175,29 @@ impl AtomicProposition {
     }
 }
 
-/// Why an atom cannot be resolved against a row layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Misfit {
-    /// The layout declares no signal with this id.
-    Missing(SignalId),
-    /// A relational atom's two signals have different widths there.
-    Widths(SignalId, SignalId),
-}
-
 /// An atom resolved against one row layout: the words it reads. A trace
 /// walk resolves its atoms once and then tests every row with a few word
-/// compares. `C` holds a wide constant's words: borrowed from the atom
-/// for one walk, owned ([`into_owned`](RowTest::into_owned)) by a
-/// classifier that outlives that borrow.
+/// compares.
 #[derive(Debug, Clone)]
-pub(crate) enum RowTest<C> {
+pub(crate) enum RowTest {
     /// `v = c` where `c` has another width than `v`: never holds.
     Never,
     /// `v = c` for a one-word `v`: the word at this index equals `c`.
     Word(usize, u64),
     /// `v = c` for a wider `v`: these words equal `c`'s.
-    Words(Range<usize>, C),
+    Words(Range<usize>, Box<[u64]>),
     /// `v ∘ w` over two equal-width word ranges.
     Cmp(Range<usize>, Comparison, Range<usize>),
 }
 
-impl<C: AsRef<[u64]>> RowTest<C> {
+impl RowTest {
     /// Whether the atom holds on the row `words`.
+    #[inline]
     pub(crate) fn holds(&self, words: &[u64]) -> bool {
         match self {
             RowTest::Never => false,
             RowTest::Word(at, value) => words[*at] == *value,
-            RowTest::Words(range, value) => words[range.clone()] == *value.as_ref(),
+            RowTest::Words(range, value) => words[range.clone()] == **value,
             RowTest::Cmp(left, cmp, right) => {
                 cmp.test(compare_words(&words[left.clone()], &words[right.clone()]))
             }
@@ -202,18 +213,6 @@ impl<C: AsRef<[u64]>> RowTest<C> {
             RowTest::Cmp(left, _, right) => (left.clone(), right.clone()),
         };
         first.chain(second)
-    }
-}
-
-impl RowTest<&[u64]> {
-    /// The same test, owning its constant's words.
-    pub(crate) fn into_owned(self) -> RowTest<Box<[u64]>> {
-        match self {
-            RowTest::Never => RowTest::Never,
-            RowTest::Word(at, value) => RowTest::Word(at, value),
-            RowTest::Words(range, value) => RowTest::Words(range, value.into()),
-            RowTest::Cmp(left, cmp, right) => RowTest::Cmp(left, cmp, right),
-        }
     }
 }
 

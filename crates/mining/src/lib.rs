@@ -11,7 +11,8 @@
 //!    signals. The result is a [`PropositionVocabulary`]: the columns of the
 //!    paper's truth matrix *m*.
 //!
-//! 2. **Composition** ([`Miner::mine_trace`]): evaluate every atom at every
+//! 2. **Composition** ([`Miner::mine`], through
+//!    [`PropositionTable::intern_trace`]): evaluate every atom at every
 //!    instant (a row of *m*) and intern each distinct row as one
 //!    [`Proposition`] — an AND-composition of the atoms. By construction
 //!    **exactly one proposition holds at every instant**: propositions are

@@ -75,16 +75,7 @@ impl Miner {
     /// * [`MiningError::EmptyVocabulary`] when no atom survives the
     ///   thresholds.
     pub fn mine(&self, traces: &[&FunctionalTrace]) -> Result<MinedTraces, MiningError> {
-        let vocabulary = self.mine_vocabulary(traces)?;
-        let mut table = PropositionTable::new(vocabulary);
-        let prop_traces = traces
-            .iter()
-            .map(|t| Self::mine_trace(&mut table, t))
-            .collect();
-        Ok(MinedTraces {
-            table,
-            traces: prop_traces,
-        })
+        self.mine_with_atoms(traces, Vec::new())
     }
 
     /// Like [`Miner::mine`], with designer-supplied atomic propositions
@@ -109,17 +100,11 @@ impl Miner {
                 atoms.push(atom);
             }
         }
-        let vocabulary =
-            crate::proposition::PropositionVocabulary::new(vocabulary.signals().clone(), atoms);
+        // Phase 2: intern every instant of every trace into one table.
+        let vocabulary = PropositionVocabulary::new(vocabulary.signals().clone(), atoms);
         let mut table = PropositionTable::new(vocabulary);
-        let prop_traces = traces
-            .iter()
-            .map(|t| Self::mine_trace(&mut table, t))
-            .collect();
-        Ok(MinedTraces {
-            table,
-            traces: prop_traces,
-        })
+        let traces = traces.iter().map(|t| table.intern_trace(t)).collect();
+        Ok(MinedTraces { table, traces })
     }
 
     /// Phase 1: extracts the atomic-proposition vocabulary from the
@@ -216,16 +201,6 @@ impl Miner {
             return Err(MiningError::EmptyVocabulary);
         }
         Ok(PropositionVocabulary::new(signals, atoms))
-    }
-
-    /// Phase 2: converts one functional trace into its proposition trace,
-    /// interning any new truth row into `table`.
-    ///
-    /// The atoms are resolved against the trace's row layout once (see
-    /// [`PropositionTable::intern_trace`]), and a truth row is allocated
-    /// only when it is previously unseen.
-    pub fn mine_trace(table: &mut PropositionTable, trace: &FunctionalTrace) -> PropositionTrace {
-        table.intern_trace(trace)
     }
 }
 

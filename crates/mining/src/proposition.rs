@@ -1,7 +1,7 @@
 //! Propositions: AND-compositions of atomic propositions, one per distinct
 //! truth-matrix row.
 
-use crate::atom::{AtomicProposition, Misfit, RowTest};
+use crate::atom::{AtomicProposition, RowTest};
 use crate::trace::PropositionTrace;
 use psm_trace::{FunctionalTrace, Row, SignalSet};
 use std::borrow::Cow;
@@ -60,49 +60,12 @@ impl PropositionVocabulary {
 
     /// Evaluates every atom over one functional-trace cycle, producing a
     /// packed truth row (bit *i* = truth of atom *i*). This is the per-row
-    /// reference; whole-trace walks use [`PropositionTable::intern_trace`]
-    /// and [`PropositionTable::classify_trace`].
+    /// reference, over [`AtomicProposition::eval`]; whole-trace walks and
+    /// the estimator classify through a [`RowClassifier`].
     pub fn evaluate_row(&self, cycle: Row<'_>) -> Vec<u64> {
         let mut row = Vec::new();
-        pack_truths(
-            &mut row,
-            self.atoms.len(),
-            self.atoms.iter().map(|atom| atom.eval(cycle)),
-        );
+        pack_truths(&mut row, self.atoms.iter().map(|atom| atom.eval(cycle)));
         row
-    }
-
-    /// Every atom resolved against the row layout of `signals`, for a
-    /// walk over many rows of that layout, or the first atom that layout
-    /// cannot hold.
-    fn resolve(&self, signals: &SignalSet) -> Result<Vec<RowTest<&[u64]>>, ClassifyError> {
-        // A loaded vocabulary's atoms are not checked against its own
-        // signals, so an id it does not declare is named by its index.
-        let name = |id: psm_trace::SignalId| {
-            if id.index() < self.signals.len() {
-                self.signals.decl(id).name().to_owned()
-            } else {
-                id.to_string()
-            }
-        };
-        self.atoms
-            .iter()
-            .map(|atom| {
-                atom.resolve(signals).map_err(|misfit| match misfit {
-                    Misfit::Missing(id) => ClassifyError::MissingSignal {
-                        signal: name(id),
-                        index: id.index(),
-                        declared: signals.len(),
-                    },
-                    Misfit::Widths(left, right) => ClassifyError::WidthMismatch {
-                        left: name(left),
-                        left_width: signals.decl(left).width(),
-                        right: name(right),
-                        right_width: signals.decl(right).width(),
-                    },
-                })
-            })
-            .collect()
     }
 }
 
@@ -165,14 +128,94 @@ impl fmt::Display for ClassifyError {
 
 impl Error for ClassifyError {}
 
-/// Writes the packed truth row of `count` atoms (bit *i* = truth *i*).
-fn pack_truths(row: &mut Vec<u64>, count: usize, truths: impl Iterator<Item = bool>) {
+/// Writes the packed truth row of the atoms' truths (bit *i* = truth *i*).
+fn pack_truths(row: &mut Vec<u64>, truths: impl ExactSizeIterator<Item = bool>) {
     row.clear();
-    row.resize(count.div_ceil(64).max(1), 0);
+    row.resize(truths.len().div_ceil(64).max(1), 0);
     for (i, truth) in truths.enumerate() {
         if truth {
             row[i / 64] |= 1 << (i % 64);
         }
+    }
+}
+
+/// A vocabulary's atoms resolved against one row layout: word tests, the
+/// words they read (ascending, each once) and the words per row. It holds
+/// no table, so interning and classifying walk the same resolved form.
+#[derive(Debug, Clone)]
+struct RowAtoms {
+    tests: Vec<RowTest>,
+    reads: Vec<usize>,
+    row_words: usize,
+}
+
+impl RowAtoms {
+    /// Resolves every atom of `vocabulary` against the row layout of
+    /// `signals`, or names the first atom that layout cannot hold.
+    fn new(vocabulary: &PropositionVocabulary, signals: &SignalSet) -> Result<Self, ClassifyError> {
+        // A loaded vocabulary's atoms are not checked against its own
+        // signals, so an id it does not declare is named by its index.
+        let name = |id: psm_trace::SignalId| {
+            if id.index() < vocabulary.signals.len() {
+                vocabulary.signals.decl(id).name().to_owned()
+            } else {
+                id.to_string()
+            }
+        };
+        let tests: Vec<RowTest> = vocabulary
+            .atoms
+            .iter()
+            .map(|atom| atom.resolve(signals, name))
+            .collect::<Result<_, _>>()?;
+        let mut reads: Vec<usize> = tests.iter().flat_map(RowTest::reads).collect();
+        reads.sort_unstable();
+        reads.dedup();
+        Ok(RowAtoms {
+            tests,
+            reads,
+            row_words: signals.words_per_cycle(),
+        })
+    }
+
+    /// The one per-row body: packs `row`'s truth row into `truths`, then
+    /// returns the id `id_of` (a lookup or an intern) gives it.
+    #[inline]
+    fn id<T>(&self, row: &[u64], truths: &mut Vec<u64>, id_of: impl FnOnce(&[u64]) -> T) -> T {
+        pack_truths(truths, self.tests.iter().map(|t| t.holds(row)));
+        id_of(truths)
+    }
+
+    /// Whether two rows differ in a word the atoms read.
+    #[inline]
+    fn reads_differ(&self, a: &[u64], b: &[u64]) -> bool {
+        self.reads.iter().any(|&w| a[w] != b[w])
+    }
+
+    /// Every row of `trace` with its [`id`](Self::id), in time order. A
+    /// row equal to the previous one on every read word keeps the
+    /// previous id (exact: see [`RowClassifier`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace`'s rows are not `row_words` wide.
+    fn walk<'a, T: Copy + 'a>(
+        &'a self,
+        trace: &'a FunctionalTrace,
+        truths: &'a mut Vec<u64>,
+        mut id_of: impl FnMut(&[u64]) -> T + 'a,
+    ) -> impl Iterator<Item = (&'a [u64], T)> + 'a {
+        assert_eq!(trace.signals().words_per_cycle(), self.row_words);
+        let (words, width) = (trace.as_words(), self.row_words);
+        let mut prev: Option<(&[u64], T)> = None;
+        (0..trace.len()).map(move |t| {
+            let row = &words[t * width..(t + 1) * width];
+            let id = match prev {
+                Some((prev, id)) if !self.reads_differ(prev, row) => id,
+                _ => self.id(row, truths, &mut id_of),
+            };
+            prev = Some((row, id));
+            (row, id)
+        })
     }
 }
 
@@ -265,40 +308,38 @@ impl PropositionTable {
     }
 
     /// Interns every instant of `trace` in time order, returning its
-    /// proposition trace (mining path). The atoms are resolved against
-    /// the trace's row layout once, so an instant costs a few word
-    /// compares and one lookup.
+    /// proposition trace (mining path). It walks the atoms resolved as a
+    /// [`RowClassifier`] resolves them, with its memo: an instant equal to
+    /// the previous one on every word the atoms read keeps its id, which
+    /// is what interning its (equal) truth row again would return.
     ///
     /// # Panics
     ///
     /// Panics when `trace`'s interface cannot hold the vocabulary's atoms
     /// (the [`ClassifyError`] cases).
     pub fn intern_trace(&mut self, trace: &FunctionalTrace) -> PropositionTrace {
-        let tests = self
-            .vocabulary
-            .resolve(trace.signals())
+        let atoms = RowAtoms::new(&self.vocabulary, trace.signals())
             .unwrap_or_else(|e| panic!("cannot intern the trace: {e}"));
-        let mut row = Vec::new();
-        trace
-            .iter()
-            .map(|cycle| {
-                let words = cycle.as_words();
-                pack_truths(&mut row, tests.len(), tests.iter().map(|t| t.holds(words)));
-                self.index.intern(&mut self.props, tests.len(), &row)
+        let count = self.vocabulary.len();
+        let mut truths = Vec::new();
+        atoms
+            .walk(trace, &mut truths, |truths| {
+                self.index.intern(&mut self.props, count, truths)
             })
+            .map(|(_, id)| id)
             .collect()
     }
 
     /// Classifies every instant of `trace` without interning (simulation
-    /// path); `None` marks unknown behaviour. Equal, instant for instant,
-    /// to [`classify`](Self::classify) on each row, with the atoms
-    /// resolved against the trace's row layout once.
+    /// path); `None` marks unknown behaviour: the
+    /// [`RowClassifier::classify_trace`] of the trace's interface. Equal,
+    /// instant for instant, to [`classify`](Self::classify) on each row.
     ///
     /// # Panics
     ///
     /// Panics when `trace`'s interface cannot hold the table's atoms (see
-    /// [`try_classify_trace`](Self::try_classify_trace), which reports it
-    /// as an error instead).
+    /// [`row_classifier`](Self::row_classifier), which reports it as a
+    /// [`ClassifyError`] instead).
     ///
     /// # Examples
     ///
@@ -322,42 +363,9 @@ impl PropositionTable {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn classify_trace(&self, trace: &FunctionalTrace) -> Vec<Option<PropositionId>> {
-        self.try_classify_trace(trace)
+        self.row_classifier(trace.signals())
             .unwrap_or_else(|e| panic!("cannot classify the trace: {e}"))
-    }
-
-    /// [`classify_trace`](Self::classify_trace) for a trace whose
-    /// interface may not be the table's.
-    ///
-    /// # Errors
-    ///
-    /// [`ClassifyError`] naming the first signal an atom reads that the
-    /// trace does not declare, or two signals an atom compares that the
-    /// trace declares at different widths.
-    pub fn try_classify_trace(
-        &self,
-        trace: &FunctionalTrace,
-    ) -> Result<Vec<Option<PropositionId>>, ClassifyError> {
-        let tests = self.vocabulary.resolve(trace.signals())?;
-        let mut row = Vec::new();
-        Ok(trace
-            .iter()
-            .map(|cycle| self.lookup(&tests, cycle.as_words(), &mut row))
-            .collect())
-    }
-
-    /// The class of the row `words` under the table's atoms resolved as
-    /// `tests`; `truths` is scratch for the packed truth row. Every
-    /// resolved classification goes through here.
-    #[inline]
-    fn lookup<C: AsRef<[u64]>>(
-        &self,
-        tests: &[RowTest<C>],
-        words: &[u64],
-        truths: &mut Vec<u64>,
-    ) -> Option<PropositionId> {
-        pack_truths(truths, tests.len(), tests.iter().map(|t| t.holds(words)));
-        self.index.get(&self.props, truths)
+            .classify_trace(trace)
     }
 
     /// [`RowClassifier::new`] borrowing this table.
@@ -369,8 +377,10 @@ impl PropositionTable {
         RowClassifier::new(Cow::Borrowed(self), signals)
     }
 
-    /// Evaluates one cycle *without* interning (simulation path); `None`
-    /// means unknown behaviour.
+    /// Evaluates one cycle *without* interning; `None` means unknown
+    /// behaviour. The per-row reference over
+    /// [`PropositionVocabulary::evaluate_row`]; traces and rows are
+    /// classified through a [`RowClassifier`].
     pub fn classify(&self, cycle: Row<'_>) -> Option<PropositionId> {
         let row = self.vocabulary.evaluate_row(cycle);
         self.index.get(&self.props, &row)
@@ -412,18 +422,16 @@ impl PropositionTable {
 /// A [`PropositionTable`] resolved against one row layout: the table,
 /// borrowed or owned, its atoms as word tests, and the row words those
 /// tests read. Built by [`RowClassifier::new`] (or, borrowing,
-/// [`PropositionTable::row_classifier`]) for a consumer that classifies
-/// rows one at a time, such as the estimator of `psm-compile`; an owning
-/// classifier lets a served model keep one for its lifetime. Its
-/// [`classify`](Self::classify) equals
-/// [`PropositionTable::classify_trace`] row for row.
+/// [`PropositionTable::row_classifier`]), it is the one way rows are
+/// classified, by the flow, the estimator and the model checker alike;
+/// an owning classifier lets a served model keep one for its lifetime.
 ///
 /// A row's class is a pure function of the words in
 /// [`reads`](Self::reads): two rows that agree on every one of them
 /// satisfy the same atoms, so they have the same truth row and the same
-/// class. A walk over consecutive rows may therefore keep the previous
-/// row's class whenever [`reads_differ`](Self::reads_differ) is false,
-/// and the result is exactly what classifying every row gives.
+/// class. [`classify_rows`](Self::classify_rows) therefore keeps the
+/// previous row's class whenever [`reads_differ`](Self::reads_differ) is
+/// false, and the result is exactly what classifying every row gives.
 ///
 /// # Examples
 ///
@@ -459,12 +467,7 @@ impl PropositionTable {
 #[derive(Debug, Clone)]
 pub struct RowClassifier<'t> {
     table: Cow<'t, PropositionTable>,
-    /// The table's atoms, owning their words so that an owned table can
-    /// travel with them.
-    tests: Vec<RowTest<Box<[u64]>>>,
-    /// Row words any test reads, ascending, each once.
-    reads: Vec<usize>,
-    row_words: usize,
+    atoms: RowAtoms,
 }
 
 impl<'t> RowClassifier<'t> {
@@ -472,27 +475,14 @@ impl<'t> RowClassifier<'t> {
     ///
     /// # Errors
     ///
-    /// The [`ClassifyError`] [`PropositionTable::try_classify_trace`]
-    /// returns for a trace laid out by `signals`.
+    /// [`ClassifyError`] naming the first signal an atom reads that
+    /// `signals` lacks, or two it compares at different widths there.
     pub fn new(
         table: Cow<'t, PropositionTable>,
         signals: &SignalSet,
     ) -> Result<RowClassifier<'t>, ClassifyError> {
-        let tests: Vec<_> = table
-            .vocabulary
-            .resolve(signals)?
-            .into_iter()
-            .map(RowTest::into_owned)
-            .collect();
-        let mut reads: Vec<usize> = tests.iter().flat_map(RowTest::reads).collect();
-        reads.sort_unstable();
-        reads.dedup();
-        Ok(RowClassifier {
-            table,
-            tests,
-            reads,
-            row_words: signals.words_per_cycle(),
-        })
+        let atoms = RowAtoms::new(&table.vocabulary, signals)?;
+        Ok(RowClassifier { table, atoms })
     }
 }
 
@@ -504,29 +494,60 @@ impl RowClassifier<'_> {
 
     /// Words per row of the layout the classifier was resolved against.
     pub fn row_words(&self) -> usize {
-        self.row_words
+        self.atoms.row_words
     }
 
     /// The row words the table's atoms read, ascending, each once.
     pub fn reads(&self) -> &[usize] {
-        &self.reads
+        &self.atoms.reads
     }
 
     /// A scratch buffer sized for [`classify`](Self::classify), so that
     /// classifying never allocates.
     pub fn truth_buffer(&self) -> Vec<u64> {
-        Vec::with_capacity(self.tests.len().div_ceil(64).max(1))
+        Vec::with_capacity(self.atoms.tests.len().div_ceil(64).max(1))
     }
 
     /// The class of one row of the layout; `None` marks unknown
     /// behaviour. `truths` is scratch (see
-    /// [`truth_buffer`](Self::truth_buffer)) and is clobbered.
+    /// [`truth_buffer`](Self::truth_buffer)); on return it holds the
+    /// row's packed truth row (bit *i* = truth of atom *i*).
     ///
     /// # Panics
     ///
     /// Panics if `row` is shorter than the words the atoms read.
     pub fn classify(&self, row: &[u64], truths: &mut Vec<u64>) -> Option<PropositionId> {
-        self.table.lookup(&self.tests, row, truths)
+        self.atoms.id(row, truths, |truths| self.class_of(truths))
+    }
+
+    /// Every row of `trace` with its class, in time order. A row equal to
+    /// the previous one on every word in [`reads`](Self::reads) keeps the
+    /// previous class; the others are classified as
+    /// [`classify`](Self::classify) does, with `truths` as scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace`'s rows are not [`row_words`](Self::row_words)
+    /// wide.
+    pub fn classify_rows<'a>(
+        &'a self,
+        trace: &'a FunctionalTrace,
+        truths: &'a mut Vec<u64>,
+    ) -> impl Iterator<Item = (&'a [u64], Option<PropositionId>)> + 'a {
+        self.atoms
+            .walk(trace, truths, |truths| self.class_of(truths))
+    }
+
+    /// The class of every row of `trace`, in time order.
+    ///
+    /// # Panics
+    ///
+    /// As [`classify_rows`](Self::classify_rows).
+    pub fn classify_trace(&self, trace: &FunctionalTrace) -> Vec<Option<PropositionId>> {
+        let mut truths = self.truth_buffer();
+        self.classify_rows(trace, &mut truths)
+            .map(|(_, class)| class)
+            .collect()
     }
 
     /// Whether two rows of the layout differ in a word the atoms read.
@@ -537,7 +558,13 @@ impl RowClassifier<'_> {
     /// Panics if a row is shorter than the words the atoms read.
     #[inline]
     pub fn reads_differ(&self, a: &[u64], b: &[u64]) -> bool {
-        self.reads.iter().any(|&w| a[w] != b[w])
+        self.atoms.reads_differ(a, b)
+    }
+
+    /// The class of a packed truth row.
+    #[inline]
+    fn class_of(&self, truths: &[u64]) -> Option<PropositionId> {
+        self.table.index.get(&self.table.props, truths)
     }
 }
 
@@ -954,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn foreign_interfaces_are_errors_for_try_classify_trace() {
+    fn foreign_interfaces_are_classifier_errors() {
         // The toy model of one 1-bit signal `en`, against a trace with no
         // signals at all.
         let mut signals = SignalSet::new();
@@ -968,7 +995,7 @@ mod tests {
             .unwrap();
         let mut empty = FunctionalTrace::new(SignalSet::new());
         empty.push_cycle(Vec::new()).unwrap();
-        let err = mined.table.try_classify_trace(&empty).unwrap_err();
+        let err = mined.table.row_classifier(empty.signals()).unwrap_err();
         assert_eq!(
             err,
             ClassifyError::MissingSignal {
@@ -982,7 +1009,11 @@ mod tests {
             "the model reads signal `en` (index 0), but the trace declares 0 signal(s)"
         );
         assert_eq!(
-            mined.table.try_classify_trace(&phi).unwrap(),
+            mined
+                .table
+                .row_classifier(phi.signals())
+                .unwrap()
+                .classify_trace(&phi),
             mined.table.classify_trace(&phi)
         );
 
@@ -993,7 +1024,7 @@ mod tests {
         s.push("en", 1, Direction::Input).unwrap();
         s.push("a", 4, Direction::Input).unwrap();
         s.push("b", 8, Direction::Output).unwrap();
-        let err = t.try_classify_trace(&FunctionalTrace::new(s)).unwrap_err();
+        let err = t.row_classifier(&s).unwrap_err();
         assert_eq!(
             err,
             ClassifyError::WidthMismatch {

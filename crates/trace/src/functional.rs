@@ -314,16 +314,12 @@ impl FunctionalTrace {
         if t == 0 {
             return 0;
         }
-        input_distance(
-            &input_spans(&self.signals),
-            self.cycle(t - 1).words,
-            row.words,
-        )
+        InputSpans::new(&self.signals).distance(self.cycle(t - 1).words, row.words)
     }
 
     /// The full input-Hamming-distance series, one entry per instant.
     pub fn input_hamming_series(&self) -> Vec<u32> {
-        let spans = input_spans(&self.signals);
+        let spans = InputSpans::new(&self.signals);
         let wpc = self.signals.words_per_cycle();
         let mut out = Vec::with_capacity(self.len);
         if self.len > 0 {
@@ -334,45 +330,12 @@ impl FunctionalTrace {
             out.extend(
                 rows.clone()
                     .zip(rows.skip(1))
-                    .map(|(prev, row)| input_distance(&spans, prev, row)),
+                    .map(|(prev, row)| spans.distance(prev, row)),
             );
         } else {
             out.resize(self.len, 0);
         }
         out
-    }
-
-    /// Hamming distance of the input signals between an externally held
-    /// previous row and instant `t` of this trace.
-    ///
-    /// `prev` holds one row's words — what [`Row::as_words`] returns.
-    /// Streaming estimation uses this to stitch the Hamming series across
-    /// chunk boundaries: when `prev` is the row immediately preceding this
-    /// chunk in the full trace, the result equals the corresponding entry
-    /// of [`input_hamming_series`](FunctionalTrace::input_hamming_series)
-    /// on the concatenated trace.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::CycleShapeMismatch`] (counting words) when `prev` is
-    /// not one row of this trace's interface.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `t` is out of range.
-    pub fn input_hamming_vs(&self, prev: &[u64], t: usize) -> Result<u32, TraceError> {
-        let wpc = self.signals.words_per_cycle();
-        if prev.len() != wpc {
-            return Err(TraceError::CycleShapeMismatch {
-                expected: wpc,
-                actual: prev.len(),
-            });
-        }
-        Ok(input_distance(
-            &input_spans(&self.signals),
-            prev,
-            self.cycle(t).words,
-        ))
     }
 
     /// Splits the trace into windows of at most `window` instants each
@@ -399,39 +362,9 @@ impl FunctionalTrace {
     }
 }
 
-/// The row words of the primary inputs of `signals`, merged into maximal
-/// contiguous spans.
-fn input_spans(signals: &SignalSet) -> Vec<Range<usize>> {
-    let mut spans: Vec<Range<usize>> = Vec::new();
-    let ranges = signals
-        .iter()
-        .filter(|(_, decl)| decl.direction() == Direction::Input)
-        .map(|(id, _)| signals.word_range(id));
-    for range in ranges {
-        match spans.last_mut() {
-            Some(last) if last.end == range.start => last.end = range.end,
-            _ => spans.push(range),
-        }
-    }
-    spans
-}
-
-/// Number of input bits that differ between two rows.
-fn input_distance(spans: &[Range<usize>], prev: &[u64], row: &[u64]) -> u32 {
-    spans
-        .iter()
-        .map(|range| {
-            prev[range.clone()]
-                .iter()
-                .zip(&row[range.clone()])
-                .map(|(a, b)| (a ^ b).count_ones())
-                .sum::<u32>()
-        })
-        .sum()
-}
-
-/// The input spans of one row layout, resolved once: what the input
-/// Hamming distance between two rows reads.
+/// The input spans of one row layout, resolved once: the row words of
+/// its primary inputs, merged into maximal contiguous spans, which is
+/// what the input Hamming distance between two rows reads.
 /// [`FunctionalTrace::input_hamming_series`] measures every pair of
 /// consecutive rows of one trace; a row-by-row consumer resolves this
 /// once per interface and calls [`distance`](InputSpans::distance) per
@@ -442,7 +375,18 @@ pub struct InputSpans(Vec<Range<usize>>);
 impl InputSpans {
     /// The input spans of rows laid out by `signals`.
     pub fn new(signals: &SignalSet) -> InputSpans {
-        InputSpans(input_spans(signals))
+        let mut spans: Vec<Range<usize>> = Vec::new();
+        let ranges = signals
+            .iter()
+            .filter(|(_, decl)| decl.direction() == Direction::Input)
+            .map(|(id, _)| signals.word_range(id));
+        for range in ranges {
+            match spans.last_mut() {
+                Some(last) if last.end == range.start => last.end = range.end,
+                _ => spans.push(range),
+            }
+        }
+        InputSpans(spans)
     }
 
     /// Number of input bits that differ between two rows of the layout.
@@ -452,7 +396,16 @@ impl InputSpans {
     /// Panics if a row is shorter than the layout's input words reach.
     #[inline]
     pub fn distance(&self, prev: &[u64], row: &[u64]) -> u32 {
-        input_distance(&self.0, prev, row)
+        self.0
+            .iter()
+            .map(|range| {
+                prev[range.clone()]
+                    .iter()
+                    .zip(&row[range.clone()])
+                    .map(|(a, b)| (a ^ b).count_ones())
+                    .sum::<u32>()
+            })
+            .sum()
     }
 }
 
@@ -543,8 +496,11 @@ mod tests {
         // inputs: 0 → 3 (2 bits) → 15 (2 bits)
         assert_eq!(t.input_hamming_series(), vec![0, 2, 2]);
         assert_eq!(t.input_hamming(2), 2);
-        assert_eq!(t.input_hamming_vs(t.cycle(0).as_words(), 2).unwrap(), 4);
-        assert!(t.input_hamming_vs(&[0], 2).is_err());
+        let spans = InputSpans::new(t.signals());
+        assert_eq!(
+            spans.distance(t.cycle(0).as_words(), t.cycle(2).as_words()),
+            4
+        );
     }
 
     #[test]

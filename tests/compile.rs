@@ -125,6 +125,7 @@ fn flow_estimation_is_bit_identical_to_the_reference_simulator() {
 }
 
 /// Feeds `obs` to `compiled` in windows of 1, 3, 7, 64 and all instants,
+/// one `step` per instant through one state carried across windows,
 /// asserting each chunked run equals the one-shot run bit for bit.
 fn assert_chunked_resume_matches_one_shot(
     compiled: &CompiledModel,
@@ -139,12 +140,9 @@ fn assert_chunked_resume_matches_one_shot(
         let mut start = 0;
         while start < obs.len() {
             let end = (start + window).min(obs.len());
-            compiled.resume(
-                &mut state,
-                &obs[start..end],
-                &hamming[start..end],
-                &mut estimate,
-            );
+            for t in start..end {
+                estimate.push(compiled.step(&mut state, obs[t], hamming[t]));
+            }
             start = end;
         }
         assert_eq!(

@@ -11,10 +11,10 @@
 //! served model) and fed in chunks (directly and through
 //! `StreamSession`). The classifier's read set is checked on PRNG-built
 //! traces: a word outside it never changes a class, and a walk that
-//! reuses the previous class across unchanged read words equals
-//! `classify_trace`, on traces with runs of equal rows and runs that
-//! differ only outside the read set, on an empty trace and on a trace
-//! with no words per cycle.
+//! reuses the previous class across unchanged read words (this file's
+//! own, and `classify_trace`'s) equals the `Bits` oracle row by row, on
+//! traces with runs of equal rows and runs that differ only outside the
+//! read set, on an empty trace and on a trace with no words per cycle.
 
 use psm_persist::{JsonValue, Persist};
 use psm_prng::Prng;
@@ -381,8 +381,11 @@ fn memoised_walk_equals_classify_trace() {
                 }
             }
         }
+        // Both memoised walks against the `Bits` oracle, row by row.
+        let per_row: Vec<_> = trace.iter().map(|row| table.classify(row)).collect();
         let (walk, classified) = memoised_walk(&classifier, &trace);
-        assert_eq!(walk, table.classify_trace(&trace), "case {case}");
+        assert_eq!(walk, per_row, "case {case}");
+        assert_eq!(table.classify_trace(&trace), per_row, "case {case}");
         assert!(
             classified < trace.len() / 2,
             "case {case}: the walk reused a class on {} of {} rows",

@@ -1,8 +1,9 @@
 //! Differential tests of the flat, row-major trace storage against the
 //! owned-`Bits` oracle: the Hamming series, atom evaluation, windowed
-//! Hamming stitching and chunked streaming estimation must all agree with
-//! what per-signal `Bits` arithmetic gives, on random traces whose widths
-//! straddle every word boundary and whose inputs and outputs interleave.
+//! Hamming stitching (through `InputSpans`) and chunked streaming
+//! estimation must all agree with what per-signal `Bits` arithmetic
+//! gives, on random traces whose widths straddle every word boundary and
+//! whose inputs and outputs interleave.
 
 use psm_persist::{encode_artifact, JsonValue, Persist};
 use psm_prng::Prng;
@@ -10,7 +11,9 @@ use psmgen::hmm::build_hmm;
 use psmgen::mining::{AtomicProposition, Comparison, Miner, MiningConfig};
 use psmgen::psm::{calibrate, generate_psm, join, simplify, CalibrationConfig, MergePolicy};
 use psmgen::serve::{Registry, StreamSession};
-use psmgen::trace::{Bits, Direction, FunctionalTrace, PowerTrace, SignalId, SignalSet};
+use psmgen::trace::{
+    Bits, Direction, FunctionalTrace, InputSpans, PowerTrace, SignalId, SignalSet,
+};
 
 /// Widths around every word boundary, up to the paper's widest (AES).
 const WIDTHS: [usize; 7] = [1, 7, 63, 64, 65, 128, 260];
@@ -212,17 +215,18 @@ fn trace_walks_equal_per_row_evaluation() {
 }
 
 #[test]
-fn split_windows_stitched_with_input_hamming_vs_equals_the_series() {
+fn split_windows_stitched_with_input_spans_equal_the_series() {
     let mut rng = Prng::seed_from_u64(0xF1A7_0003);
     let trace = random_trace(&mut rng, 257);
     let full = trace.input_hamming_series();
+    let spans = InputSpans::new(trace.signals());
     for window in [1, 2, 7, 64, 256, 257, 1_000] {
         let mut stitched = Vec::new();
         let mut prev: Option<Vec<u64>> = None;
         for chunk in trace.split_windows(window) {
             let mut series = chunk.input_hamming_series();
             if let Some(prev) = &prev {
-                series[0] = chunk.input_hamming_vs(prev, 0).expect("same interface");
+                series[0] = spans.distance(prev, chunk.cycle(0).as_words());
             }
             stitched.extend(series);
             prev = Some(chunk.cycle(chunk.len() - 1).as_words().to_vec());
